@@ -70,8 +70,7 @@ def _reject_unknown(cfg, schema, path=""):
     for key, val in cfg.items():
         if key not in schema:
             raise ParameterError(f"unknown config key {path}{key}")
-        if isinstance(schema[key], dict) and isinstance(val, dict) \
-                and key not in ("counts", "caps"):
+        if isinstance(schema[key], dict) and isinstance(val, dict):
             _reject_unknown(val, schema[key], path=f"{path}{key}.")
 
 
@@ -111,10 +110,8 @@ def load_config(path, sets):
                 raise ParameterError(f"unknown config key {dotted}")
             probe = probe[p]
             node = node.setdefault(p, {})
-        if not isinstance(probe, dict) or (parts[-1] not in probe
-                                           and parts[:-1] != ["lab", "caps"]):
-            if not (len(parts) >= 2 and parts[-2] in ("counts", "caps")):
-                raise ParameterError(f"unknown config key {dotted}")
+        if not isinstance(probe, dict) or parts[-1] not in probe:
+            raise ParameterError(f"unknown config key {dotted}")
         node[parts[-1]] = _parse_leaf(raw)
     return cfg
 
@@ -215,15 +212,11 @@ pass_cfg = click.make_pass_decorator(dict)
 @click.option("--set", "sets", multiple=True,
               help="override a config leaf, dotted.path=value")
 @click.option("--out", default=None, help="override output.dir")
-@click.option("--threads", default=1, type=int,
-              help="worker cap; results do not depend on it")
 @click.pass_context
-def cli(ctx, config_path, sets, out, threads):
+def cli(ctx, config_path, sets, out):
     cfg = load_config(config_path, sets)
     if out:
         cfg["output"]["dir"] = out
-    if threads < 1:
-        raise ParameterError("--threads must be >= 1")
     ctx.obj = cfg
 
 

@@ -36,27 +36,27 @@ VARIANTS = ("Ldot", "L", "Lb_dot", "Lb", "Lt_dot", "Lt")
 TRUNCATED_VARIANTS = ("L_tilde", "Lb_tilde")
 
 
-def ball_power_average(space, values, r, exponent):
-    """A_e(x) at radius r for every center x; e = inf takes the ball max."""
-    return _averages_over_radii(space, values, [r], exponent)[0]
-
-
 def _averages_over_radii(space, values, radii, exponent):
-    """Stack of A_e(., r) rows; the pairwise difference table is built once."""
-    w = space.weight
-    diff = np.abs(values[:, None] - values[None, :])
-    if exponent != INF:
-        diff = diff ** exponent if exponent != 1.0 else diff
-        diff = diff * w[None, :]
+    """Stack of A_e(., r) rows read off the space's sorted ball index.
+
+    Each row x gathers |f(x) - f(y)| in distance order; a running sum of
+    the mu-weighted e-powers (a running max for e = inf) read at the end of
+    B(x, r) gives every radius at once.
+    """
+    idx = space.ball_index
+    diff = np.abs(values[:, None] - values[idx.order])
+    if exponent == INF:
+        running = np.maximum.accumulate(diff, axis=1)
+    else:
+        running = np.cumsum(diff ** exponent * space.weight[idx.order],
+                            axis=1)
     rows = []
     for r in radii:
-        mask = space.ball_mask_cached(r)
-        if exponent == INF:
-            rows.append(np.max(np.where(mask, diff, 0.0), axis=1))
-        else:
-            num = np.where(mask, diff, 0.0).sum(axis=1)
-            den = mask @ w
-            rows.append((num / den) ** (1.0 / exponent))
+        end = idx.ball_end(r)
+        row = idx.read(running, end)
+        if exponent != INF:
+            row = (row / idx.read(idx.weight_prefix, end)) ** (1.0 / exponent)
+        rows.append(row)
     return np.asarray(rows)
 
 

@@ -37,13 +37,16 @@ class NetSystem:
     """Per-level nets of net-point indices, coarse to fine.
 
     ``nets[k]`` extends ``nets[k-1]`` as a prefix, so newly appearing centers
-    at level k+1 are exactly ``nets[k+1][len(nets[k]):]``.
+    at level k+1 are exactly ``nets[k+1][len(nets[k]):]``.  ``assigns[k]``
+    maps every point to the position in ``nets[k]`` of its level-k cube
+    center.
     """
 
     delta: float
     k_min: int
     k_max: int
     nets: dict[int, np.ndarray]
+    assigns: dict[int, np.ndarray]
     c0: float
     big_c0: float
     c0_per_level: dict[int, float] = field(default_factory=dict)
@@ -137,7 +140,6 @@ def _grow_level(space, net, threshold, sep, deep_mask):
     >= sep from the net, preferring deep ones. Ties break to the lowest point
     index via argmax semantics on exact equality.
     """
-    n = space.n
     dist = space.dist
     if not net:
         net.append(0)
@@ -168,9 +170,8 @@ def _assign_coarsest(space, net):
 def _assign_refined(space, net, prev_assign_points):
     """Nearest eligible center; eligible = same coarser cube as the point.
     Ties go to the lowest candidate point index."""
-    n = space.n
     net_arr = np.asarray(net)
-    assign = np.full(n, -1, dtype=int)
+    assign = np.full(space.n, -1, dtype=int)
     net_cube = prev_assign_points[net_arr]
     for cube_id in np.unique(prev_assign_points):
         pts = np.nonzero(prev_assign_points == cube_id)[0]
@@ -243,7 +244,8 @@ def build_nets(space, delta, k_range, sigma=DEFAULT_SIGMA,
     k_min, k_max = int(k_range[0]), int(k_range[-1])
     if k_max < k_min:
         raise ParameterError("empty level range")
-    nets, _, cover = _build(space, delta, k_min, k_max, sigma, deep_margin)
+    nets, assigns, cover = _build(space, delta, k_min, k_max, sigma,
+                                  deep_margin)
 
     c0_lv, big_lv = {}, {}
     for k in range(k_min, k_max + 1):
@@ -257,24 +259,20 @@ def build_nets(space, delta, k_range, sigma=DEFAULT_SIGMA,
             f"strict mode: 12*A0^3*C0*delta = "
             f"{12 * space.a0 ** 3 * big_c0 * delta:.6g} exceeds c0 = {c0:.6g}")
     return NetSystem(delta=delta, k_min=k_min, k_max=k_max, nets=nets,
-                     c0=c0, big_c0=big_c0, c0_per_level=c0_lv,
+                     assigns=assigns, c0=c0, big_c0=big_c0, c0_per_level=c0_lv,
                      big_c0_per_level=big_lv, sigma=sigma,
                      deep_margin=deep_margin)
 
 
 def build_cubes(nets, space):
-    """Assign every point a cube per level; partition and nesting hold by
-    construction (centers always land in their own cube)."""
+    """Cubes from the level assignments the nets carry; partition and nesting
+    hold by construction (centers always land in their own cube)."""
     levels = {}
     prev_assign = None
     for k in nets.levels():
         net = nets.nets[k]
-        if prev_assign is None:
-            assign = _assign_coarsest(space, list(net))
-            parent = None
-        else:
-            assign = _assign_refined(space, list(net), prev_assign)
-            parent = prev_assign[net]
+        assign = nets.assigns[k]
+        parent = None if prev_assign is None else prev_assign[net]
         members = [np.nonzero(assign == i)[0] for i in range(len(net))]
         for i, mem in enumerate(members):
             if len(mem) == 0:
@@ -539,14 +537,15 @@ def _cubes_from_dump(doc, space):
             k=k, centers=centers, assign=assign,
             parent=None if parent is None else np.asarray(parent, dtype=int),
             members=members, children=[[] for _ in centers])
-    net_sys = NetSystem(delta=delta, k_min=k_min, k_max=k_max, nets=nets,
-                        c0=1.0, big_c0=1.0)
     # measured constants recomputed from the dumped nets
+    c0_lv, big_lv = {}, {}
     for k in range(k_min, k_max + 1):
         scale = delta ** k
-        net_sys.c0_per_level[k] = _separation(space, nets[k], scale)
-        mind = space.dist[:, nets[k]].min(axis=1)
-        net_sys.big_c0_per_level[k] = float(mind.max()) / scale
-    net_sys.c0 = float(min(net_sys.c0_per_level.values()))
-    net_sys.big_c0 = float(max(net_sys.big_c0_per_level.values()))
+        c0_lv[k] = _separation(space, nets[k], scale)
+        big_lv[k] = float(space.dist[:, nets[k]].min(axis=1).max()) / scale
+    net_sys = NetSystem(
+        delta=delta, k_min=k_min, k_max=k_max, nets=nets,
+        assigns={k: lv.assign for k, lv in levels.items()},
+        c0=float(min(c0_lv.values())), big_c0=float(max(big_lv.values())),
+        c0_per_level=c0_lv, big_c0_per_level=big_lv)
     return CubeSystem(space=space, nets=net_sys, levels=levels)

@@ -92,7 +92,6 @@ class KernelStack:
     nu: float | None = None
     eta: float | None = None
     report: AtiValidationReport | None = None
-    _p_cache: dict = field(default_factory=dict, repr=False)
 
     def levels(self):
         return range(self.k_min, self.k_max + 1)
@@ -104,10 +103,8 @@ class KernelStack:
         return self.q[k]
 
     def semigroup(self, t):
-        key = float(t)
-        if key not in self._p_cache:
-            self._p_cache[key] = build_semigroup(self.space, key, a=self.a)
-        return self._p_cache[key]
+        """P_t of this stack's seed exponent, built on demand."""
+        return build_semigroup(self.space, float(t), a=self.a)
 
     def apply(self, k, values):
         return self.kernel(k) @ (values * self.space.weight)
@@ -120,17 +117,16 @@ class KernelStack:
         return out
 
 
-def _difference_stack(space, delta, k_min, k_max, a, cache):
-    def P(t):
-        key = float(t)
-        if key not in cache:
-            cache[key] = build_semigroup(space, key, a=a)
-        return cache[key]
-
-    q = {}
-    for k in range(k_min, k_max + 1):
-        q[k] = P(delta ** k) - P(delta ** (k - 1))
-    return q, P
+def _difference_stack(space, delta, k_min, k_max, a, coarsest):
+    """Q_k = P_{delta^k} - P_{delta^(k-1)} for k_min < k <= k_max and
+    Q_{k_min} = coarsest(P_{delta^k_min}); at most two P_t tables are live."""
+    prev = build_semigroup(space, delta ** k_min, a=a)
+    q = {k_min: coarsest(prev)}
+    for k in range(k_min + 1, k_max + 1):
+        cur = build_semigroup(space, delta ** k, a=a)
+        q[k] = cur - prev
+        prev = cur
+    return q
 
 
 def build_exp_ati(space, cubes, k_range=None, a=1.0, coarse="mean"):
@@ -141,17 +137,17 @@ def build_exp_ati(space, cubes, k_range=None, a=1.0, coarse="mean"):
     if k_range is None:
         k_range = (cubes.k_min, max(cubes.k_min, cubes.k_max - max(cubes.j0, 1)))
     k_min, k_max = int(k_range[0]), int(k_range[-1])
-    cache = {}
-    q, P = _difference_stack(space, delta, k_min + 1, k_max, a, cache)
     if coarse == "mean":
-        q[k_min] = P(delta ** k_min) - mean_projection(space)
+        def cap(p):
+            return p - mean_projection(space)
     elif coarse == "semigroup":
-        q[k_min] = P(delta ** k_min) - P(delta ** (k_min - 1))
+        def cap(p):
+            return p - build_semigroup(space, delta ** (k_min - 1), a=a)
     else:
         raise ParameterError(f"unknown coarse cap {coarse!r}")
+    q = _difference_stack(space, delta, k_min, k_max, a, cap)
     return KernelStack(flavor="homogeneous", space=space, delta=delta,
-                       k_min=k_min, k_max=k_max, a=a, q=q, coarse=coarse,
-                       _p_cache=cache)
+                       k_min=k_min, k_max=k_max, a=a, q=q, coarse=coarse)
 
 
 def build_exp_iati(space, cubes, k_range=None, a=1.0, sigma=1.0, n_low=1):
@@ -167,12 +163,11 @@ def build_exp_iati(space, cubes, k_range=None, a=1.0, sigma=1.0, n_low=1):
         k_max = int(k_range[-1])
     if sigma <= 0:
         raise ParameterError("sigma must be positive")
-    cache = {}
-    q, P = _difference_stack(space, delta, 1, k_max, a, cache)
-    q[0] = P(sigma)
+    q = _difference_stack(space, delta, 0, k_max, a,
+                          lambda p: build_semigroup(space, sigma, a=a))
     return KernelStack(flavor="inhomogeneous", space=space, delta=delta,
                        k_min=0, k_max=k_max, a=a, q=q, sigma=sigma,
-                       n_low=int(n_low), _p_cache=cache)
+                       n_low=int(n_low))
 
 
 # -- validation ---------------------------------------------------------------

@@ -31,11 +31,8 @@ DEGENERATE_TOL = 1e-13
 
 DEFAULT_CAPS = {
     "ratio_max_over_min": 100.0,
-    "drift": 2.0,
     "integral_band": 4.0,
     "two_sided_band": 50.0,
-    "c_tilde_band": 8.0,
-    "sampler_band": 2.0,
     "truncation_band": 4.0,
 }
 

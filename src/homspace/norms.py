@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FlavorMismatchError, ParameterError
-from .operators import Field
+from .operators import Field, _cell_average
 
 INF = math.inf
 
@@ -79,19 +79,15 @@ def _check_flavor(spec, stack):
             f"spec flavor {spec.flavor!r} vs stack flavor {stack.flavor!r}")
 
 
-def _coarse_average_block(f, spec, stack, cubes, n_low):
+def _cell_block(f, spec, stack, cubes, n_low):
     """{sum_{k<=N} sum_{alpha,m} mu(Q^{k,m}) [m_Q(|Q_k f|)]^p}^(1/p)."""
-    w = stack.space.weight
-    cells_w, cells_avg = [], []
+    ww, aa = [], []
     for k in range(0, n_low + 1):
-        g = np.abs(stack.apply(k, f.values))
         _, _, _, wgt, sub_assign = cubes.sample_arrays(k)
-        sums = np.bincount(sub_assign, weights=g * w, minlength=len(wgt))
-        wsum = np.bincount(sub_assign, weights=w, minlength=len(wgt))
-        cells_w.append(wgt)
-        cells_avg.append(sums / wsum)
-    ww = np.concatenate(cells_w)
-    aa = np.concatenate(cells_avg)
+        ww.append(wgt)
+        aa.append(_cell_average(stack.space, sub_assign, len(wgt),
+                                np.abs(stack.apply(k, f.values))))
+    ww, aa = np.concatenate(ww), np.concatenate(aa)
     if spec.p == INF:
         return float(aa.max())
     return float(np.sum(ww * aa ** spec.p) ** (1.0 / spec.p))
@@ -113,7 +109,7 @@ def besov_norm(f, spec, stack, cubes=None):
     n_low = spec.n_low if spec.n_low is not None else stack.n_low
     if cubes is None:
         raise ParameterError("inhomogeneous Besov norm needs a cube system")
-    block = _coarse_average_block(f, spec, stack, cubes, n_low)
+    block = _cell_block(f, spec, stack, cubes, n_low)
     terms = [delta ** (-k * spec.s)
              * lebesgue_norm(Field(f.space, stack.apply(k, f.values)), spec.p)
              for k in stack.levels() if k > n_low]
@@ -179,7 +175,7 @@ def triebel_lizorkin_norm(f, spec, stack, cubes=None):
     n_low = spec.n_low if spec.n_low is not None else stack.n_low
     if cubes is None:
         raise ParameterError("inhomogeneous Triebel-Lizorkin norm needs cubes")
-    block = _coarse_average_block(f, spec, stack, cubes, n_low)
+    block = _cell_block(f, spec, stack, cubes, n_low)
     fine = [k for k in stack.levels() if k > n_low]
     if spec.p == INF:
         return max(block, _carleson_sup(f, spec, stack, cubes, n_low + 1))

@@ -55,33 +55,18 @@ def apply_level(stack, k, f):
 
 # -- Hardy-Littlewood maximal operator ---------------------------------------
 
-def _maximal_structure(space):
-    """Per-row sorted order, prefix weights, and ball-boundary mask.
-
-    The sup over radii of open-ball averages is attained on prefixes of the
-    distance-sorted row that end exactly where the sorted distance strictly
-    increases (partial tied groups are not balls).
-    """
-    cache = space._cache
-    if "maximal" not in cache:
-        order = np.argsort(space.dist, axis=1, kind="stable")
-        sd = np.take_along_axis(space.dist, order, axis=1)
-        wsort = space.weight[order]
-        wpre = np.cumsum(wsort, axis=1)
-        boundary = np.ones_like(sd, dtype=bool)
-        boundary[:, :-1] = sd[:, 1:] > sd[:, :-1]
-        cache["maximal"] = (order, wpre, boundary)
-    return cache["maximal"]
-
-
 def hl_maximal(space, f):
-    """Central maximal function M f(x) = sup_r avg_{B(x,r)} |f| d mu."""
-    order, wpre, boundary = _maximal_structure(space)
+    """Central maximal function M f(x) = sup_r avg_{B(x,r)} |f| d mu.
+
+    The sup runs over the open balls, the prefixes of the distance-sorted
+    row that end on a tie-group end of the space's ball index.
+    """
+    idx = space.ball_index
     g = np.abs(f.values) * space.weight
-    gpre = np.cumsum(g[order], axis=1)
+    gpre = np.cumsum(g[idx.order], axis=1)
     with np.errstate(invalid="ignore"):
-        ratio = gpre / wpre
-    ratio = np.where(boundary, ratio, -np.inf)
+        ratio = gpre / idx.weight_prefix
+    ratio = np.where(idx.group_end, ratio, -np.inf)
     return Field(space, np.max(ratio, axis=1))
 
 
@@ -128,6 +113,7 @@ def _require_subcubes(stack, cubes):
 
 
 def _cell_average(space, sub_assign, nsub, g):
+    """mu-average of g over each of the nsub cells that sub_assign names."""
     w = space.weight
     sums = np.bincount(sub_assign, weights=g * w, minlength=nsub)
     wsum = np.bincount(sub_assign, weights=w, minlength=nsub)

@@ -4,6 +4,7 @@ A space is a finite point set with a symmetric distance table, strictly
 positive atomic weights, and a certified quasi-triangle constant
 ``d(x,z) <= a0 * (d(x,y) + d(y,z))``.  Balls are open:
 ``B(x,r) = {y : d(x,y) < r}``, so ties at exactly ``r`` are excluded.
+One sorted ball index (``BallIndex``) defines every ball measure.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,6 +73,43 @@ def certify_a0(dist, cap=A0_EXHAUSTIVE_CAP, samples=A0_SAMPLE_TRIPLES, seed=0):
             worst = (int(x[k]), int(y[k]), int(z[k]))
         remaining -= m
     return best, "sampled", worst
+
+
+class BallIndex(NamedTuple):
+    """Every row of the distance table in stable ascending order.
+
+    ``order[x]`` lists the points by distance from x and ``dist[x]`` holds
+    those distances.  ``weight_prefix[x, j]`` is the measure of the first
+    j + 1 points of row x, and ``group_end[x, j]`` marks the last point of
+    each group of tied distances: an open ball is always a prefix that ends
+    on a group end, so every ball measure is one entry of ``weight_prefix``.
+    """
+
+    order: np.ndarray
+    dist: np.ndarray
+    weight_prefix: np.ndarray
+    group_end: np.ndarray
+
+    @classmethod
+    def build(cls, dist, weight):
+        order = np.argsort(dist, axis=1, kind="stable")
+        sd = np.take_along_axis(dist, order, axis=1)
+        group_end = np.ones_like(sd, dtype=bool)
+        group_end[:, :-1] = sd[:, 1:] > sd[:, :-1]
+        idx = cls(order, sd, np.cumsum(weight[order], axis=1), group_end)
+        for a in idx:
+            a.setflags(write=False)
+        return idx
+
+    def ball_end(self, r):
+        """Sorted position of the last point of B(x, r) for every center x;
+        -1 where the ball is empty (r <= 0)."""
+        return np.count_nonzero(self.dist < r, axis=1) - 1
+
+    def read(self, table, end):
+        """Row-wise ``table[x, end[x]]`` of a row-sorted table; 0 where the
+        ball is empty."""
+        return np.where(end >= 0, table[np.arange(len(end)), end], 0.0)
 
 
 class MetricMeasureSpace:
@@ -131,7 +171,7 @@ class MetricMeasureSpace:
         self.a0_method = method
         self.label = label
         self.points = None if points is None else np.asarray(points, float)
-        self._cache = {}
+        self._v_table = None
 
     @property
     def n(self):
@@ -155,45 +195,32 @@ class MetricMeasureSpace:
 
     # -- ball machinery -----------------------------------------------------
 
-    def ball_mask(self, r):
-        """Boolean (n, n) mask, row x marks the open ball B(x, r)."""
-        return self.dist < r
-
-    def ball_mask_cached(self, r):
-        key = ("mask", float(r))
-        if key not in self._cache:
-            m = self.dist < r
-            m.setflags(write=False)
-            self._cache[key] = m
-        return self._cache[key]
+    @cached_property
+    def ball_index(self):
+        """The sorted ball index every ball query reads; built on first use."""
+        return BallIndex.build(self.dist, self.weight)
 
     def ball_measure(self, r):
         """Vector of mu(B(x, r)) over all centers x."""
-        return self.ball_mask(r) @ self.weight
-
-    def _sorted(self):
-        if "order" not in self._cache:
-            order = np.argsort(self.dist, axis=1, kind="stable")
-            sd = np.take_along_axis(self.dist, order, axis=1)
-            wp = np.cumsum(self.weight[order], axis=1)
-            self._cache["order"] = order
-            self._cache["sorted_dist"] = sd
-            self._cache["weight_prefix"] = wp
-        return (self._cache["order"], self._cache["sorted_dist"],
-                self._cache["weight_prefix"])
+        idx = self.ball_index
+        return idx.read(idx.weight_prefix, idx.ball_end(r))
 
     def v_table(self):
         """V(x, y) = mu(B(x, d(x, y))) as an (n, n) table; V(x, x) = 0."""
-        if "v_table" not in self._cache:
-            _, sd, wp = self._sorted()
-            n = self.n
+        if self._v_table is None:
+            idx = self.ball_index
+            # B(x, d(x, y)) is the prefix that ends before y's tie group;
+            # the prefixes grow along a row, so a running max carries the
+            # last group end forward
+            before = np.zeros_like(idx.weight_prefix)
+            before[:, 1:] = np.where(idx.group_end[:, :-1],
+                                     idx.weight_prefix[:, :-1], 0.0)
             v = np.empty_like(self.dist)
-            for x in range(n):
-                cnt = np.searchsorted(sd[x], self.dist[x], side="left")
-                v[x] = np.where(cnt > 0, wp[x][np.maximum(cnt - 1, 0)], 0.0)
+            np.put_along_axis(v, idx.order,
+                              np.maximum.accumulate(before, axis=1), axis=1)
             v.setflags(write=False)
-            self._cache["v_table"] = v
-        return self._cache["v_table"]
+            self._v_table = v
+        return self._v_table
 
     def v_symmetry_ratio(self):
         """max over pairs of V(x,y)/V(y,x); finite because balls own centers."""
@@ -330,9 +357,6 @@ def _circle_dist(size):
 def _binary_tree_dist(size):
     # complete binary tree on `size` nodes, unit edges, normalized to diam 1
     parent = [(i - 1) // 2 for i in range(size)]
-    depth = np.zeros(size, dtype=int)
-    for i in range(1, size):
-        depth[i] = depth[parent[i]] + 1
 
     def ancestors(i):
         chain = {}
@@ -348,8 +372,7 @@ def _binary_tree_dist(size):
     chains = [ancestors(i) for i in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
-            a, b = i, j
-            da = db = 0
+            b, db = j, 0
             ci = chains[i]
             while b not in ci:
                 b = parent[b]

@@ -41,11 +41,27 @@ def test_norm_variants(tmp_path, capsys):
         assert val >= 0
 
 
+# typos inside lab.caps and lab.ensemble.counts, as --set and as file keys
+NESTED_TYPOS = {
+    "lab.caps.ratio_max_over_mn=1.0001":
+        {"lab": {"caps": {"ratio_max_over_mn": 1.0001}}},
+    "lab.ensemble.counts.holdr=3":
+        {"lab": {"ensemble": {"counts": {"holdr": 3}}}},
+}
+
+
 def test_unknown_config_key_exit_1(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert run(["--config", cfg, "--set", "nope.x=1", "norm", "compute"]) == 1
     assert run(["--config", cfg, "--set", "norm.bogus=1",
                 "norm", "compute"]) == 1
+    for assignment, section in NESTED_TYPOS.items():
+        assert run(["--config", cfg, "--set", assignment,
+                    "lab", "lemmas"]) == 1, assignment
+        assert "unknown config key" in capsys.readouterr().err
+        bad = write_config(tmp_path, section, name="typo.json")
+        assert run(["--config", bad, "lab", "lemmas"]) == 1, assignment
+        assert "unknown config key" in capsys.readouterr().err
 
 
 def test_bad_space_document_exit_1(tmp_path, capsys):
@@ -137,13 +153,6 @@ def test_effective_config_roundtrip_byte_identical(tmp_path, capsys):
 
 def test_usage_error_exit_1(capsys):
     assert run(["norm", "jiggle"]) == 1
-
-
-def test_threads_knob_validated(tmp_path, capsys):
-    cfg = write_config(tmp_path)
-    assert run(["--config", cfg, "--threads", "0", "norm", "compute"]) == 1
-    assert run(["--config", cfg, "--threads", "4", "norm", "compute"]) == 0
-    capsys.readouterr()
 
 
 def test_norm_variant_flag(tmp_path, capsys):

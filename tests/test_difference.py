@@ -40,6 +40,35 @@ def test_profile_linear_function_midpoint():
     assert abs(prof.values[0, mid] - 0.125) <= 2.0 / sp.n
 
 
+def _mask_profile(sp, values, radii, u):
+    # brute force: one open-ball mask per radius, no sorted index
+    diff = np.abs(values[:, None] - values[None, :])
+    rows = []
+    for r in radii:
+        mask = sp.dist < r
+        if u == INF:
+            rows.append(np.where(mask, diff, 0.0).max(axis=1))
+        else:
+            num = (np.where(mask, diff ** u, 0.0) * sp.weight).sum(axis=1)
+            rows.append((num / (mask @ sp.weight)) ** (1.0 / u))
+    return np.asarray(rows)
+
+
+def test_profile_matches_mask_oracle(grid65):
+    # circle-64 has exact distance ties at every radius it reaches
+    for sp in (grid65, generate_space("sierpinski_level", level=3),
+               generate_space("circle", size=64)):
+        f = Field(sp, np.random.default_rng(3).standard_normal(sp.n))
+        for u in (0.5, 1.0, 2.0, INF):
+            prof = difference_profile(f, sp, 1.0, 0.5, (-1, 8), u=u)
+            want = _mask_profile(sp, f.values, prof.radii, u)
+            if u == INF:
+                assert np.array_equal(prof.values, want), (sp.label, u)
+            else:
+                assert np.allclose(prof.values, want, rtol=1e-12, atol=0.0), \
+                    (sp.label, u)
+
+
 def test_profile_rejects_bad_u(grid65):
     f = holder_field(grid65)
     with pytest.raises(ParameterError):

@@ -65,12 +65,33 @@ def test_ball_monotone(grid65):
 
 
 def test_v_table_matches_direct(grid65):
-    v = grid65.v_table()
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        x, y = rng.integers(grid65.n, size=2)
-        direct = grid65.weight[grid65.dist[x] < grid65.dist[x, y]].sum()
-        assert v[x, y] == pytest.approx(direct, rel=1e-12, abs=1e-14)
+    # circle-64 has many exact distance ties: every point has two
+    # neighbours at each distance
+    for sp in (grid65, generate_space("circle", size=64)):
+        v = sp.v_table()
+        for x in range(sp.n):
+            for y in range(sp.n):
+                direct = sp.weight[sp.dist[x] < sp.dist[x, y]].sum()
+                assert v[x, y] == pytest.approx(direct, rel=1e-12, abs=1e-14)
+
+
+def test_v_table_is_ball_measure_bitwise(grid65):
+    # both read the same prefix of the sorted ball index
+    for sp in (grid65, generate_space("sierpinski_level", level=3)):
+        v = sp.v_table()
+        for x in range(sp.n):
+            for y in range(sp.n):
+                assert v[x, y] == sp.ball_measure(sp.dist[x, y])[x], (x, y)
+
+
+def test_ball_measure_edge_radii(grid65):
+    sp = grid65
+    assert np.all(sp.ball_measure(0.0) == 0.0)
+    assert np.all(sp.ball_measure(-1.0) == 0.0)
+    # d < min_gap holds only for the center itself
+    assert np.array_equal(sp.ball_measure(sp.min_gap), sp.weight)
+    assert np.allclose(sp.ball_measure(1.5 * sp.diam), sp.total_mass,
+                       rtol=1e-14, atol=0.0)
 
 
 def test_v_symmetry_ratio_reported(grid65):
