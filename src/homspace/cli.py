@@ -113,6 +113,9 @@ def load_config(path, sets):
         if not isinstance(probe, dict) or parts[-1] not in probe:
             raise ParameterError(f"unknown config key {dotted}")
         node[parts[-1]] = _parse_leaf(raw)
+    # bad ensemble counts, seeds and caps fail here, before any work is done
+    ensemble_spec_from_config(cfg)
+    labmod.merge_caps(cfg["lab"]["caps"])
     return cfg
 
 
@@ -197,6 +200,12 @@ def norm_spec_from_config(cfg, flavor=None):
                     beta=nc["beta"], gamma=nc["gamma"],
                     delta=cfg["dyadic"]["delta"], c_tilde=nc["c_tilde"],
                     flavor=flavor or cfg["kernel"]["flavor"])
+
+
+def ensemble_spec_from_config(cfg):
+    ec = cfg["lab"]["ensemble"]
+    return labmod.EnsembleSpec(kinds=tuple(ec["kinds"]), counts=ec["counts"],
+                               seed=ec["seed"], mean_zero=ec["mean_zero"])
 
 
 def _inf(v):
@@ -419,11 +428,8 @@ def _lab_pipe(cfg):
     sp = pipe.space
     grid = cfg["lab"]["radius_grid"] or default_radius_grid(sp)
     geom = geometry_report(sp, grid)
-    ec = cfg["lab"]["ensemble"]
-    spec = labmod.EnsembleSpec(kinds=tuple(ec["kinds"]),
-                               counts=dict(ec["counts"]),
-                               seed=ec["seed"], mean_zero=ec["mean_zero"])
-    ensemble = labmod.generate_ensemble(sp, pipe.stack, spec)
+    ensemble = labmod.generate_ensemble(sp, pipe.stack,
+                                        ensemble_spec_from_config(cfg))
     return pipe, geom, ensemble
 
 

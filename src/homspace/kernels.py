@@ -6,9 +6,11 @@ integrates to one against mu.  Level kernels are consecutive differences
 ``Q_k = P_{delta^k} - P_{delta^(k-1)}``; the coarsest homogeneous level is
 capped with the exact mean projection (the t -> infinity limit of ``P_t``),
 so two-sided cancellation is exact and the stack telescopes to
-``P_{delta^kmax} - mean``.  Validation fits the decay rate and smoothness
-exponent and measures every condition constant, flagging sampled
-maximizations.
+``P_{delta^kmax} - mean``; every ``Q_k`` table is read-only.  Validation
+fits the decay rate and smoothness exponent and measures every condition
+constant in two passes over the levels, exhaustively up to ``PAIR_BUDGET``
+pairs and ``QUAD_BUDGET`` quadruples per level and flagged as sampled
+beyond; it returns a report and leaves the stack unmodified.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ SCALING_CAP = 10_000
 # numerically zero when fitting/validating (difference of two row-stochastic
 # tables carries ~1e-13 absolute noise)
 NOISE_FLOOR = 1e-10
+# validation budgets per level (sampled beyond) and identity probe fields
+PAIR_BUDGET = 4_000
+QUAD_BUDGET = 2_000
+PROBE_COUNT = 6
 
 
 def mean_projection(space):
@@ -72,7 +78,6 @@ class AtiValidationReport:
     unit_resid: float | None = None
     rgamma_const: dict = field(default_factory=dict)
     sampled: bool = False
-    noise_floor: float = NOISE_FLOOR
 
 
 @dataclass
@@ -89,9 +94,6 @@ class KernelStack:
     sigma: float = 1.0
     n_low: int = 1
     coarse: str = "mean"
-    nu: float | None = None
-    eta: float | None = None
-    report: AtiValidationReport | None = None
 
     def levels(self):
         return range(self.k_min, self.k_max + 1)
@@ -119,13 +121,16 @@ class KernelStack:
 
 def _difference_stack(space, delta, k_min, k_max, a, coarsest):
     """Q_k = P_{delta^k} - P_{delta^(k-1)} for k_min < k <= k_max and
-    Q_{k_min} = coarsest(P_{delta^k_min}); at most two P_t tables are live."""
+    Q_{k_min} = coarsest(P_{delta^k_min}); at most two P_t tables are live.
+    The tables are returned read-only."""
     prev = build_semigroup(space, delta ** k_min, a=a)
     q = {k_min: coarsest(prev)}
     for k in range(k_min + 1, k_max + 1):
         cur = build_semigroup(space, delta ** k, a=a)
         q[k] = cur - prev
         prev = cur
+    for table in q.values():
+        table.setflags(write=False)
     return q
 
 
@@ -172,115 +177,111 @@ def build_exp_iati(space, cubes, k_range=None, a=1.0, sigma=1.0, n_low=1):
 
 # -- validation ---------------------------------------------------------------
 
-def _refpoint_wterm(stack, cubes, k):
-    """((max(d(x,Y^k), d(y,Y^k))/delta^k)^a; zero where Y^k is empty."""
-    dY = cubes.refpoint_distance(k)
-    if not np.any(np.isfinite(dY)):
-        return np.zeros((stack.space.n, stack.space.n))
-    scaled = (dY / stack.delta ** k) ** stack.a
-    return np.maximum(scaled[:, None], scaled[None, :])
-
-
-def _admissible_pairs(space, radius):
-    d = space.dist
-    rows, cols = np.nonzero((d <= radius) & (d > 0))
-    return rows, cols
-
-
-def validate_ati(stack, cubes, gamma_list=(1.0, 2.0), pair_budget=4_000,
-                 quad_budget=2_000, probe_count=6, seed=0):
+def validate_ati(stack, cubes, gamma_list=(1.0, 2.0), seed=0):
     """Fit (nu, eta) and measure every condition constant of the stack.
 
-    Maximizations over pairs/quadruples are exhaustive up to `pair_budget`
-    admissible pairs per level and uniformly sampled (flagged) beyond.
-    Attaches the report to the stack and returns it.
+    Pass 1 takes what does not depend on nu (masked log-kernel, decay and
+    refpoint terms, cancellation/unit residuals, the R_Gamma envelope); pass 2
+    takes the size constants, regularity peaks and second differences after
+    the pooled nu fit.  Maximizations are exhaustive up to `PAIR_BUDGET`
+    admissible pairs and `QUAD_BUDGET` zipped quadruples per level and
+    uniformly sampled (flagged) beyond; `PROBE_COUNT` random fields probe the
+    identity.  Returns the report; the stack is not modified.
     """
     space = stack.space
     w = space.weight
     d = space.dist
     delta = stack.delta
+    inhom = stack.flavor == "inhomogeneous"
     rng = np.random.default_rng(seed)
-    sampled = False
-
-    vk = {k: space.ball_measure(delta ** k) for k in stack.levels()}
     vtab = space.v_table()
 
-    def level_arrays(k):
+    # pass 1: per-level pieces that do not depend on nu
+    rgamma = {float(g): 0.0 for g in gamma_list}
+    cancel, unit = 0.0, None
+    per_level = []
+    for k in stack.levels():
+        scale = delta ** k
+        vk = space.ball_measure(scale)
+        logv = np.log(vk)
+        dY = cubes.refpoint_distance(k)
+        if (inhom and k == 0) or not np.any(np.isfinite(dY)):
+            h = np.zeros(space.n)
+        else:
+            h = (dY / scale) ** stack.a  # pair (x, y) takes max(h_x, h_y)
         q = np.abs(stack.q[k])
         floor = NOISE_FLOOR * q.max()
         mask = q > floor
-        uq = (d / delta ** k) ** stack.a
-        wq = _refpoint_wterm(stack, cubes, k)
-        if stack.flavor == "inhomogeneous" and k == 0:
-            wq = np.zeros_like(wq)
-        logv = np.log(vk[k])
         z = np.log(q, where=mask, out=np.full_like(q, -np.inf))
         z += 0.5 * (logv[:, None] + logv[None, :])
-        return q, mask, uq, wq, z, floor
-
-    # pass 1: pooled envelope fit of nu on z vs (d/delta^k)^a + h-term
-    zs, ts = [], []
-    for k in stack.levels():
-        _, mask, uq, wq, z, _ = level_arrays(k)
+        uq = ((d / scale) ** stack.a)[mask]
+        hq = np.maximum(h[:, None], h[None, :])[mask]
+        per_level.append((k, floor, logv, h, z[mask], uq, uq + hq))
         if mask.any():
-            zs.append(z[mask])
-            ts.append((uq + wq)[mask])
-    if zs:
-        zf = np.concatenate(zs)
-        tf = np.concatenate(ts)
-        if len(zf) > 2_000_000:
-            stride = len(zf) // 2_000_000 + 1
-            zf, tf = zf[::stride], tf[::stride]
-        if len(zf) >= 2 and np.ptp(tf) > 0:
-            nu = max(-float(np.polyfit(tf, zf, 1)[0]), 1e-3)
+            for gamma in gamma_list:
+                r = (scale / (scale + d)) ** gamma / (vk[:, None] + vtab)
+                rgamma[float(gamma)] = max(rgamma[float(gamma)],
+                                           float(np.max(q[mask] / r[mask])))
+        row = stack.q[k] @ w
+        col = stack.q[k].T @ w
+        if inhom and k == 0:
+            unit = max(float(np.max(np.abs(row - 1.0))),
+                       float(np.max(np.abs(col - 1.0))))
         else:
-            nu = 1.0
+            cancel = max(cancel, float(np.max(np.abs(row))),
+                         float(np.max(np.abs(col))))
+
+    # pooled envelope fit of nu on z vs (d/delta^k)^a + h-term
+    zf = np.concatenate([z for *_, z, _, _ in per_level])
+    tf = np.concatenate([tq for *_, tq in per_level])
+    if len(zf) > 2_000_000:
+        stride = len(zf) // 2_000_000 + 1
+        zf, tf = zf[::stride], tf[::stride]
+    if len(zf) >= 2 and np.ptp(tf) > 0:
+        nu = max(-float(np.polyfit(tf, zf, 1)[0]), 1e-3)
     else:
         nu = 1.0
 
-    # pass 2: per-level constants
-    size_const = size_const_no_h = second = 0.0
-    log_tau_all, log_ratio_all = [], []
-    second_stash = []
+    # pass 2: size constants, regularity peaks, second-difference quadruples
+    size_const = size_const_no_h = 0.0
+    sampled = False
+    log_tau, log_peak, quads = [], [], []
     with np.errstate(over="ignore"):
-        for k in stack.levels():
+        for k, floor, logv, h, z, uq, tq in per_level:
+            if z.size:
+                size_const = max(size_const,
+                                 float(np.exp(np.max(z + nu * tq))))
+                size_const_no_h = max(size_const_no_h,
+                                      float(np.exp(np.max(z + nu * uq))))
+            scale = delta ** k
             q_signed = stack.q[k]
-            q, mask, uq, wq, z, floor = level_arrays(k)
-            if mask.any():
-                size_const = max(size_const, float(
-                    np.exp(np.max(z[mask] + nu * (uq + wq)[mask]))))
-                size_const_no_h = max(size_const_no_h, float(
-                    np.exp(np.max(z[mask] + nu * uq[mask]))))
-
-            rows, cols = _admissible_pairs(space, delta ** k)
+            rows, cols = np.nonzero((d <= scale) & (d > 0))
             if len(rows) == 0:
                 continue
-            if len(rows) > pair_budget:
+            if len(rows) > PAIR_BUDGET:
                 sampled = True
-                sel = rng.choice(len(rows), size=pair_budget, replace=False)
+                sel = rng.choice(len(rows), size=PAIR_BUDGET, replace=False)
                 rows, cols = rows[sel], cols[sel]
-            logv = np.log(vk[k])
-            # regularity ratios, chunked over pairs to bound memory
+            # regularity: log tau is constant along a pair's row, so the
+            # binned peaks and reg_const need only each pair's largest ratio
             for lo in range(0, len(rows), 512):
                 r = rows[lo:lo + 512]
                 c = cols[lo:lo + 512]
-                tau = d[r, c] / delta ** k
                 num = 2.0 * np.abs(q_signed[r] - q_signed[c])
                 logb = (-0.5 * (logv[r][:, None] + logv[None, :])
-                        - nu * (uq[r] + wq[r]))
+                        - nu * ((d[r] / scale) ** stack.a
+                                + np.maximum(h[r, None], h[None, :])))
                 ok = num > 2.0 * floor
-                if not ok.any():
-                    continue
                 logratio = np.log(
                     num, where=ok, out=np.full_like(num, -np.inf)) - logb
-                lt = np.broadcast_to(np.log(tau)[:, None], num.shape)[ok]
-                log_tau_all.append(lt)
-                log_ratio_all.append(logratio[ok])
+                hit = ok.any(axis=1)
+                log_tau.append(np.log(d[r, c] / scale)[hit])
+                log_peak.append(np.max(logratio, axis=1, where=ok,
+                                       initial=-np.inf)[hit])
 
-            # second differences on zipped quadruples
-            budget = min(quad_budget, len(rows))
-            if budget < len(rows):
-                sampled = True
+            # second differences on zipped quadruples; eta enters after the fit
+            budget = min(QUAD_BUDGET, len(rows))
+            sampled = sampled or budget < len(rows)
             if budget >= 2:
                 sel_a = rng.choice(len(rows), size=budget, replace=False)
                 sel_b = rng.choice(len(rows), size=budget, replace=False)
@@ -291,18 +292,16 @@ def validate_ati(stack, cubes, gamma_list=(1.0, 2.0), pair_budget=4_000,
                 ok = dd > 4.0 * floor
                 if ok.any():
                     logbase = (0.5 * (logv[x] + logv[y])
-                               + nu * (uq[x, y] + wq[x, y]))
-                    tau_x = d[x, xp] / delta ** k
-                    tau_y = d[y, yp] / delta ** k
-                    # eta enters below after the fit; stash raw pieces
-                    second_stash.append(
-                        (np.log(dd, where=ok,
-                                out=np.full_like(dd, -np.inf)) + logbase,
-                         np.log(tau_x), np.log(tau_y), ok))
+                               + nu * ((d[x, y] / scale) ** stack.a
+                                       + np.maximum(h[x], h[y])))
+                    logdd = np.log(dd, where=ok,
+                                   out=np.full_like(dd, -np.inf)) + logbase
+                    quads.append((logdd[ok], np.log(d[x, xp] / scale)[ok],
+                                   np.log(d[y, yp] / scale)[ok]))
 
-    if log_tau_all:
-        lt = np.concatenate(log_tau_all)
-        lr = np.concatenate(log_ratio_all)
+    lt = np.concatenate([[], *log_tau])
+    lr = np.concatenate([[], *log_peak])
+    if lt.size:
         bins = np.linspace(lt.min() - 1e-9, lt.max() + 1e-9, 13)
         which = np.digitize(lt, bins)
         centers, peaks = [], []
@@ -320,24 +319,11 @@ def validate_ati(stack, cubes, gamma_list=(1.0, 2.0), pair_budget=4_000,
     else:
         eta, reg_const = 0.5, 0.0
 
+    second = 0.0
     with np.errstate(over="ignore"):
-        for logdd, ltx, lty, ok in second_stash:
-            val = logdd - eta * ltx - eta * lty
-            if ok.any():
-                second = max(second, float(np.exp(np.max(val[ok]))))
-
-    # cancellation / unit integrals
-    cancel = 0.0
-    unit = None
-    for k in stack.levels():
-        row = stack.q[k] @ w
-        col = stack.q[k].T @ w
-        resid = max(float(np.max(np.abs(row))), float(np.max(np.abs(col))))
-        if stack.flavor == "inhomogeneous" and k == 0:
-            unit = max(float(np.max(np.abs(row - 1.0))),
-                       float(np.max(np.abs(col - 1.0))))
-        else:
-            cancel = max(cancel, resid)
+        for logdd, ltx, lty in quads:
+            second = max(second, float(np.exp(np.max(
+                logdd - eta * ltx - eta * lty))))
 
     # identity residual on probe fields
     def l2(v):
@@ -348,44 +334,26 @@ def validate_ati(stack, cubes, gamma_list=(1.0, 2.0), pair_budget=4_000,
     if stack.flavor == "homogeneous":
         lo = levels[len(levels) // 3] if len(levels) >= 3 else levels[0]
         hi = levels[2 * len(levels) // 3] if len(levels) >= 3 else levels[-1]
-        js = range(lo, hi + 1)
-        for i, j in enumerate(js):
+        for i, j in enumerate(range(lo, hi + 1)):
             g = rng.standard_normal(space.n)
             f = stack.apply(j, g)
             nf = l2(f)
             if nf == 0:
                 continue
             identity = max(identity, l2(stack.apply_all(f) - f) / nf)
-            if i + 1 >= probe_count:
+            if i + 1 >= PROBE_COUNT:
                 break
     else:
-        for _ in range(probe_count):
+        for _ in range(PROBE_COUNT):
             g = rng.standard_normal(space.n) + rng.standard_normal()
             identity = max(identity, l2(stack.apply_all(g) - g) / l2(g))
 
-    # comparison against the polynomial envelope R_Gamma
-    rgamma = {float(g): 0.0 for g in gamma_list}
-    for k in stack.levels():
-        q = np.abs(stack.q[k])
-        mask = q > NOISE_FLOOR * q.max()
-        if not mask.any():
-            continue
-        scale = delta ** k
-        for gamma in gamma_list:
-            r = (scale / (scale + d)) ** gamma / (vk[k][:, None] + vtab)
-            rgamma[float(gamma)] = max(rgamma[float(gamma)],
-                                       float(np.max(q[mask] / r[mask])))
-
-    report = AtiValidationReport(
+    return AtiValidationReport(
         nu=float(nu), eta_fit=float(eta), size_const=size_const,
         size_const_no_h=size_const_no_h, reg_const=reg_const,
         second_diff_const=second, cancel_resid=cancel,
         identity_resid=identity, unit_resid=unit, rgamma_const=rgamma,
         sampled=sampled)
-    stack.nu = report.nu
-    stack.eta = report.eta_fit
-    stack.report = report
-    return report
 
 
 def r_gamma_integral_band(space, gamma, radii):

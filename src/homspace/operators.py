@@ -19,20 +19,21 @@ import numpy as np
 from .errors import IllConditionedFrameError, ParameterError, RangeError
 
 
-@dataclass
+@dataclass(frozen=True)
 class Field:
-    """A real function on the points of a space."""
+    """A real function on the points of a space; holds a read-only copy."""
 
     space: object
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)
         if v.shape != (self.space.n,):
             raise ParameterError("field length does not match point count")
         if not np.all(np.isfinite(v)):
             raise ParameterError("field values must be finite")
-        self.values = v
+        v.setflags(write=False)
+        object.__setattr__(self, "values", v)
 
     def mu_mean(self):
         return float(self.values @ self.space.weight) / self.space.total_mass

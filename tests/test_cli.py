@@ -1,7 +1,11 @@
 import json
 import os
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from homspace.cli import main
+from homspace.lab import DEFAULT_CAPS, STANDARD_KINDS
 
 BASE = {
     "space": {"kind": "grid1d", "size": 33},
@@ -189,3 +193,31 @@ def test_lab_band_cap_violation_exit_2(tmp_path, capsys):
                                           "caps": {"ratio_max_over_min": 1.0001}}})
     assert run(["--config", cfg, "lab", "equivalence"]) == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+# values that are not integers >= 0 (counts, seed) or finite positive
+# numbers (caps)
+BAD_INTEGER = st.one_of(st.integers(max_value=-1),
+                        st.floats().filter(lambda v: not v.is_integer()),
+                        st.booleans(), st.text(max_size=4))
+BAD_CAP = st.one_of(st.floats(max_value=0.0), st.integers(max_value=0),
+                    st.sampled_from([float("nan"), float("inf")]),
+                    st.booleans(), st.text(max_size=4))
+BAD_ASSIGNMENT = st.one_of(
+    st.tuples(st.sampled_from([f"lab.ensemble.counts.{k}"
+                               for k in STANDARD_KINDS]), BAD_INTEGER),
+    st.tuples(st.just("lab.ensemble.seed"), BAD_INTEGER),
+    st.tuples(st.sampled_from([f"lab.caps.{c}" for c in DEFAULT_CAPS]),
+              BAD_CAP))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(assignment=BAD_ASSIGNMENT)
+def test_bad_counts_seed_and_caps_exit_1(tmp_path, capsys, assignment):
+    path, value = assignment
+    cfg = write_config(tmp_path)
+    code = run(["--config", cfg, "--set", f"{path}={json.dumps(value)}",
+                "lab", "lemmas"])
+    assert code == 1, (path, value)
+    assert "error:" in capsys.readouterr().err

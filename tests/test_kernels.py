@@ -1,7 +1,10 @@
+from dataclasses import asdict, fields
+
 import numpy as np
 import pytest
+from ati_oracle import reference_validate_ati
 
-from homspace import (ParameterError, build_exp_iati, build_pipeline,
+from homspace import (Field, ParameterError, build_exp_iati, build_pipeline,
                       build_semigroup, generate_space, validate_ati)
 from homspace.kernels import mean_projection, r_gamma_integral_band
 
@@ -94,7 +97,48 @@ def test_validation_report(pipe65, validated65):
     assert rep.eta_fit >= 0.5
     assert rep.nu > 0
     assert all(np.isfinite(c) for c in rep.rgamma_const.values())
-    assert pipe65.stack.report is rep
+
+
+def test_validation_leaves_stack_unchanged(pipe65):
+    st = pipe65.stack
+    before = {f.name: getattr(st, f.name) for f in fields(st) if f.name != "q"}
+    tables = {k: st.q[k].copy() for k in st.q}
+    attrs = set(vars(st))
+    validate_ati(st, pipe65.cubes)
+    assert set(vars(st)) == attrs
+    assert all(getattr(st, name) is val for name, val in before.items())
+    assert st.q.keys() == tables.keys()
+    assert all(np.array_equal(st.q[k], tables[k]) for k in tables)
+
+
+def test_fields_and_kernel_tables_are_read_only(pipe65):
+    st = pipe65.stack
+    raw = np.ones(st.space.n)
+    f = Field(st.space, raw)
+    with pytest.raises(ValueError):
+        f.values[0] = 2.0
+    raw[0] = 5.0  # the field holds its own copy
+    assert f.values[0] == 1.0
+    for k in st.levels():
+        with pytest.raises(ValueError):
+            st.q[k][0, 0] = 0.0
+
+
+@pytest.fixture(scope="module")
+def oracle_pipes(pipe257, grid257):
+    return {"grid1d-257": pipe257,
+            "grid1d-257-inhom": build_pipeline(grid257,
+                                               flavor="inhomogeneous"),
+            "circle-256": build_pipeline(generate_space("circle", size=256))}
+
+
+@pytest.mark.parametrize("label,seed", [
+    ("grid1d-257", 0), ("grid1d-257", 5), ("grid1d-257-inhom", 0),
+    ("grid1d-257-inhom", 5), ("circle-256", 0)])
+def test_validation_matches_frozen_oracle(oracle_pipes, label, seed):
+    pipe = oracle_pipes[label]
+    got = asdict(validate_ati(pipe.stack, pipe.cubes, seed=seed))
+    assert got == reference_validate_ati(pipe.stack, pipe.cubes, seed=seed)
 
 
 def test_validation_inhom_unit_resid(pipe65_inhom):

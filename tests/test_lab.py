@@ -5,7 +5,7 @@ from homspace import (ExperimentError, NormSpec, build_pipeline,
                       equivalence_experiment, generate_ensemble,
                       generate_space, lemma_suite, validate_ati)
 from homspace.lab import (EnsembleSpec, band_drift, check_hypotheses,
-                          embedding_suite, fefferman_stein_constant,
+                          embedding_suite, fefferman_stein_constants,
                           standard_ensemble_spec, theta_power_check)
 from homspace.space import geometry_report
 
@@ -155,12 +155,18 @@ def test_lemma_suite_passes(grid65, pipe65, geom65):
 
 
 def test_fefferman_stein_stability_under_refinement():
-    for p, q in ((1.5, 2.0), (2.0, 2.0), (4.0, 4.0)):
-        c1 = fefferman_stein_constant(generate_space("grid1d", size=65),
-                                      p, q, seed=0)
-        c2 = fefferman_stein_constant(generate_space("grid1d", size=129),
-                                      p, q, seed=0)
+    pairs = ((1.5, 2.0), (2.0, 2.0), (4.0, 4.0))
+    cs1 = fefferman_stein_constants(generate_space("grid1d", size=65),
+                                    pairs, seed=0)
+    cs2 = fefferman_stein_constants(generate_space("grid1d", size=129),
+                                    pairs, seed=0)
+    for p, q in pairs:
+        c1, c2 = cs1[p, q], cs2[p, q]
         assert max(c1 / c2, c2 / c1) <= 2.0
+        # one draw serves every pair: each constant is the single-pair one
+        alone = fefferman_stein_constants(generate_space("grid1d", size=65),
+                                          [(p, q)], seed=0)
+        assert alone[p, q] == c1
 
 
 def test_suite_report_rendering(grid65, pipe65, geom65):
