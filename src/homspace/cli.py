@@ -204,7 +204,7 @@ def norm_spec_from_config(cfg, flavor=None):
 
 def ensemble_spec_from_config(cfg):
     ec = cfg["lab"]["ensemble"]
-    return labmod.EnsembleSpec(kinds=tuple(ec["kinds"]), counts=ec["counts"],
+    return labmod.EnsembleSpec(kinds=ec["kinds"], counts=ec["counts"],
                                seed=ec["seed"], mean_zero=ec["mean_zero"])
 
 
@@ -423,13 +423,14 @@ def lab():
     """Experiment suites."""
 
 
-def _lab_pipe(cfg):
+def _lab_pipe(cfg, with_ensemble=True):
     pipe = pipeline_from_config(cfg)
     sp = pipe.space
     grid = cfg["lab"]["radius_grid"] or default_radius_grid(sp)
     geom = geometry_report(sp, grid)
-    ensemble = labmod.generate_ensemble(sp, pipe.stack,
-                                        ensemble_spec_from_config(cfg))
+    ensemble = (labmod.generate_ensemble(sp, pipe.stack,
+                                         ensemble_spec_from_config(cfg))
+                if with_ensemble else None)
     return pipe, geom, ensemble
 
 
@@ -465,7 +466,7 @@ def lab_embeddings(cfg):
 @lab.command("lemmas")
 @pass_cfg
 def lab_lemmas(cfg):
-    pipe, geom, _ = _lab_pipe(cfg)
+    pipe, geom, _ = _lab_pipe(cfg, with_ensemble=False)
     suite = labmod.lemma_suite(pipe.space, pipe.cubes, pipe.stack,
                                omega=geom.omega, caps=cfg["lab"]["caps"],
                                seed=cfg["lab"]["ensemble"]["seed"])

@@ -17,11 +17,20 @@ ratio 1/2:
 
 Covering stays below ``delta^k`` (the greedy runs until it is), so the
 measured constants satisfy c0 >= sigma and C0 <= 1.
+
+The subcube refinement stores one flat table per level k, a
+``SubcubeTable(alpha, m, y, weight, sub_assign)`` with one row per
+level-(k+j0) subcube: rows are ordered by the level-k cube ``alpha`` that
+holds the subcube and then by subcube id, ``m`` is the rank of the row
+within its ``alpha``, ``y`` the sample point, ``weight`` the subcube mass,
+and ``sub_assign`` maps every point to the row of its subcube.  Nets, cube
+levels and cube systems are frozen, and every array they hold is read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +41,13 @@ DEFAULT_DEEP_MARGIN = 0.3
 INTERIOR_MARGIN = 0.2  # delta^k units; see CubeVerification
 
 
-@dataclass
+def _read_only(a):
+    a = np.asarray(a)
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True)
 class NetSystem:
     """Per-level nets of net-point indices, coarse to fine.
 
@@ -58,17 +73,26 @@ class NetSystem:
         return range(self.k_min, self.k_max + 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CubeLevel:
     k: int
     centers: np.ndarray          # point index per cube, insertion order
     assign: np.ndarray           # point -> cube id
     parent: np.ndarray | None    # cube id -> parent cube id (None at k_min)
-    members: list[np.ndarray]
-    children: list[list[int]]
+    members: tuple[np.ndarray, ...]  # cube id -> its points
 
 
-@dataclass
+class SubcubeTable(NamedTuple):
+    """The level-(k+j0) subcubes of the level-k cubes, one row each."""
+
+    alpha: np.ndarray       # level-k cube holding the subcube
+    m: np.ndarray           # rank of the subcube within its alpha
+    y: np.ndarray           # sample point
+    weight: np.ndarray      # mu of the subcube
+    sub_assign: np.ndarray  # point -> row of its subcube
+
+
+@dataclass(frozen=True)
 class CubeSystem:
     space: object
     nets: NetSystem
@@ -76,11 +100,8 @@ class CubeSystem:
     j0: int = 0
     sampler: str | None = None
     sampler_seed: int = 0
-    # per level k (k <= k_max - j0): list over cubes alpha of dicts with
-    # subcube cube ids at level k+j0, sample point index y, center z, weight
-    subcubes: dict[int, list[dict]] | None = None
-
-    _sample_cache: dict = field(default_factory=dict, repr=False)
+    # one table per level k <= k_max - j0
+    subcubes: dict[int, SubcubeTable] | None = None
 
     @property
     def k_min(self):
@@ -95,27 +116,10 @@ class CubeSystem:
         return self.nets.delta
 
     def sample_arrays(self, k):
-        """Flat subcube arrays for level k: (alpha, m, y, weight, sub_assign)
-        where sub_assign maps every point to its flat subcube index."""
-        if k not in self._sample_cache:
-            if self.subcubes is None or k not in self.subcubes:
-                raise RangeError(f"no subcube refinement at level {k}")
-            rows = self.subcubes[k]
-            alpha, m, y, wgt = [], [], [], []
-            sub_assign = np.full(self.space.n, -1, dtype=int)
-            flat = 0
-            for a, entries in enumerate(rows):
-                for e in entries:
-                    alpha.append(a)
-                    m.append(e["m"])
-                    y.append(e["y"])
-                    wgt.append(e["weight"])
-                    sub_assign[e["members"]] = flat
-                    flat += 1
-            self._sample_cache[k] = (
-                np.asarray(alpha, dtype=int), np.asarray(m, dtype=int),
-                np.asarray(y, dtype=int), np.asarray(wgt), sub_assign)
-        return self._sample_cache[k]
+        """The level-k subcube table (alpha, m, y, weight, sub_assign)."""
+        if self.subcubes is None or k not in self.subcubes:
+            raise RangeError(f"no subcube refinement at level {k}")
+        return self.subcubes[k]
 
     def refpoints(self, k):
         """Centers newly appearing at level k+1 (the set Y^k); may be empty."""
@@ -159,68 +163,36 @@ def _grow_level(space, net, threshold, sep, deep_mask):
     return net, float(mind.max())
 
 
-def _assign_coarsest(space, net):
-    # distance ties resolve to the candidate with the lowest point index
-    net_arr = np.asarray(net)
-    order = np.argsort(net_arr, kind="stable")
-    sub = space.dist[:, net_arr[order]]
-    return order[np.argmin(sub, axis=1)]
+def _assign(space, net, prev_assign):
+    """Position in `net` of each point's nearest center within the point's
+    own coarser cube (`prev_assign`, all zero at the coarsest level).
+    Ties go to the center with the lowest point index."""
+    order = np.argsort(net, kind="stable")
+    cand = net[order]
+    d = space.dist[:, cand]
+    d[prev_assign[:, None] != prev_assign[cand]] = np.inf
+    return order[np.argmin(d, axis=1)]
 
 
-def _assign_refined(space, net, prev_assign_points):
-    """Nearest eligible center; eligible = same coarser cube as the point.
-    Ties go to the lowest candidate point index."""
-    net_arr = np.asarray(net)
-    assign = np.full(space.n, -1, dtype=int)
-    net_cube = prev_assign_points[net_arr]
-    for cube_id in np.unique(prev_assign_points):
-        pts = np.nonzero(prev_assign_points == cube_id)[0]
-        cand = np.nonzero(net_cube == cube_id)[0]
-        cand = cand[np.argsort(net_arr[cand], kind="stable")]
-        sub = space.dist[np.ix_(pts, net_arr[cand])]
-        assign[pts] = cand[np.argmin(sub, axis=1)]
-    return assign
-
-
-def _deep_mask(space, assign, centers, margin):
+def _deep_mask(space, assign, margin):
     """Points at distance >= margin from the complement of their own cube."""
-    n = space.n
-    mask = np.zeros(n, dtype=bool)
-    for cube_id in range(len(centers)):
-        inside = assign == cube_id
-        if inside.all():
-            mask[:] = True
-            break
-        pts = np.nonzero(inside)[0]
-        if len(pts) == 0:
-            continue
-        gap = space.dist[np.ix_(pts, np.nonzero(~inside)[0])].min(axis=1)
-        mask[pts] = gap >= margin
-    return mask
+    gap = space.dist.min(axis=1, where=assign[:, None] != assign,
+                         initial=np.inf)
+    return gap >= margin
 
 
 def _build(space, delta, k_min, k_max, sigma, deep_margin):
-    """Shared net+assignment loop; returns nets and per-level assignments."""
-    nets = {}
-    assigns = {}
-    cover = {}
+    """Nets, per-level assignments and covering radii, coarse to fine."""
+    nets, assigns, cover = {}, {}, {}
     net = []
-    prev_assign = None
+    assign = np.zeros(space.n, dtype=int)  # one cube above the coarsest level
     for k in range(k_min, k_max + 1):
         scale = delta ** k
-        if prev_assign is None:
-            deep = np.ones(space.n, dtype=bool)
-        else:
-            centers = nets[k - 1]
-            deep = _deep_mask(space, prev_assign, centers, deep_margin * scale)
-        net, cov = _grow_level(space, list(net), scale, sigma * scale, deep)
-        nets[k] = np.asarray(net, dtype=int)
-        cover[k] = cov
-        if prev_assign is None:
-            assigns[k] = _assign_coarsest(space, net)
-        else:
-            assigns[k] = _assign_refined(space, net, prev_assign)
-        prev_assign = assigns[k]
+        deep = _deep_mask(space, assign, deep_margin * scale)
+        net, cover[k] = _grow_level(space, list(net), scale, sigma * scale,
+                                    deep)
+        nets[k] = _read_only(np.array(net, dtype=int))
+        assign = assigns[k] = _read_only(_assign(space, nets[k], assign))
     return nets, assigns, cover
 
 
@@ -268,34 +240,27 @@ def build_cubes(nets, space):
     """Cubes from the level assignments the nets carry; partition and nesting
     hold by construction (centers always land in their own cube)."""
     levels = {}
-    prev_assign = None
     for k in nets.levels():
-        net = nets.nets[k]
-        assign = nets.assigns[k]
-        parent = None if prev_assign is None else prev_assign[net]
-        members = [np.nonzero(assign == i)[0] for i in range(len(net))]
-        for i, mem in enumerate(members):
-            if len(mem) == 0:
-                raise RangeError(
-                    f"empty cube at level {k}, center {net[i]}")
-        children = [[] for _ in range(len(nets.nets[k - 1]))] if parent is not None else None
-        if parent is not None:
-            for cid, par in enumerate(parent):
-                children[par].append(cid)
-            levels[k - 1].children = children
-        levels[k] = CubeLevel(k=k, centers=net, assign=assign, parent=parent,
-                              members=members,
-                              children=[[] for _ in range(len(net))])
-        prev_assign = assign
+        net, assign = nets.nets[k], nets.assigns[k]
+        counts = np.bincount(assign, minlength=len(net))
+        if not counts.all():
+            raise RangeError(
+                f"empty cube at level {k}, center {net[np.argmin(counts)]}")
+        by_cube = _read_only(np.argsort(assign, kind="stable"))
+        parent = (None if k == nets.k_min
+                  else _read_only(nets.assigns[k - 1][net]))
+        levels[k] = CubeLevel(
+            k=k, centers=net, assign=assign, parent=parent,
+            members=tuple(np.split(by_cube, np.cumsum(counts)[:-1])))
     return CubeSystem(space=space, nets=nets, levels=levels)
 
 
 def refine_subcubes(cubes, j0, sampler="center", seed=0):
-    """Attach the level-(k+j0) subcube decomposition of every cube.
+    """Attach the level-(k+j0) subcube table of every level k.
 
     The sample point y of each subcube is chosen by the sampler: "center"
     (the subcube's own net center), "lowest_index", or "seeded_random".
-    j0 = 0 makes every cube its own single subcube with y = z.
+    j0 = 0 makes every cube its own single subcube with y = its center.
     """
     j0 = int(j0)
     if j0 < 0 or j0 > cubes.k_max - cubes.k_min:
@@ -303,38 +268,29 @@ def refine_subcubes(cubes, j0, sampler="center", seed=0):
     if sampler not in ("center", "lowest_index", "seeded_random"):
         raise ParameterError(f"unknown sampler {sampler!r}")
     rng = np.random.default_rng(seed)
-    sub = {}
+    w = cubes.space.weight
+    tables = {}
     for k in range(cubes.k_min, cubes.k_max - j0 + 1):
         fine = cubes.levels[k + j0]
-        # ancestor cube id at level k of each fine cube
-        anc = np.arange(len(fine.centers))
-        for step in range(j0):
-            anc = cubes.levels[k + j0 - step].parent[anc]
-        per_cube = [[] for _ in cubes.levels[k].centers]
-        for fine_id in range(len(fine.centers)):
-            per_cube[anc[fine_id]].append(fine_id)
-        rows = []
-        w = cubes.space.weight
-        for alpha, fine_ids in enumerate(per_cube):
-            entries = []
-            for m, fid in enumerate(fine_ids):
-                mem = fine.members[fid]
-                if sampler == "center":
-                    y = int(fine.centers[fid])
-                elif sampler == "lowest_index":
-                    y = int(mem.min())
-                else:
-                    y = int(mem[rng.integers(len(mem))])
-                entries.append({
-                    "m": m, "fine_cube": fid, "y": y,
-                    "z": int(fine.centers[fid]),
-                    "weight": float(w[mem].sum()),
-                    "members": mem,
-                })
-            rows.append(entries)
-        sub[k] = rows
+        # nesting: the level-k cube holding a subcube's center holds it all
+        ancestor = cubes.levels[k].assign[fine.centers]
+        order = np.argsort(ancestor, kind="stable")
+        alpha = ancestor[order]
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        members = [fine.members[i] for i in order]
+        if sampler == "center":
+            y = fine.centers[order]
+        elif sampler == "lowest_index":
+            y = np.unique(fine.assign, return_index=True)[1][order]
+        else:
+            y = np.array([mem[rng.integers(len(mem))] for mem in members],
+                         dtype=int)
+        tables[k] = SubcubeTable(*map(_read_only, (
+            alpha, np.arange(len(order)) - np.searchsorted(alpha, alpha), y,
+            np.array([w[mem].sum() for mem in members]), rank[fine.assign])))
     return replace(cubes, j0=j0, sampler=sampler, sampler_seed=seed,
-                   subcubes=sub, _sample_cache={})
+                   subcubes=tables)
 
 
 @dataclass
@@ -377,6 +333,53 @@ class CubeVerification:
                 lo = min(lo, float(s.r_in[s.interior].min()))
                 hi = max(hi, float(s.r_out[s.interior].max()))
         return lo, hi
+
+
+def _membership(members, n):
+    """(cube, point) bool matrix read from the member lists."""
+    inside = np.zeros((len(members), n), dtype=bool)
+    rows = np.repeat(np.arange(len(members)), [len(m) for m in members])
+    inside[rows, np.concatenate(members)] = True
+    return inside
+
+
+def _sandwich_radii(space, lv, inside, parent_inside):
+    """Per cube: farthest member, nearest non-member and nearest point
+    outside the parent cube, each measured from the center (absolute)."""
+    d = space.dist[lv.centers]
+    r_out = d.max(axis=1, where=inside, initial=0.0)
+    r_in = d.min(axis=1, where=~inside, initial=np.inf)
+    if parent_inside is None:
+        margin = np.full(len(lv.centers), np.inf)
+    else:
+        margin = d.min(axis=1, where=~parent_inside[lv.parent],
+                       initial=np.inf)
+    return r_in, r_out, margin
+
+
+def _subcube_failures(k, table, inside, w):
+    """Tiling and mass-bracketing failures of one level's subcube table;
+    also returns the largest subcube count of a cube."""
+    ncube = len(inside)
+    tiled = table.alpha[table.sub_assign] == np.arange(ncube)[:, None]
+    bad_tile = (tiled != inside).any(axis=1)
+    nsub = np.bincount(table.alpha, minlength=ncube)
+    lo = np.full(ncube, np.inf)
+    hi = np.zeros(ncube)
+    np.minimum.at(lo, table.alpha, table.weight)
+    np.maximum.at(hi, table.alpha, table.weight)
+    total = (inside * w).sum(axis=1)
+    bad_mass = ~((nsub * lo <= total * (1 + 1e-12))
+                 & (total <= nsub * hi * (1 + 1e-12)))
+    failures = []
+    for alpha in np.nonzero(bad_tile | bad_mass)[0]:
+        if bad_tile[alpha]:
+            failures.append(
+                f"level {k} cube {alpha}: subcubes do not tile cube")
+        if bad_mass[alpha]:
+            failures.append(
+                f"level {k} cube {alpha}: mass bracketing violated")
+    return failures, int(nsub.max())
 
 
 def verify_cubes(cubes, interior_margin=INTERIOR_MARGIN, omega=1.0):
@@ -430,60 +433,33 @@ def verify_cubes(cubes, interior_margin=INTERIOR_MARGIN, omega=1.0):
 
     sandwich = {}
     a0 = space.a0
+    nominal_in = nets.c0 / (3 * a0 ** 2)
+    nominal_out = 2 * a0 * nets.big_c0
+    subcube_pass = subcube_const = max_sub = None
+    if cubes.subcubes is not None:
+        subcube_pass, max_sub = True, 0
+    parent_inside = None
     for k, lv in sorted(cubes.levels.items()):
         scale = delta ** k
-        ncube = len(lv.centers)
-        r_in = np.empty(ncube)
-        r_out = np.empty(ncube)
-        margin = np.empty(ncube)
-        coarse = cubes.levels.get(k - 1)
-        for cid, mem in enumerate(lv.members):
-            z = lv.centers[cid]
-            inside = np.zeros(space.n, dtype=bool)
-            inside[mem] = True
-            r_out[cid] = space.dist[z, mem].max() if len(mem) else 0.0
-            out = ~inside
-            r_in[cid] = space.dist[z, out].min() if out.any() else np.inf
-            if coarse is None:
-                margin[cid] = np.inf
-            else:
-                pmem = coarse.members[lv.parent[cid]]
-                pin = np.zeros(space.n, dtype=bool)
-                pin[pmem] = True
-                pout = ~pin
-                margin[cid] = (space.dist[z, pout].min() / scale
-                               if pout.any() else np.inf)
+        inside = _membership(lv.members, space.n)
+        r_in, r_out, margin = _sandwich_radii(space, lv, inside,
+                                              parent_inside)
         r_in /= scale
         r_out /= scale
-        nominal_in = nets.c0 / (3 * a0 ** 2)
-        nominal_out = 2 * a0 * nets.big_c0
+        margin /= scale
         sandwich[k] = LevelSandwich(
             k=k, r_in=r_in, r_out=r_out, parent_margin=margin,
             interior=margin >= interior_margin,
             nominal_inner_pass=r_in >= nominal_in,
             nominal_outer_pass=r_out < nominal_out)
-
-    subcube_pass = subcube_const = max_sub = None
+        if cubes.subcubes is not None and k in cubes.subcubes:
+            fails, nsub = _subcube_failures(k, cubes.subcubes[k], inside,
+                                            space.weight)
+            subcube_pass = subcube_pass and not fails
+            failures += fails
+            max_sub = max(max_sub, nsub)
+        parent_inside = inside
     if cubes.subcubes is not None:
-        subcube_pass = True
-        max_sub = 0
-        for k, rows in cubes.subcubes.items():
-            for alpha, entries in enumerate(rows):
-                mem = cubes.levels[k].members[alpha]
-                got = np.sort(np.concatenate([e["members"] for e in entries]))
-                if not np.array_equal(got, np.sort(mem)):
-                    subcube_pass = False
-                    failures.append(
-                        f"level {k} cube {alpha}: subcubes do not tile cube")
-                total = space.weight[mem].sum()
-                masses = [e["weight"] for e in entries]
-                nsub = len(entries)
-                max_sub = max(max_sub, nsub)
-                if not (nsub * min(masses) <= total * (1 + 1e-12)
-                        and total <= nsub * max(masses) * (1 + 1e-12)):
-                    subcube_pass = False
-                    failures.append(
-                        f"level {k} cube {alpha}: mass bracketing violated")
         subcube_const = max_sub * delta ** (cubes.j0 * omega)
 
     return CubeVerification(
@@ -526,17 +502,19 @@ def _cubes_from_dump(doc, space):
     levels = {}
     for k in range(k_min, k_max + 1):
         rec = doc["levels"][str(k)]
-        centers = np.asarray(rec["centers"], dtype=int)
+        centers = _read_only(np.array(rec["centers"], dtype=int))
         nets[k] = centers
-        members = [np.asarray(m, dtype=int) for m in rec["members"]]
+        members = tuple(_read_only(np.array(m, dtype=int))
+                        for m in rec["members"])
         assign = np.full(space.n, -1, dtype=int)
         for cid, mem in enumerate(members):
             assign[mem] = cid
         parent = rec["parent"]
         levels[k] = CubeLevel(
-            k=k, centers=centers, assign=assign,
-            parent=None if parent is None else np.asarray(parent, dtype=int),
-            members=members, children=[[] for _ in centers])
+            k=k, centers=centers, assign=_read_only(assign),
+            parent=(None if parent is None
+                    else _read_only(np.array(parent, dtype=int))),
+            members=members)
     # measured constants recomputed from the dumped nets
     c0_lv, big_lv = {}, {}
     for k in range(k_min, k_max + 1):

@@ -67,6 +67,12 @@ class EnsembleSpec:
     mean_zero: bool = False
 
     def __post_init__(self):
+        if (not isinstance(self.kinds, (list, tuple)) or not self.kinds
+                or any(kind not in STANDARD_KINDS for kind in self.kinds)):
+            raise ParameterError(
+                f"ensemble kinds must be a non-empty list of "
+                f"{', '.join(STANDARD_KINDS)}; got {self.kinds!r}")
+        self.kinds = tuple(self.kinds)
         if not isinstance(self.counts, dict):
             raise ParameterError(
                 f"ensemble counts must be a mapping, got {self.counts!r}")
@@ -74,9 +80,15 @@ class EnsembleSpec:
             if not _nonnegative_int(count):
                 raise ParameterError(f"ensemble count {kind} must be an "
                                      f"integer >= 0, got {count!r}")
+        for kind in self.kinds:
+            if kind not in self.counts:
+                raise ParameterError(f"ensemble kind {kind} has no count")
         if not _nonnegative_int(self.seed):
             raise ParameterError(
                 f"ensemble seed must be an integer >= 0, got {self.seed!r}")
+        if not isinstance(self.mean_zero, bool):
+            raise ParameterError(f"ensemble mean_zero must be true or false, "
+                                 f"got {self.mean_zero!r}")
 
     def total(self):
         return sum(self.counts[k] for k in self.kinds)
@@ -88,8 +100,6 @@ def standard_ensemble_spec(mean_zero=False, seed=0):
 
 def generate_ensemble(space, stack, spec):
     """Deterministic probe fields; mean removed when the flag is set."""
-    if not spec.kinds:
-        raise ExperimentError("empty ensemble kind set")
     rng = np.random.default_rng(spec.seed)
     levels = list(stack.levels())
     interior = levels[len(levels) // 3: 2 * len(levels) // 3 + 1] or levels
@@ -111,10 +121,8 @@ def generate_ensemble(space, stack, spec):
                 r = float(np.quantile(space.dist[x0], qt))
                 ind = (space.dist[x0] < max(r, space.min_gap * 1.5)).astype(float)
                 v = mollifier @ (space.weight * ind)
-            elif kind == "gaussian_field":
+            else:  # gaussian_field
                 v = mollifier @ (space.weight * rng.standard_normal(space.n))
-            else:
-                raise ExperimentError(f"unknown ensemble kind {kind!r}")
             if spec.mean_zero:
                 v = v - float(v @ space.weight) / space.total_mass
             if float(np.max(np.abs(v))) <= DEGENERATE_TOL:

@@ -1,0 +1,169 @@
+"""Frozen reference for the build path of ``homspace.dyadic``.
+
+This is the earlier loop-per-cube implementation (per-cube assignment and
+deep-mask loops, per-level member scans, per-subcube dicts flattened into
+arrays on demand), kept verbatim except that it returns plain dicts and
+touches no ``CubeSystem``.  ``test_dyadic.py`` asserts that the current
+array-based build reproduces every net, assignment, cover, member list and
+flat subcube table exactly.
+"""
+
+import numpy as np
+
+
+def _grow_level(space, net, threshold, sep, deep_mask):
+    dist = space.dist
+    if not net:
+        net.append(0)
+    mind = dist[:, net].min(axis=1)
+    while True:
+        far = mind.max()
+        if far < threshold:
+            break
+        cand = mind >= sep
+        pick_from = cand & deep_mask
+        if not pick_from.any():
+            pick_from = cand
+        score = np.where(pick_from, mind, -1.0)
+        new = int(np.argmax(score))
+        net.append(new)
+        mind = np.minimum(mind, dist[:, new])
+    return net, float(mind.max())
+
+
+def _assign_coarsest(space, net):
+    net_arr = np.asarray(net)
+    order = np.argsort(net_arr, kind="stable")
+    sub = space.dist[:, net_arr[order]]
+    return order[np.argmin(sub, axis=1)]
+
+
+def _assign_refined(space, net, prev_assign_points):
+    net_arr = np.asarray(net)
+    assign = np.full(space.n, -1, dtype=int)
+    net_cube = prev_assign_points[net_arr]
+    for cube_id in np.unique(prev_assign_points):
+        pts = np.nonzero(prev_assign_points == cube_id)[0]
+        cand = np.nonzero(net_cube == cube_id)[0]
+        cand = cand[np.argsort(net_arr[cand], kind="stable")]
+        sub = space.dist[np.ix_(pts, net_arr[cand])]
+        assign[pts] = cand[np.argmin(sub, axis=1)]
+    return assign
+
+
+def _deep_mask(space, assign, centers, margin):
+    n = space.n
+    mask = np.zeros(n, dtype=bool)
+    for cube_id in range(len(centers)):
+        inside = assign == cube_id
+        if inside.all():
+            mask[:] = True
+            break
+        pts = np.nonzero(inside)[0]
+        if len(pts) == 0:
+            continue
+        gap = space.dist[np.ix_(pts, np.nonzero(~inside)[0])].min(axis=1)
+        mask[pts] = gap >= margin
+    return mask
+
+
+def build(space, delta, k_min, k_max, sigma, deep_margin):
+    """(nets, assigns, cover) per level, as the earlier ``_build``."""
+    nets = {}
+    assigns = {}
+    cover = {}
+    net = []
+    prev_assign = None
+    for k in range(k_min, k_max + 1):
+        scale = delta ** k
+        if prev_assign is None:
+            deep = np.ones(space.n, dtype=bool)
+        else:
+            centers = nets[k - 1]
+            deep = _deep_mask(space, prev_assign, centers, deep_margin * scale)
+        net, cov = _grow_level(space, list(net), scale, sigma * scale, deep)
+        nets[k] = np.asarray(net, dtype=int)
+        cover[k] = cov
+        if prev_assign is None:
+            assigns[k] = _assign_coarsest(space, net)
+        else:
+            assigns[k] = _assign_refined(space, net, prev_assign)
+        prev_assign = assigns[k]
+    return nets, assigns, cover
+
+
+def build_cubes(nets, assigns, k_min, k_max):
+    """Per level dict with centers, assign, parent, members and children."""
+    levels = {}
+    prev_assign = None
+    for k in range(k_min, k_max + 1):
+        net = nets[k]
+        assign = assigns[k]
+        parent = None if prev_assign is None else prev_assign[net]
+        members = [np.nonzero(assign == i)[0] for i in range(len(net))]
+        for i, mem in enumerate(members):
+            if len(mem) == 0:
+                raise ValueError(f"empty cube at level {k}, center {net[i]}")
+        children = [[] for _ in range(len(nets[k - 1]))] if parent is not None else None
+        if parent is not None:
+            for cid, par in enumerate(parent):
+                children[par].append(cid)
+            levels[k - 1]["children"] = children
+        levels[k] = {"centers": net, "assign": assign, "parent": parent,
+                     "members": members,
+                     "children": [[] for _ in range(len(net))]}
+        prev_assign = assign
+    return levels
+
+
+def refine_subcubes(levels, space, k_min, k_max, j0, sampler="center",
+                    seed=0):
+    """Per level k <= k_max - j0: list over cubes of per-subcube dicts."""
+    rng = np.random.default_rng(seed)
+    sub = {}
+    for k in range(k_min, k_max - j0 + 1):
+        fine = levels[k + j0]
+        anc = np.arange(len(fine["centers"]))
+        for step in range(j0):
+            anc = levels[k + j0 - step]["parent"][anc]
+        per_cube = [[] for _ in levels[k]["centers"]]
+        for fine_id in range(len(fine["centers"])):
+            per_cube[anc[fine_id]].append(fine_id)
+        rows = []
+        w = space.weight
+        for alpha, fine_ids in enumerate(per_cube):
+            entries = []
+            for m, fid in enumerate(fine_ids):
+                mem = fine["members"][fid]
+                if sampler == "center":
+                    y = int(fine["centers"][fid])
+                elif sampler == "lowest_index":
+                    y = int(mem.min())
+                else:
+                    y = int(mem[rng.integers(len(mem))])
+                entries.append({
+                    "m": m, "fine_cube": fid, "y": y,
+                    "z": int(fine["centers"][fid]),
+                    "weight": float(w[mem].sum()),
+                    "members": mem,
+                })
+            rows.append(entries)
+        sub[k] = rows
+    return sub
+
+
+def sample_arrays(rows, n):
+    """The earlier flattening: (alpha, m, y, weight, sub_assign)."""
+    alpha, m, y, wgt = [], [], [], []
+    sub_assign = np.full(n, -1, dtype=int)
+    flat = 0
+    for a, entries in enumerate(rows):
+        for e in entries:
+            alpha.append(a)
+            m.append(e["m"])
+            y.append(e["y"])
+            wgt.append(e["weight"])
+            sub_assign[e["members"]] = flat
+            flat += 1
+    return (np.asarray(alpha, dtype=int), np.asarray(m, dtype=int),
+            np.asarray(y, dtype=int), np.asarray(wgt), sub_assign)

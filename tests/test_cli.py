@@ -221,3 +221,34 @@ def test_bad_counts_seed_and_caps_exit_1(tmp_path, capsys, assignment):
                 "lab", "lemmas"])
     assert code == 1, (path, value)
     assert "error:" in capsys.readouterr().err
+
+
+# ensemble settings that are not a non-empty list of known kinds, each with
+# a count, and a bool mean_zero; then --set paths that name no config leaf
+BAD_SETS = (
+    'lab.ensemble.kinds=["bogus"]',
+    "lab.ensemble.kinds=5",
+    "lab.ensemble.kinds=[]",
+    'lab.ensemble.kinds="holder"',
+    'lab.ensemble.counts={"holder": 2}',
+    'lab.ensemble.mean_zero="no"',
+    "lab.ensemble.mean_zero=1",
+    "space.size",
+    "space.size.x=1",
+    "space..size=1",
+)
+
+
+def test_bad_ensemble_settings_set_paths_and_fields_exit_1(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    for assignment in BAD_SETS:
+        assert run(["--config", cfg, "--set", assignment,
+                    "lab", "lemmas"]) == 1, assignment
+        assert "error:" in capsys.readouterr().err, assignment
+    vals = tmp_path / "nan_field.json"
+    vals.write_text(json.dumps([float("nan")] + [1.0] * 32))
+    bad = write_config(tmp_path, {"norm": {
+        "field": {"kind": "file", "file": str(vals)}, "variant": "lebesgue"}},
+        name="nan.json")
+    assert run(["--config", bad, "norm", "compute"]) == 1
+    assert "error:" in capsys.readouterr().err

@@ -1,11 +1,15 @@
+import dataclasses
 import math
 
+import dyadic_oracle
 import numpy as np
 import pytest
 
 from homspace import (ParameterError, RangeError, build_cubes, build_nets,
                       generate_space, refine_subcubes, verify_cubes)
+from homspace import dyadic
 from homspace.dyadic import cube_dump, cubes_from_dump
+from homspace.pipeline import default_level_range
 
 
 def test_one_point_nets():
@@ -77,11 +81,14 @@ def test_refine_subcubes_identity_at_j0_zero(grid65, pipe65):
     nets = build_nets(grid65, 0.5, (0, 6))
     cubes = build_cubes(nets, grid65)
     ref = refine_subcubes(cubes, 0)
-    for k, rows in ref.subcubes.items():
-        for alpha, entries in enumerate(rows):
-            assert len(entries) == 1
-            assert entries[0]["y"] == entries[0]["z"] == \
-                int(cubes.levels[k].centers[alpha])
+    for k, table in ref.subcubes.items():
+        lv = cubes.levels[k]
+        assert list(table.alpha) == list(range(len(lv.centers)))
+        for i, alpha in enumerate(table.alpha):
+            assert table.m[i] == 0
+            assert table.y[i] == lv.centers[alpha]
+            assert np.array_equal(np.nonzero(table.sub_assign == i)[0],
+                                  lv.members[alpha])
 
 
 def test_refine_subcube_counts(grid257):
@@ -92,8 +99,9 @@ def test_refine_subcube_counts(grid257):
     interior_levels = range(1, 7)
     worst = 0
     for k in interior_levels:
-        for entries in cubes.subcubes[k]:
-            worst = max(worst, len(entries))
+        table = cubes.subcubes[k]
+        for alpha in range(len(cubes.levels[k].centers)):
+            worst = max(worst, int(np.sum(table.alpha == alpha)))
     assert worst <= 12
     ver = verify_cubes(cubes)
     assert ver.subcube_pass
@@ -113,12 +121,14 @@ def test_sampler_changes_samples_only(grid65):
     a = refine_subcubes(cubes, 2, sampler="center")
     b = refine_subcubes(cubes, 2, sampler="seeded_random", seed=3)
     for k in a.subcubes:
-        for ra, rb in zip(a.subcubes[k], b.subcubes[k]):
-            assert len(ra) == len(rb)
-            for ea, eb in zip(ra, rb):
-                assert np.array_equal(ea["members"], eb["members"])
-                assert ea["weight"] == eb["weight"]
-                assert eb["y"] in eb["members"]
+        ta, tb = a.subcubes[k], b.subcubes[k]
+        assert np.array_equal(ta.alpha, tb.alpha)
+        assert np.array_equal(ta.m, tb.m)
+        assert np.array_equal(ta.sub_assign, tb.sub_assign)
+        for i in range(len(ta.alpha)):
+            mem = np.nonzero(tb.sub_assign == i)[0]
+            assert ta.weight[i] == tb.weight[i]
+            assert ta.y[i] in mem and tb.y[i] in mem
 
 
 def test_determinism_bitwise(grid65):
@@ -146,11 +156,14 @@ def test_mass_bracketing(grid65):
     nets = build_nets(grid65, 0.5, (0, 6))
     cubes = refine_subcubes(build_cubes(nets, grid65), 2)
     w = grid65.weight
-    for k, rows in cubes.subcubes.items():
-        for alpha, entries in enumerate(rows):
-            total = w[cubes.levels[k].members[alpha]].sum()
-            masses = [e["weight"] for e in entries]
-            n = len(entries)
+    for k, table in cubes.subcubes.items():
+        for alpha, mem in enumerate(cubes.levels[k].members):
+            total = w[mem].sum()
+            rows = np.nonzero(table.alpha == alpha)[0]
+            masses = [w[np.nonzero(table.sub_assign == i)[0]].sum()
+                      for i in rows]
+            assert masses == list(table.weight[rows])
+            n = len(rows)
             assert n * min(masses) <= total * (1 + 1e-12)
             assert total <= n * max(masses) * (1 + 1e-12)
 
@@ -181,3 +194,70 @@ def test_grid2d_outradius_band():
     ver = verify_cubes(build_cubes(nets, sp))
     for k, s in ver.sandwich.items():
         assert s.r_out.max() <= 4.0
+
+
+ORACLE_SPACES = {
+    "grid1d-257": dict(kind="grid1d", size=257),
+    "grid2d-17": dict(kind="grid2d", size=17),
+    "circle-64": dict(kind="circle", size=64),
+    "graph-63": dict(kind="graph", size=63),
+    "sierpinski-4": dict(kind="sierpinski_level", level=4),
+    "circle-40-custom": dict(kind="circle", size=40, measure="custom",
+                             weights=[1.0 + (i * 7) % 5 for i in range(40)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SPACES))
+def test_build_matches_frozen_oracle(name):
+    sp = generate_space(**ORACLE_SPACES[name])
+    lo, hi = default_level_range(sp)
+    hi += 3
+    sigma, margin = dyadic.DEFAULT_SIGMA, dyadic.DEFAULT_DEEP_MARGIN
+    o_nets, o_assigns, o_cover = dyadic_oracle.build(sp, 0.5, lo, hi, sigma,
+                                                     margin)
+    nets, assigns, cover = dyadic._build(sp, 0.5, lo, hi, sigma, margin)
+    assert cover == o_cover
+    net_sys = build_nets(sp, 0.5, (lo, hi))
+    cubes = build_cubes(net_sys, sp)
+    o_levels = dyadic_oracle.build_cubes(o_nets, o_assigns, lo, hi)
+    for k in range(lo, hi + 1):
+        for got in (nets[k], net_sys.nets[k], cubes.levels[k].centers):
+            assert np.array_equal(got, o_nets[k])
+        for got in (assigns[k], net_sys.assigns[k], cubes.levels[k].assign):
+            assert np.array_equal(got, o_assigns[k])
+        lv, o_lv = cubes.levels[k], o_levels[k]
+        if k == lo:
+            assert lv.parent is None and o_lv["parent"] is None
+        else:
+            assert np.array_equal(lv.parent, o_lv["parent"])
+        assert len(lv.members) == len(o_lv["members"])
+        for got, want in zip(lv.members, o_lv["members"]):
+            assert np.array_equal(got, want)
+    for j0 in range(4):
+        for sampler in ("center", "lowest_index", "seeded_random"):
+            ref = refine_subcubes(cubes, j0, sampler=sampler, seed=11)
+            o_sub = dyadic_oracle.refine_subcubes(o_levels, sp, lo, hi, j0,
+                                                  sampler=sampler, seed=11)
+            assert sorted(ref.subcubes) == sorted(o_sub)
+            for k, rows in o_sub.items():
+                want = dyadic_oracle.sample_arrays(rows, sp.n)
+                got = ref.sample_arrays(k)
+                for field_name, g, w in zip(got._fields, got, want):
+                    assert g.dtype == w.dtype, (j0, sampler, k, field_name)
+                    assert np.array_equal(g, w), (j0, sampler, k, field_name)
+
+
+def test_cube_system_is_frozen_and_read_only(grid65):
+    nets = build_nets(grid65, 0.5, (0, 6))
+    cubes = refine_subcubes(build_cubes(nets, grid65), 2)
+    lv = cubes.levels[3]
+    arrays = [nets.nets[3], nets.assigns[3], lv.centers, lv.assign, lv.parent,
+              lv.members[0], *cubes.sample_arrays(3)]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    for obj, name in ((nets, "c0"), (lv, "assign"), (cubes, "subcubes")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, None)
+    with pytest.raises(RangeError):
+        cubes.sample_arrays(5)

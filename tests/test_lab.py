@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from homspace import (ExperimentError, NormSpec, build_pipeline,
-                      equivalence_experiment, generate_ensemble,
-                      generate_space, lemma_suite, validate_ati)
+from homspace import (ExperimentError, NormSpec, ParameterError,
+                      build_pipeline, equivalence_experiment,
+                      generate_ensemble, generate_space, lemma_suite,
+                      validate_ati)
 from homspace.lab import (EnsembleSpec, band_drift, check_hypotheses,
                           embedding_suite, fefferman_stein_constants,
                           standard_ensemble_spec, theta_power_check)
@@ -41,7 +42,7 @@ def test_ensemble_holder_matches_distance_powers(grid65, pipe65):
 
 
 def test_ensemble_rejects_empty_kinds(grid65, pipe65):
-    with pytest.raises(ExperimentError):
+    with pytest.raises(ParameterError, match="non-empty"):
         generate_ensemble(grid65, pipe65.stack,
                           EnsembleSpec(kinds=(), counts={}))
 

@@ -114,12 +114,12 @@ def _inhom_besov_oracle(f, spec, st, cubes):
     coarse = 0.0
     for k in range(0, n_low + 1):
         g = np.abs(st.apply(k, f.values))
-        for entries in cubes.subcubes[k]:
-            for e in entries:
-                mem = e["members"]
-                avg = float((g[mem] * sp.weight[mem]).sum()
-                            / sp.weight[mem].sum())
-                coarse += e["weight"] * avg ** spec.p
+        _, _, _, wgt, sub_assign = cubes.sample_arrays(k)
+        for i in range(len(wgt)):
+            mem = np.nonzero(sub_assign == i)[0]
+            avg = float((g[mem] * sp.weight[mem]).sum()
+                        / sp.weight[mem].sum())
+            coarse += wgt[i] * avg ** spec.p
     coarse = coarse ** (1.0 / spec.p)
     fine = 0.0
     for k in st.levels():
@@ -309,11 +309,11 @@ def test_inhomogeneous_tl_p_infty(pipe65_inhom, ensemble65):
     coarse = 0.0
     for k in range(0, st.n_low + 1):
         g = np.abs(st.apply(k, f.values))
-        for entries in cubes.subcubes[k]:
-            for e in entries:
-                mem = e["members"]
-                coarse = max(coarse, float((g[mem] * sp.weight[mem]).sum()
-                                           / sp.weight[mem].sum()))
+        sub_assign = cubes.sample_arrays(k).sub_assign
+        for i in range(sub_assign.max() + 1):
+            mem = np.nonzero(sub_assign == i)[0]
+            coarse = max(coarse, float((g[mem] * sp.weight[mem]).sum()
+                                       / sp.weight[mem].sum()))
     assert val >= coarse - 1e-13
 
 
