@@ -200,7 +200,7 @@ def _separation(space, net, scale):
     if len(net) < 2:
         return np.inf
     sub = space.dist[np.ix_(net, net)]
-    sub = sub + np.where(np.eye(len(net), dtype=bool), np.inf, 0.0)
+    np.fill_diagonal(sub, np.inf)
     return float(sub.min()) / scale
 
 
@@ -335,12 +335,54 @@ class CubeVerification:
         return lo, hi
 
 
+def _flat_members(members):
+    """Member lists concatenated in cube order, with the cube of each entry."""
+    cube_of = np.repeat(np.arange(len(members)), [len(m) for m in members])
+    return np.concatenate(members), cube_of
+
+
 def _membership(members, n):
     """(cube, point) bool matrix read from the member lists."""
     inside = np.zeros((len(members), n), dtype=bool)
-    rows = np.repeat(np.arange(len(members)), [len(m) for m in members])
-    inside[rows, np.concatenate(members)] = True
+    flat, cube_of = _flat_members(members)
+    inside[cube_of, flat] = True
     return inside
+
+
+def _first_per_cube(bad, flat, cube_of):
+    """(cube, point) of the first flagged entry of each cube, in cube order."""
+    pos = np.flatnonzero(bad)
+    cubes, first = np.unique(cube_of[pos], return_index=True)
+    return zip(cubes.tolist(), flat[pos[first]].tolist())
+
+
+def _structure_failures(k, lv, coarse, n):
+    """Partition, center and nesting failures of one level, in the order:
+    points listed by an earlier cube, first uncovered point, member count,
+    centers outside their cube, points escaping their parent cube."""
+    flat, cube_of = _flat_members(lv.members)
+    part, center, nest = [], [], []
+    # the first entry of a point belongs to the first cube that lists it
+    points, first = np.unique(flat, return_index=True)
+    owner = np.empty(n, dtype=int)
+    owner[points] = cube_of[first]
+    for _, dup in _first_per_cube(owner[flat] != cube_of, flat, cube_of):
+        part.append(f"level {k}: point {dup} in two cubes")
+    covered = np.bincount(flat, minlength=n) > 0
+    if not covered.all():
+        part.append(f"level {k}: point {int(np.argmin(covered))} uncovered")
+    if len(flat) != n:
+        part.append(f"level {k}: member counts do not sum to n")
+    outside = lv.assign[lv.centers] != np.arange(len(lv.centers))
+    for z in lv.centers[outside].tolist():
+        center.append(f"level {k}: center {z} outside its own cube")
+    if coarse is not None:
+        pid = lv.parent[cube_of]
+        for cid, bad in _first_per_cube(coarse.assign[flat] != pid, flat,
+                                        cube_of):
+            nest.append(f"level {k}: point {bad} escapes parent cube "
+                        f"{lv.parent[cid]}")
+    return part, center, nest
 
 
 def _sandwich_radii(space, lv, inside, parent_inside):
@@ -400,36 +442,12 @@ def verify_cubes(cubes, interior_margin=INTERIOR_MARGIN, omega=1.0):
     partition = nesting = center = True
 
     for k, lv in sorted(cubes.levels.items()):
-        counts = np.zeros(len(lv.centers), dtype=int)
-        seen = np.zeros(space.n, dtype=bool)
-        for cid, mem in enumerate(lv.members):
-            counts[cid] = len(mem)
-            if np.any(seen[mem]):
-                dup = int(mem[seen[mem]][0])
-                partition = False
-                failures.append(f"level {k}: point {dup} in two cubes")
-            seen[mem] = True
-        if not seen.all():
-            missing = int(np.argmin(seen))
-            partition = False
-            failures.append(f"level {k}: point {missing} uncovered")
-        if int(counts.sum()) != space.n:
-            partition = False
-            failures.append(f"level {k}: member counts do not sum to n")
-        for cid, z in enumerate(lv.centers):
-            if lv.assign[z] != cid:
-                center = False
-                failures.append(
-                    f"level {k}: center {int(z)} outside its own cube")
-        if lv.parent is not None:
-            coarse = cubes.levels[k - 1]
-            for cid, mem in enumerate(lv.members):
-                pid = lv.parent[cid]
-                if not np.all(coarse.assign[mem] == pid):
-                    bad = int(mem[coarse.assign[mem] != pid][0])
-                    nesting = False
-                    failures.append(
-                        f"level {k}: point {bad} escapes parent cube {pid}")
+        coarse = None if lv.parent is None else cubes.levels[k - 1]
+        part, cent, nest = _structure_failures(k, lv, coarse, space.n)
+        partition = partition and not part
+        center = center and not cent
+        nesting = nesting and not nest
+        failures += part + cent + nest
 
     sandwich = {}
     a0 = space.a0
@@ -508,6 +526,8 @@ def _cubes_from_dump(doc, space):
                         for m in rec["members"])
         assign = np.full(space.n, -1, dtype=int)
         for cid, mem in enumerate(members):
+            if mem.size and mem.min() < 0:
+                raise IndexError(f"negative member index at level {k}")
             assign[mem] = cid
         parent = rec["parent"]
         levels[k] = CubeLevel(

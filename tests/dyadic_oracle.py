@@ -5,7 +5,8 @@ deep-mask loops, per-level member scans, per-subcube dicts flattened into
 arrays on demand), kept verbatim except that it returns plain dicts and
 touches no ``CubeSystem``.  ``test_dyadic.py`` asserts that the current
 array-based build reproduces every net, assignment, cover, member list and
-flat subcube table exactly.
+flat subcube table exactly.  ``structure_checks`` is the earlier per-cube
+partition, center and nesting loop of ``verify_cubes``.
 """
 
 import numpy as np
@@ -167,3 +168,43 @@ def sample_arrays(rows, n):
             flat += 1
     return (np.asarray(alpha, dtype=int), np.asarray(m, dtype=int),
             np.asarray(y, dtype=int), np.asarray(wgt), sub_assign)
+
+
+def structure_checks(cubes):
+    """(partition, nesting, center, failures) as the earlier per-cube loop
+    of ``verify_cubes`` reported them."""
+    n = cubes.space.n
+    failures = []
+    partition = nesting = center = True
+    for k, lv in sorted(cubes.levels.items()):
+        counts = np.zeros(len(lv.centers), dtype=int)
+        seen = np.zeros(n, dtype=bool)
+        for cid, mem in enumerate(lv.members):
+            counts[cid] = len(mem)
+            if np.any(seen[mem]):
+                dup = int(mem[seen[mem]][0])
+                partition = False
+                failures.append(f"level {k}: point {dup} in two cubes")
+            seen[mem] = True
+        if not seen.all():
+            missing = int(np.argmin(seen))
+            partition = False
+            failures.append(f"level {k}: point {missing} uncovered")
+        if int(counts.sum()) != n:
+            partition = False
+            failures.append(f"level {k}: member counts do not sum to n")
+        for cid, z in enumerate(lv.centers):
+            if lv.assign[z] != cid:
+                center = False
+                failures.append(
+                    f"level {k}: center {int(z)} outside its own cube")
+        if lv.parent is not None:
+            coarse = cubes.levels[k - 1]
+            for cid, mem in enumerate(lv.members):
+                pid = lv.parent[cid]
+                if not np.all(coarse.assign[mem] == pid):
+                    bad = int(mem[coarse.assign[mem] != pid][0])
+                    nesting = False
+                    failures.append(
+                        f"level {k}: point {bad} escapes parent cube {pid}")
+    return partition, nesting, center, failures

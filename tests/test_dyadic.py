@@ -5,8 +5,9 @@ import dyadic_oracle
 import numpy as np
 import pytest
 
-from homspace import (ParameterError, RangeError, build_cubes, build_nets,
-                      generate_space, refine_subcubes, verify_cubes)
+from homspace import (FormatError, ParameterError, RangeError, build_cubes,
+                      build_nets, generate_space, refine_subcubes,
+                      verify_cubes)
 from homspace import dyadic
 from homspace.dyadic import cube_dump, cubes_from_dump
 from homspace.pipeline import default_level_range
@@ -261,3 +262,90 @@ def test_cube_system_is_frozen_and_read_only(grid65):
             setattr(obj, name, None)
     with pytest.raises(RangeError):
         cubes.sample_arrays(5)
+
+
+def _plant(doc, k, edit):
+    rec = doc["levels"][str(k)]
+    edit(rec["members"], rec["centers"])
+
+
+def _non_center(members, centers, start):
+    """First cube from ``start`` on (cyclically) holding a non-center point,
+    and its non-center points."""
+    for i in range(len(members)):
+        c = (start + i) % len(members)
+        pts = [p for p in members[c] if p != centers[c]]
+        if pts:
+            return c, pts
+    raise AssertionError("every cube is a singleton")
+
+
+def _move(src, dst, which=0):
+    def edit(members, centers):
+        c, pts = _non_center(members, centers, src)
+        pt = pts[which % len(pts)]
+        members[c].remove(pt)
+        members[(c + dst) % len(members)].append(pt)
+    return edit
+
+
+def _copy(src, dst):
+    def edit(members, centers):
+        c = src % len(members)
+        members[(c + dst) % len(members)].append(members[c][-1])
+    return edit
+
+
+def _drop(src):
+    def edit(members, centers):
+        c, pts = _non_center(members, centers, src)
+        members[c].remove(pts[0])
+    return edit
+
+
+def _move_center(src, dst):
+    def edit(members, centers):
+        c = src % len(members)
+        members[c].remove(centers[c])
+        members[(c + dst) % len(members)].insert(0, centers[c])
+    return edit
+
+
+# (level offset, edit); cube offsets are relative to the source cube
+DEFECTS = {
+    "clean": [],
+    "duplicate": [(3, _copy(0, 2)), (3, _copy(4, 1))],
+    "uncovered": [(2, _drop(1)), (3, _drop(5))],
+    "stray-center": [(3, _move_center(2, 1))],
+    "escaped": [(2, _move(0, 1)), (3, _move(3, 2, which=2))],
+    "listed-twice": [(2, _copy(1, 0))],
+    "two-in-one-cube": [(2, _move(0, 1)), (2, _move(2, -1)),
+                        (3, _copy(0, 1)), (3, _copy(2, -1))],
+    "first-entry": [(2, _move_center(1, -1))],
+    "mixed": [(1, _copy(0, 1)), (2, _drop(0)), (3, _move_center(1, 1)),
+              (3, _move(2, 3)), (4, _copy(5, 2))],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SPACES))
+def test_verify_structure_matches_frozen_loop(name):
+    sp = generate_space(**ORACLE_SPACES[name])
+    lo = default_level_range(sp)[0]
+    cubes = build_cubes(build_nets(sp, 0.5, (lo, lo + 5)), sp)
+    for defect, edits in DEFECTS.items():
+        doc = cube_dump(cubes)
+        for k, edit in edits:
+            _plant(doc, lo + k, edit)
+        planted = cubes_from_dump(doc, sp)
+        ver = verify_cubes(planted)
+        got = (ver.partition_pass, ver.nesting_pass, ver.center_pass,
+               ver.failures)
+        assert got == dyadic_oracle.structure_checks(planted), defect
+        assert bool(ver.failures) == bool(edits), defect
+
+
+def test_dump_rejects_negative_member(grid65):
+    doc = cube_dump(build_cubes(build_nets(grid65, 0.5, (0, 4)), grid65))
+    doc["levels"]["2"]["members"][0].append(-1)
+    with pytest.raises(FormatError, match="negative member"):
+        cubes_from_dump(doc, grid65)

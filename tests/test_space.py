@@ -1,13 +1,15 @@
 import json
 import math
 
+import a0_oracle
 import numpy as np
 import pytest
 
 from homspace import (CertificationError, FormatError, ParameterError,
                       generate_space, geometry_report, load_space, save_space)
-from homspace.space import (certify_a0, default_radius_grid,
-                            load_space_document, space_to_document)
+from homspace.space import (A0_EXHAUSTIVE_CAP, certify_a0,
+                            default_radius_grid, load_space_document,
+                            space_to_document)
 
 
 def test_grid1d_metric_a0_is_one():
@@ -195,6 +197,100 @@ def test_sampled_certification_flag():
     sp = generate_space("grid1d", size=600, a0_cap=128)
     assert sp.a0_method == "sampled"
     assert sp.a0 == pytest.approx(1.0, abs=1e-12)
+
+
+A0_ORACLE_SPACES = {
+    "snowflake2-3": dict(kind="snowflake_power", size=3, exponent=2.0),
+    "snowflake2-257": dict(kind="snowflake_power", size=257, exponent=2.0),
+    "snowflake2-513": dict(kind="snowflake_power", size=513, exponent=2.0),
+    "snowflake1.5-129": dict(kind="snowflake_power", size=129, exponent=1.5),
+    "sierpinski-5": dict(kind="sierpinski_level", level=5),
+    "circle-256": dict(kind="circle", size=256),
+    "graph-127": dict(kind="graph", size=127),
+    "grid2d-17": dict(kind="grid2d", size=17),
+    "grid1d-513": dict(kind="grid1d", size=513),
+}
+
+
+def _random_quasi_metric(n, seed, levels=None):
+    """Symmetric table, zero diagonal, positive elsewhere; cubed uniform
+    entries break the triangle inequality, few integer levels force ties."""
+    rng = np.random.default_rng(seed)
+    if levels is None:
+        m = rng.uniform(0.1, 1.0, (n, n)) ** 3
+    else:
+        m = rng.integers(1, levels + 1, (n, n)).astype(float)
+    m = np.triu(m, 1)
+    return m + m.T
+
+
+@pytest.mark.parametrize("hub", [0, 70, 129])
+def test_certify_a0_hub_middle_point(hub):
+    # every pair's cheapest detour runs through the hub, so a sweep that
+    # skips any middle point y misses the worst triple when y is the hub
+    d = _random_quasi_metric(130, seed=hub) + 1.0
+    d[hub] = d[:, hub] = np.random.default_rng(hub).uniform(0.01, 0.1, 130)
+    np.fill_diagonal(d, 0.0)
+    got = certify_a0(d)
+    assert got[2][1] == hub
+    assert got == a0_oracle.certify_a0(d, cap=130)
+
+
+@pytest.mark.parametrize("name", sorted(A0_ORACLE_SPACES))
+def test_certify_a0_matches_frozen_oracle(name):
+    d = generate_space(**A0_ORACLE_SPACES[name]).dist
+    got = certify_a0(d)
+    assert got[1] == "exhaustive"
+    assert got == a0_oracle.certify_a0(d, cap=A0_EXHAUSTIVE_CAP)
+
+
+@pytest.mark.parametrize("n,levels", [(65, None), (150, None), (97, 3)])
+def test_certify_a0_random_quasi_metric_matches_oracle(n, levels):
+    d = _random_quasi_metric(n, seed=n, levels=levels)
+    got = certify_a0(d)
+    assert got[0] > 1.0 and got[1] == "exhaustive"
+    assert got == a0_oracle.certify_a0(d, cap=n)
+
+
+def test_certify_a0_sampled_matches_oracle():
+    d = generate_space("grid1d", size=600).dist
+    assert certify_a0(d, cap=128) == a0_oracle.certify_a0(d, cap=128)
+    sp = generate_space("grid2d", size=33)
+    assert sp.n > A0_EXHAUSTIVE_CAP and sp.a0_method == "sampled"
+    want = a0_oracle.certify_a0(sp.dist)
+    assert (sp.a0, sp.a0_method) == want[:2]
+    assert certify_a0(sp.dist) == want
+
+
+def test_certify_a0_cap_boundary():
+    snow = generate_space("snowflake_power", size=40, exponent=2.0).dist
+    assert certify_a0(snow, cap=40)[1] == "exhaustive"
+    sampled = certify_a0(snow, cap=39, samples=5000, seed=3)
+    assert sampled[1] == "sampled"
+    assert sampled == a0_oracle.certify_a0(snow, cap=39, samples=5000, seed=3)
+    assert generate_space("grid1d", size=9, a0_cap=9).a0_method == "exhaustive"
+
+
+def test_certify_a0_rejects_bad_tables():
+    good = generate_space("circle", size=6).dist
+    bad = {"asymmetric": good + np.triu(np.full((6, 6), 0.1), 1),
+           "nonzero": good + 0.5 * np.eye(6),
+           "not positive": np.where(good == good[0, 1], 0.0, good),
+           "finite": np.where(good == good[0, 3], np.inf, good)}
+    for match, d in bad.items():
+        with pytest.raises(FormatError, match=match):
+            certify_a0(d)
+
+
+def test_declared_a0_violation_names_oracle_triple():
+    snow = generate_space("snowflake_power", size=129, exponent=1.5)
+    doc = space_to_document(snow)
+    doc["a0"] = 1.2
+    with pytest.raises(CertificationError) as err:
+        load_space_document(doc)
+    a0, _, triple = a0_oracle.certify_a0(snow.dist, cap=129)
+    assert err.value.triple == triple
+    assert f"triple {triple} attains ratio {a0:.12g}" in str(err.value)
 
 
 def test_binary_tree_space():
