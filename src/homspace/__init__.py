@@ -1,6 +1,6 @@
 """Desk-scale harmonic analysis on finite quasi-metric measure spaces."""
 
-from .difference import (DifferenceProfile, difference_profile,
+from .difference import (DifferenceScales, DifferenceTable, difference_scales,
                          lipschitz_norm, truncated_norm)
 from .dyadic import (CubeSystem, NetSystem, build_cubes, build_nets,
                      refine_subcubes, verify_cubes)

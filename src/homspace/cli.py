@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 import json
+import numbers
 import os
 import time
 
@@ -145,6 +146,13 @@ def emit(cfg, name, suite_or_text, outdir=None):
                  json.dumps({"wall_clock": time.time()}) + "\n")
 
 
+def _finish(cfg, name, suite):
+    """Write and print a command's report; exit 2 when a row failed."""
+    emit(cfg, name, suite)
+    click.echo(suite.to_text(), nl=False)
+    return 0 if suite.passed else 2
+
+
 def space_from_config(cfg):
     sc = cfg["space"]
     if sc.get("file"):
@@ -169,22 +177,34 @@ def pipeline_from_config(cfg, space=None):
 
 
 def field_from_config(space, stack, fc):
+    for key in ("value", "theta", "radius", "center", "seed", "level"):
+        integral = key in ("center", "seed", "level")
+        val = fc.get(key)
+        if val is None and key == "level":
+            continue
+        if isinstance(val, bool) or not isinstance(
+                val, numbers.Integral if integral else numbers.Real):
+            raise ParameterError(f"norm.field.{key} must be "
+                                 f"{'an integer' if integral else 'a number'}"
+                                 f", got {val!r}")
+    if not 0 <= fc["center"] < space.n:
+        raise ParameterError(f"norm.field.center must lie in [0, {space.n}),"
+                             f" got {fc['center']}")
+    if fc["seed"] < 0:
+        raise ParameterError(f"norm.field.seed must be >= 0, got {fc['seed']}")
     kind = fc.get("kind", "constant")
     if kind == "constant":
-        return Field(space, np.full(space.n, float(fc.get("value", 1.0))))
+        return Field(space, np.full(space.n, float(fc["value"])))
     if kind == "holder":
-        center = int(fc.get("center", 0))
-        return Field(space, space.dist[center] ** float(fc.get("theta", 0.7)))
+        return Field(space, space.dist[fc["center"]] ** float(fc["theta"]))
     if kind == "indicator":
-        center = int(fc.get("center", 0))
-        return Field(space,
-                     (space.dist[center] < float(fc.get("radius", 0.25)))
+        return Field(space, (space.dist[fc["center"]] < float(fc["radius"]))
                      .astype(float))
     if kind == "bandlimited":
-        rng = np.random.default_rng(int(fc.get("seed", 0)))
+        rng = np.random.default_rng(fc["seed"])
         levels = list(stack.levels())
-        j = fc.get("level")
-        j = levels[len(levels) // 2] if j is None else int(j)
+        j = fc["level"]
+        j = levels[len(levels) // 2] if j is None else j
         return Field(space, stack.apply(j, rng.standard_normal(space.n)))
     if kind == "file":
         if not fc.get("file"):
@@ -209,7 +229,9 @@ def ensemble_spec_from_config(cfg):
 
 
 def _inf(v):
-    return float("inf") if v in ("inf", "Infinity", None) else float(v)
+    """The config's spellings of infinity as a float; NormSpec checks the
+    other values."""
+    return float("inf") if v in ("inf", "Infinity", None) else v
 
 
 pass_cfg = click.make_pass_decorator(dict)
@@ -260,9 +282,7 @@ def space_report(cfg):
     ok = rep.q_global is None or rep.q_global <= rep.omega + 0.25
     suite.add("q_global <= omega + tol", "exact", passed=ok,
               value=rep.q_global)
-    emit(cfg, "geometry", suite)
-    click.echo(suite.to_text(), nl=False)
-    return 0 if suite.passed else 2
+    return _finish(cfg, "geometry", suite)
 
 
 @cli.group()
@@ -277,9 +297,7 @@ def cubes_build(cfg):
     ver = dy.verify_cubes(pipe.cubes)
     emit(cfg, "cubes.json", json.dumps(dy.cube_dump(pipe.cubes)) + "\n")
     suite = _verification_suite(ver)
-    emit(cfg, "cubes_verify", suite)
-    click.echo(suite.to_text(), nl=False)
-    return 0 if suite.passed else 2
+    return _finish(cfg, "cubes_verify", suite)
 
 
 def _verification_suite(ver):
@@ -314,9 +332,7 @@ def cubes_verify(cfg, dump_path):
         doc = json.load(fh)
     ver = dy.verify_cubes(dy.cubes_from_dump(doc, sp))
     suite = _verification_suite(ver)
-    emit(cfg, "cubes_verify", suite)
-    click.echo(suite.to_text(), nl=False)
-    return 0 if suite.passed else 2
+    return _finish(cfg, "cubes_verify", suite)
 
 
 @cli.group()
@@ -332,9 +348,7 @@ def ati_build(cfg):
     suite = SuiteReport("kernel stack")
     suite.add("levels", "value", passed=None, value=len(list(st.levels())),
               k_min=st.k_min, k_max=st.k_max, flavor=st.flavor)
-    emit(cfg, "ati_build", suite)
-    click.echo(suite.to_text(), nl=False)
-    return 0
+    return _finish(cfg, "ati_build", suite)
 
 
 @ati.command("validate")
@@ -358,9 +372,7 @@ def ati_validate(cfg):
     for g, c in sorted(rep.rgamma_const.items()):
         suite.add(f"R_gamma envelope Gamma={g}", "value",
                   passed=np.isfinite(c), value=c)
-    emit(cfg, "ati_validate", suite)
-    click.echo(suite.to_text(), nl=False)
-    return 0 if suite.passed else 2
+    return _finish(cfg, "ati_validate", suite)
 
 
 @cli.command("norm")
@@ -413,9 +425,7 @@ def frame_cmd(cfg, action):
         for row in grid.rows():
             lines.append(",".join(fmt(v) for v in row))
         emit(cfg, "coefficients.csv", "\n".join(lines) + "\n")
-    emit(cfg, "frame", suite)
-    click.echo(suite.to_text(), nl=False)
-    return 0 if suite.passed else 2
+    return _finish(cfg, "frame", suite)
 
 
 @cli.group()
@@ -445,9 +455,7 @@ def lab_equivalence(cfg):
         ensemble, omega=geom.omega, eta=rep.eta_fit, geometry=geom,
         caps=cfg["lab"]["caps"])
     suite = eq.to_suite()
-    emit(cfg, "equivalence", suite)
-    click.echo(suite.to_text(), nl=False)
-    return 0 if suite.passed else 2
+    return _finish(cfg, "equivalence", suite)
 
 
 @lab.command("embeddings")
@@ -458,9 +466,7 @@ def lab_embeddings(cfg):
     suite = labmod.embedding_suite(pipe.space, pipe.stack, pipe.cubes,
                                    ensemble, spec, geom.omega, geometry=geom,
                                    caps=cfg["lab"]["caps"])
-    emit(cfg, "embeddings", suite)
-    click.echo(suite.to_text(), nl=False)
-    return 0 if suite.passed else 2
+    return _finish(cfg, "embeddings", suite)
 
 
 @lab.command("lemmas")
@@ -470,9 +476,7 @@ def lab_lemmas(cfg):
     suite = labmod.lemma_suite(pipe.space, pipe.cubes, pipe.stack,
                                omega=geom.omega, caps=cfg["lab"]["caps"],
                                seed=cfg["lab"]["ensemble"]["seed"])
-    emit(cfg, "lemmas", suite)
-    click.echo(suite.to_text(), nl=False)
-    return 0 if suite.passed else 2
+    return _finish(cfg, "lemmas", suite)
 
 
 @cli.command("maximal")

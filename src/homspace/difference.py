@@ -20,12 +20,18 @@ below the minimum point gap every ball is a singleton and the terms vanish
 identically, and once the radius exceeds the diameter every ball is the
 whole space, so the remaining terms are constant in k and their geometric
 tail (convergent because s > 0) is summed in closed form.
+
+Every norm reads two objects: `difference_scales`, the natural window's
+levels with the ball ends and measures of their radii (they depend only on
+the space, c_tilde and delta), and one field's `DifferenceTable` of rows
+A_e(., k), one stack per inner exponent e, made on first use.
+`lipschitz_norm` and `truncated_norm` take a Field, or a table to read from.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,76 +41,109 @@ from .norms import INF, lebesgue_norm
 VARIANTS = ("Ldot", "L", "Lb_dot", "Lb", "Lt_dot", "Lt")
 TRUNCATED_VARIANTS = ("L_tilde", "Lb_tilde")
 
-
-def _averages_over_radii(space, values, radii, exponent):
-    """Stack of A_e(., r) rows read off the space's sorted ball index.
-
-    Each row x gathers |f(x) - f(y)| in distance order; a running sum of
-    the mu-weighted e-powers (a running max for e = inf) read at the end of
-    B(x, r) gives every radius at once.
-    """
-    idx = space.ball_index
-    diff = np.abs(values[:, None] - values[idx.order])
-    if exponent == INF:
-        running = np.maximum.accumulate(diff, axis=1)
-    else:
-        running = np.cumsum(diff ** exponent * space.weight[idx.order],
-                            axis=1)
-    rows = []
-    for r in radii:
-        end = idx.ball_end(r)
-        row = idx.read(running, end)
-        if exponent != INF:
-            row = (row / idx.read(idx.weight_prefix, end)) ** (1.0 / exponent)
-        rows.append(row)
-    return np.asarray(rows)
+# variant: (pointwise style, inner exponent, sum over k >= 0 only,
+# adds ||f||_p); the inner exponent is the spec's p or u, or 1
+_VARIANT_ROWS = {
+    "Ldot": (False, "p", False, False),
+    "L": (False, "p", False, True),
+    "Lb_dot": (False, "1", False, False),
+    "Lb": (False, "1", False, True),
+    "Lt_dot": (True, "u", False, False),
+    "Lt": (True, "u", True, True),
+    "L_tilde": (False, "p", True, False),
+    "Lb_tilde": (False, "1", True, False),
+}
 
 
-@dataclass
-class DifferenceProfile:
-    """Ball-averaged differences J(f; x, c_tilde*delta^k) per (k, x)."""
+class DifferenceScales(NamedTuple):
+    """Levels k (coarse to fine) on one space with the ball ends
+    ``ends[i, x]`` and measures ``mass[i, x]`` of B(x, c_tilde*delta^k)."""
 
+    space: object
     c_tilde: float
     delta: float
-    u: float
-    k_levels: list[int]
-    radii: list[float]
-    values: np.ndarray  # (len(k_levels), n)
+    levels: tuple
+    ends: np.ndarray
+    mass: np.ndarray
 
 
-def difference_profile(f, space, c_tilde, delta, k_range, u=1.0):
-    """Profile over an explicit level range (coarse to fine)."""
-    if not u > 0:
-        raise ParameterError("u must be positive")
+def _natural_levels(space, c_tilde, delta):
+    window = natural_k_window(space, c_tilde, delta)
+    return () if window is None else tuple(range(window[0], window[1] + 1))
+
+
+def difference_scales(space, c_tilde, delta, levels=None):
+    """Scales over the given levels, by default the natural window that
+    every norm reads (empty for a single point)."""
     if not 0 < delta < 1 or not c_tilde > 0:
         raise ParameterError("need delta in (0,1) and c_tilde > 0")
-    ks = list(range(int(k_range[0]), int(k_range[-1]) + 1))
-    radii = [c_tilde * delta ** k for k in ks]
-    rows = _averages_over_radii(space, f.values, radii, u)
-    return DifferenceProfile(c_tilde=c_tilde, delta=delta, u=u, k_levels=ks,
-                             radii=radii, values=rows)
+    if levels is None:
+        levels = _natural_levels(space, c_tilde, delta)
+    levels = tuple(int(k) for k in levels)
+    idx = space.ball_index
+    ends = idx.ends([c_tilde * delta ** k for k in levels])
+    return DifferenceScales(space, c_tilde, delta, levels, ends,
+                            idx.read(idx.weight_prefix, ends))
+
+
+class DifferenceTable:
+    """Ball averages A_e(x, k) of one field over the levels of `scales`.
+
+    ``rows(e)`` is a read-only (levels, n) stack, made on first use: row x
+    of |f(x) - f(y)| in ball-index order gives a running sum of mu-weighted
+    e-powers (a running max at e = inf), read at every ball end at once.
+    """
+
+    def __init__(self, f, scales):
+        if f.space is not scales.space:
+            raise ParameterError("field and scales live on different spaces")
+        self.field = f
+        self.scales = scales
+        self._rows = {}
+
+    def rows(self, exponent):
+        if exponent not in self._rows:
+            if not exponent > 0:
+                raise ParameterError("inner exponent must be positive")
+            space, ends = self.scales.space, self.scales.ends
+            idx = space.ball_index
+            values = self.field.values
+            # one n x n buffer, updated in place: the differences, then
+            # their running max, or their weighted powers and running sum
+            run = values[idx.order]
+            np.abs(np.subtract(values[:, None], run, out=run), out=run)
+            if exponent == INF:
+                np.maximum.accumulate(run, axis=1, out=run)
+                rows = idx.read(run, ends)
+            else:
+                run **= exponent
+                run *= space.weight[idx.order]
+                np.cumsum(run, axis=1, out=run)
+                rows = ((idx.read(run, ends) / self.scales.mass)
+                        ** (1.0 / exponent))
+            rows.setflags(write=False)
+            self._rows[exponent] = rows
+        return self._rows[exponent]
+
+
+def _finest_level_above(c_tilde, delta, x):
+    """Largest k with c_tilde * delta^k > x (radii shrink as k grows)."""
+    k = int(math.floor(math.log(x / c_tilde) / math.log(delta)))
+    while c_tilde * delta ** k <= x:
+        k -= 1
+    while c_tilde * delta ** (k + 1) > x:
+        k += 1
+    return k
 
 
 def natural_k_window(space, c_tilde, delta):
     """(k_const, k_fine): coarsest computed level (radius just above diam,
     all coarser terms equal it) and finest level with a nonempty ball
     (radius just above the minimum gap).  Returns None for a single point."""
-    diam = space.diam
-    gap = space.min_gap
-    if not math.isfinite(gap) or diam <= 0:
+    if not math.isfinite(space.min_gap) or space.diam <= 0:
         return None
-    # largest k with c_tilde * delta^k > diam
-    k_const = int(math.floor(math.log(diam / c_tilde) / math.log(delta)))
-    while c_tilde * delta ** k_const <= diam:
-        k_const -= 1
-    while c_tilde * delta ** (k_const + 1) > diam:
-        k_const += 1
-    k_fine = int(math.ceil(math.log(gap / c_tilde) / math.log(delta)))
-    while c_tilde * delta ** k_fine <= gap:
-        k_fine -= 1
-    while c_tilde * delta ** (k_fine + 1) > gap:
-        k_fine += 1
-    return k_const, k_fine
+    return (_finest_level_above(c_tilde, delta, space.diam),
+            _finest_level_above(c_tilde, delta, space.min_gap))
 
 
 def scale_weights(k_const, k_fine, s, q, delta, nonneg=False):
@@ -137,75 +176,66 @@ def scale_weights(k_const, k_fine, s, q, delta, nonneg=False):
     return ks, wts
 
 
-def _combine_besov_style(space, f, spec, inner_exponent, nonneg):
-    """[sum_k w_k ||A_e(.,k)||_p^q]^(1/q) with exact tail handling."""
-    window = natural_k_window(space, spec.c_tilde, spec.delta)
-    if window is None:
+def _scale_sum(table, spec, pointwise, inner, nonneg):
+    """[sum_k w_k ||A_e(.,k)||_p^q]^(1/q), or || [sum_k w_k A_e(.,k)^q]^(1/q)
+    ||_p in the pointwise style, with exact tail handling."""
+    levels = table.scales.levels
+    if not levels:
         return 0.0
-    ks, wts = scale_weights(window[0], window[1], spec.s, spec.q, spec.delta,
+    ks, wts = scale_weights(levels[0], levels[-1], spec.s, spec.q, spec.delta,
                             nonneg=nonneg)
     if not ks:
         return 0.0
-    radii = [spec.c_tilde * spec.delta ** k for k in ks]
-    avgs = _averages_over_radii(space, f.values, radii, inner_exponent)
+    avgs = table.rows(inner)[ks[0] - levels[0]:]
+    weight = table.field.space.weight
+    if pointwise:
+        wcol = np.asarray(wts)[:, None]
+        if spec.q == INF:
+            agg = np.max(wcol * avgs, axis=0)
+        else:
+            agg = np.sum(wcol * avgs ** spec.q, axis=0) ** (1.0 / spec.q)
+        if spec.p == INF:
+            return float(agg.max())
+        return float(np.sum(agg ** spec.p * weight) ** (1.0 / spec.p))
     if spec.p == INF:
         norms = avgs.max(axis=1)
     else:
-        norms = (avgs ** spec.p @ space.weight) ** (1.0 / spec.p)
+        norms = (avgs ** spec.p @ weight) ** (1.0 / spec.p)
     if spec.q == INF:
         return float(np.max(np.asarray(wts) * norms))
     return float(np.sum(np.asarray(wts) * norms ** spec.q) ** (1.0 / spec.q))
 
 
-def _combine_pointwise_style(space, f, spec, nonneg):
-    """|| [sum_k w_k A_u(.,k)^q]^(1/q) ||_p with exact tail handling."""
-    window = natural_k_window(space, spec.c_tilde, spec.delta)
-    if window is None:
-        return 0.0
-    ks, wts = scale_weights(window[0], window[1], spec.s, spec.q, spec.delta,
-                            nonneg=nonneg)
-    if not ks:
-        return 0.0
-    radii = [spec.c_tilde * spec.delta ** k for k in ks]
-    avgs = _averages_over_radii(space, f.values, radii, spec.u)
-    wcol = np.asarray(wts)[:, None]
-    if spec.q == INF:
-        agg = np.max(wcol * avgs, axis=0)
-    else:
-        agg = np.sum(wcol * avgs ** spec.q, axis=0) ** (1.0 / spec.q)
-    if spec.p == INF:
-        return float(agg.max())
-    return float(np.sum(agg ** spec.p * space.weight) ** (1.0 / spec.p))
+def _norm(f, spec, variant):
+    """The variant's row of `_VARIANT_ROWS`, read off a table: `f` itself
+    when it is one, else a new table on the natural scales."""
+    if not isinstance(f, DifferenceTable):
+        f = DifferenceTable(f, difference_scales(f.space, spec.c_tilde,
+                                                 spec.delta))
+    elif f.scales[1:4] != (spec.c_tilde, spec.delta, _natural_levels(
+            f.scales.space, spec.c_tilde, spec.delta)):
+        raise ParameterError("table scales are not the natural window of "
+                             "the spec's c_tilde and delta")
+    pointwise, inner, nonneg, lebesgue = _VARIANT_ROWS[variant]
+    exponent = {"p": spec.p, "u": spec.u, "1": 1.0}[inner]
+    value = _scale_sum(f, spec, pointwise, exponent, nonneg)
+    return lebesgue_norm(f.field, spec.p) + value if lebesgue else value
 
 
 def lipschitz_norm(f, spec, variant):
-    """One of the six Lipschitz-type norms; see the module docstring.
+    """One of the six Lipschitz-type norms of a Field or of a table's
+    field; see the module docstring.
 
     Undotted variants add ||f||_{L^p}; Lt additionally restricts its scale
     sum to k >= 0 as its definition does, while L and Lb keep the full sum.
     """
     if variant not in VARIANTS:
         raise ParameterError(f"unknown variant {variant!r}")
-    space = f.space
-    if variant == "Ldot":
-        return _combine_besov_style(space, f, spec, spec.p, nonneg=False)
-    if variant == "L":
-        return lebesgue_norm(f, spec.p) + _combine_besov_style(
-            space, f, spec, spec.p, nonneg=False)
-    if variant == "Lb_dot":
-        return _combine_besov_style(space, f, spec, 1.0, nonneg=False)
-    if variant == "Lb":
-        return lebesgue_norm(f, spec.p) + _combine_besov_style(
-            space, f, spec, 1.0, nonneg=False)
-    if variant == "Lt_dot":
-        return _combine_pointwise_style(space, f, spec, nonneg=False)
-    return lebesgue_norm(f, spec.p) + _combine_pointwise_style(
-        space, f, spec, nonneg=True)
+    return _norm(f, spec, variant)
 
 
 def truncated_norm(f, spec, variant):
     """The k >= 0 truncation of the dotted expression (no Lebesgue part)."""
     if variant not in TRUNCATED_VARIANTS:
         raise ParameterError(f"unknown truncated variant {variant!r}")
-    inner = spec.p if variant == "L_tilde" else 1.0
-    return _combine_besov_style(f.space, f, spec, inner, nonneg=True)
+    return _norm(f, spec, variant)

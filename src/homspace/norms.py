@@ -9,6 +9,7 @@ therefore needs a cube system.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,11 @@ class NormSpec:
     n_low: int | None = None
 
     def __post_init__(self):
+        for name in ("s", "p", "q", "u", "beta", "gamma", "delta", "c_tilde"):
+            v = getattr(self, name)
+            if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                    or math.isnan(v)):
+                raise ParameterError(f"{name} must be a real number, got {v!r}")
         if not self.p > 0 or not self.q > 0:
             raise ParameterError("p and q must be positive (inf allowed)")
         if not self.u > 0 or self.u == INF:
@@ -93,6 +99,13 @@ def _cell_block(f, spec, stack, cubes, n_low):
     return float(np.sum(ww * aa ** spec.p) ** (1.0 / spec.p))
 
 
+def _scale_terms(f, spec, stack, ks):
+    """delta^(-ks) ||Q_k f||_p for each level k of ks."""
+    return [stack.delta ** (-k * spec.s)
+            * lebesgue_norm(Field(f.space, stack.apply(k, f.values)), spec.p)
+            for k in ks]
+
+
 def besov_norm(f, spec, stack, cubes=None):
     """Homogeneous: [sum_k delta^(-ksq) ||Q_k f||_p^q]^(1/q).
 
@@ -100,63 +113,55 @@ def besov_norm(f, spec, stack, cubes=None):
     the weighted sum at N+1.
     """
     _check_flavor(spec, stack)
-    delta = stack.delta
-    if spec.flavor == "homogeneous":
-        terms = [delta ** (-k * spec.s)
-                 * lebesgue_norm(Field(f.space, stack.apply(k, f.values)), spec.p)
-                 for k in stack.levels()]
-        return lq_scale_combine(terms, spec.q)
+    homogeneous = spec.flavor == "homogeneous"
     n_low = spec.n_low if spec.n_low is not None else stack.n_low
-    if cubes is None:
+    if not homogeneous and cubes is None:
         raise ParameterError("inhomogeneous Besov norm needs a cube system")
-    block = _cell_block(f, spec, stack, cubes, n_low)
-    terms = [delta ** (-k * spec.s)
-             * lebesgue_norm(Field(f.space, stack.apply(k, f.values)), spec.p)
-             for k in stack.levels() if k > n_low]
-    return block + lq_scale_combine(terms, spec.q)
+    terms = _scale_terms(f, spec, stack, [k for k in stack.levels()
+                                          if homogeneous or k > n_low])
+    if homogeneous:
+        return lq_scale_combine(terms, spec.q)
+    return (_cell_block(f, spec, stack, cubes, n_low)
+            + lq_scale_combine(terms, spec.q))
+
+
+def _scale_aggregate(spec, stack, contrib, ks):
+    """Per point, max_k delta^(-ks) c_k at q = inf, else the q-power sum
+    sum_k (delta^(-ks) c_k)^q, over the levels ks with c_k = contrib(k)."""
+    out = np.zeros(stack.space.n)
+    for k in ks:
+        term = stack.delta ** (-k * spec.s) * contrib(k)
+        if spec.q == INF:
+            out = np.maximum(out, term)
+        else:
+            out += term ** spec.q
+    return out
 
 
 def _pointwise_scale_aggregate(f, spec, stack, ks):
     """[sum_k delta^(-ksq) |Q_k f(x)|^q]^(1/q) as a vector over x."""
-    delta = stack.delta
-    n = stack.space.n
-    if spec.q == INF:
-        agg = np.zeros(n)
-        for k in ks:
-            agg = np.maximum(agg, delta ** (-k * spec.s)
-                             * np.abs(stack.apply(k, f.values)))
-        return agg
-    acc = np.zeros(n)
-    for k in ks:
-        acc += (delta ** (-k * spec.s) * np.abs(stack.apply(k, f.values))) ** spec.q
-    return acc ** (1.0 / spec.q)
+    out = _scale_aggregate(spec, stack,
+                           lambda k: np.abs(stack.apply(k, f.values)), ks)
+    return out if spec.q == INF else out ** (1.0 / spec.q)
 
 
 def _carleson_sup(f, spec, stack, cubes, level_floor):
     """sup over cubes at levels l >= level_floor of the in-cube q-average of
     the truncated scale aggregate sum_{k>=l}."""
-    delta = stack.delta
-    space = stack.space
-    w = space.weight
+    w = stack.space.weight
     best = 0.0
     # per-point contributions per level, reused across the l-suffixes
     contrib = {k: np.abs(stack.apply(k, f.values)) for k in stack.levels()}
     levels = sorted(set(cubes.levels) & set(stack.levels()))
     levels = [l for l in levels if l >= level_floor]
     for l in levels:
-        ks = [k for k in stack.levels() if k >= l]
-        if spec.q == INF:
-            agg = np.zeros(space.n)
-            for k in ks:
-                agg = np.maximum(agg, delta ** (-k * spec.s) * contrib[k])
-            for mem in cubes.levels[l].members:
+        agg = _scale_aggregate(spec, stack, contrib.__getitem__,
+                               [k for k in stack.levels() if k >= l])
+        for mem in cubes.levels[l].members:
+            if spec.q == INF:
                 best = max(best, float(agg[mem].max()))
-        else:
-            acc = np.zeros(space.n)
-            for k in ks:
-                acc += (delta ** (-k * spec.s) * contrib[k]) ** spec.q
-            for mem in cubes.levels[l].members:
-                avg = float((acc[mem] * w[mem]).sum() / w[mem].sum())
+            else:
+                avg = float((agg[mem] * w[mem]).sum() / w[mem].sum())
                 best = max(best, avg ** (1.0 / spec.q))
     return best
 
@@ -191,11 +196,7 @@ def truncation_risk(f, spec, stack):
     past net saturation) the built range is effectively all of Z and this is
     tiny; a user-restricted range that cuts live scales shows up here.
     """
-    delta = stack.delta
-    terms = np.array([
-        (delta ** (-k * spec.s)
-         * lebesgue_norm(Field(f.space, stack.apply(k, f.values)), spec.p))
-        for k in stack.levels()])
+    terms = np.array(_scale_terms(f, spec, stack, stack.levels()))
     q = spec.q if spec.q != INF else 1.0
     total = float(np.sum(terms ** q))
     if total == 0 or len(terms) < 3:

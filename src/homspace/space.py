@@ -172,15 +172,25 @@ class BallIndex(NamedTuple):
             a.setflags(write=False)
         return idx
 
-    def ball_end(self, r):
-        """Sorted position of the last point of B(x, r) for every center x;
-        -1 where the ball is empty (r <= 0)."""
-        return np.count_nonzero(self.dist < r, axis=1) - 1
+    def ends(self, radii):
+        """``ends[i, x]``: sorted position of the last point of B(x, radii[i])
+        (-1 for an empty ball, r <= 0), one less than the count of row
+        entries below the radius; one bisection finds all of them at once."""
+        r = np.asarray(radii, dtype=float).reshape(-1, 1)
+        n = self.dist.shape[1]
+        rows = np.arange(self.dist.shape[0])
+        count = np.zeros((len(r), len(rows)), dtype=np.intp)
+        step = 1 << (n.bit_length() - 1)
+        while step:
+            probe = np.minimum(count + step, n)
+            count = np.where(self.dist[rows, probe - 1] < r, probe, count)
+            step >>= 1
+        return count - 1
 
     def read(self, table, end):
-        """Row-wise ``table[x, end[x]]`` of a row-sorted table; 0 where the
-        ball is empty."""
-        return np.where(end >= 0, table[np.arange(len(end)), end], 0.0)
+        """Row-wise ``table[x, end[..., x]]`` of a row-sorted table, for one
+        end vector or a stack of them; 0 where the ball is empty."""
+        return np.where(end >= 0, table[np.arange(len(table)), end], 0.0)
 
 
 class MetricMeasureSpace:
@@ -263,7 +273,7 @@ class MetricMeasureSpace:
     def ball_measure(self, r):
         """Vector of mu(B(x, r)) over all centers x."""
         idx = self.ball_index
-        return idx.read(idx.weight_prefix, idx.ball_end(r))
+        return idx.read(idx.weight_prefix, idx.ends([r])[0])
 
     def v_table(self):
         """V(x, y) = mu(B(x, d(x, y))) as an (n, n) table; V(x, x) = 0."""
@@ -415,29 +425,16 @@ def _circle_dist(size):
 
 
 def _binary_tree_dist(size):
-    # complete binary tree on `size` nodes, unit edges, normalized to diam 1
-    parent = [(i - 1) // 2 for i in range(size)]
-
-    def ancestors(i):
-        chain = {}
-        d = 0
-        while True:
-            chain[i] = d
-            if i == 0:
-                return chain
-            i = parent[i]
-            d += 1
-
+    # complete binary tree on `size` nodes (parent of i is (i - 1) // 2), unit
+    # edges, normalized to diam 1; the larger index of a pair is never the
+    # shallower node, so stepping it to its parent walks both to their
+    # lowest common ancestor, one edge per step
+    i, j = np.indices((size, size))
     dist = np.zeros((size, size))
-    chains = [ancestors(i) for i in range(size)]
-    for i in range(size):
-        for j in range(i + 1, size):
-            b, db = j, 0
-            ci = chains[i]
-            while b not in ci:
-                b = parent[b]
-                db += 1
-            dist[i, j] = dist[j, i] = ci[b] + db
+    while (apart := i != j).any():
+        i, j = (np.where(apart & (i > j), (i - 1) // 2, i),
+                np.where(apart & (j > i), (j - 1) // 2, j))
+        dist += apart
     m = dist.max()
     return dist / m if m > 0 else dist
 
@@ -513,14 +510,12 @@ def generate_space(kind, size=None, level=None, exponent=None,
 # -- document I/O -----------------------------------------------------------
 
 def _tri_to_full(tri, n):
-    d = np.zeros((n, n))
-    k = 0
-    for i in range(n):
-        for j in range(i):
-            d[i, j] = d[j, i] = tri[k]
-            k += 1
-    if k != len(tri):
+    """Symmetric table from the row-major lower triangle (i > j)."""
+    rows, cols = np.tril_indices(n, -1)
+    if len(tri) != len(rows):
         raise FormatError("lower-triangle length does not match n")
+    d = np.zeros((n, n))
+    d[rows, cols] = d[cols, rows] = tri
     return d
 
 
@@ -533,11 +528,7 @@ def space_to_document(space):
     }
     if space.points is not None:
         doc["points"] = space.points.tolist()
-    tri = []
-    for i in range(space.n):
-        for j in range(i):
-            tri.append(space.dist[i, j])
-    doc["dist"] = tri
+    doc["dist"] = space.dist[np.tril_indices(space.n, -1)].tolist()
     return doc
 
 

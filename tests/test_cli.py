@@ -237,6 +237,15 @@ BAD_SETS = (
     "space.size.x=1",
     "space..size=1",
 )
+# norm parameters and field leaves that are not numbers or lie out of range
+BAD_NORM_SETS = (
+    'norm.p="abc"',
+    'norm.u="x"',
+    'norm.s="x"',
+    'norm.c_tilde="x"',
+    "norm.field.center=100000",
+    'norm.field.theta="x"',
+)
 
 
 def test_bad_ensemble_settings_set_paths_and_fields_exit_1(tmp_path, capsys):
@@ -244,6 +253,10 @@ def test_bad_ensemble_settings_set_paths_and_fields_exit_1(tmp_path, capsys):
     for assignment in BAD_SETS:
         assert run(["--config", cfg, "--set", assignment,
                     "lab", "lemmas"]) == 1, assignment
+        assert "error:" in capsys.readouterr().err, assignment
+    for assignment in BAD_NORM_SETS:
+        assert run(["--config", cfg, "--set", assignment,
+                    "norm", "compute"]) == 1, assignment
         assert "error:" in capsys.readouterr().err, assignment
     vals = tmp_path / "nan_field.json"
     vals.write_text(json.dumps([float("nan")] + [1.0] * 32))

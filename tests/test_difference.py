@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homspace import (Field, NormSpec, ParameterError, difference_profile,
-                      generate_space, lipschitz_norm, truncated_norm)
-from homspace.difference import natural_k_window, scale_weights
+import difference_oracle as oracle
+from homspace import (DifferenceTable, Field, MetricMeasureSpace, NormSpec,
+                      ParameterError, difference_scales, generate_space,
+                      lipschitz_norm, truncated_norm)
+from homspace.difference import (TRUNCATED_VARIANTS, VARIANTS,
+                                 natural_k_window, scale_weights)
+from homspace.lab import embedding_suite
 from homspace.norms import INF, lebesgue_norm
 
 SLACK = 1 + 1e-12
@@ -17,17 +21,24 @@ def holder_field(space, theta=0.7, center=0):
     return Field(space, space.dist[center] ** theta)
 
 
+def profile_rows(f, space, c_tilde, delta, k_range, u=1.0):
+    # ball averages over an explicit level range (coarse to fine)
+    scales = difference_scales(space, c_tilde, delta,
+                               range(k_range[0], k_range[-1] + 1))
+    return scales, DifferenceTable(f, scales).rows(u)
+
+
 def test_profile_constant_zero(grid65):
     f = Field(grid65, np.full(grid65.n, 3.0))
-    prof = difference_profile(f, grid65, 1.0, 0.5, (0, 6), u=1.0)
-    assert np.max(prof.values) == 0.0
+    _, rows = profile_rows(f, grid65, 1.0, 0.5, (0, 6), u=1.0)
+    assert np.max(rows) == 0.0
 
 
 def test_profile_singleton_ball(grid65):
     f = holder_field(grid65)
     # radius below the nearest-neighbor gap: every ball is a singleton
-    prof = difference_profile(f, grid65, grid65.min_gap / 2, 0.5, (0, 0))
-    assert np.max(prof.values) == 0.0
+    _, rows = profile_rows(f, grid65, grid65.min_gap / 2, 0.5, (0, 0))
+    assert np.max(rows) == 0.0
 
 
 def test_profile_linear_function_midpoint():
@@ -35,9 +46,9 @@ def test_profile_linear_function_midpoint():
     x = np.linspace(0, 1, sp.n)
     f = Field(sp, x)
     # J at radius 1/4 around x = 1/2: average of |x - y| over (1/4, 3/4)
-    prof = difference_profile(f, sp, 0.25, 0.5, (0, 0), u=1.0)
+    _, rows = profile_rows(f, sp, 0.25, 0.5, (0, 0), u=1.0)
     mid = sp.n // 2
-    assert abs(prof.values[0, mid] - 0.125) <= 2.0 / sp.n
+    assert abs(rows[0, mid] - 0.125) <= 2.0 / sp.n
 
 
 def _mask_profile(sp, values, radii, u):
@@ -60,19 +71,82 @@ def test_profile_matches_mask_oracle(grid65):
                generate_space("circle", size=64)):
         f = Field(sp, np.random.default_rng(3).standard_normal(sp.n))
         for u in (0.5, 1.0, 2.0, INF):
-            prof = difference_profile(f, sp, 1.0, 0.5, (-1, 8), u=u)
-            want = _mask_profile(sp, f.values, prof.radii, u)
+            scales, rows = profile_rows(f, sp, 1.0, 0.5, (-1, 8), u=u)
+            radii = [1.0 * 0.5 ** k for k in scales.levels]
+            want = _mask_profile(sp, f.values, radii, u)
             if u == INF:
-                assert np.array_equal(prof.values, want), (sp.label, u)
+                assert np.array_equal(rows, want), (sp.label, u)
             else:
-                assert np.allclose(prof.values, want, rtol=1e-12, atol=0.0), \
+                assert np.allclose(rows, want, rtol=1e-12, atol=0.0), \
                     (sp.label, u)
 
 
 def test_profile_rejects_bad_u(grid65):
     f = holder_field(grid65)
     with pytest.raises(ParameterError):
-        difference_profile(f, grid65, 1.0, 0.5, (0, 3), u=0.0)
+        profile_rows(f, grid65, 1.0, 0.5, (0, 3), u=0.0)
+
+
+def _oracle_spaces():
+    circle = generate_space("circle", size=40)
+    weight = 0.5 + np.random.default_rng(5).random(circle.n)
+    return (generate_space("grid1d", size=65),
+            generate_space("circle", size=64),
+            generate_space("sierpinski_level", level=3),
+            generate_space("graph", size=63),
+            generate_space("snowflake_power", size=129, exponent=2.0),
+            MetricMeasureSpace(circle.dist, weight, label="circle-40-weighted"),
+            generate_space("circle", size=1))
+
+
+def test_difference_matches_frozen_oracle():
+    # every variant and truncation == the per-call code, on spaces with
+    # ties, custom weights and a single point; one table per field serves
+    # the whole (p, q, u) grid, as the lab suites use it
+    for sp in _oracle_spaces():
+        rng = np.random.default_rng(sp.n)
+        fields = [Field(sp, rng.standard_normal(sp.n)),
+                  Field(sp, sp.dist[sp.n // 3] ** 0.6)]
+        for ct in (1.0, 0.37):
+            scales = difference_scales(sp, ct, 0.5)
+            for f in fields:
+                table = DifferenceTable(f, scales)
+                for p in (0.5, 1.0, 2.0, INF):
+                    for q in (0.5, 2.0, INF):
+                        for u in (0.5, 1.0):
+                            spec = NormSpec(s=0.4, p=p, q=q, u=u, c_tilde=ct)
+                            for v in VARIANTS:
+                                want = oracle.lipschitz_norm(f, spec, v)
+                                key = (sp.label, ct, p, q, u, v)
+                                assert lipschitz_norm(table, spec, v) == want, key
+                                assert lipschitz_norm(f, spec, v) == want, key
+                            for v in TRUNCATED_VARIANTS:
+                                want = oracle.truncated_norm(f, spec, v)
+                                key = (sp.label, ct, p, q, u, v)
+                                assert truncated_norm(table, spec, v) == want, key
+                                assert truncated_norm(f, spec, v) == want, key
+
+
+def test_embedding_suite_matches_frozen_oracle(grid65, pipe65, ensemble65,
+                                               geom65):
+    for pq in (2.0, INF):
+        spec = NormSpec(s=0.5, p=pq, q=pq)
+        args = (grid65, pipe65.stack, pipe65.cubes, ensemble65, spec,
+                geom65.omega)
+        assert embedding_suite(*args, geometry=geom65).to_csv() == \
+            oracle.embedding_suite(*args, geometry=geom65).to_csv()
+
+
+def test_table_rejects_foreign_scales(grid65):
+    f = holder_field(grid65)
+    spec = NormSpec(s=0.5, p=2.0, q=2.0)
+    other = generate_space("grid1d", size=65)
+    with pytest.raises(ParameterError):
+        DifferenceTable(f, difference_scales(other, 1.0, 0.5))
+    for scales in (difference_scales(grid65, 0.5, 0.5),
+                   difference_scales(grid65, 1.0, 0.5, range(0, 3))):
+        with pytest.raises(ParameterError):
+            lipschitz_norm(DifferenceTable(f, scales), spec, "Ldot")
 
 
 def test_window_and_weights(grid65):

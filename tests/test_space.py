@@ -86,6 +86,19 @@ def test_v_table_is_ball_measure_bitwise(grid65):
                 assert v[x, y] == sp.ball_measure(sp.dist[x, y])[x], (x, y)
 
 
+def test_ends_match_per_radius_count():
+    # both spaces have ties; radii unsorted, with 0, a negative value, a
+    # stored distance and one above the diameter
+    for sp in (generate_space("circle", size=64),
+               generate_space("graph", size=63)):
+        idx = sp.ball_index
+        stored = float(sp.dist[0, 5])
+        radii = [0.3, 0.0, stored, -1.0, 2 * sp.diam, sp.min_gap, 0.05]
+        want = [np.count_nonzero(sp.dist < r, axis=1) - 1 for r in radii]
+        assert np.array_equal(idx.ends(radii), np.asarray(want)), sp.label
+        assert idx.ends([]).shape == (0, sp.n)
+
+
 def test_ball_measure_edge_radii(grid65):
     sp = grid65
     assert np.all(sp.ball_measure(0.0) == 0.0)
@@ -165,6 +178,14 @@ def test_asymmetric_document_rejected():
     doc = {"n": 2, "dist": [[0.0, 1.0], [2.0, 0.0]], "weights": [1.0, 1.0]}
     with pytest.raises(FormatError, match="asymmetric"):
         load_space_document(doc)
+
+
+def test_triangle_length_mismatch_rejected():
+    # a short triangle used to escape as an IndexError
+    for tri in ([1.0], [1.0, 1.0, 1.0, 1.0]):
+        with pytest.raises(FormatError, match="lower-triangle length"):
+            load_space_document({"n": 3, "dist": tri,
+                                 "weights": [1.0, 1.0, 1.0]})
 
 
 def test_bad_weight_rejected():
