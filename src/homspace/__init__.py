@@ -14,7 +14,7 @@ from .lab import (EnsembleSpec, EquivalenceReport, embedding_suite,
                   standard_ensemble_spec)
 from .norms import (NormSpec, admissible_range, besov_norm, lebesgue_norm,
                     test_function_norm, triebel_lizorkin_norm)
-from .operators import (CoefficientGrid, Field, analyze, apply_level,
+from .operators import (CoefficientGrid, Field, LevelTable, analyze,
                         frame_operator, hl_maximal, reconstruct)
 from .pipeline import Pipeline, build_pipeline, default_level_range
 from .space import (GeometryReport, MetricMeasureSpace, generate_space,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import numbers
 import os
 import time
@@ -85,6 +86,40 @@ def _merge(base, override):
     return out
 
 
+# numeric leaves that load_config type-checks: per section, the integer
+# leaves and the finite-number leaves; a leaf whose default is null may also
+# be null
+NUMERIC_LEAVES = {
+    "space": (("size", "level", "seed"), ("exponent",)),
+    "dyadic": (("k_min", "k_max", "j0", "seed"),
+               ("delta", "sigma", "deep_margin")),
+    "kernel": (("n_low",), ("a", "sigma", "fine_factor")),
+    "frame": (("maxiter",), ("tol",)),
+    "norm.field": (("center", "seed", "level"), ("value", "theta", "radius")),
+}
+
+
+def _check_numeric_leaves(cfg):
+    for section, (integers, reals) in NUMERIC_LEAVES.items():
+        node, default = cfg, DEFAULT_CONFIG
+        for part in section.split("."):
+            node, default = node[part], default[part]
+            if not isinstance(node, dict):
+                raise ParameterError(f"config section {section} must be a "
+                                     f"mapping, got {node!r}")
+        for name in integers + reals:
+            val, integral = node[name], name in integers
+            if integral:
+                ok = isinstance(val, numbers.Integral)
+            else:
+                ok = isinstance(val, numbers.Real) and math.isfinite(val)
+            if (isinstance(val, bool) or not ok) and not (
+                    val is None and default[name] is None):
+                kind = "an integer" if integral else "a finite number"
+                raise ParameterError(
+                    f"{section}.{name} must be {kind}, got {val!r}")
+
+
 def _parse_leaf(text):
     try:
         return json.loads(text)
@@ -114,7 +149,9 @@ def load_config(path, sets):
         if not isinstance(probe, dict) or parts[-1] not in probe:
             raise ParameterError(f"unknown config key {dotted}")
         node[parts[-1]] = _parse_leaf(raw)
-    # bad ensemble counts, seeds and caps fail here, before any work is done
+    # bad numeric leaves, ensemble counts, seeds and caps fail here, before
+    # any work is done
+    _check_numeric_leaves(cfg)
     ensemble_spec_from_config(cfg)
     labmod.merge_caps(cfg["lab"]["caps"])
     return cfg
@@ -177,16 +214,6 @@ def pipeline_from_config(cfg, space=None):
 
 
 def field_from_config(space, stack, fc):
-    for key in ("value", "theta", "radius", "center", "seed", "level"):
-        integral = key in ("center", "seed", "level")
-        val = fc.get(key)
-        if val is None and key == "level":
-            continue
-        if isinstance(val, bool) or not isinstance(
-                val, numbers.Integral if integral else numbers.Real):
-            raise ParameterError(f"norm.field.{key} must be "
-                                 f"{'an integer' if integral else 'a number'}"
-                                 f", got {val!r}")
     if not 0 <= fc["center"] < space.n:
         raise ParameterError(f"norm.field.center must lie in [0, {space.n}),"
                              f" got {fc['center']}")

@@ -16,6 +16,7 @@ beyond; it returns a report and leaves the stack unmodified.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,6 +109,11 @@ class KernelStack:
         """P_t of this stack's seed exponent, built on demand."""
         return build_semigroup(self.space, float(t), a=self.a)
 
+    def cell_levels(self):
+        """Levels read through cell averages: inhomogeneous k <= n_low."""
+        top = self.n_low if self.flavor == "inhomogeneous" else self.k_min - 1
+        return range(self.k_min, min(top, self.k_max) + 1)
+
     def apply(self, k, values):
         return self.kernel(k) @ (values * self.space.weight)
 
@@ -157,8 +163,8 @@ def build_exp_ati(space, cubes, k_range=None, a=1.0, coarse="mean"):
 
 def build_exp_iati(space, cubes, k_range=None, a=1.0, sigma=1.0, n_low=1):
     """Inhomogeneous stack: Q_0 = P_sigma with unit integrals, then
-    differences; the first n_low levels are treated by cell averages
-    downstream."""
+    differences; the levels k <= n_low are read through cell averages
+    downstream (`KernelStack.cell_levels`)."""
     delta = cubes.delta
     if k_range is None:
         k_max = max(1, cubes.k_max - max(cubes.j0, 1))
@@ -168,11 +174,14 @@ def build_exp_iati(space, cubes, k_range=None, a=1.0, sigma=1.0, n_low=1):
         k_max = int(k_range[-1])
     if sigma <= 0:
         raise ParameterError("sigma must be positive")
+    if (isinstance(n_low, bool) or not isinstance(n_low, numbers.Integral)
+            or n_low < 0):
+        raise ParameterError(f"n_low must be an integer >= 0, got {n_low!r}")
     q = _difference_stack(space, delta, 0, k_max, a,
                           lambda p: build_semigroup(space, sigma, a=a))
     return KernelStack(flavor="inhomogeneous", space=space, delta=delta,
                        k_min=0, k_max=k_max, a=a, q=q, sigma=sigma,
-                       n_low=int(n_low))
+                       n_low=n_low)
 
 
 # -- validation ---------------------------------------------------------------
@@ -218,8 +227,8 @@ def validate_ati(stack, cubes, gamma_list=(1.0, 2.0), seed=0):
         hq = np.maximum(h[:, None], h[None, :])[mask]
         per_level.append((k, floor, logv, h, z[mask], uq, uq + hq))
         if mask.any():
-            for gamma in gamma_list:
-                r = (scale / (scale + d)) ** gamma / (vk[:, None] + vtab)
+            for gamma, r in zip(gamma_list,
+                                _r_gamma(d, scale, vk, vtab, gamma_list)):
                 rgamma[float(gamma)] = max(rgamma[float(gamma)],
                                            float(np.max(q[mask] / r[mask])))
         row = stack.q[k] @ w
@@ -356,6 +365,21 @@ def validate_ati(stack, cubes, gamma_list=(1.0, 2.0), seed=0):
         sampled=sampled)
 
 
+def _r_gamma(d, r, vr, vtab, gammas):
+    """R_gamma(x, y; r) = (r/(r+d(x,y)))^gamma / (V_r(x) + V(x,y)) for each
+    gamma in turn, the ratio and the denominator formed once per radius; the
+    last table is made in the ratio's own buffer, so a single gamma holds
+    two n x n arrays, as the one-expression form did."""
+    ratio, denom = r / (r + d), vr[:, None] + vtab
+    for gamma in gammas[:-1]:
+        out = ratio ** gamma
+        out /= denom
+        yield out
+    ratio **= gammas[-1]
+    ratio /= denom
+    yield ratio
+
+
 def r_gamma_integral_band(space, gamma, radii):
     """max over centers of sum_y R_gamma(x,y;r) mu_y, for each radius.
 
@@ -365,7 +389,7 @@ def r_gamma_integral_band(space, gamma, radii):
     out = {}
     vtab = space.v_table()
     for r in radii:
-        vr = space.ball_measure(r)
-        rmat = (r / (r + space.dist)) ** gamma / (vr[:, None] + vtab)
+        rmat = next(_r_gamma(space.dist, r, space.ball_measure(r), vtab,
+                             (gamma,)))
         out[float(r)] = float(np.max(rmat @ space.weight))
     return out

@@ -18,10 +18,10 @@ import numpy as np
 from .difference import (DifferenceTable, difference_scales, lipschitz_norm,
                          truncated_norm)
 from .errors import ExperimentError, ParameterError
-from .kernels import build_semigroup, r_gamma_integral_band
+from .kernels import _r_gamma, build_semigroup, r_gamma_integral_band
 from .norms import (INF, NormSpec, admissible_range, besov_norm,
-                    lebesgue_norm, triebel_lizorkin_norm)
-from .operators import Field, hl_maximal
+                    lebesgue_norm, lq_scale_combine, triebel_lizorkin_norm)
+from .operators import Field, LevelTable, analyze, hl_maximal
 from .report import SuiteReport
 from .space import default_radius_grid
 
@@ -328,15 +328,17 @@ def embedding_suite(space, stack, cubes, ensemble, spec, omega,
         if ok_geom and s_target > 0:
             src = replace(spec, p=p_emb)
             tgt = replace(spec, p=1.0, s=s_target)
-            for name, norm_fn in (("Besov", besov_norm),
-                                  ("Triebel-Lizorkin",
-                                   triebel_lizorkin_norm)):
-                ratios = []
-                for f in ensemble:
-                    a = norm_fn(f, src, stack, cubes)
-                    b = norm_fn(f, tgt, stack, cubes)
+            # one level table per field serves all four norms
+            by_name = {"Besov": [], "Triebel-Lizorkin": []}
+            for f in ensemble:
+                table = LevelTable(f, stack)
+                for ratios, norm_fn in zip(by_name.values(), (
+                        besov_norm, triebel_lizorkin_norm)):
+                    a = norm_fn(table, src, stack, cubes)
+                    b = norm_fn(table, tgt, stack, cubes)
                     if min(a, b) > DEGENERATE_TOL:
                         ratios.append(b / a)
+            for name, ratios in by_name.items():
                 if ratios:
                     band = max(ratios)
                     rep.add(f"{name} embedding band p<=1 -> p=1", "band",
@@ -395,11 +397,9 @@ def _lemma_geometric_rows(rep, space, caps):
     gamma = 2.0
     consts = []
     for r in radii[:3]:
-        vr = space.ball_measure(r)
+        rg = next(_r_gamma(d, r, space.ball_measure(r), v, (gamma,)))
         for R in radii[:3]:
-            far = d >= R
-            t = np.where(far, (r / (r + d)) ** gamma, 0.0) / (vr[:, None] + v)
-            lhs = (t * w[None, :]).sum(axis=1).max()
+            lhs = (np.where(d >= R, rg, 0.0) * w[None, :]).sum(axis=1).max()
             consts.append(float(lhs / (r / (r + R)) ** gamma))
     ratio = max(consts) / max(min(consts), 1e-300)
     rep.add("tail integral vs (r/(r+R))^gamma stable", "band",
@@ -502,19 +502,16 @@ def lemma_suite(space, cubes=None, stack=None, omega=1.0, caps=None, seed=0):
 def sampled_besov_norm(f, spec, stack, cubes):
     """[sum_k d^(-ksq) (sum_{alpha,m} mu(Q^{k,m}) |Q_k f(y^{k,m})|^p)^(q/p)]^(1/q).
 
-    The sampled counterpart of the Besov norm; the theory says its value
-    band does not depend on the choice of the sample points.
+    The sampled counterpart of the Besov norm, read off the coefficients of
+    `analyze`; the theory says its value band does not depend on the choice
+    of the sample points.
     """
-    delta = stack.delta
     terms = []
-    for k in stack.levels():
-        g = stack.apply(k, f.values)
-        _, _, y, wgt, _ = cubes.sample_arrays(k)
+    for k, lc in analyze(stack, cubes, f).levels.items():
+        v = np.abs(lc.value)
         if spec.p == INF:
-            val = float(np.max(np.abs(g[y])))
+            val = float(np.max(v))
         else:
-            val = float(np.sum(wgt * np.abs(g[y]) ** spec.p) ** (1.0 / spec.p))
-        terms.append(delta ** (-k * spec.s) * val)
-    if spec.q == INF:
-        return max(terms)
-    return float(np.sum(np.asarray(terms) ** spec.q) ** (1.0 / spec.q))
+            val = float(np.sum(lc.weight * v ** spec.p) ** (1.0 / spec.p))
+        terms.append(stack.delta ** (-k * spec.s) * val)
+    return lq_scale_combine(terms, spec.q)

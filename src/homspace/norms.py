@@ -1,9 +1,12 @@
 """Lebesgue, Besov, Triebel-Lizorkin and test-function norms.
 
-All norms are exact finite sums over the built level range of the kernel
-stack; the usual modifications apply at p = inf or q = inf.  The p = inf
-Triebel-Lizorkin scale takes a Carleson-type supremum over dyadic cubes and
-therefore needs a cube system.
+Both scales read one field's `LevelTable` of Q_k f (a Field is tabled on
+entry): B^s_{p,q} is the l^q of delta^(-ks) ||Q_k f||_p, F^s_{p,q} the L^p
+of the pointwise l^q, and the inhomogeneous flavor puts one block of
+subcube averages in place of the levels `stack.cell_levels()` (k <= N).
+All sums are exact and finite, with the usual modifications at p = inf or
+q = inf; the p = inf Triebel-Lizorkin scale takes a Carleson-type supremum
+over dyadic cubes and therefore needs a cube system.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FlavorMismatchError, ParameterError
-from .operators import Field, _cell_average
+from .operators import Field, LevelTable, _cell_average
 
 INF = math.inf
 
@@ -26,8 +29,8 @@ class NormSpec:
 
     s: smoothness; p, q in (0, inf]; u: inner exponent of the u-variant
     difference norms; beta, gamma: test-class exponents; c_tilde: ball
-    multiplier of the difference norms; n_low: coarse-level count N of the
-    inhomogeneous theory (None = take it from the stack).
+    multiplier of the difference norms; flavor: that of the kernel stack
+    the Besov and Triebel-Lizorkin norms read.
     """
 
     s: float
@@ -39,7 +42,6 @@ class NormSpec:
     delta: float = 0.5
     c_tilde: float = 1.0
     flavor: str = "homogeneous"
-    n_low: int | None = None
 
     def __post_init__(self):
         for name in ("s", "p", "q", "u", "beta", "gamma", "delta", "c_tilde"):
@@ -79,31 +81,44 @@ def lq_scale_combine(terms, q):
     return float(np.sum(t ** q) ** (1.0 / q))
 
 
-def _check_flavor(spec, stack):
+def _besov_terms(mags, levels, spec, stack):
+    """delta^(-ks) ||Q_k f||_p for each level k and its row |Q_k f|; the
+    roots are taken one level at a time."""
+    if spec.p == INF:
+        norms = mags.max(axis=1)
+    else:
+        norms = [v ** (1.0 / spec.p)
+                 for v in (mags ** spec.p * stack.space.weight).sum(axis=1)]
+    return [stack.delta ** (-k * spec.s) * float(v)
+            for k, v in zip(levels, norms)]
+
+
+def _block_and_rows(f, spec, stack, cubes):
+    """The table's cell block over `stack.cell_levels()` (None when there
+    are none) and the remaining levels with their rows |Q_k f|."""
     if spec.flavor != stack.flavor:
         raise FlavorMismatchError(
             f"spec flavor {spec.flavor!r} vs stack flavor {stack.flavor!r}")
+    mags = np.abs(LevelTable.of(f, stack).rows)
+    cells = stack.cell_levels()
+    block = None
+    if cells:
+        if cubes is None:
+            raise ParameterError("inhomogeneous norms need a cube system")
+        block = _cell_block(mags[:len(cells)], spec, stack, cubes)
+    return block, stack.levels()[len(cells):], mags[len(cells):]
 
 
-def _cell_block(f, spec, stack, cubes, n_low):
+def _cell_block(mags, spec, stack, cubes):
     """{sum_{k<=N} sum_{alpha,m} mu(Q^{k,m}) [m_Q(|Q_k f|)]^p}^(1/p)."""
-    ww, aa = [], []
-    for k in range(0, n_low + 1):
-        _, _, _, wgt, sub_assign = cubes.sample_arrays(k)
-        ww.append(wgt)
-        aa.append(_cell_average(stack.space, sub_assign, len(wgt),
-                                np.abs(stack.apply(k, f.values))))
-    ww, aa = np.concatenate(ww), np.concatenate(aa)
+    tables = [cubes.sample_arrays(k) for k in stack.cell_levels()]
+    aa = np.concatenate([_cell_average(stack.space, t.sub_assign,
+                                       len(t.weight), row)
+                         for t, row in zip(tables, mags)])
     if spec.p == INF:
         return float(aa.max())
+    ww = np.concatenate([t.weight for t in tables])
     return float(np.sum(ww * aa ** spec.p) ** (1.0 / spec.p))
-
-
-def _scale_terms(f, spec, stack, ks):
-    """delta^(-ks) ||Q_k f||_p for each level k of ks."""
-    return [stack.delta ** (-k * spec.s)
-            * lebesgue_norm(Field(f.space, stack.apply(k, f.values)), spec.p)
-            for k in ks]
 
 
 def besov_norm(f, spec, stack, cubes=None):
@@ -112,80 +127,43 @@ def besov_norm(f, spec, stack, cubes=None):
     Inhomogeneous adds the cell-average block over levels k <= N and starts
     the weighted sum at N+1.
     """
-    _check_flavor(spec, stack)
-    homogeneous = spec.flavor == "homogeneous"
-    n_low = spec.n_low if spec.n_low is not None else stack.n_low
-    if not homogeneous and cubes is None:
-        raise ParameterError("inhomogeneous Besov norm needs a cube system")
-    terms = _scale_terms(f, spec, stack, [k for k in stack.levels()
-                                          if homogeneous or k > n_low])
-    if homogeneous:
-        return lq_scale_combine(terms, spec.q)
-    return (_cell_block(f, spec, stack, cubes, n_low)
-            + lq_scale_combine(terms, spec.q))
+    block, levels, mags = _block_and_rows(f, spec, stack, cubes)
+    value = lq_scale_combine(_besov_terms(mags, levels, spec, stack), spec.q)
+    return value if block is None else block + value
 
 
-def _scale_aggregate(spec, stack, contrib, ks):
-    """Per point, max_k delta^(-ks) c_k at q = inf, else the q-power sum
-    sum_k (delta^(-ks) c_k)^q, over the levels ks with c_k = contrib(k)."""
-    out = np.zeros(stack.space.n)
-    for k in ks:
-        term = stack.delta ** (-k * spec.s) * contrib(k)
-        if spec.q == INF:
-            out = np.maximum(out, term)
-        else:
-            out += term ** spec.q
-    return out
-
-
-def _pointwise_scale_aggregate(f, spec, stack, ks):
-    """[sum_k delta^(-ksq) |Q_k f(x)|^q]^(1/q) as a vector over x."""
-    out = _scale_aggregate(spec, stack,
-                           lambda k: np.abs(stack.apply(k, f.values)), ks)
-    return out if spec.q == INF else out ** (1.0 / spec.q)
-
-
-def _carleson_sup(f, spec, stack, cubes, level_floor):
-    """sup over cubes at levels l >= level_floor of the in-cube q-average of
-    the truncated scale aggregate sum_{k>=l}."""
-    w = stack.space.weight
+def _carleson_sup(terms, levels, spec, cubes):
+    """sup over the cubes of levels l of the in-cube q-average of the
+    pointwise l^q sum of the terms at the levels k >= l."""
+    rows = [i for i, l in enumerate(levels) if l in cubes.levels]
+    if spec.q == INF:
+        # the cubes of a level partition the space
+        return float(terms[rows[0]:].max()) if rows else 0.0
+    powers = terms ** spec.q
     best = 0.0
-    # per-point contributions per level, reused across the l-suffixes
-    contrib = {k: np.abs(stack.apply(k, f.values)) for k in stack.levels()}
-    levels = sorted(set(cubes.levels) & set(stack.levels()))
-    levels = [l for l in levels if l >= level_floor]
-    for l in levels:
-        agg = _scale_aggregate(spec, stack, contrib.__getitem__,
-                               [k for k in stack.levels() if k >= l])
-        for mem in cubes.levels[l].members:
-            if spec.q == INF:
-                best = max(best, float(agg[mem].max()))
-            else:
-                avg = float((agg[mem] * w[mem]).sum() / w[mem].sum())
-                best = max(best, avg ** (1.0 / spec.q))
+    for i in rows:
+        lv = cubes.levels[levels[i]]
+        avg = _cell_average(cubes.space, lv.assign, len(lv.centers),
+                            powers[i:].sum(axis=0))
+        best = max(best, float(avg.max()) ** (1.0 / spec.q))
     return best
 
 
 def triebel_lizorkin_norm(f, spec, stack, cubes=None):
     """L^p of the pointwise l^q scale aggregate; at p = inf a Carleson-type
     supremum over dyadic cubes (inhomogeneous: plus the coarse cell block)."""
-    _check_flavor(spec, stack)
-    if spec.flavor == "homogeneous":
-        if spec.p == INF:
-            if cubes is None:
-                raise ParameterError("p = inf Triebel-Lizorkin needs cubes")
-            return _carleson_sup(f, spec, stack, cubes, -10 ** 9)
-        agg = _pointwise_scale_aggregate(f, spec, stack, list(stack.levels()))
-        return lebesgue_norm(Field(f.space, agg), spec.p)
-    n_low = spec.n_low if spec.n_low is not None else stack.n_low
+    block, levels, mags = _block_and_rows(f, spec, stack, cubes)
+    weight = np.array([stack.delta ** (-k * spec.s) for k in levels])
+    terms = weight[:, None] * mags
+    if spec.p != INF:
+        agg = (np.max(terms, axis=0, initial=0.0) if spec.q == INF
+               else (terms ** spec.q).sum(axis=0) ** (1.0 / spec.q))
+        value = lebesgue_norm(Field(stack.space, agg), spec.p)
+        return value if block is None else block + value
     if cubes is None:
-        raise ParameterError("inhomogeneous Triebel-Lizorkin norm needs cubes")
-    block = _cell_block(f, spec, stack, cubes, n_low)
-    fine = [k for k in stack.levels() if k > n_low]
-    if spec.p == INF:
-        return max(block, _carleson_sup(f, spec, stack, cubes, n_low + 1))
-    agg = _pointwise_scale_aggregate(f, spec, stack, fine)
-    return block + lebesgue_norm(Field(f.space, agg), spec.p)
+        raise ParameterError("p = inf Triebel-Lizorkin needs cubes")
+    value = _carleson_sup(terms, levels, spec, cubes)
+    return value if block is None else max(block, value)
 
 
 def truncation_risk(f, spec, stack):
@@ -196,7 +174,8 @@ def truncation_risk(f, spec, stack):
     past net saturation) the built range is effectively all of Z and this is
     tiny; a user-restricted range that cuts live scales shows up here.
     """
-    terms = np.array(_scale_terms(f, spec, stack, stack.levels()))
+    mags = np.abs(LevelTable.of(f, stack).rows)
+    terms = np.array(_besov_terms(mags, stack.levels(), spec, stack))
     q = spec.q if spec.q != INF else 1.0
     total = float(np.sum(terms ** q))
     if total == 0 or len(terms) < 3:

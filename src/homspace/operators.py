@@ -1,4 +1,8 @@
-"""Kernel application, the maximal operator, and frame reconstruction.
+"""Level tables, the maximal operator, and frame reconstruction.
+
+A field's `LevelTable` holds Q_k f at every level of a kernel stack; the
+coefficient grid, the frame operator and the Besov and Triebel-Lizorkin
+norms read its rows, cell-averaged at the levels of `stack.cell_levels()`.
 
 The sampled reproducing identity is realized as a self-dual frame operator
 
@@ -49,9 +53,27 @@ def mu_dot(space, u, v):
     return float((u * v) @ space.weight)
 
 
-def apply_level(stack, k, f):
-    """(Q_k f)(x) = sum_y Q_k(x, y) f(y) mu_y."""
-    return Field(f.space, stack.apply(k, f.values))
+class LevelTable:
+    """(Q_k f)(x) = sum_y Q_k(x, y) f(y) mu_y of one field at every level of
+    one stack, one `stack.apply` each: ``rows[i]``, read-only, is level
+    ``stack.k_min + i``."""
+
+    def __init__(self, f, stack):
+        if f.space is not stack.space:
+            raise ParameterError("field and stack live on different spaces")
+        self.stack = stack
+        self.rows = np.stack([stack.apply(k, f.values)
+                              for k in stack.levels()])
+        self.rows.setflags(write=False)
+
+    @classmethod
+    def of(cls, f, stack):
+        """`f` itself when it is a table of `stack`, else a new table."""
+        if not isinstance(f, cls):
+            return cls(f, stack)
+        if f.stack is not stack:
+            raise ParameterError("level table was made on another stack")
+        return f
 
 
 # -- Hardy-Littlewood maximal operator ---------------------------------------
@@ -121,26 +143,24 @@ def _cell_average(space, sub_assign, nsub, g):
     return sums / wsum
 
 
-def analyze(stack, cubes, f, sampler=None, n_low=None):
+def analyze(stack, cubes, f, sampler=None):
     """Sample Q_k f on the subcube points; cell averages on coarse levels.
 
-    For the inhomogeneous flavor, levels k <= N also carry the cell averages
-    mu(Q)^-1 int_Q Q_k f dmu used by the reproducing formula and norms.
-    ``sampler`` asserts which sample-point rule the cube system was refined
-    with; a mismatch is an error.
+    The levels of ``stack.cell_levels()`` (inhomogeneous k <= N) also carry
+    the cell averages mu(Q)^-1 int_Q Q_k f dmu used by the reproducing
+    formula and norms.  ``f`` is a Field or its level table.  ``sampler``
+    asserts which sample-point rule the cube system was refined with; a
+    mismatch is an error.
     """
     _require_subcubes(stack, cubes)
     if sampler is not None and sampler != cubes.sampler:
         raise RangeError(f"cube system was refined with sampler "
                          f"{cubes.sampler!r}, not {sampler!r}")
-    if n_low is None:
-        n_low = stack.n_low
     grid = CoefficientGrid(flavor=stack.flavor)
-    for k in stack.levels():
-        g = stack.apply(k, f.values)
+    for k, g in zip(stack.levels(), LevelTable.of(f, stack).rows):
         alpha, m, y, wgt, sub_assign = cubes.sample_arrays(k)
         avg = None
-        if stack.flavor == "inhomogeneous" and k <= n_low:
+        if k in stack.cell_levels():
             avg = _cell_average(stack.space, sub_assign, len(y), g)
         grid.levels[k] = LevelCoefficients(
             k=k, alpha=alpha, m=m, y_index=y, weight=wgt, value=g[y],
@@ -151,23 +171,20 @@ def analyze(stack, cubes, f, sampler=None, n_low=None):
 def frame_operator(stack, cubes, f):
     """Apply the self-dual sampled frame operator S.
 
-    Homogeneous levels use point samples at the y_alpha^{k,m}; inhomogeneous
-    levels k <= N use cell averages on both the analysis and synthesis side
-    (the pattern of the k = 0 block of the reproducing formula), which keeps
-    S symmetric.
+    The synthesis of the coefficients of `analyze`: point samples at the
+    y_alpha^{k,m}, and the cell averages of the levels of
+    ``stack.cell_levels()`` (inhomogeneous k <= N) on both the analysis and
+    synthesis side (the pattern of the k = 0 block of the reproducing
+    formula), which keeps S symmetric.
     """
-    _require_subcubes(stack, cubes)
     space = stack.space
-    w = space.weight
     out = np.zeros(space.n)
-    for k in stack.levels():
-        g = stack.apply(k, f.values)
-        _, _, y, wgt, sub_assign = cubes.sample_arrays(k)
-        if stack.flavor == "inhomogeneous" and k <= stack.n_low:
-            avg = _cell_average(space, sub_assign, len(y), g)
-            out += stack.q[k] @ (w * avg[sub_assign])
+    for k, lc in analyze(stack, cubes, f).levels.items():
+        if lc.average is None:
+            out += stack.q[k][:, lc.y_index] @ (lc.weight * lc.value)
         else:
-            out += stack.q[k][:, y] @ (wgt * g[y])
+            sub_assign = cubes.sample_arrays(k).sub_assign
+            out += stack.q[k] @ (space.weight * lc.average[sub_assign])
     return Field(space, out)
 
 

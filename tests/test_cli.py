@@ -237,6 +237,15 @@ BAD_SETS = (
     "space.size.x=1",
     "space..size=1",
 )
+# pipeline leaves of the wrong type, a fractional integer leaf, and a
+# negative coarse-level count
+BAD_PIPELINE_SETS = (
+    ('dyadic.delta="x"',),
+    ('kernel.a="x"',),
+    ('space.size="x"',),
+    ("dyadic.j0=1.5",),
+    ('kernel.flavor="inhomogeneous"', "kernel.n_low=-1"),
+)
 # norm parameters and field leaves that are not numbers or lie out of range
 BAD_NORM_SETS = (
     'norm.p="abc"',
@@ -258,6 +267,11 @@ def test_bad_ensemble_settings_set_paths_and_fields_exit_1(tmp_path, capsys):
         assert run(["--config", cfg, "--set", assignment,
                     "norm", "compute"]) == 1, assignment
         assert "error:" in capsys.readouterr().err, assignment
+    for assignments in BAD_PIPELINE_SETS:
+        sets = [arg for a in assignments for arg in ("--set", a)]
+        assert run(["--config", cfg, *sets, "norm", "compute"]) == 1, \
+            assignments
+        assert "error:" in capsys.readouterr().err, assignments
     vals = tmp_path / "nan_field.json"
     vals.write_text(json.dumps([float("nan")] + [1.0] * 32))
     bad = write_config(tmp_path, {"norm": {

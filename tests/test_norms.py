@@ -3,12 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from homspace import (Field, FlavorMismatchError, NormSpec, ParameterError,
-                      admissible_range, besov_norm, generate_space,
+from homspace import (Field, FlavorMismatchError, LevelTable, NormSpec,
+                      ParameterError, admissible_range, analyze, besov_norm,
+                      build_pipeline, frame_operator, generate_space,
                       lebesgue_norm, triebel_lizorkin_norm)
 from homspace import test_function_norm as tf_norm
-from homspace.lab import sampled_besov_norm
+from homspace.lab import EnsembleSpec, generate_ensemble, sampled_besov_norm
 from homspace.dyadic import refine_subcubes
+from homspace.norms import truncation_risk
+
+import norms_oracle as oracle
 
 INF = math.inf
 
@@ -283,15 +287,12 @@ def test_sampled_norm_sampler_band(pipe65, ensemble65):
 
 
 def test_truncation_risk_small_with_default_levels(pipe65):
-    from homspace.norms import truncation_risk
     f = holder_field(pipe65.space)
     spec = NormSpec(s=0.5, p=2.0, q=2.0)
     assert truncation_risk(f, spec, pipe65.stack) <= 0.05
 
 
 def test_truncation_risk_flags_narrow_range(grid65):
-    from homspace.norms import truncation_risk
-    from homspace import build_pipeline
     pipe = build_pipeline(grid65, k_min=2, k_max=4)
     f = holder_field(grid65)
     spec = NormSpec(s=0.5, p=2.0, q=2.0)
@@ -321,7 +322,6 @@ def test_two_stack_stability_probe(grid65, ensemble65):
     # independence of the kernel family, empirically: two surrogate stacks
     # with different decay exponents give comparable norms (band measured
     # [0.81, 0.93] on this rig; frozen with slack)
-    from homspace import build_pipeline
     pa = build_pipeline(grid65, a=1.0)
     pb = build_pipeline(grid65, a=0.7)
     spec = NormSpec(s=0.5, p=2.0, q=2.0)
@@ -330,6 +330,61 @@ def test_two_stack_stability_probe(grid65, ensemble65):
         nb = besov_norm(f, spec, pb.stack)
         if min(na, nb) > 1e-13:
             assert 0.25 <= na / nb <= 4.0
+
+
+def test_norms_match_frozen_oracle(grid257):
+    # one table per field serves every (p, q) and both scales; all values
+    # == the per-site code, the p = inf Carleson sup within 1e-12 (its cube
+    # averages are summed in another order)
+    counts = {"bandlimited": 2, "holder": 2, "smoothed_indicator": 1,
+              "gaussian_field": 1}
+    for sp in (grid257, generate_space("circle", size=256)):
+        for flavor in ("homogeneous", "inhomogeneous"):
+            pipe = build_pipeline(sp, flavor=flavor)
+            st, cubes = pipe.stack, pipe.cubes
+            fields = generate_ensemble(sp, st, EnsembleSpec(
+                counts=counts, seed=3, mean_zero=flavor == "homogeneous"))
+            for f in fields:
+                table = LevelTable(f, st)
+                for p in (1.5, 2.0, INF):
+                    for q in (1.0, 2.0, INF):
+                        spec = NormSpec(s=0.4, p=p, q=q, flavor=flavor)
+                        key = (sp.label, flavor, p, q)
+                        want = oracle.besov_norm(f, spec, st, cubes)
+                        assert besov_norm(f, spec, st, cubes) == want, key
+                        assert besov_norm(table, spec, st, cubes) == want, key
+                        want = oracle.triebel_lizorkin_norm(f, spec, st, cubes)
+                        for g in (f, table):
+                            got = triebel_lizorkin_norm(g, spec, st, cubes)
+                            if p == INF:
+                                assert got == pytest.approx(want, rel=1e-12,
+                                                            abs=0.0), key
+                            else:
+                                assert got == want, key
+                        assert truncation_risk(table, spec, st) == \
+                            oracle.truncation_risk(f, spec, st), key
+                        assert sampled_besov_norm(table, spec, st, cubes) == \
+                            oracle.sampled_besov_norm(f, spec, st, cubes), key
+                grid, want = analyze(st, cubes, f), oracle.analyze(st, cubes, f)
+                for k, lc in want.levels.items():
+                    got = grid.levels[k]
+                    assert np.array_equal(got.value, lc.value)
+                    assert (got.average is None) == (lc.average is None)
+                    if lc.average is not None:
+                        assert np.array_equal(got.average, lc.average)
+                assert np.array_equal(frame_operator(st, cubes, f).values,
+                                      oracle.frame_operator(st, cubes, f).values)
+
+
+def test_norms_reject_foreign_table(pipe65, pipe65_inhom):
+    f = holder_field(pipe65.space)
+    table = LevelTable(f, pipe65.stack)
+    spec = NormSpec(s=0.5, p=2.0, q=2.0)
+    for norm_fn in (besov_norm, triebel_lizorkin_norm):
+        with pytest.raises(ParameterError):
+            norm_fn(table, spec, build_pipeline(pipe65.space).stack)
+    with pytest.raises(ParameterError):
+        truncation_risk(table, spec, pipe65_inhom.stack)
 
 
 def test_tl_zero_field(pipe65):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from homspace import (Field, IllConditionedFrameError, ParameterError,
-                      RangeError, analyze, apply_level, frame_operator,
+from homspace import (Field, IllConditionedFrameError, LevelTable,
+                      ParameterError, RangeError, analyze, frame_operator,
                       generate_space, hl_maximal, reconstruct)
 from homspace.operators import mu_dot
 
@@ -14,25 +14,42 @@ def test_field_validation(grid65):
         Field(grid65, np.full(grid65.n, np.nan))
 
 
-def test_apply_level_matches_naive_loop(pipe65, rng):
+def test_level_table_matches_naive_loop(pipe65, rng):
     st = pipe65.stack
     sp = st.space
     f = Field(sp, rng.standard_normal(sp.n))
-    k = st.k_min + 3
-    got = apply_level(st, k, f).values
-    want = np.zeros(sp.n)
-    for x in range(sp.n):
-        acc = 0.0
-        for y in range(sp.n):
-            acc += st.q[k][x, y] * f.values[y] * sp.weight[y]
-        want[x] = acc
-    assert np.max(np.abs(got - want)) <= 1e-13
+    table = LevelTable(f, st)
+    assert table.rows.shape == (len(st.levels()), sp.n)
+    assert not table.rows.flags.writeable
+    for k in (st.k_min, st.k_min + 3, st.k_max):
+        got = table.rows[k - st.k_min]
+        want = np.zeros(sp.n)
+        for x in range(sp.n):
+            acc = 0.0
+            for y in range(sp.n):
+                acc += st.q[k][x, y] * f.values[y] * sp.weight[y]
+            want[x] = acc
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_level_table_rejects_foreign_stack_and_space(pipe65, pipe65_inhom):
+    f = Field(pipe65.space, np.ones(pipe65.space.n))
+    other = generate_space("grid1d", size=65)
+    with pytest.raises(ParameterError):
+        LevelTable(Field(other, np.ones(other.n)), pipe65.stack)
+    table = LevelTable(f, pipe65.stack)
+    assert LevelTable.of(table, pipe65.stack) is table
+    with pytest.raises(ParameterError):
+        LevelTable.of(table, pipe65_inhom.stack)
+    with pytest.raises(ParameterError):
+        analyze(pipe65_inhom.stack, pipe65_inhom.cubes, table)
+    with pytest.raises(ParameterError):
+        frame_operator(pipe65_inhom.stack, pipe65_inhom.cubes, table)
 
 
 def test_apply_level_range_error(pipe65):
-    f = Field(pipe65.space, np.zeros(pipe65.space.n))
     with pytest.raises(RangeError):
-        apply_level(pipe65.stack, pipe65.stack.k_max + 1, f)
+        pipe65.stack.apply(pipe65.stack.k_max + 1, np.zeros(pipe65.space.n))
 
 
 # -- maximal operator ----------------------------------------------------------
