@@ -86,38 +86,46 @@ def _merge(base, override):
     return out
 
 
-# numeric leaves that load_config type-checks: per section, the integer
-# leaves and the finite-number leaves; a leaf whose default is null may also
-# be null
-NUMERIC_LEAVES = {
-    "space": (("size", "level", "seed"), ("exponent",)),
+# typed leaves that load_config checks: per section, the integer leaves, the
+# finite-number leaves and the boolean leaves; a leaf whose default is null
+# may also be null
+TYPED_LEAVES = {
+    "space": (("size", "level", "seed"), ("exponent",), ()),
     "dyadic": (("k_min", "k_max", "j0", "seed"),
-               ("delta", "sigma", "deep_margin")),
-    "kernel": (("n_low",), ("a", "sigma", "fine_factor")),
-    "frame": (("maxiter",), ("tol",)),
-    "norm.field": (("center", "seed", "level"), ("value", "theta", "radius")),
+               ("delta", "sigma", "deep_margin"), ("strict",)),
+    "kernel": (("n_low",), ("a", "sigma", "fine_factor"), ()),
+    "frame": (("maxiter",), ("tol",), ("dump_coefficients",)),
+    "norm.field": (("center", "seed", "level"), ("value", "theta", "radius"),
+                   ()),
 }
 
 
-def _check_numeric_leaves(cfg):
-    for section, (integers, reals) in NUMERIC_LEAVES.items():
+def _leaf_ok(val, kind):
+    if kind == "a boolean":
+        return isinstance(val, bool)
+    if isinstance(val, bool):
+        return False
+    if kind == "an integer":
+        return isinstance(val, numbers.Integral)
+    return isinstance(val, numbers.Real) and math.isfinite(val)
+
+
+def _check_typed_leaves(cfg):
+    for section, groups in TYPED_LEAVES.items():
         node, default = cfg, DEFAULT_CONFIG
         for part in section.split("."):
             node, default = node[part], default[part]
             if not isinstance(node, dict):
                 raise ParameterError(f"config section {section} must be a "
                                      f"mapping, got {node!r}")
-        for name in integers + reals:
-            val, integral = node[name], name in integers
-            if integral:
-                ok = isinstance(val, numbers.Integral)
-            else:
-                ok = isinstance(val, numbers.Real) and math.isfinite(val)
-            if (isinstance(val, bool) or not ok) and not (
-                    val is None and default[name] is None):
-                kind = "an integer" if integral else "a finite number"
-                raise ParameterError(
-                    f"{section}.{name} must be {kind}, got {val!r}")
+        for kind, names in zip(("an integer", "a finite number",
+                                "a boolean"), groups):
+            for name in names:
+                val = node[name]
+                if not _leaf_ok(val, kind) and not (
+                        val is None and default[name] is None):
+                    raise ParameterError(
+                        f"{section}.{name} must be {kind}, got {val!r}")
 
 
 def _parse_leaf(text):
@@ -149,9 +157,9 @@ def load_config(path, sets):
         if not isinstance(probe, dict) or parts[-1] not in probe:
             raise ParameterError(f"unknown config key {dotted}")
         node[parts[-1]] = _parse_leaf(raw)
-    # bad numeric leaves, ensemble counts, seeds and caps fail here, before
+    # bad typed leaves, ensemble counts, seeds and caps fail here, before
     # any work is done
-    _check_numeric_leaves(cfg)
+    _check_typed_leaves(cfg)
     ensemble_spec_from_config(cfg)
     labmod.merge_caps(cfg["lab"]["caps"])
     return cfg

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FormatError, ParameterError, RangeError
+from .errors import FormatError, ParameterError, RangeError, integer_arg
 
 DEFAULT_SIGMA = 0.6
 DEFAULT_DEEP_MARGIN = 0.3
@@ -196,12 +196,25 @@ def _build(space, delta, k_min, k_max, sigma, deep_margin):
     return nets, assigns, cover
 
 
-def _separation(space, net, scale):
-    if len(net) < 2:
-        return np.inf
-    sub = space.dist[np.ix_(net, net)]
-    np.fill_diagonal(sub, np.inf)
-    return float(sub.min()) / scale
+def _separations(space, nets, delta):
+    """Per level k, the least distance between two centers of ``nets[k]``
+    in delta^k units (inf for a single center).  A net that extends the
+    previous level's as a prefix updates that level's minimum from its new
+    centers' rows only; any other net (a dump may hold one) is gathered
+    whole.  Either way each value is the minimum over the same distances."""
+    out, prev, least = {}, (), np.inf
+    for k in sorted(nets):
+        net = nets[k]
+        if not np.array_equal(net[:len(prev)], prev):
+            prev, least = (), np.inf
+        new = net[len(prev):]
+        if len(new):
+            sub = space.dist[np.ix_(new, net)]
+            sub[np.arange(len(new)), np.arange(len(prev), len(net))] = np.inf
+            least = min(least, float(sub.min()))
+        out[k] = least / delta ** k
+        prev = net
+    return out
 
 
 def build_nets(space, delta, k_range, sigma=DEFAULT_SIGMA,
@@ -213,17 +226,15 @@ def build_nets(space, delta, k_range, sigma=DEFAULT_SIGMA,
     """
     if not 0 < delta < 1:
         raise ParameterError("delta must lie in (0, 1)")
-    k_min, k_max = int(k_range[0]), int(k_range[-1])
+    k_min = integer_arg("k_range", k_range[0])
+    k_max = integer_arg("k_range", k_range[-1])
     if k_max < k_min:
         raise ParameterError("empty level range")
     nets, assigns, cover = _build(space, delta, k_min, k_max, sigma,
                                   deep_margin)
 
-    c0_lv, big_lv = {}, {}
-    for k in range(k_min, k_max + 1):
-        scale = delta ** k
-        c0_lv[k] = _separation(space, nets[k], scale)
-        big_lv[k] = cover[k] / scale
+    c0_lv = _separations(space, nets, delta)
+    big_lv = {k: cover[k] / delta ** k for k in range(k_min, k_max + 1)}
     c0 = float(min(c0_lv.values()))
     big_c0 = float(max(big_lv.values()))
     if strict and 12 * space.a0 ** 3 * big_c0 * delta > c0:
@@ -262,7 +273,7 @@ def refine_subcubes(cubes, j0, sampler="center", seed=0):
     (the subcube's own net center), "lowest_index", or "seeded_random".
     j0 = 0 makes every cube its own single subcube with y = its center.
     """
-    j0 = int(j0)
+    j0 = integer_arg("j0", j0)
     if j0 < 0 or j0 > cubes.k_max - cubes.k_min:
         raise RangeError(f"j0={j0} outside available levels")
     if sampler not in ("center", "lowest_index", "seeded_random"):
@@ -536,11 +547,9 @@ def _cubes_from_dump(doc, space):
                     else _read_only(np.array(parent, dtype=int))),
             members=members)
     # measured constants recomputed from the dumped nets
-    c0_lv, big_lv = {}, {}
-    for k in range(k_min, k_max + 1):
-        scale = delta ** k
-        c0_lv[k] = _separation(space, nets[k], scale)
-        big_lv[k] = float(space.dist[:, nets[k]].min(axis=1).max()) / scale
+    c0_lv = _separations(space, nets, delta)
+    big_lv = {k: float(space.dist[:, nets[k]].min(axis=1).max()) / delta ** k
+              for k in range(k_min, k_max + 1)}
     net_sys = NetSystem(
         delta=delta, k_min=k_min, k_max=k_max, nets=nets,
         assigns={k: lv.assign for k, lv in levels.items()},

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer-argument
+check that raises one."""
+
+import math
+import numbers
 
 
 class HomspaceError(Exception):
@@ -47,3 +51,14 @@ class IllConditionedFrameError(HomspaceError):
 
 class ExperimentError(HomspaceError):
     """An experiment's hypotheses are violated or all probes degenerate."""
+
+
+def integer_arg(name, value):
+    """``value`` as an int: an integer, or an integral float such as 3.0.
+    A bool, a non-number or a fractional value raises ParameterError
+    instead of being truncated."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and (
+            isinstance(value, numbers.Integral)
+            or (math.isfinite(value) and float(value).is_integer())):
+        return int(value)
+    raise ParameterError(f"{name} must be an integer, got {value!r}")

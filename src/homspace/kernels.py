@@ -8,7 +8,8 @@ capped with the exact mean projection (the t -> infinity limit of ``P_t``),
 so two-sided cancellation is exact and the stack telescopes to
 ``P_{delta^kmax} - mean``; every ``Q_k`` table is read-only.  Validation
 fits the decay rate and smoothness exponent and measures every condition
-constant in two passes over the levels, exhaustively up to ``PAIR_BUDGET``
+constant in a counting loop and two passes that stream the levels (no
+whole-stack array outlives its level), exhaustively up to ``PAIR_BUDGET``
 pairs and ``QUAD_BUDGET`` quadruples per level and flagged as sampled
 beyond; it returns a report and leaves the stack unmodified.
 """
@@ -33,6 +34,8 @@ NOISE_FLOOR = 1e-10
 PAIR_BUDGET = 4_000
 QUAD_BUDGET = 2_000
 PROBE_COUNT = 6
+# the pooled nu fit is thinned by a common stride to at most this many points
+FIT_POINTS = 2_000_000
 
 
 def mean_projection(space):
@@ -189,13 +192,18 @@ def build_exp_iati(space, cubes, k_range=None, a=1.0, sigma=1.0, n_low=1):
 def validate_ati(stack, cubes, gamma_list=(1.0, 2.0), seed=0):
     """Fit (nu, eta) and measure every condition constant of the stack.
 
-    Pass 1 takes what does not depend on nu (masked log-kernel, decay and
-    refpoint terms, cancellation/unit residuals, the R_Gamma envelope); pass 2
-    takes the size constants, regularity peaks and second differences after
-    the pooled nu fit.  Maximizations are exhaustive up to `PAIR_BUDGET`
-    admissible pairs and `QUAD_BUDGET` zipped quadruples per level and
-    uniformly sampled (flagged) beyond; `PROBE_COUNT` random fields probe the
-    identity.  Returns the report; the stack is not modified.
+    The levels are streamed: no whole-stack array outlives its level.  A
+    first loop counts each level's entries above the noise floor, which fixes
+    the stride that thins the pooled nu fit to at most `FIT_POINTS` points.
+    Pass 1 takes what does not depend on nu (the fit's strided samples of the
+    masked log-kernel against the decay and refpoint terms, cancellation/unit
+    residuals, the R_Gamma envelope) and keeps only O(n) pieces per level;
+    pass 2 recomputes the masked log-kernel for the size constants and takes
+    the regularity peaks and second differences after the fit.
+    Maximizations are exhaustive up to `PAIR_BUDGET` admissible pairs and
+    `QUAD_BUDGET` zipped quadruples per level and uniformly sampled (flagged)
+    beyond; `PROBE_COUNT` random fields probe the identity.  Returns the
+    report; the stack is not modified.
     """
     space = stack.space
     w = space.weight
@@ -205,10 +213,24 @@ def validate_ati(stack, cubes, gamma_list=(1.0, 2.0), seed=0):
     rng = np.random.default_rng(seed)
     vtab = space.v_table()
 
-    # pass 1: per-level pieces that do not depend on nu
+    # count: the fit's stride is known before any log-kernel is formed
+    floors, counts = {}, {}
+    for k in stack.levels():
+        q = np.abs(stack.q[k])
+        floors[k] = NOISE_FLOOR * q.max()
+        counts[k] = int(np.count_nonzero(q > floors[k]))
+    total = sum(counts.values())
+    stride = total // FIT_POINTS + 1 if total > FIT_POINTS else 1
+    zf = np.empty(-(-total // stride))
+    tf = np.empty_like(zf)
+
+    # pass 1: per-level pieces that do not depend on nu.  A level at global
+    # offset o starts its fit samples at local index (-o) % stride, so the
+    # fit sees every stride-th masked entry of the stacked levels
     rgamma = {float(g): 0.0 for g in gamma_list}
     cancel, unit = 0.0, None
     per_level = []
+    offset = filled = 0
     for k in stack.levels():
         scale = delta ** k
         vk = space.ball_measure(scale)
@@ -219,18 +241,22 @@ def validate_ati(stack, cubes, gamma_list=(1.0, 2.0), seed=0):
         else:
             h = (dY / scale) ** stack.a  # pair (x, y) takes max(h_x, h_y)
         q = np.abs(stack.q[k])
-        floor = NOISE_FLOOR * q.max()
-        mask = q > floor
-        z = np.log(q, where=mask, out=np.full_like(q, -np.inf))
-        z += 0.5 * (logv[:, None] + logv[None, :])
-        uq = ((d / scale) ** stack.a)[mask]
-        hq = np.maximum(h[:, None], h[None, :])[mask]
-        per_level.append((k, floor, logv, h, z[mask], uq, uq + hq))
+        mask = q > floors[k]
+        u = (d / scale) ** stack.a
+        z, _, tq = _masked_envelope(q, mask, logv, u,
+                                    np.maximum(h[:, None], h[None, :]))
+        take = slice((-offset) % stride, None, stride)
+        part = z[take]
+        zf[filled:filled + part.size] = part
+        tf[filled:filled + part.size] = tq[take]
+        offset += z.size
+        filled += part.size
+        del z, tq, u, part
         if mask.any():
-            for gamma, r in zip(gamma_list,
-                                _r_gamma(d, scale, vk, vtab, gamma_list)):
-                rgamma[float(gamma)] = max(rgamma[float(gamma)],
-                                           float(np.max(q[mask] / r[mask])))
+            peaks = [float(np.max(q[mask] / r[mask]))
+                     for r in _r_gamma(d, scale, vk, vtab, gamma_list)]
+            for gamma, peak in zip(gamma_list, peaks):
+                rgamma[float(gamma)] = max(rgamma[float(gamma)], peak)
         row = stack.q[k] @ w
         col = stack.q[k].T @ w
         if inhom and k == 0:
@@ -239,31 +265,35 @@ def validate_ati(stack, cubes, gamma_list=(1.0, 2.0), seed=0):
         else:
             cancel = max(cancel, float(np.max(np.abs(row))),
                          float(np.max(np.abs(col))))
+        per_level.append((k, logv, h))
+    del q, mask  # only the O(n) pieces of each level are kept
 
     # pooled envelope fit of nu on z vs (d/delta^k)^a + h-term
-    zf = np.concatenate([z for *_, z, _, _ in per_level])
-    tf = np.concatenate([tq for *_, tq in per_level])
-    if len(zf) > 2_000_000:
-        stride = len(zf) // 2_000_000 + 1
-        zf, tf = zf[::stride], tf[::stride]
     if len(zf) >= 2 and np.ptp(tf) > 0:
         nu = max(-float(np.polyfit(tf, zf, 1)[0]), 1e-3)
     else:
         nu = 1.0
+    del zf, tf
 
     # pass 2: size constants, regularity peaks, second-difference quadruples
     size_const = size_const_no_h = 0.0
     sampled = False
     log_tau, log_peak, quads = [], [], []
     with np.errstate(over="ignore"):
-        for k, floor, logv, h, z, uq, tq in per_level:
-            if z.size:
+        for k, logv, h in per_level:
+            scale = delta ** k
+            q_signed = stack.q[k]
+            floor = floors[k]
+            u = (d / scale) ** stack.a
+            hmax = np.maximum(h[:, None], h[None, :])
+            if counts[k]:
+                q = np.abs(q_signed)
+                z, uq, tq = _masked_envelope(q, q > floor, logv, u, hmax)
                 size_const = max(size_const,
                                  float(np.exp(np.max(z + nu * tq))))
                 size_const_no_h = max(size_const_no_h,
                                       float(np.exp(np.max(z + nu * uq))))
-            scale = delta ** k
-            q_signed = stack.q[k]
+                del q, z, uq, tq
             rows, cols = np.nonzero((d <= scale) & (d > 0))
             if len(rows) == 0:
                 continue
@@ -271,18 +301,24 @@ def validate_ati(stack, cubes, gamma_list=(1.0, 2.0), seed=0):
                 sampled = True
                 sel = rng.choice(len(rows), size=PAIR_BUDGET, replace=False)
                 rows, cols = rows[sel], cols[sel]
+            # minus the log of each pair's decay bound, one n x n table per
+            # level; adding it subtracts the log bound exactly, since
+            # negation is exact under round-to-nearest
+            u += hmax
+            u *= nu
+            logenv = 0.5 * (logv[:, None] + logv[None, :])
+            logenv += u
+            del u, hmax
             # regularity: log tau is constant along a pair's row, so the
             # binned peaks and reg_const need only each pair's largest ratio
             for lo in range(0, len(rows), 512):
                 r = rows[lo:lo + 512]
                 c = cols[lo:lo + 512]
                 num = 2.0 * np.abs(q_signed[r] - q_signed[c])
-                logb = (-0.5 * (logv[r][:, None] + logv[None, :])
-                        - nu * ((d[r] / scale) ** stack.a
-                                + np.maximum(h[r, None], h[None, :])))
                 ok = num > 2.0 * floor
-                logratio = np.log(
-                    num, where=ok, out=np.full_like(num, -np.inf)) - logb
+                logratio = np.log(num, where=ok,
+                                  out=np.full_like(num, -np.inf))
+                logratio += logenv[r]
                 hit = ok.any(axis=1)
                 log_tau.append(np.log(d[r, c] / scale)[hit])
                 log_peak.append(np.max(logratio, axis=1, where=ok,
@@ -300,11 +336,9 @@ def validate_ati(stack, cubes, gamma_list=(1.0, 2.0), seed=0):
                             - q_signed[x, yp] + q_signed[xp, yp])
                 ok = dd > 4.0 * floor
                 if ok.any():
-                    logbase = (0.5 * (logv[x] + logv[y])
-                               + nu * ((d[x, y] / scale) ** stack.a
-                                       + np.maximum(h[x], h[y])))
                     logdd = np.log(dd, where=ok,
-                                   out=np.full_like(dd, -np.inf)) + logbase
+                                   out=np.full_like(dd, -np.inf))
+                    logdd += logenv[x, y]
                     quads.append((logdd[ok], np.log(d[x, xp] / scale)[ok],
                                    np.log(d[y, yp] / scale)[ok]))
 
@@ -363,6 +397,16 @@ def validate_ati(stack, cubes, gamma_list=(1.0, 2.0), seed=0):
         second_diff_const=second, cancel_resid=cancel,
         identity_resid=identity, unit_resid=unit, rgamma_const=rgamma,
         sampled=sampled)
+
+
+def _masked_envelope(q, mask, logv, u, hmax):
+    """The entries of |Q_k| above the noise floor as flat arrays: the
+    log-kernel log|Q_k| + (log V_x + log V_y)/2, the decay term u and the
+    decay-plus-refpoint term u + max(h_x, h_y)."""
+    z = np.log(q, where=mask, out=np.full_like(q, -np.inf))
+    z += 0.5 * (logv[:, None] + logv[None, :])
+    uq = u[mask]
+    return z[mask], uq, uq + hmax[mask]
 
 
 def _r_gamma(d, r, vr, vtab, gammas):

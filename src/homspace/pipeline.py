@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .dyadic import build_cubes, build_nets, refine_subcubes
-from .errors import ParameterError
+from .errors import ParameterError, integer_arg
 from .kernels import build_exp_ati, build_exp_iati
 
 DEFAULT_FINE_FACTOR = 16.0
@@ -59,8 +59,9 @@ def build_pipeline(space, delta=0.5, flavor="homogeneous", j0=2,
     if flavor not in ("homogeneous", "inhomogeneous"):
         raise ParameterError(f"unknown flavor {flavor!r}")
     auto_min, auto_max = default_level_range(space, delta, flavor, fine_factor)
-    k_lo = auto_min if k_min is None else int(k_min)
-    k_hi = auto_max if k_max is None else int(k_max)
+    k_lo = auto_min if k_min is None else integer_arg("k_min", k_min)
+    k_hi = auto_max if k_max is None else integer_arg("k_max", k_max)
+    j0 = integer_arg("j0", j0)
     if flavor == "inhomogeneous":
         k_lo = 0
         k_hi = max(k_hi, 1)

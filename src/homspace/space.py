@@ -25,7 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CertificationError, FormatError, ParameterError
+from .errors import (CertificationError, FormatError, ParameterError,
+                     integer_arg)
 
 # Exact min-plus certificate up to this point count; sampled above it.
 A0_EXHAUSTIVE_CAP = 1025
@@ -465,9 +466,9 @@ def generate_space(kind, size=None, level=None, exponent=None,
     """
     points = None
     if kind in ("grid1d", "grid2d", "circle", "graph", "snowflake_power"):
-        if size is None or int(size) < 1:
+        size = None if size is None else integer_arg("size", size)
+        if size is None or size < 1:
             raise ParameterError("size must be >= 1")
-        size = int(size)
 
     if kind == "grid1d":
         points = _grid1d_points(size)
@@ -480,9 +481,10 @@ def generate_space(kind, size=None, level=None, exponent=None,
     elif kind == "graph":
         dist = _binary_tree_dist(size)
     elif kind == "sierpinski_level":
-        if level is None or int(level) < 0:
+        level = None if level is None else integer_arg("level", level)
+        if level is None or level < 0:
             raise ParameterError("level must be >= 0")
-        points = _sierpinski_points(int(level))
+        points = _sierpinski_points(level)
         dist = _euclidean(points)
     elif kind == "snowflake_power":
         if exponent is None or not exponent > 0:

@@ -237,13 +237,16 @@ BAD_SETS = (
     "space.size.x=1",
     "space..size=1",
 )
-# pipeline leaves of the wrong type, a fractional integer leaf, and a
-# negative coarse-level count
+# pipeline leaves of the wrong type, a fractional integer leaf, boolean
+# leaves that are not JSON booleans, and a negative coarse-level count
 BAD_PIPELINE_SETS = (
     ('dyadic.delta="x"',),
     ('kernel.a="x"',),
     ('space.size="x"',),
     ("dyadic.j0=1.5",),
+    ('dyadic.strict="no"',),
+    ('frame.dump_coefficients="no"',),
+    ("frame.dump_coefficients=1",),
     ('kernel.flavor="inhomogeneous"', "kernel.n_low=-1"),
 )
 # norm parameters and field leaves that are not numbers or lie out of range

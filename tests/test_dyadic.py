@@ -116,6 +116,18 @@ def test_refine_range_error(grid65):
         refine_subcubes(cubes, 9)
 
 
+def test_levels_must_be_integers(grid65):
+    for k_range in ((0, 6.7), (0.5, 6), (False, 6)):
+        with pytest.raises(ParameterError, match="k_range"):
+            build_nets(grid65, 0.5, k_range)
+    assert build_nets(grid65, 0.5, (0.0, 6.0)).k_max == 6
+    cubes = build_cubes(build_nets(grid65, 0.5, (0, 6)), grid65)
+    for j0 in (1.5, True):
+        with pytest.raises(ParameterError, match="j0"):
+            refine_subcubes(cubes, j0)
+    assert refine_subcubes(cubes, 2.0).j0 == 2
+
+
 def test_sampler_changes_samples_only(grid65):
     nets = build_nets(grid65, 0.5, (0, 6))
     cubes = build_cubes(nets, grid65)
@@ -206,6 +218,35 @@ ORACLE_SPACES = {
     "circle-40-custom": dict(kind="circle", size=40, measure="custom",
                              weights=[1.0 + (i * 7) % 5 for i in range(40)]),
 }
+
+
+def _gathered_separation(space, net, scale):
+    """A level's c0 from the full m x m gather of its centers' distances."""
+    if len(net) < 2:
+        return np.inf
+    sub = space.dist[np.ix_(net, net)]
+    np.fill_diagonal(sub, np.inf)
+    return float(sub.min()) / scale
+
+
+@pytest.mark.parametrize("name", ["grid2d-17", "sierpinski-4", "graph-63"])
+def test_separation_matches_full_gather(name):
+    sp = generate_space(**ORACLE_SPACES[name])
+    lo, hi = default_level_range(sp)
+    nets = build_nets(sp, 0.5, (lo, hi + 3))
+    assert nets.c0_per_level == {
+        k: _gathered_separation(sp, nets.nets[k], 0.5 ** k)
+        for k in nets.levels()}
+    # a dump whose nets are not nested prefixes: a middle level reversed,
+    # with a repeated center
+    doc = cube_dump(build_cubes(nets, sp))
+    mid = doc["levels"][str((lo + hi) // 2)]
+    mid["centers"] = mid["centers"][::-1] + mid["centers"][:1]
+    loaded = cubes_from_dump(doc, sp).nets
+    want = {k: _gathered_separation(sp, loaded.nets[k], 0.5 ** k)
+            for k in loaded.levels()}
+    assert want[(lo + hi) // 2] == 0.0
+    assert loaded.c0_per_level == want
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_SPACES))

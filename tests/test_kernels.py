@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -126,19 +127,39 @@ def test_fields_and_kernel_tables_are_read_only(pipe65):
 
 @pytest.fixture(scope="module")
 def oracle_pipes(pipe257, grid257):
+    grid513 = generate_space("grid1d", size=513)
     return {"grid1d-257": pipe257,
             "grid1d-257-inhom": build_pipeline(grid257,
                                                flavor="inhomogeneous"),
-            "circle-256": build_pipeline(generate_space("circle", size=256))}
+            "circle-256": build_pipeline(generate_space("circle", size=256)),
+            "grid1d-513": build_pipeline(grid513),
+            "grid1d-513-inhom": build_pipeline(grid513,
+                                               flavor="inhomogeneous")}
 
 
+# grid1d-513 masks about 2.15 M kernel entries, above kernels.FIT_POINTS, so
+# its pooled nu fit takes every second one; the other spaces fit them all
 @pytest.mark.parametrize("label,seed", [
     ("grid1d-257", 0), ("grid1d-257", 5), ("grid1d-257-inhom", 0),
-    ("grid1d-257-inhom", 5), ("circle-256", 0)])
+    ("grid1d-257-inhom", 5), ("circle-256", 0), ("grid1d-513", 0),
+    ("grid1d-513-inhom", 0)])
 def test_validation_matches_frozen_oracle(oracle_pipes, label, seed):
     pipe = oracle_pipes[label]
     got = asdict(validate_ati(pipe.stack, pipe.cubes, seed=seed))
     assert got == reference_validate_ati(pipe.stack, pipe.cubes, seed=seed)
+
+
+def test_validation_peak_memory(oracle_pipes):
+    # streamed levels peak at about 66 MB here; keeping every level's masked
+    # arrays until the fit took 137-146 MB
+    pipe = oracle_pipes["grid1d-513"]
+    tracemalloc.start()
+    try:
+        validate_ati(pipe.stack, pipe.cubes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * 2 ** 20
 
 
 def test_validation_inhom_unit_resid(pipe65_inhom):
@@ -188,3 +209,12 @@ def test_semigroup_coarse_cap_mode(grid65):
         assert np.max(np.abs(st.q[k] @ w)) <= 1e-10
     with pytest.raises(ParameterError):
         build_exp_ati(grid65, cubes, k_range=(0, 6), coarse="warp")
+
+
+def test_build_pipeline_rejects_fractional_levels(grid65):
+    for kw in (dict(k_max=6.7), dict(k_min=0.5), dict(k_max=True),
+               dict(j0=1.5)):
+        with pytest.raises(ParameterError, match=next(iter(kw))):
+            build_pipeline(grid65, **kw)
+    pipe = build_pipeline(grid65, k_min=0.0, k_max=6.0, j0=2.0)
+    assert (pipe.stack.k_min, pipe.stack.k_max, pipe.cubes.j0) == (0, 6, 2)

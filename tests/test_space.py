@@ -44,6 +44,18 @@ def test_invalid_params():
         generate_space("warp", size=5)
 
 
+def test_size_and_level_must_be_integers():
+    for kw in (dict(size=17.5), dict(size=True), dict(size="17")):
+        with pytest.raises(ParameterError, match="size must be an integer"):
+            generate_space("grid1d", **kw)
+    for level in (2.5, False):
+        with pytest.raises(ParameterError, match="level must be an integer"):
+            generate_space("sierpinski_level", level=level)
+    assert generate_space("grid1d", size=17.0).n == 17
+    assert (generate_space("sierpinski_level", level=np.int64(2)).n
+            == generate_space("sierpinski_level", level=2).n)
+
+
 def test_uniform_measure_normalized():
     sp = generate_space("grid2d", size=5)
     assert sp.total_mass == pytest.approx(1.0, rel=1e-15)
