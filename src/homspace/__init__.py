@@ -10,8 +10,7 @@ from .errors import (CertificationError, ConvergenceError, ExperimentError,
 from .kernels import (AtiValidationReport, KernelStack, build_exp_ati,
                       build_exp_iati, build_semigroup, validate_ati)
 from .lab import (EnsembleSpec, EquivalenceReport, embedding_suite,
-                  equivalence_experiment, generate_ensemble, lemma_suite,
-                  standard_ensemble_spec)
+                  equivalence_experiment, generate_ensemble, lemma_suite)
 from .norms import (NormSpec, admissible_range, besov_norm, lebesgue_norm,
                     test_function_norm, triebel_lizorkin_norm)
 from .operators import (CoefficientGrid, Field, LevelTable, analyze,

@@ -14,7 +14,6 @@ from __future__ import annotations
 import copy
 import json
 import math
-import numbers
 import os
 import time
 
@@ -68,64 +67,54 @@ DEFAULT_CONFIG = {
 }
 
 
-def _reject_unknown(cfg, schema, path=""):
-    for key, val in cfg.items():
-        if key not in schema:
-            raise ParameterError(f"unknown config key {path}{key}")
-        if isinstance(schema[key], dict) and isinstance(val, dict):
-            _reject_unknown(val, schema[key], path=f"{path}{key}.")
+# the type of each leaf whose default is null (the other leaves take the
+# type of their default); such a leaf may also stay null
+NULL_DEFAULT_TYPES = {
+    "space.level": int, "space.exponent": float, "space.weights": list,
+    "space.file": str, "space.label": str, "dyadic.k_min": int,
+    "dyadic.k_max": int, "dyadic.sigma": float, "dyadic.deep_margin": float,
+    "norm.field.level": int, "norm.field.file": str, "lab.radius_grid": list,
+}
+# leaves that also take "inf" or JSON Infinity
+INF_LEAVES = ("norm.p", "norm.q")
+OUTPUT_FORMATS = ("text", "csv")
+TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number",
+              str: "a string", list: "a list"}
+
+
+def _check_config(node, default, path=""):
+    """Every key of `node` is one of `default`'s, every section a mapping and
+    every leaf of its default's type (a float leaf takes any finite number)."""
+    if isinstance(default, dict):
+        if not isinstance(node, dict):
+            raise ParameterError(f"config section {path or 'root'} must be "
+                                 f"a mapping, got {node!r}")
+        for key, val in node.items():
+            if key not in default:
+                raise ParameterError(f"unknown config key {path}{key}")
+            _check_config(val, default[key], f"{path}{key}.")
+        return
+    leaf, kind = path[:-1], type(default)
+    if default is None:
+        if node is None:
+            return
+        kind = NULL_DEFAULT_TYPES[leaf]
+    ok = (isinstance(node, (int, float) if kind is float else kind)
+          and isinstance(node, bool) == (kind is bool)
+          and (kind is not float or math.isfinite(node)))
+    if not ok and not (leaf in INF_LEAVES and node in ("inf", math.inf)):
+        raise ParameterError(f"{leaf} must be {TYPE_NAMES[kind]}, "
+                             f"got {node!r}")
 
 
 def _merge(base, override):
+    """`override` laid over a copy of `base`, mapping by mapping."""
+    if not (isinstance(base, dict) and isinstance(override, dict)):
+        return copy.deepcopy(override)
     out = copy.deepcopy(base)
     for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], val)
-        else:
-            out[key] = val
+        out[key] = _merge(base.get(key), val)
     return out
-
-
-# typed leaves that load_config checks: per section, the integer leaves, the
-# finite-number leaves and the boolean leaves; a leaf whose default is null
-# may also be null
-TYPED_LEAVES = {
-    "space": (("size", "level", "seed"), ("exponent",), ()),
-    "dyadic": (("k_min", "k_max", "j0", "seed"),
-               ("delta", "sigma", "deep_margin"), ("strict",)),
-    "kernel": (("n_low",), ("a", "sigma", "fine_factor"), ()),
-    "frame": (("maxiter",), ("tol",), ("dump_coefficients",)),
-    "norm.field": (("center", "seed", "level"), ("value", "theta", "radius"),
-                   ()),
-}
-
-
-def _leaf_ok(val, kind):
-    if kind == "a boolean":
-        return isinstance(val, bool)
-    if isinstance(val, bool):
-        return False
-    if kind == "an integer":
-        return isinstance(val, numbers.Integral)
-    return isinstance(val, numbers.Real) and math.isfinite(val)
-
-
-def _check_typed_leaves(cfg):
-    for section, groups in TYPED_LEAVES.items():
-        node, default = cfg, DEFAULT_CONFIG
-        for part in section.split("."):
-            node, default = node[part], default[part]
-            if not isinstance(node, dict):
-                raise ParameterError(f"config section {section} must be a "
-                                     f"mapping, got {node!r}")
-        for kind, names in zip(("an integer", "a finite number",
-                                "a boolean"), groups):
-            for name in names:
-                val = node[name]
-                if not _leaf_ok(val, kind) and not (
-                        val is None and default[name] is None):
-                    raise ParameterError(
-                        f"{section}.{name} must be {kind}, got {val!r}")
 
 
 def _parse_leaf(text):
@@ -136,30 +125,29 @@ def _parse_leaf(text):
 
 
 def load_config(path, sets):
+    """The config file laid over `DEFAULT_CONFIG`, then the ``--set``
+    overrides; every leaf is checked before any work is done."""
     cfg = {}
     if path:
         with open(path) as fh:
             cfg = json.load(fh)
-    _reject_unknown(cfg, DEFAULT_CONFIG)
     cfg = _merge(DEFAULT_CONFIG, cfg)
     for item in sets or ():
         if "=" not in item:
             raise ParameterError(f"--set needs key=value, got {item!r}")
         dotted, raw = item.split("=", 1)
+        *parents, name = dotted.split(".")
         node = cfg
-        parts = dotted.split(".")
-        probe = DEFAULT_CONFIG
-        for p in parts[:-1]:
-            if not isinstance(probe, dict) or p not in probe:
-                raise ParameterError(f"unknown config key {dotted}")
-            probe = probe[p]
-            node = node.setdefault(p, {})
-        if not isinstance(probe, dict) or parts[-1] not in probe:
+        for part in parents:
+            node = node.get(part) if isinstance(node, dict) else None
+        if not isinstance(node, dict):
             raise ParameterError(f"unknown config key {dotted}")
-        node[parts[-1]] = _parse_leaf(raw)
-    # bad typed leaves, ensemble counts, seeds and caps fail here, before
-    # any work is done
-    _check_typed_leaves(cfg)
+        node[name] = _parse_leaf(raw)
+    _check_config(cfg, DEFAULT_CONFIG)
+    formats = cfg["output"]["formats"]
+    if not all(f in OUTPUT_FORMATS for f in formats):
+        raise ParameterError(f"output.formats must list only "
+                             f"{', '.join(OUTPUT_FORMATS)}; got {formats!r}")
     ensemble_spec_from_config(cfg)
     labmod.merge_caps(cfg["lab"]["caps"])
     return cfg
@@ -173,8 +161,8 @@ def write_atomic(path, text):
     os.replace(tmp, path)
 
 
-def emit(cfg, name, suite_or_text, outdir=None):
-    outdir = outdir or cfg["output"]["dir"]
+def emit(cfg, name, suite_or_text):
+    outdir = cfg["output"]["dir"]
     formats = cfg["output"]["formats"]
     if isinstance(suite_or_text, SuiteReport):
         if "text" in formats:
@@ -200,13 +188,12 @@ def _finish(cfg, name, suite):
 
 def space_from_config(cfg):
     sc = cfg["space"]
-    if sc.get("file"):
-        return load_space(sc["file"], seed=sc.get("seed", 0))
-    return generate_space(sc["kind"], size=sc.get("size"),
-                          level=sc.get("level"), exponent=sc.get("exponent"),
-                          measure=sc.get("measure", "uniform"),
-                          weights=sc.get("weights"), label=sc.get("label"),
-                          seed=sc.get("seed", 0))
+    if sc["file"]:
+        return load_space(sc["file"], seed=sc["seed"])
+    return generate_space(sc["kind"], size=sc["size"], level=sc["level"],
+                          exponent=sc["exponent"], measure=sc["measure"],
+                          weights=sc["weights"], label=sc["label"],
+                          seed=sc["seed"])
 
 
 def pipeline_from_config(cfg, space=None):
@@ -227,7 +214,7 @@ def field_from_config(space, stack, fc):
                              f" got {fc['center']}")
     if fc["seed"] < 0:
         raise ParameterError(f"norm.field.seed must be >= 0, got {fc['seed']}")
-    kind = fc.get("kind", "constant")
+    kind = fc["kind"]
     if kind == "constant":
         return Field(space, np.full(space.n, float(fc["value"])))
     if kind == "holder":
@@ -242,19 +229,19 @@ def field_from_config(space, stack, fc):
         j = levels[len(levels) // 2] if j is None else j
         return Field(space, stack.apply(j, rng.standard_normal(space.n)))
     if kind == "file":
-        if not fc.get("file"):
+        if not fc["file"]:
             raise ParameterError("field kind 'file' needs norm.field.file")
         with open(fc["file"]) as fh:
             return Field(space, np.asarray(json.load(fh), dtype=float))
     raise ParameterError(f"unknown field kind {kind!r}")
 
 
-def norm_spec_from_config(cfg, flavor=None):
+def norm_spec_from_config(cfg):
     nc = cfg["norm"]
     return NormSpec(s=nc["s"], p=_inf(nc["p"]), q=_inf(nc["q"]), u=nc["u"],
                     beta=nc["beta"], gamma=nc["gamma"],
                     delta=cfg["dyadic"]["delta"], c_tilde=nc["c_tilde"],
-                    flavor=flavor or cfg["kernel"]["flavor"])
+                    flavor=cfg["kernel"]["flavor"])
 
 
 def ensemble_spec_from_config(cfg):
@@ -264,9 +251,8 @@ def ensemble_spec_from_config(cfg):
 
 
 def _inf(v):
-    """The config's spellings of infinity as a float; NormSpec checks the
-    other values."""
-    return float("inf") if v in ("inf", "Infinity", None) else v
+    """The config's "inf" as a float; JSON Infinity already is one."""
+    return float("inf") if v == "inf" else v
 
 
 pass_cfg = click.make_pass_decorator(dict)

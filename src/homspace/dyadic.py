@@ -38,7 +38,7 @@ from .errors import FormatError, ParameterError, RangeError, integer_arg
 
 DEFAULT_SIGMA = 0.6
 DEFAULT_DEEP_MARGIN = 0.3
-INTERIOR_MARGIN = 0.2  # delta^k units; see CubeVerification
+INTERIOR_MARGIN = 0.2  # delta^k units; see verify_cubes
 
 
 def _read_only(a):
@@ -99,7 +99,6 @@ class CubeSystem:
     levels: dict[int, CubeLevel]
     j0: int = 0
     sampler: str | None = None
-    sampler_seed: int = 0
     # one table per level k <= k_max - j0
     subcubes: dict[int, SubcubeTable] | None = None
 
@@ -300,8 +299,7 @@ def refine_subcubes(cubes, j0, sampler="center", seed=0):
         tables[k] = SubcubeTable(*map(_read_only, (
             alpha, np.arange(len(order)) - np.searchsorted(alpha, alpha), y,
             np.array([w[mem].sum() for mem in members]), rank[fine.assign])))
-    return replace(cubes, j0=j0, sampler=sampler, sampler_seed=seed,
-                   subcubes=tables)
+    return replace(cubes, j0=j0, sampler=sampler, subcubes=tables)
 
 
 @dataclass
@@ -331,15 +329,10 @@ class CubeVerification:
         return (self.partition_pass and self.nesting_pass and self.center_pass
                 and self.subcube_pass is not False)
 
-    def interior_bounds(self, skip_levels=0):
-        """(min r_in, max r_out) over interior cubes, optionally skipping the
-        coarsest/finest `skip_levels` levels."""
+    def interior_bounds(self):
+        """(min r_in, max r_out) over the interior cubes of every level."""
         lo, hi = np.inf, 0.0
-        ks = sorted(self.sandwich)
-        if skip_levels:
-            ks = ks[skip_levels:len(ks) - skip_levels or None]
-        for k in ks:
-            s = self.sandwich[k]
+        for s in self.sandwich.values():
             if s.interior.any():
                 lo = min(lo, float(s.r_in[s.interior].min()))
                 hi = max(hi, float(s.r_out[s.interior].max()))
@@ -435,16 +428,16 @@ def _subcube_failures(k, table, inside, w):
     return failures, int(nsub.max())
 
 
-def verify_cubes(cubes, interior_margin=INTERIOR_MARGIN, omega=1.0):
+def verify_cubes(cubes):
     """Check partition, nesting and center membership exactly; measure the
     ball-sandwich constants per cube and compare with the nominal radii
     (3 A0^2)^-1 c0 delta^k and 2 A0 C0 delta^k.
 
     A cube is tagged interior when its center lies at least
-    ``interior_margin * delta^k`` inside its parent; those are the cubes for
+    ``INTERIOR_MARGIN * delta^k`` inside its parent; those are the cubes for
     which the construction can promise an inner ball at scale ratio 1/2.
-    ``omega`` feeds the subcube-count bound N(k, alpha) <= C delta^(-j0 omega)
-    whose measured C is reported.
+    With subcubes, the reported constant of the subcube-count bound
+    N(k, alpha) <= C delta^-j0 is C = (largest subcube count) * delta^j0.
     """
     space = cubes.space
     nets = cubes.nets
@@ -478,7 +471,7 @@ def verify_cubes(cubes, interior_margin=INTERIOR_MARGIN, omega=1.0):
         margin /= scale
         sandwich[k] = LevelSandwich(
             k=k, r_in=r_in, r_out=r_out, parent_margin=margin,
-            interior=margin >= interior_margin,
+            interior=margin >= INTERIOR_MARGIN,
             nominal_inner_pass=r_in >= nominal_in,
             nominal_outer_pass=r_out < nominal_out)
         if cubes.subcubes is not None and k in cubes.subcubes:
@@ -489,7 +482,7 @@ def verify_cubes(cubes, interior_margin=INTERIOR_MARGIN, omega=1.0):
             max_sub = max(max_sub, nsub)
         parent_inside = inside
     if cubes.subcubes is not None:
-        subcube_const = max_sub * delta ** (cubes.j0 * omega)
+        subcube_const = max_sub * delta ** cubes.j0
 
     return CubeVerification(
         partition_pass=partition, nesting_pass=nesting, center_pass=center,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError, RangeError
+from .errors import ConvergenceError, ParameterError, RangeError, integer_arg
 
 SCALING_TOL = 1e-12
 SCALING_CAP = 10_000
@@ -43,12 +43,12 @@ def mean_projection(space):
     return np.full((space.n, space.n), 1.0 / space.total_mass)
 
 
-def build_semigroup(space, t, a=1.0, tol=SCALING_TOL, max_sweeps=SCALING_CAP):
+def build_semigroup(space, t, a=1.0):
     """Symmetric mu-stochastic Markov table at length scale t.
 
-    Iterative proportional fitting with one diagonal on both sides; the fixed
-    point satisfies sum_y P(x,y) mu_y = 1 for every x and P is exactly
-    symmetric.
+    Iterative proportional fitting with one diagonal on both sides, at most
+    `SCALING_CAP` sweeps to row residual `SCALING_TOL`; the fixed point
+    satisfies sum_y P(x,y) mu_y = 1 for every x and P is exactly symmetric.
     """
     if not t > 0:
         raise ParameterError("semigroup scale t must be positive")
@@ -57,10 +57,10 @@ def build_semigroup(space, t, a=1.0, tol=SCALING_TOL, max_sweeps=SCALING_CAP):
         seed = np.exp(-((space.dist / t) ** a))
     u = 1.0 / np.sqrt(seed @ w)
     err = math.inf
-    for _ in range(max_sweeps):
+    for _ in range(SCALING_CAP):
         v = seed @ (u * w)
         err = float(np.max(np.abs(u * v - 1.0)))
-        if err <= tol:
+        if err <= SCALING_TOL:
             break
         u = np.sqrt(u / v)
     else:
@@ -102,23 +102,22 @@ class KernelStack:
     def levels(self):
         return range(self.k_min, self.k_max + 1)
 
-    def kernel(self, k):
-        if k not in self.q:
-            raise RangeError(f"level {k} outside stack range "
-                             f"[{self.k_min}, {self.k_max}]")
-        return self.q[k]
-
-    def semigroup(self, t):
-        """P_t of this stack's seed exponent, built on demand."""
-        return build_semigroup(self.space, float(t), a=self.a)
-
     def cell_levels(self):
         """Levels read through cell averages: inhomogeneous k <= n_low."""
         top = self.n_low if self.flavor == "inhomogeneous" else self.k_min - 1
         return range(self.k_min, min(top, self.k_max) + 1)
 
+    def interior_levels(self):
+        """The middle third of the levels, both ends included: the band of the
+        identity probes and of the band-limited probe fields."""
+        levels = self.levels()
+        return levels[len(levels) // 3: 2 * len(levels) // 3 + 1]
+
     def apply(self, k, values):
-        return self.kernel(k) @ (values * self.space.weight)
+        if k not in self.q:
+            raise RangeError(f"level {k} outside stack range "
+                             f"[{self.k_min}, {self.k_max}]")
+        return self.q[k] @ (values * self.space.weight)
 
     def apply_all(self, values):
         wx = values * self.space.weight
@@ -143,14 +142,13 @@ def _difference_stack(space, delta, k_min, k_max, a, coarsest):
     return q
 
 
-def build_exp_ati(space, cubes, k_range=None, a=1.0, coarse="mean"):
-    """Homogeneous stack: Q_k = P_{delta^k} - P_{delta^(k-1)} with the
-    coarsest level capped by the mean projection (coarse="mean") or by
-    P_{delta^(k_min-1)} (coarse="semigroup")."""
+def build_exp_ati(space, cubes, k_range, a=1.0, coarse="mean"):
+    """Homogeneous stack on the integer levels k_range = (k_min, k_max):
+    Q_k = P_{delta^k} - P_{delta^(k-1)}, the coarsest level capped by the
+    mean projection (coarse="mean") or P_{delta^(k_min-1)} ("semigroup")."""
     delta = cubes.delta
-    if k_range is None:
-        k_range = (cubes.k_min, max(cubes.k_min, cubes.k_max - max(cubes.j0, 1)))
-    k_min, k_max = int(k_range[0]), int(k_range[-1])
+    k_min = integer_arg("k_range", k_range[0])
+    k_max = integer_arg("k_range", k_range[-1])
     if coarse == "mean":
         def cap(p):
             return p - mean_projection(space)
@@ -164,17 +162,14 @@ def build_exp_ati(space, cubes, k_range=None, a=1.0, coarse="mean"):
                        k_min=k_min, k_max=k_max, a=a, q=q, coarse=coarse)
 
 
-def build_exp_iati(space, cubes, k_range=None, a=1.0, sigma=1.0, n_low=1):
-    """Inhomogeneous stack: Q_0 = P_sigma with unit integrals, then
-    differences; the levels k <= n_low are read through cell averages
-    downstream (`KernelStack.cell_levels`)."""
+def build_exp_iati(space, cubes, k_range, a=1.0, sigma=1.0, n_low=1):
+    """Inhomogeneous stack on the integer levels k_range = (0, k_max): Q_0 =
+    P_sigma with unit integrals, then differences; the levels k <= n_low are
+    read through cell averages downstream (`KernelStack.cell_levels`)."""
     delta = cubes.delta
-    if k_range is None:
-        k_max = max(1, cubes.k_max - max(cubes.j0, 1))
-    else:
-        if int(k_range[0]) != 0:
-            raise ParameterError("inhomogeneous stacks start at level 0")
-        k_max = int(k_range[-1])
+    if integer_arg("k_range", k_range[0]) != 0:
+        raise ParameterError("inhomogeneous stacks start at level 0")
+    k_max = integer_arg("k_range", k_range[-1])
     if sigma <= 0:
         raise ParameterError("sigma must be positive")
     if (isinstance(n_low, bool) or not isinstance(n_low, numbers.Integral)
@@ -372,12 +367,9 @@ def validate_ati(stack, cubes, gamma_list=(1.0, 2.0), seed=0):
     def l2(v):
         return math.sqrt(float(np.sum(v * v * w)))
 
-    levels = list(stack.levels())
     identity = 0.0
     if stack.flavor == "homogeneous":
-        lo = levels[len(levels) // 3] if len(levels) >= 3 else levels[0]
-        hi = levels[2 * len(levels) // 3] if len(levels) >= 3 else levels[-1]
-        for i, j in enumerate(range(lo, hi + 1)):
+        for i, j in enumerate(stack.interior_levels()):
             g = rng.standard_normal(space.n)
             f = stack.apply(j, g)
             nf = l2(f)

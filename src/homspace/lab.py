@@ -30,6 +30,7 @@ STANDARD_KINDS = ("bandlimited", "holder", "smoothed_indicator",
 STANDARD_COUNTS = {"bandlimited": 15, "holder": 10,
                    "smoothed_indicator": 10, "gaussian_field": 15}
 DEGENERATE_TOL = 1e-13
+THETA_SEQUENCES = 10_000
 
 DEFAULT_CAPS = {
     "ratio_max_over_min": 100.0,
@@ -95,15 +96,10 @@ class EnsembleSpec:
         return sum(self.counts[k] for k in self.kinds)
 
 
-def standard_ensemble_spec(mean_zero=False, seed=0):
-    return EnsembleSpec(mean_zero=mean_zero, seed=seed)
-
-
 def generate_ensemble(space, stack, spec):
     """Deterministic probe fields; mean removed when the flag is set."""
     rng = np.random.default_rng(spec.seed)
-    levels = list(stack.levels())
-    interior = levels[len(levels) // 3: 2 * len(levels) // 3 + 1] or levels
+    interior = stack.interior_levels()
     mid_scale = stack.delta ** interior[len(interior) // 2]
     mollifier = build_semigroup(space, mid_scale, a=stack.a)
     fields = []
@@ -224,16 +220,13 @@ def _require_lower_bound(geometry, omega):
 
 
 def equivalence_experiment(space, stack, cubes, spec, pairing, ensemble,
-                           omega=None, eta=None, geometry=None, caps=None,
-                           check=True):
-    """Compute both norms of the pairing over the ensemble; band the ratios."""
+                           omega, eta, geometry=None, caps=None):
+    """Check the pairing's hypotheses at the measured omega and eta, then
+    compute both norms of the pairing over the ensemble; band the ratios."""
     if pairing not in PAIRING_VARIANTS:
         raise ExperimentError(f"unknown pairing {pairing!r}")
     caps = merge_caps(caps)
-    if check:
-        if omega is None or eta is None:
-            raise ExperimentError("hypothesis check needs omega and eta")
-        check_hypotheses(pairing, spec, omega, eta, geometry)
+    check_hypotheses(pairing, spec, omega, eta, geometry)
     left_spec = replace(spec, u=1.0) if pairing == "F_vs_Lt" else spec
     right_fn = besov_norm if "B_vs" in pairing else triebel_lizorkin_norm
     scales = difference_scales(space, spec.c_tilde, spec.delta)
@@ -352,11 +345,12 @@ def embedding_suite(space, stack, cubes, ensemble, spec, omega,
 
 # -- lemma suite ----------------------------------------------------------------
 
-def theta_power_check(n_sequences=10_000, length=40, seed=0):
-    """(sum a)^theta <= sum a^theta for theta in (0,1]; returns violations."""
+def theta_power_check(seed=0):
+    """(sum a)^theta <= sum a^theta for theta in (0,1] on `THETA_SEQUENCES`
+    random sequences of length 40; returns the violations."""
     rng = np.random.default_rng(seed)
-    a = rng.exponential(size=(n_sequences, length))
-    theta = rng.uniform(0.0, 1.0, size=n_sequences) + 1e-12
+    a = rng.exponential(size=(THETA_SEQUENCES, 40))
+    theta = rng.uniform(0.0, 1.0, size=THETA_SEQUENCES) + 1e-12
     theta = np.minimum(theta, 1.0)
     lhs = a.sum(axis=1) ** theta
     rhs = (a ** theta[:, None]).sum(axis=1)
@@ -456,14 +450,13 @@ def _lemma_discrete_rows(rep, space, cubes, stack, omega, caps, seed):
             cap=caps["two_sided_band"])
 
 
-def fefferman_stein_constants(space, pairs, n_families=12, family_size=6,
-                              seed=0):
+def fefferman_stein_constants(space, pairs, seed=0):
     """Empirical constants of the vector-valued maximal inequality, one per
-    (p, q) in `pairs`, all read off the same random families."""
+    (p, q) in `pairs`, read off the same 12 random families of 6 fields."""
     rng = np.random.default_rng(seed)
     best = dict.fromkeys(pairs, 0.0)
-    for _ in range(n_families):
-        fam = rng.standard_normal((family_size, space.n))
+    for _ in range(12):
+        fam = rng.standard_normal((6, space.n))
         mf = np.stack([hl_maximal(space, Field(space, g)).values
                        for g in fam])
         for p, q in best:
@@ -485,7 +478,7 @@ def lemma_suite(space, cubes=None, stack=None, omega=1.0, caps=None, seed=0):
     rep = SuiteReport("lemma suite")
     bad = theta_power_check(seed=seed)
     rep.add("theta-power inequality", "exact", passed=bad == 0, value=bad,
-            sequences=10_000)
+            sequences=THETA_SEQUENCES)
     _lemma_geometric_rows(rep, space, caps)
     if cubes is not None and stack is not None:
         _lemma_discrete_rows(rep, space, cubes, stack, omega, caps, seed)

@@ -39,15 +39,6 @@ class Field:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    def mu_mean(self):
-        return float(self.values @ self.space.weight) / self.space.total_mass
-
-    def mean_zero(self):
-        return Field(self.space, self.values - self.mu_mean())
-
-    def l2(self):
-        return math.sqrt(float(self.values ** 2 @ self.space.weight))
-
 
 def mu_dot(space, u, v):
     return float((u * v) @ space.weight)
@@ -143,19 +134,14 @@ def _cell_average(space, sub_assign, nsub, g):
     return sums / wsum
 
 
-def analyze(stack, cubes, f, sampler=None):
+def analyze(stack, cubes, f):
     """Sample Q_k f on the subcube points; cell averages on coarse levels.
 
     The levels of ``stack.cell_levels()`` (inhomogeneous k <= N) also carry
     the cell averages mu(Q)^-1 int_Q Q_k f dmu used by the reproducing
-    formula and norms.  ``f`` is a Field or its level table.  ``sampler``
-    asserts which sample-point rule the cube system was refined with; a
-    mismatch is an error.
+    formula and norms.  ``f`` is a Field or its level table.
     """
     _require_subcubes(stack, cubes)
-    if sampler is not None and sampler != cubes.sampler:
-        raise RangeError(f"cube system was refined with sampler "
-                         f"{cubes.sampler!r}, not {sampler!r}")
     grid = CoefficientGrid(flavor=stack.flavor)
     for k, g in zip(stack.levels(), LevelTable.of(f, stack).rows):
         alpha, m, y, wgt, sub_assign = cubes.sample_arrays(k)

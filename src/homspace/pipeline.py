@@ -45,8 +45,7 @@ def default_level_range(space, delta=0.5, flavor="homogeneous",
 @dataclass
 class Pipeline:
     space: object
-    nets: object
-    cubes: object
+    cubes: object  # its nets are ``cubes.nets``
     stack: object
 
 
@@ -55,7 +54,9 @@ def build_pipeline(space, delta=0.5, flavor="homogeneous", j0=2,
                    n_low=1, k_min=None, k_max=None, coarse="mean",
                    fine_factor=DEFAULT_FINE_FACTOR, net_sigma=None,
                    deep_margin=None, strict=False):
-    """Build nets, refined cubes and the kernel stack in one shot."""
+    """Build nets, refined cubes and the kernel stack in one shot; the level
+    range defaults to `default_level_range`, and an inhomogeneous one runs
+    from 0 to at least 1."""
     if flavor not in ("homogeneous", "inhomogeneous"):
         raise ParameterError(f"unknown flavor {flavor!r}")
     auto_min, auto_max = default_level_range(space, delta, flavor, fine_factor)
@@ -63,8 +64,11 @@ def build_pipeline(space, delta=0.5, flavor="homogeneous", j0=2,
     k_hi = auto_max if k_max is None else integer_arg("k_max", k_max)
     j0 = integer_arg("j0", j0)
     if flavor == "inhomogeneous":
-        k_lo = 0
-        k_hi = max(k_hi, 1)
+        if k_min is not None and k_lo != 0 or k_max is not None and k_hi < 1:
+            raise ParameterError(f"inhomogeneous levels run from 0 to at "
+                                 f"least 1, got k_min={k_min!r}, "
+                                 f"k_max={k_max!r}")
+        k_lo, k_hi = 0, max(k_hi, 1)
     net_kwargs = {}
     if net_sigma is not None:
         net_kwargs["sigma"] = net_sigma
@@ -81,4 +85,4 @@ def build_pipeline(space, delta=0.5, flavor="homogeneous", j0=2,
     else:
         stack = build_exp_iati(space, cubes, k_range=(0, k_hi), a=a,
                                sigma=sigma, n_low=n_low)
-    return Pipeline(space=space, nets=nets, cubes=cubes, stack=stack)
+    return Pipeline(space=space, cubes=cubes, stack=stack)

@@ -35,8 +35,15 @@ A0_SAMPLE_TRIPLES = 10_000_000
 A0_BLOCK_ROWS = 64
 
 
+def _as_float_array(values, what):
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise FormatError(f"{what} must be numbers") from None
+
+
 def _as_float_matrix(dist):
-    d = np.asarray(dist, dtype=float)
+    d = _as_float_array(dist, "distances")
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise FormatError("distance table must be a square matrix")
     return d
@@ -114,6 +121,8 @@ def certify_a0(dist, cap=A0_EXHAUSTIVE_CAP, samples=A0_SAMPLE_TRIPLES, seed=0):
     0.15 s at n = 513 and 1 s at n = 1025 on one core).  Above the cap the
     method is "sampled": ``samples`` random triples drawn from ``seed``, a
     lower bound on the true constant, not a certificate.
+    `MetricMeasureSpace` calls it with ``cap=A0_EXHAUSTIVE_CAP`` and the
+    default sample count; tests call it with other caps and counts.
     """
     d = _as_float_matrix(dist)
     _check_distance_table(d)
@@ -201,17 +210,19 @@ class MetricMeasureSpace:
     ----------
     dist : (n, n) array of pairwise distances, symmetric, zero diagonal.
     weight : (n,) array of strictly positive atomic measures.
-    a0 : certified quasi-triangle constant (>= 1).
+    a0 : declared quasi-triangle constant (>= 1), checked against the one
+        `certify_a0` measures; ``a0_method`` is then "declared", else the
+        measured method ("exhaustive" or "sampled").
     label : free-form description.
-    a0_method : how a0 was obtained ("exhaustive", "sampled", "declared").
     points : optional coordinate array kept for round-tripping documents.
+    seed : seed of the a0 sample, taken above ``A0_EXHAUSTIVE_CAP`` points
+        (the cap is read at call time); non-numbers raise `FormatError`.
     """
 
-    def __init__(self, dist, weight, a0=None, label="", a0_method=None,
-                 points=None, a0_cap=A0_EXHAUSTIVE_CAP, seed=0):
+    def __init__(self, dist, weight, a0=None, label="", points=None, seed=0):
         d = _as_float_matrix(dist)
         n = d.shape[0]
-        w = np.asarray(weight, dtype=float)
+        w = _as_float_array(weight, "weights")
         if w.shape != (n,):
             raise FormatError("weight vector length does not match point count")
         if not np.all(np.isfinite(d)) or not np.all(np.isfinite(w)):
@@ -221,14 +232,15 @@ class MetricMeasureSpace:
             raise FormatError(f"weight of point {bad} is not positive")
 
         # certify_a0 also checks the rest of the distance table
-        measured, method, worst = certify_a0(d, cap=a0_cap, seed=seed)
+        measured, method, worst = certify_a0(d, cap=A0_EXHAUSTIVE_CAP,
+                                             seed=seed)
         if a0 is None:
             a0 = measured
         else:
             a0 = float(a0)
             if a0 < 1:
                 raise ParameterError("a0 must be >= 1")
-            method = a0_method or "declared"
+            method = "declared"
             if measured > a0 * (1 + 1e-12):
                 raise CertificationError(
                     f"declared a0={a0} violated: triple {worst} attains "
@@ -318,8 +330,9 @@ class GeometryReport:
     radius_grid: tuple = field(default_factory=tuple)
 
 
-def default_radius_grid(space, count=7):
-    """Dyadic radii from diam/2 down, stopping above 1.6x the minimum gap.
+def default_radius_grid(space):
+    """At most seven dyadic radii from diam/2 down, stopping above 1.6x the
+    minimum gap.
 
     Radii at or below the nearest-neighbor gap make the smaller ball a
     singleton and inflate the measured doubling ratio; the cutoff keeps the
@@ -331,7 +344,7 @@ def default_radius_grid(space, count=7):
         return [1.0]
     out = []
     r = hi
-    while r >= lo and len(out) < count:
+    while r >= lo and len(out) < 7:
         out.append(r)
         r /= 2.0
     return sorted(out) or [hi]
@@ -345,7 +358,11 @@ def geometry_report(space, radius_grid, fit_reverse=False):
     log mu(B(x,r)) against log r with worst-case (minimum intercept)
     constants, global over all radii and local over r <= 1.
     """
-    radii = [float(r) for r in radius_grid]
+    try:
+        radii = [float(r) for r in radius_grid]
+    except (TypeError, ValueError):
+        raise ParameterError(f"radius_grid must be a list of numbers, "
+                             f"got {radius_grid!r}") from None
     if not radii or any(r <= 0 for r in radii) or radii != sorted(radii):
         raise ParameterError("radius_grid must be nonempty, positive, sorted")
 
@@ -456,8 +473,7 @@ def _sierpinski_points(level):
 
 
 def generate_space(kind, size=None, level=None, exponent=None,
-                   measure="uniform", weights=None, label=None,
-                   a0_cap=A0_EXHAUSTIVE_CAP, seed=0):
+                   measure="uniform", weights=None, label=None, seed=0):
     """Build one of the stock finite test spaces.
 
     Kinds: grid1d(size), grid2d(size per side), circle(size), graph(size,
@@ -501,12 +517,12 @@ def generate_space(kind, size=None, level=None, exponent=None,
     elif measure == "custom":
         if weights is None:
             raise ParameterError("custom measure requires weights")
-        w = np.asarray(weights, dtype=float)
+        w = weights
     else:
         raise ParameterError(f"unknown measure {measure!r}")
 
     return MetricMeasureSpace(
-        dist, w, label=label or kind, points=points, a0_cap=a0_cap, seed=seed)
+        dist, w, label=label or kind, points=points, seed=seed)
 
 
 # -- document I/O -----------------------------------------------------------
@@ -542,7 +558,7 @@ def save_space(space, path):
     os.replace(tmp, path)
 
 
-def load_space_document(doc, a0_cap=A0_EXHAUSTIVE_CAP, seed=0):
+def load_space_document(doc, seed=0):
     try:
         n = int(doc["n"])
         weights = np.asarray(doc["weights"], dtype=float)
@@ -553,8 +569,7 @@ def load_space_document(doc, a0_cap=A0_EXHAUSTIVE_CAP, seed=0):
 
     points = None
     if "dist" in doc:
-        raw = doc["dist"]
-        arr = np.asarray(raw, dtype=float)
+        arr = _as_float_array(doc["dist"], "distances")
         if arr.ndim == 1:
             dist = _tri_to_full(arr, n)
         elif arr.shape == (n, n):
@@ -562,9 +577,9 @@ def load_space_document(doc, a0_cap=A0_EXHAUSTIVE_CAP, seed=0):
         else:
             raise FormatError("dist must be a lower triangle or full matrix")
         if "points" in doc:
-            points = np.asarray(doc["points"], dtype=float)
+            points = _as_float_array(doc["points"], "points")
     elif "points" in doc:
-        points = np.asarray(doc["points"], dtype=float)
+        points = _as_float_array(doc["points"], "points")
         if points.ndim == 1:
             points = points[:, None]
         if points.shape[0] != n:
@@ -575,11 +590,11 @@ def load_space_document(doc, a0_cap=A0_EXHAUSTIVE_CAP, seed=0):
 
     return MetricMeasureSpace(
         dist, weights, a0=doc.get("a0"), label=doc.get("label", ""),
-        points=points, a0_cap=a0_cap, seed=seed)
+        points=points, seed=seed)
 
 
-def load_space(path, a0_cap=A0_EXHAUSTIVE_CAP, seed=0):
+def load_space(path, seed=0):
     """Load and certify a space document (JSON)."""
     with open(path) as fh:
         doc = json.load(fh)
-    return load_space_document(doc, a0_cap=a0_cap, seed=seed)
+    return load_space_document(doc, seed=seed)

@@ -17,8 +17,8 @@ from homspace import (Field, NormSpec, build_cubes, build_nets,
                       lipschitz_norm, reconstruct, validate_ati,
                       verify_cubes)
 from homspace.cli import main as cli_main
-from homspace.lab import (band_drift, fefferman_stein_constants,
-                          standard_ensemble_spec, theta_power_check)
+from homspace.lab import (EnsembleSpec, band_drift,
+                          fefferman_stein_constants, theta_power_check)
 from homspace.norms import besov_norm, triebel_lizorkin_norm
 from homspace.operators import mu_dot
 from homspace.space import default_radius_grid, geometry_report
@@ -72,8 +72,7 @@ def pipe513():
 def norm_rig():
     sp = generate_space("grid1d", size=129)
     pipe = build_pipeline(sp)
-    ens = generate_ensemble(sp, pipe.stack,
-                            standard_ensemble_spec(mean_zero=True))
+    ens = generate_ensemble(sp, pipe.stack, EnsembleSpec(mean_zero=True))
     return sp, pipe, ens
 
 
@@ -279,7 +278,7 @@ def _theorem_band(space, pipe, spec, pairing, mean_zero):
     geom = geometry_report(space, default_radius_grid(space))
     rep = validate_ati(pipe.stack, pipe.cubes)
     ens = generate_ensemble(space, pipe.stack,
-                            standard_ensemble_spec(mean_zero=mean_zero))
+                            EnsembleSpec(mean_zero=mean_zero))
     return equivalence_experiment(space, pipe.stack, pipe.cubes, spec,
                                   pairing, ens, omega=geom.omega,
                                   eta=rep.eta_fit, geometry=geom)
@@ -316,7 +315,7 @@ def test_criterion_8_theorem_equivalence(pipe257, pipe513):
 
 def test_criterion_9_lemma_suite(pipe257, pipe513):
     t0 = time.time()
-    assert theta_power_check(n_sequences=10_000, seed=0) == 0
+    assert theta_power_check(seed=0) == 0
 
     sp513 = pipe513.space
     from homspace.kernels import r_gamma_integral_band

@@ -1,10 +1,13 @@
 import json
 import os
+import re
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from homspace.cli import main
+from homspace.cli import DEFAULT_CONFIG, NULL_DEFAULT_TYPES, load_config, main
+from homspace.errors import ParameterError
 from homspace.lab import DEFAULT_CAPS, STANDARD_KINDS
 
 BASE = {
@@ -248,6 +251,7 @@ BAD_PIPELINE_SETS = (
     ('frame.dump_coefficients="no"',),
     ("frame.dump_coefficients=1",),
     ('kernel.flavor="inhomogeneous"', "kernel.n_low=-1"),
+    ('kernel.flavor="inhomogeneous"', "dyadic.k_min=3"),
 )
 # norm parameters and field leaves that are not numbers or lie out of range
 BAD_NORM_SETS = (
@@ -258,6 +262,48 @@ BAD_NORM_SETS = (
     "norm.field.center=100000",
     'norm.field.theta="x"',
 )
+
+
+# leaves of the wrong type, also ones `lab lemmas` never reads, output
+# formats outside text and csv, and lists of non-numbers
+BAD_LEAF_SETS = (
+    ("output.dir=5",),
+    ('output.formats=["pdf"]',),
+    ('output.formats="text"',),
+    ('lab.radius_grid="x"',),
+    ('lab.radius_grid=["x"]',),
+    ("space.kind=5",),
+    ("lab.pairing=5",),
+    ("norm.p=null",),
+    ('norm.s="x"',),
+    ('space.measure="custom"', 'space.weights=["x"]'),
+)
+
+
+def _leaves(node, path=""):
+    for key, val in node.items():
+        if isinstance(val, dict):
+            yield from _leaves(val, f"{path}{key}.")
+        else:
+            yield f"{path}{key}", val
+
+
+# per leaf type, a JSON value of another type
+WRONG_TYPE = {bool: "1", int: "1.5", float: '"x"', str: "5", list: '{"a": 1}'}
+
+
+def test_every_config_leaf_rejects_another_type():
+    for leaf, default in _leaves(DEFAULT_CONFIG):
+        kind = NULL_DEFAULT_TYPES[leaf] if default is None else type(default)
+        with pytest.raises(ParameterError, match=re.escape(leaf)):
+            load_config(None, [f"{leaf}={WRONG_TYPE[kind]}"])
+        if default is None:
+            assert load_config(None, [f"{leaf}=null"]) == DEFAULT_CONFIG
+    cfg = load_config(None, ['norm.p="inf"', "norm.q=Infinity"])
+    assert (cfg["norm"]["p"], cfg["norm"]["q"]) == ("inf", float("inf"))
+    for bad in ('norm.p="Infinity"', "norm.q=null", "norm.p=NaN"):
+        with pytest.raises(ParameterError):
+            load_config(None, [bad])
 
 
 def test_bad_ensemble_settings_set_paths_and_fields_exit_1(tmp_path, capsys):
@@ -273,6 +319,11 @@ def test_bad_ensemble_settings_set_paths_and_fields_exit_1(tmp_path, capsys):
     for assignments in BAD_PIPELINE_SETS:
         sets = [arg for a in assignments for arg in ("--set", a)]
         assert run(["--config", cfg, *sets, "norm", "compute"]) == 1, \
+            assignments
+        assert "error:" in capsys.readouterr().err, assignments
+    for assignments in BAD_LEAF_SETS:
+        sets = [arg for a in assignments for arg in ("--set", a)]
+        assert run(["--config", cfg, *sets, "lab", "lemmas"]) == 1, \
             assignments
         assert "error:" in capsys.readouterr().err, assignments
     vals = tmp_path / "nan_field.json"

@@ -1,12 +1,13 @@
 import tracemalloc
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 from ati_oracle import reference_validate_ati
 
-from homspace import (Field, ParameterError, build_exp_iati, build_pipeline,
-                      build_semigroup, generate_space, validate_ati)
+from homspace import (Field, ParameterError, build_exp_ati, build_exp_iati,
+                      build_pipeline, build_semigroup, generate_space,
+                      validate_ati)
 from homspace.kernels import mean_projection, r_gamma_integral_band
 
 CANCEL_TOL = 1e-10
@@ -59,7 +60,7 @@ def test_homogeneous_telescoping_to_mean(pipe65):
     st = pipe65.stack
     sp = st.space
     total = sum(st.q[k] for k in st.levels())
-    fine = st.semigroup(st.delta ** st.k_max)
+    fine = build_semigroup(sp, st.delta ** st.k_max, a=st.a)
     assert np.allclose(total, fine - mean_projection(sp), atol=1e-11)
 
 
@@ -218,3 +219,28 @@ def test_build_pipeline_rejects_fractional_levels(grid65):
             build_pipeline(grid65, **kw)
     pipe = build_pipeline(grid65, k_min=0.0, k_max=6.0, j0=2.0)
     assert (pipe.stack.k_min, pipe.stack.k_max, pipe.cubes.j0) == (0, 6, 2)
+
+
+def test_kernel_builders_reject_fractional_levels(grid65, pipe65):
+    for k_range in ((0.5, 4), (0, 4.7), (0, True)):
+        with pytest.raises(ParameterError, match="k_range"):
+            build_exp_ati(grid65, pipe65.cubes, k_range)
+        with pytest.raises(ParameterError, match="k_range"):
+            build_exp_iati(grid65, pipe65.cubes, k_range)
+    st = build_exp_iati(grid65, pipe65.cubes, (0.0, 3.0))
+    assert (st.k_min, st.k_max) == (0, 3)
+
+
+def test_inhomogeneous_pipeline_rejects_given_level_range(grid65):
+    for kw in (dict(k_min=3), dict(k_min=-1), dict(k_max=0)):
+        with pytest.raises(ParameterError, match=next(iter(kw))):
+            build_pipeline(grid65, flavor="inhomogeneous", **kw)
+    pipe = build_pipeline(grid65, flavor="inhomogeneous", k_min=0, k_max=4)
+    assert (pipe.stack.k_min, pipe.stack.k_max) == (0, 4)
+
+
+def test_interior_levels_are_the_middle_third(pipe65):
+    for k_max, want in ((0, [0]), (1, [0, 1]), (2, [1, 2]), (5, [2, 3, 4]),
+                        (8, [3, 4, 5, 6])):
+        st = replace(pipe65.stack, k_min=0, k_max=k_max)
+        assert list(st.interior_levels()) == want

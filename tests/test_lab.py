@@ -7,7 +7,7 @@ from homspace import (ExperimentError, NormSpec, ParameterError,
                       validate_ati)
 from homspace.lab import (EnsembleSpec, band_drift, check_hypotheses,
                           embedding_suite, fefferman_stein_constants,
-                          standard_ensemble_spec, theta_power_check)
+                          theta_power_check)
 from homspace.space import geometry_report
 
 
@@ -48,7 +48,7 @@ def test_ensemble_rejects_empty_kinds(grid65, pipe65):
 
 
 def test_standard_ensemble_is_fifty(grid65, pipe65):
-    spec = standard_ensemble_spec(mean_zero=True)
+    spec = EnsembleSpec(mean_zero=True)
     assert spec.total() == 50
 
 
@@ -144,7 +144,7 @@ def test_embedding_suite_rows(grid65, pipe65, geom65, ensemble65):
 
 
 def test_theta_power_zero_violations():
-    assert theta_power_check(n_sequences=10_000, seed=0) == 0
+    assert theta_power_check(seed=0) == 0
 
 
 def test_lemma_suite_passes(grid65, pipe65, geom65):

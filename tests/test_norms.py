@@ -276,7 +276,7 @@ def test_norm_spec_validation():
 def test_sampled_norm_sampler_band(pipe65, ensemble65):
     from homspace.dyadic import build_cubes
     spec = NormSpec(s=0.5, p=2.0, q=2.0)
-    base = build_cubes(pipe65.nets, pipe65.space)
+    base = build_cubes(pipe65.cubes.nets, pipe65.space)
     variants = [refine_subcubes(base, 2, sampler="center"),
                 refine_subcubes(base, 2, sampler="lowest_index"),
                 refine_subcubes(base, 2, sampler="seeded_random", seed=11)]

@@ -242,13 +242,6 @@ def test_analyze_j0_zero_samples_at_centers(grid65):
         assert np.max(np.abs(lc.value - g[centers])) == 0.0
 
 
-def test_analyze_sampler_mismatch(pipe65, rng):
-    f = Field(pipe65.space, rng.standard_normal(pipe65.space.n))
-    with pytest.raises(RangeError, match="sampler"):
-        analyze(pipe65.stack, pipe65.cubes, f, sampler="seeded_random")
-    analyze(pipe65.stack, pipe65.cubes, f, sampler="center")
-
-
 def test_frame_rayleigh_floor_on_band_limited(pipe65, rng):
     # power-iteration-style oracle: Rayleigh quotients of S on band-limited
     # probes stay above a positive floor

@@ -5,8 +5,10 @@ import a0_oracle
 import numpy as np
 import pytest
 
-from homspace import (CertificationError, FormatError, ParameterError,
-                      generate_space, geometry_report, load_space, save_space)
+from homspace import (CertificationError, FormatError, MetricMeasureSpace,
+                      ParameterError, generate_space, geometry_report,
+                      load_space, save_space)
+from homspace import space as space_mod
 from homspace.space import (A0_EXHAUSTIVE_CAP, certify_a0,
                             default_radius_grid, load_space_document,
                             space_to_document)
@@ -226,8 +228,19 @@ def test_document_float_roundtrip_exact(tmp_path):
     assert np.array_equal(back.dist, sp.dist)
 
 
-def test_sampled_certification_flag():
-    sp = generate_space("grid1d", size=600, a0_cap=128)
+def test_non_numeric_weights_and_radii_raise_library_errors(grid65):
+    with pytest.raises(FormatError, match="weights"):
+        generate_space("grid1d", size=3, measure="custom",
+                       weights=["x", 1, 1])
+    with pytest.raises(FormatError, match="weights"):
+        MetricMeasureSpace(grid65.dist, [[1.0], [1.0, 2.0]] * 32 + [[1.0]])
+    with pytest.raises(ParameterError, match="radius_grid"):
+        geometry_report(grid65, ["x"])
+
+
+def test_sampled_certification_flag(monkeypatch):
+    monkeypatch.setattr(space_mod, "A0_EXHAUSTIVE_CAP", 128)
+    sp = generate_space("grid1d", size=600)
     assert sp.a0_method == "sampled"
     assert sp.a0 == pytest.approx(1.0, abs=1e-12)
 
@@ -295,13 +308,14 @@ def test_certify_a0_sampled_matches_oracle():
     assert certify_a0(sp.dist) == want
 
 
-def test_certify_a0_cap_boundary():
+def test_certify_a0_cap_boundary(monkeypatch):
     snow = generate_space("snowflake_power", size=40, exponent=2.0).dist
     assert certify_a0(snow, cap=40)[1] == "exhaustive"
     sampled = certify_a0(snow, cap=39, samples=5000, seed=3)
     assert sampled[1] == "sampled"
     assert sampled == a0_oracle.certify_a0(snow, cap=39, samples=5000, seed=3)
-    assert generate_space("grid1d", size=9, a0_cap=9).a0_method == "exhaustive"
+    monkeypatch.setattr(space_mod, "A0_EXHAUSTIVE_CAP", 9)
+    assert generate_space("grid1d", size=9).a0_method == "exhaustive"
 
 
 def test_certify_a0_rejects_bad_tables():
