@@ -15,7 +15,8 @@ from .norms import (NormSpec, admissible_range, besov_norm, lebesgue_norm,
                     test_function_norm, triebel_lizorkin_norm)
 from .operators import (CoefficientGrid, Field, LevelTable, analyze,
                         frame_operator, hl_maximal, reconstruct)
-from .pipeline import Pipeline, build_pipeline, default_level_range
+from .pipeline import (Pipeline, build_dyadic, build_pipeline,
+                       default_level_range)
 from .space import (GeometryReport, MetricMeasureSpace, generate_space,
                     geometry_report, load_space, save_space)
 

@@ -1,7 +1,8 @@
 """Command-line surface: build artifacts, run suites, emit reports.
 
 One JSON config file drives every command; ``--set a.b.c=value`` overrides
-single leaves.  Reports are written atomically and contain no timestamps
+single leaves, and a mapping value is merged into the section it names.
+Reports are written atomically and contain no timestamps
 (wall-clock metadata goes to the ``run_meta.json`` sidecar), so re-running
 with the same config and seeds reproduces byte-identical outputs.
 
@@ -28,10 +29,10 @@ from .kernels import validate_ati
 from .norms import (NormSpec, besov_norm, lebesgue_norm,
                     triebel_lizorkin_norm)
 from .operators import Field, analyze, hl_maximal, reconstruct
-from .pipeline import build_pipeline
+from .pipeline import build_dyadic, build_pipeline
 from .report import SuiteReport, fmt
-from .space import (default_radius_grid, generate_space, geometry_report,
-                    load_space, space_to_document)
+from .space import (_as_float_array, default_radius_grid, generate_space,
+                    geometry_report, load_space, space_to_document)
 
 DEFAULT_CONFIG = {
     "space": {
@@ -142,7 +143,7 @@ def load_config(path, sets):
             node = node.get(part) if isinstance(node, dict) else None
         if not isinstance(node, dict):
             raise ParameterError(f"unknown config key {dotted}")
-        node[name] = _parse_leaf(raw)
+        node[name] = _merge(node.get(name), _parse_leaf(raw))
     _check_config(cfg, DEFAULT_CONFIG)
     formats = cfg["output"]["formats"]
     if not all(f in OUTPUT_FORMATS for f in formats):
@@ -189,6 +190,11 @@ def _finish(cfg, name, suite):
 def space_from_config(cfg):
     sc = cfg["space"]
     if sc["file"]:
+        unread = [f"space.{k}" for k in ("weights", "level", "exponent",
+                                         "label") if sc[k] is not None]
+        if unread:
+            raise ParameterError(f"space.file is set, so {', '.join(unread)}"
+                                 f" would be ignored")
         return load_space(sc["file"], seed=sc["seed"])
     return generate_space(sc["kind"], size=sc["size"], level=sc["level"],
                           exponent=sc["exponent"], measure=sc["measure"],
@@ -196,16 +202,26 @@ def space_from_config(cfg):
                           seed=sc["seed"])
 
 
-def pipeline_from_config(cfg, space=None):
-    space = space or space_from_config(cfg)
+def _dyadic_args(cfg):
+    """The keyword arguments of `build_dyadic` the config sets."""
     dc, kc = cfg["dyadic"], cfg["kernel"]
-    return build_pipeline(
-        space, delta=dc["delta"], flavor=kc["flavor"], j0=dc["j0"],
-        sampler=dc["sampler"], sampler_seed=dc["seed"], a=kc["a"],
-        sigma=kc["sigma"], n_low=kc["n_low"], k_min=dc["k_min"],
-        k_max=dc["k_max"], coarse=kc["coarse"],
-        fine_factor=kc["fine_factor"], net_sigma=dc["sigma"],
-        deep_margin=dc["deep_margin"], strict=dc["strict"])
+    return dict(delta=dc["delta"], flavor=kc["flavor"], j0=dc["j0"],
+                sampler=dc["sampler"], sampler_seed=dc["seed"],
+                k_min=dc["k_min"], k_max=dc["k_max"],
+                fine_factor=kc["fine_factor"], net_sigma=dc["sigma"],
+                deep_margin=dc["deep_margin"], strict=dc["strict"])
+
+
+def dyadic_from_config(cfg, space=None):
+    """The refined cubes and the level range, without a kernel stack."""
+    return build_dyadic(space or space_from_config(cfg), **_dyadic_args(cfg))
+
+
+def pipeline_from_config(cfg, space=None):
+    kc = cfg["kernel"]
+    return build_pipeline(space or space_from_config(cfg), a=kc["a"],
+                          sigma=kc["sigma"], n_low=kc["n_low"],
+                          coarse=kc["coarse"], **_dyadic_args(cfg))
 
 
 def field_from_config(space, stack, fc):
@@ -232,7 +248,8 @@ def field_from_config(space, stack, fc):
         if not fc["file"]:
             raise ParameterError("field kind 'file' needs norm.field.file")
         with open(fc["file"]) as fh:
-            return Field(space, np.asarray(json.load(fh), dtype=float))
+            return Field(space, _as_float_array(json.load(fh),
+                                                "norm.field.file values"))
     raise ParameterError(f"unknown field kind {kind!r}")
 
 
@@ -314,9 +331,9 @@ def cubes():
 @cubes.command("build")
 @pass_cfg
 def cubes_build(cfg):
-    pipe = pipeline_from_config(cfg)
-    ver = dy.verify_cubes(pipe.cubes)
-    emit(cfg, "cubes.json", json.dumps(dy.cube_dump(pipe.cubes)) + "\n")
+    cubes, _ = dyadic_from_config(cfg)
+    ver = dy.verify_cubes(cubes)
+    emit(cfg, "cubes.json", json.dumps(dy.cube_dump(cubes)) + "\n")
     suite = _verification_suite(ver)
     return _finish(cfg, "cubes_verify", suite)
 
@@ -454,14 +471,16 @@ def lab():
     """Experiment suites."""
 
 
-def _lab_pipe(cfg, with_ensemble=True):
-    pipe = pipeline_from_config(cfg)
-    sp = pipe.space
+def _geometry(cfg, sp):
     grid = cfg["lab"]["radius_grid"] or default_radius_grid(sp)
-    geom = geometry_report(sp, grid)
-    ensemble = (labmod.generate_ensemble(sp, pipe.stack,
-                                         ensemble_spec_from_config(cfg))
-                if with_ensemble else None)
+    return geometry_report(sp, grid)
+
+
+def _lab_pipe(cfg):
+    pipe = pipeline_from_config(cfg)
+    geom = _geometry(cfg, pipe.space)
+    ensemble = labmod.generate_ensemble(pipe.space, pipe.stack,
+                                        ensemble_spec_from_config(cfg))
     return pipe, geom, ensemble
 
 
@@ -493,9 +512,10 @@ def lab_embeddings(cfg):
 @lab.command("lemmas")
 @pass_cfg
 def lab_lemmas(cfg):
-    pipe, geom, _ = _lab_pipe(cfg, with_ensemble=False)
-    suite = labmod.lemma_suite(pipe.space, pipe.cubes, pipe.stack,
-                               omega=geom.omega, caps=cfg["lab"]["caps"],
+    cubes, levels = dyadic_from_config(cfg)
+    suite = labmod.lemma_suite(cubes.space, cubes, levels,
+                               omega=_geometry(cfg, cubes.space).omega,
+                               caps=cfg["lab"]["caps"],
                                seed=cfg["lab"]["ensemble"]["seed"])
     return _finish(cfg, "lemmas", suite)
 

@@ -401,12 +401,12 @@ def _lemma_geometric_rows(rep, space, caps):
             cap=caps["two_sided_band"], gamma=gamma)
 
 
-def _lemma_discrete_rows(rep, space, cubes, stack, omega, caps, seed):
+def _lemma_discrete_rows(rep, space, cubes, levels, omega, caps, seed):
     rng = np.random.default_rng(seed)
     d = space.dist
     v = space.v_table()
-    delta = stack.delta
-    levels = [k for k in stack.levels() if k in (cubes.subcubes or {})]
+    delta = cubes.delta
+    levels = [k for k in levels if k in (cubes.subcubes or {})]
     if len(levels) < 3:
         rep.add("discrete Riesz-sum rows", "band", passed=None,
                 value=None, skipped="not enough refined levels")
@@ -472,16 +472,18 @@ def fefferman_stein_constants(space, pairs, seed=0):
     return best
 
 
-def lemma_suite(space, cubes=None, stack=None, omega=1.0, caps=None, seed=0):
-    """Numerical instantiation of the auxiliary inequalities."""
+def lemma_suite(space, cubes=None, levels=None, omega=1.0, caps=None, seed=0):
+    """Numerical instantiation of the auxiliary inequalities; the discrete
+    rows need the refined cubes and the stack's level range (a stack's
+    ``levels()``, or the range `build_dyadic` returns)."""
     caps = merge_caps(caps)
     rep = SuiteReport("lemma suite")
     bad = theta_power_check(seed=seed)
     rep.add("theta-power inequality", "exact", passed=bad == 0, value=bad,
             sequences=THETA_SEQUENCES)
     _lemma_geometric_rows(rep, space, caps)
-    if cubes is not None and stack is not None:
-        _lemma_discrete_rows(rep, space, cubes, stack, omega, caps, seed)
+    if cubes is not None and levels is not None:
+        _lemma_discrete_rows(rep, space, cubes, levels, omega, caps, seed)
     fs = fefferman_stein_constants(
         space, ((1.5, 2.0), (2.0, 2.0), (4.0, 4.0)), seed=seed)
     for (p, q), c in fs.items():

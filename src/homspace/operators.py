@@ -73,15 +73,14 @@ def hl_maximal(space, f):
     """Central maximal function M f(x) = sup_r avg_{B(x,r)} |f| d mu.
 
     The sup runs over the open balls, the prefixes of the distance-sorted
-    row that end on a tie-group end of the space's ball index.
+    row that end on a tie-group end of the space's ball index; only those
+    entries of the running sums are divided and compared.
     """
-    idx = space.ball_index
+    flat, measure, starts = space.group_ends
     g = np.abs(f.values) * space.weight
-    gpre = np.cumsum(g[idx.order], axis=1)
-    with np.errstate(invalid="ignore"):
-        ratio = gpre / idx.weight_prefix
-    ratio = np.where(idx.group_end, ratio, -np.inf)
-    return Field(space, np.max(ratio, axis=1))
+    gpre = np.cumsum(g[space.ball_index.order], axis=1)
+    return Field(space, np.maximum.reduceat(gpre.ravel()[flat] / measure,
+                                            starts))
 
 
 # -- sampled coefficients ------------------------------------------------------

@@ -283,6 +283,23 @@ class MetricMeasureSpace:
         """The sorted ball index every ball query reads; built on first use."""
         return BallIndex.build(self.dist, self.weight)
 
+    @cached_property
+    def group_ends(self):
+        """(flat, measure, starts): the ball index's group ends row by row,
+        as flat positions in its n x n tables, the measure of the ball each
+        one closes, and where each row's run starts in them; built on first
+        use, by the maximal operator."""
+        idx = self.ball_index
+        small = idx.group_end.size <= np.iinfo(np.int32).max
+        flat = np.flatnonzero(idx.group_end).astype(
+            np.int32 if small else np.intp)
+        starts = np.zeros(self.n, dtype=np.intp)
+        np.cumsum(idx.group_end.sum(axis=1)[:-1], out=starts[1:])
+        ends = (flat, idx.weight_prefix.ravel()[flat], starts)
+        for a in ends:
+            a.setflags(write=False)
+        return ends
+
     def ball_measure(self, r):
         """Vector of mu(B(x, r)) over all centers x."""
         idx = self.ball_index
@@ -481,6 +498,11 @@ def generate_space(kind, size=None, level=None, exponent=None,
     exponent a; d = |x - y|^a, a genuine quasi-metric for a > 1).
     """
     points = None
+    for name, value, reader in (("level", level, "sierpinski_level"),
+                                ("exponent", exponent, "snowflake_power")):
+        if value is not None and kind != reader:
+            raise ParameterError(f"{name} is read only by {reader}, "
+                                 f"not by {kind!r}")
     if kind in ("grid1d", "grid2d", "circle", "graph", "snowflake_power"):
         size = None if size is None else integer_arg("size", size)
         if size is None or size < 1:
@@ -512,6 +534,9 @@ def generate_space(kind, size=None, level=None, exponent=None,
         raise ParameterError(f"unknown space kind {kind!r}")
 
     n = dist.shape[0]
+    if weights is not None and measure != "custom":
+        raise ParameterError(f"weights are read only by the custom measure, "
+                             f"not by {measure!r}")
     if measure == "uniform":
         w = np.full(n, 1.0 / n)
     elif measure == "custom":

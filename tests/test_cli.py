@@ -6,6 +6,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from homspace import kernels
+from homspace import lab as labmod
 from homspace.cli import DEFAULT_CONFIG, NULL_DEFAULT_TYPES, load_config, main
 from homspace.errors import ParameterError
 from homspace.lab import DEFAULT_CAPS, STANDARD_KINDS
@@ -87,6 +89,22 @@ def test_cubes_build_and_verify_roundtrip(tmp_path, capsys):
     dump = os.path.join(str(tmp_path / "out"), "cubes.json")
     assert run(["--config", cfg, "cubes", "verify", "--dump", dump]) == 0
     capsys.readouterr()
+
+
+def test_stack_free_commands_build_no_kernel(tmp_path, capsys, monkeypatch):
+    """`cubes build` and `lab lemmas` read no kernel table Q_k, so they run
+    with every semigroup build failing."""
+    def no_semigroup(*args, **kwargs):
+        raise AssertionError("a stack-free command built a semigroup")
+
+    monkeypatch.setattr(kernels, "build_semigroup", no_semigroup)
+    monkeypatch.setattr(labmod, "build_semigroup", no_semigroup)
+    cfg = write_config(tmp_path, {"space": {"size": 65}})
+    for command in (["cubes", "build"], ["lab", "lemmas"]):
+        assert run(["--config", cfg, *command]) == 0, command
+    capsys.readouterr()
+    with pytest.raises(AssertionError, match="semigroup"):
+        run(["--config", cfg, "ati", "build"])
 
 
 def test_cubes_verify_tampered_exit_2(tmp_path, capsys):
@@ -189,6 +207,58 @@ def test_field_file_kind(tmp_path, capsys):
     cfg2 = write_config(tmp_path, {"norm": {"field": {"kind": "file"}}},
                         name="c2.json")
     assert run(["--config", cfg2, "norm", "compute"]) == 1
+    vals.write_text(json.dumps(["x", 1]))
+    capsys.readouterr()
+    assert run(["--config", cfg, "norm", "compute"]) == 1
+    assert "error: norm.field.file values must be numbers" in \
+        capsys.readouterr().err
+
+
+def test_set_mapping_merges_into_section(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert run(["--out", out, "--set", 'space={"kind": "grid1d"}',
+                "space", "build"]) == 0
+    assert "space n=65 " in capsys.readouterr().out
+    cfg = load_config(None, ['space={"kind": "circle", "size": 8}'])
+    assert cfg["space"] == {**DEFAULT_CONFIG["space"], "kind": "circle",
+                            "size": 8}
+    cfg = load_config(None, ['lab.caps={"integral_band": 5}'])
+    assert cfg["lab"]["caps"] == {**DEFAULT_CAPS, "integral_band": 5}
+    # a mapping laid over a non-mapping leaf still replaces it, and fails
+    # that leaf's type check
+    with pytest.raises(ParameterError, match="space.weights must be a list"):
+        load_config(None, ['space.weights={"a": 1}'])
+    for bad in ('space={"kind": "grid1d", "bogus": 1}',
+                'lab.caps={"integral_band": 5, "bogus": 1}'):
+        with pytest.raises(ParameterError, match="unknown config key"):
+            load_config(None, [bad])
+        assert run(["--out", out, "--set", bad, "space", "build"]) == 1
+        assert "error: unknown config key" in capsys.readouterr().err
+
+
+def test_space_leaves_the_space_would_ignore_exit_1(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    weights = "space.weights=[5, 5, 5]"
+    assert run(["--out", out, "--set", "space.size=3", "--set", weights,
+                "space", "build"]) == 1
+    assert "custom measure" in capsys.readouterr().err
+    for leaf, reader in (("space.level=2", "sierpinski_level"),
+                         ("space.exponent=2.0", "snowflake_power")):
+        assert run(["--out", out, "--set", leaf, "space", "build"]) == 1
+        assert f"read only by {reader}" in capsys.readouterr().err
+    assert run(["--out", out, "--set", "space.size=3", "--set", weights,
+                "--set", 'space.measure="custom"', "space", "build"]) == 0
+    capsys.readouterr()
+    doc = tmp_path / "out" / "space.json"
+    for leaf in (weights, "space.level=2", "space.exponent=2.0",
+                 'space.label="x"'):
+        assert run(["--out", out, "--set", f'space.file="{doc}"',
+                    "--set", leaf, "space", "build"]) == 1, leaf
+        err = capsys.readouterr().err
+        assert "error: space.file is set" in err, leaf
+        assert leaf.split("=")[0] in err, leaf
+    assert run(["--out", out, "--set", f'space.file="{doc}"',
+                "space", "build"]) == 0
 
 
 def test_lab_band_cap_violation_exit_2(tmp_path, capsys):
@@ -233,7 +303,8 @@ BAD_SETS = (
     "lab.ensemble.kinds=5",
     "lab.ensemble.kinds=[]",
     'lab.ensemble.kinds="holder"',
-    'lab.ensemble.counts={"holder": 2}',
+    'lab.ensemble.counts={"holder": -2}',
+    'lab.ensemble.counts={"bogus": 2}',
     'lab.ensemble.mean_zero="no"',
     "lab.ensemble.mean_zero=1",
     "space.size",

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from ati_oracle import reference_validate_ati
 
-from homspace import (Field, ParameterError, build_exp_ati, build_exp_iati,
-                      build_pipeline, build_semigroup, generate_space,
-                      validate_ati)
+from homspace import (Field, ParameterError, build_dyadic, build_exp_ati,
+                      build_exp_iati, build_pipeline, build_semigroup,
+                      generate_space, validate_ati)
+from homspace.dyadic import cube_dump
 from homspace.kernels import mean_projection, r_gamma_integral_band
 
 CANCEL_TOL = 1e-10
@@ -237,6 +238,22 @@ def test_inhomogeneous_pipeline_rejects_given_level_range(grid65):
             build_pipeline(grid65, flavor="inhomogeneous", **kw)
     pipe = build_pipeline(grid65, flavor="inhomogeneous", k_min=0, k_max=4)
     assert (pipe.stack.k_min, pipe.stack.k_max) == (0, 4)
+
+
+@pytest.mark.parametrize("flavor,kw", [
+    ("homogeneous", {}), ("homogeneous", dict(k_min=1, k_max=5)),
+    ("inhomogeneous", {}), ("inhomogeneous", dict(k_min=0, k_max=4))])
+def test_build_dyadic_matches_the_pipeline(grid65, flavor, kw):
+    cubes, levels = build_dyadic(grid65, flavor=flavor, **kw)
+    pipe = build_pipeline(grid65, flavor=flavor, **kw)
+    assert levels == pipe.stack.levels()
+    assert cube_dump(cubes) == cube_dump(pipe.cubes)
+    assert cubes.delta == pipe.stack.delta
+
+
+def test_build_dyadic_rejects_an_empty_level_range(grid65):
+    with pytest.raises(ParameterError, match="empty level range"):
+        build_dyadic(grid65, k_min=5, k_max=4, j0=0)
 
 
 def test_interior_levels_are_the_middle_third(pipe65):

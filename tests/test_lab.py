@@ -148,7 +148,7 @@ def test_theta_power_zero_violations():
 
 
 def test_lemma_suite_passes(grid65, pipe65, geom65):
-    suite = lemma_suite(grid65, pipe65.cubes, pipe65.stack,
+    suite = lemma_suite(grid65, pipe65.cubes, pipe65.stack.levels(),
                         omega=geom65.omega, seed=0)
     assert suite.passed
     assert any("theta-power" in r.name for r in suite.rows)
@@ -171,7 +171,7 @@ def test_fefferman_stein_stability_under_refinement():
 
 
 def test_suite_report_rendering(grid65, pipe65, geom65):
-    suite = lemma_suite(grid65, pipe65.cubes, pipe65.stack,
+    suite = lemma_suite(grid65, pipe65.cubes, pipe65.stack.levels(),
                         omega=geom65.omega, seed=0)
     text = suite.to_text()
     assert text.startswith("# lemma suite")

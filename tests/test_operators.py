@@ -98,6 +98,34 @@ def test_maximal_matches_brute_force(rng):
         assert m[x] == pytest.approx(best, rel=1e-12)
 
 
+def _hl_maximal_oracle(space, f):
+    """Frozen copy of the maximal operator that divided every prefix of every
+    row and masked the non-ends with -inf before the row max."""
+    idx = space.ball_index
+    g = np.abs(f.values) * space.weight
+    gpre = np.cumsum(g[idx.order], axis=1)
+    with np.errstate(invalid="ignore"):
+        ratio = gpre / idx.weight_prefix
+    ratio = np.where(idx.group_end, ratio, -np.inf)
+    return np.max(ratio, axis=1)
+
+
+@pytest.mark.parametrize("kind,size,measure", [
+    ("grid2d", 9, "uniform"), ("graph", 40, "custom"),
+    ("grid1d", 65, "uniform"), ("grid1d", 1, "uniform")])
+def test_maximal_matches_frozen_oracle(kind, size, measure, rng):
+    n = size * size if kind == "grid2d" else size
+    weights = rng.uniform(0.5, 2.0, n) if measure == "custom" else None
+    sp = generate_space(kind, size=size, measure=measure, weights=weights)
+    for values in (rng.standard_normal(n), np.zeros(n), np.full(n, -2.0)):
+        f = Field(sp, values)
+        assert np.array_equal(hl_maximal(sp, f).values,
+                              _hl_maximal_oracle(sp, f))
+    ends = sp.group_ends
+    assert ends[0].dtype == np.int32 and len(ends[2]) == n
+    assert not any(a.flags.writeable for a in ends)
+
+
 # -- coefficients and frame -----------------------------------------------------
 
 def test_analyze_matches_direct_sampling(pipe65, rng):

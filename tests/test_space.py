@@ -44,6 +44,11 @@ def test_invalid_params():
         generate_space("snowflake_power", size=5, exponent=0.0)
     with pytest.raises(ParameterError):
         generate_space("warp", size=5)
+    # parameters the kind or measure would ignore
+    for kw in (dict(weights=[1.0, 1.0, 1.0]), dict(level=2),
+               dict(exponent=2.0)):
+        with pytest.raises(ParameterError, match="read only by"):
+            generate_space("grid1d", size=3, **kw)
 
 
 def test_size_and_level_must_be_integers():
