@@ -2,7 +2,14 @@
 
 One JSON config file drives every command; ``--set a.b.c=value`` overrides
 single leaves, and a mapping value is merged into the section it names.
-Reports are written atomically and contain no timestamps
+`load_config` checks every leaf before any work: its type against
+`DEFAULT_CONFIG`, and its range in its stage's frozen spec
+(`config_specs`), the same spec the library builders check their
+arguments with.  A leaf that its section's choice does not read (a size for
+a Sierpinski space, a kernel sigma for the homogeneous flavor) has a null
+default and must stay null.  Each command then builds only the stages it
+reads (`COMMAND_STAGES`).  Reports are written atomically and contain no
+timestamps
 (wall-clock metadata goes to the ``run_meta.json`` sidecar), so re-running
 with the same config and seeds reproduces byte-identical outputs.
 
@@ -13,10 +20,13 @@ invariants or band caps.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import math
 import os
 import time
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import click
 import numpy as np
@@ -24,36 +34,80 @@ import numpy as np
 from . import dyadic as dy
 from . import lab as labmod
 from .difference import TRUNCATED_VARIANTS, VARIANTS, lipschitz_norm, truncated_norm
-from .errors import HomspaceError, ParameterError
-from .kernels import validate_ati
+from .dyadic import DyadicSpec
+from .errors import HomspaceError, ParameterError, choice_arg, integer_arg
+from .kernels import KernelSpec, validate_ati
 from .norms import (NormSpec, besov_norm, lebesgue_norm,
                     triebel_lizorkin_norm)
-from .operators import Field, analyze, hl_maximal, reconstruct
-from .pipeline import build_dyadic, build_pipeline
+from .operators import Field, FrameSpec, analyze, hl_maximal, reconstruct
+from .pipeline import Pipeline, dyadic_stage, stack_stage
 from .report import SuiteReport, fmt
-from .space import (_as_float_array, default_radius_grid, generate_space,
-                    geometry_report, load_space, space_to_document)
+from .space import (SpaceSpec, _as_float_array, default_radius_grid,
+                    generate_space, geometry_report, load_space,
+                    space_to_document)
 
+FIELD_KINDS = ("constant", "holder", "indicator", "bandlimited", "file")
+
+
+@dataclass(frozen=True)
+class FieldSpec:
+    """The field `norm compute`, `frame reconstruct` and `maximal` read: a
+    constant `value`, d(center, .)^theta, the indicator of the ball of
+    `radius` about `center`, Q_level of white noise from `seed` (a null
+    level is the stack's middle one) or the values in a JSON `file`."""
+
+    kind: str = "holder"
+    theta: float = 0.7
+    center: int = 0
+    value: float = 1.0
+    radius: float = 0.25
+    level: int | None = None
+    seed: int = 0
+    file: str | None = None
+
+    def __post_init__(self):
+        choice_arg("field kind", self.kind, FIELD_KINDS)
+        integer_arg("norm.field.center", self.center, low=0)
+        integer_arg("norm.field.seed", self.seed, low=0)
+        if self.kind == "file" and self.file is None:
+            raise ParameterError("field kind 'file' needs norm.field.file")
+
+    def make(self, space, stack):
+        """The field on `space`; a bandlimited one reads `stack`."""
+        if not self.center < space.n:
+            raise ParameterError(f"norm.field.center must lie in "
+                                 f"[0, {space.n}), got {self.center}")
+        if self.kind == "constant":
+            return Field(space, np.full(space.n, float(self.value)))
+        if self.kind == "holder":
+            return Field(space, space.dist[self.center] ** float(self.theta))
+        if self.kind == "indicator":
+            return Field(space, (space.dist[self.center] < float(self.radius))
+                         .astype(float))
+        if self.kind == "bandlimited":
+            levels = stack.levels()
+            j = levels[len(levels) // 2] if self.level is None else self.level
+            noise = np.random.default_rng(self.seed).standard_normal(space.n)
+            return Field(space, stack.apply(j, noise))
+        with open(self.file) as fh:
+            return Field(space, _as_float_array(json.load(fh),
+                                                "norm.field.file values"))
+
+
+def _section(spec):
+    """A spec's fields with their defaults: the config section of its
+    stage."""
+    return {f.name: f.default for f in fields(spec)}
+
+
+# the space, dyadic, kernel and field sections are their specs' fields
 DEFAULT_CONFIG = {
-    "space": {
-        "kind": "grid1d", "size": 65, "level": None, "exponent": None,
-        "measure": "uniform", "weights": None, "file": None, "label": None,
-        "seed": 0,
-    },
-    "dyadic": {
-        "delta": 0.5, "k_min": None, "k_max": None, "j0": 2,
-        "sampler": "center", "seed": 0, "sigma": None, "deep_margin": None,
-        "strict": False,
-    },
-    "kernel": {
-        "a": 1.0, "sigma": 1.0, "flavor": "homogeneous", "n_low": 1,
-        "coarse": "mean", "fine_factor": 16.0,
-    },
+    "space": _section(SpaceSpec),
+    "dyadic": _section(DyadicSpec),
+    "kernel": _section(KernelSpec),
     "norm": {
         "s": 0.5, "p": 2.0, "q": 2.0, "u": 1.0, "beta": 0.75, "gamma": 0.75,
-        "c_tilde": 1.0, "variant": "besov",
-        "field": {"kind": "holder", "theta": 0.7, "center": 0, "value": 1.0,
-                  "radius": 0.25, "level": None, "seed": 0, "file": None},
+        "c_tilde": 1.0, "variant": "besov", "field": _section(FieldSpec),
     },
     "frame": {"tol": 1e-6, "maxiter": 500, "dump_coefficients": False},
     "lab": {
@@ -71,8 +125,10 @@ DEFAULT_CONFIG = {
 # the type of each leaf whose default is null (the other leaves take the
 # type of their default); such a leaf may also stay null
 NULL_DEFAULT_TYPES = {
-    "space.level": int, "space.exponent": float, "space.weights": list,
-    "space.file": str, "space.label": str, "dyadic.k_min": int,
+    "space.kind": str, "space.size": int, "space.level": int,
+    "space.exponent": float, "space.measure": str, "space.weights": list,
+    "space.file": str, "space.label": str, "kernel.sigma": float,
+    "kernel.n_low": int, "kernel.coarse": str, "dyadic.k_min": int,
     "dyadic.k_max": int, "dyadic.sigma": float, "dyadic.deep_margin": float,
     "norm.field.level": int, "norm.field.file": str, "lab.radius_grid": list,
 }
@@ -127,7 +183,8 @@ def _parse_leaf(text):
 
 def load_config(path, sets):
     """The config file laid over `DEFAULT_CONFIG`, then the ``--set``
-    overrides; every leaf is checked before any work is done."""
+    overrides; every leaf's type and range is checked (`config_specs`)
+    before any work is done."""
     cfg = {}
     if path:
         with open(path) as fh:
@@ -149,8 +206,7 @@ def load_config(path, sets):
     if not all(f in OUTPUT_FORMATS for f in formats):
         raise ParameterError(f"output.formats must list only "
                              f"{', '.join(OUTPUT_FORMATS)}; got {formats!r}")
-    ensemble_spec_from_config(cfg)
-    labmod.merge_caps(cfg["lab"]["caps"])
+    config_specs(cfg)
     return cfg
 
 
@@ -187,84 +243,83 @@ def _finish(cfg, name, suite):
     return 0 if suite.passed else 2
 
 
+# the stages each command builds past the space: "cubes" (the nets, the
+# refined cubes and the level range) or "stack" (those and the kernel
+# stack); "norm" and "field" build the stack only where the norm variant or
+# the field reads it
+COMMAND_STAGES = {
+    "space build": None, "space report": None, "cubes verify": None,
+    "cubes build": "cubes", "lab lemmas": "cubes", "ati build": "stack",
+    "ati validate": "stack", "frame reconstruct": "stack",
+    "lab equivalence": "stack", "lab embeddings": "stack",
+    "norm compute": "norm", "maximal": "field",
+}
+STACK_NORMS = ("besov", "triebel")
+NORM_VARIANTS = (*STACK_NORMS, "lebesgue", *VARIANTS, *TRUNCATED_VARIANTS)
+
+
+def config_specs(cfg):
+    """Every stage's spec, by name, from a merged config: each range rule
+    runs here in its spec's constructor, and so before any work."""
+    nc, lc = cfg["norm"], cfg["lab"]
+    choice_arg("norm variant", nc["variant"], NORM_VARIANTS)
+    specs = dict(space=SpaceSpec(**cfg["space"]),
+                 dyadic=DyadicSpec(**cfg["dyadic"]),
+                 kernel=KernelSpec(**cfg["kernel"]),
+                 field=FieldSpec(**nc["field"]),
+                 frame=FrameSpec(cfg["frame"]["tol"], cfg["frame"]["maxiter"]),
+                 lab=labmod.LabSpec(
+                     pairing=lc["pairing"], caps=lc["caps"],
+                     radius_grid=lc["radius_grid"],
+                     ensemble=labmod.EnsembleSpec(**lc["ensemble"])))
+    dyadic, kernel = specs["dyadic"], specs["kernel"]
+    kernel.check_levels(dyadic.k_min, dyadic.k_max)
+    specs["norm"] = NormSpec(
+        s=nc["s"], p=_inf(nc["p"]), q=_inf(nc["q"]), u=nc["u"],
+        beta=nc["beta"], gamma=nc["gamma"], delta=dyadic.delta,
+        c_tilde=nc["c_tilde"], flavor=kernel.flavor)
+    return specs
+
+
 def space_from_config(cfg):
     sc = cfg["space"]
-    if sc["file"]:
-        unread = [f"space.{k}" for k in ("weights", "level", "exponent",
-                                         "label") if sc[k] is not None]
-        if unread:
-            raise ParameterError(f"space.file is set, so {', '.join(unread)}"
-                                 f" would be ignored")
+    if sc["file"] is not None:
         return load_space(sc["file"], seed=sc["seed"])
-    return generate_space(sc["kind"], size=sc["size"], level=sc["level"],
-                          exponent=sc["exponent"], measure=sc["measure"],
-                          weights=sc["weights"], label=sc["label"],
-                          seed=sc["seed"])
+    return generate_space(**{k: v for k, v in sc.items() if k != "file"})
 
 
-def _dyadic_args(cfg):
-    """The keyword arguments of `build_dyadic` the config sets."""
-    dc, kc = cfg["dyadic"], cfg["kernel"]
-    return dict(delta=dc["delta"], flavor=kc["flavor"], j0=dc["j0"],
-                sampler=dc["sampler"], sampler_seed=dc["seed"],
-                k_min=dc["k_min"], k_max=dc["k_max"],
-                fine_factor=kc["fine_factor"], net_sigma=dc["sigma"],
-                deep_margin=dc["deep_margin"], strict=dc["strict"])
+class Stages(NamedTuple):
+    """A command's specs by name, and what it built: the space, the refined
+    cubes and level range, and the kernel stack (None if not built)."""
+
+    specs: dict
+    space: object
+    cubes: object = None
+    levels: range | None = None
+    stack: object = None
 
 
-def dyadic_from_config(cfg, space=None):
-    """The refined cubes and the level range, without a kernel stack."""
-    return build_dyadic(space or space_from_config(cfg), **_dyadic_args(cfg))
+def _stages(cfg, command, space=None):
+    """The space, and past it what `command` builds (COMMAND_STAGES)."""
+    specs = config_specs(cfg)
+    space = space or space_from_config(cfg)
+    need = COMMAND_STAGES[command]
+    if need in ("norm", "field"):
+        reads = (specs["field"].kind == "bandlimited" or need == "norm"
+                 and cfg["norm"]["variant"] in STACK_NORMS)
+        need = "stack" if reads else None
+    if need is None:
+        return Stages(specs, space)
+    cubes, levels = dyadic_stage(space, specs["dyadic"], specs["kernel"])
+    stack = (stack_stage(space, cubes, levels, specs["kernel"])
+             if need == "stack" else None)
+    return Stages(specs, space, cubes, levels, stack)
 
 
 def pipeline_from_config(cfg, space=None):
-    kc = cfg["kernel"]
-    return build_pipeline(space or space_from_config(cfg), a=kc["a"],
-                          sigma=kc["sigma"], n_low=kc["n_low"],
-                          coarse=kc["coarse"], **_dyadic_args(cfg))
-
-
-def field_from_config(space, stack, fc):
-    if not 0 <= fc["center"] < space.n:
-        raise ParameterError(f"norm.field.center must lie in [0, {space.n}),"
-                             f" got {fc['center']}")
-    if fc["seed"] < 0:
-        raise ParameterError(f"norm.field.seed must be >= 0, got {fc['seed']}")
-    kind = fc["kind"]
-    if kind == "constant":
-        return Field(space, np.full(space.n, float(fc["value"])))
-    if kind == "holder":
-        return Field(space, space.dist[fc["center"]] ** float(fc["theta"]))
-    if kind == "indicator":
-        return Field(space, (space.dist[fc["center"]] < float(fc["radius"]))
-                     .astype(float))
-    if kind == "bandlimited":
-        rng = np.random.default_rng(fc["seed"])
-        levels = list(stack.levels())
-        j = fc["level"]
-        j = levels[len(levels) // 2] if j is None else j
-        return Field(space, stack.apply(j, rng.standard_normal(space.n)))
-    if kind == "file":
-        if not fc["file"]:
-            raise ParameterError("field kind 'file' needs norm.field.file")
-        with open(fc["file"]) as fh:
-            return Field(space, _as_float_array(json.load(fh),
-                                                "norm.field.file values"))
-    raise ParameterError(f"unknown field kind {kind!r}")
-
-
-def norm_spec_from_config(cfg):
-    nc = cfg["norm"]
-    return NormSpec(s=nc["s"], p=_inf(nc["p"]), q=_inf(nc["q"]), u=nc["u"],
-                    beta=nc["beta"], gamma=nc["gamma"],
-                    delta=cfg["dyadic"]["delta"], c_tilde=nc["c_tilde"],
-                    flavor=cfg["kernel"]["flavor"])
-
-
-def ensemble_spec_from_config(cfg):
-    ec = cfg["lab"]["ensemble"]
-    return labmod.EnsembleSpec(kinds=ec["kinds"], counts=ec["counts"],
-                               seed=ec["seed"], mean_zero=ec["mean_zero"])
+    """The whole pipeline: what `ati build` builds."""
+    built = _stages(cfg, "ati build", space)
+    return Pipeline(space=built.space, cubes=built.cubes, stack=built.stack)
 
 
 def _inf(v):
@@ -272,7 +327,17 @@ def _inf(v):
     return float("inf") if v == "inf" else v
 
 
-pass_cfg = click.make_pass_decorator(dict)
+def pass_cfg(command):
+    """Run `command` on the loaded config.  A command's --variant option is
+    one more --set, so it is checked with every other leaf."""
+    @click.pass_obj
+    @functools.wraps(command)
+    def run(obj, variant=None, **options):
+        path, sets = obj
+        if variant is not None:
+            sets += (f"norm.variant={json.dumps(variant)}",)
+        return command(load_config(path, sets), **options)
+    return run
 
 
 @click.group()
@@ -283,10 +348,9 @@ pass_cfg = click.make_pass_decorator(dict)
 @click.option("--out", default=None, help="override output.dir")
 @click.pass_context
 def cli(ctx, config_path, sets, out):
-    cfg = load_config(config_path, sets)
     if out:
-        cfg["output"]["dir"] = out
-    ctx.obj = cfg
+        sets += (f"output.dir={json.dumps(out)}",)
+    ctx.obj = (config_path, sets)
 
 
 @cli.group()
@@ -297,7 +361,7 @@ def space():
 @space.command("build")
 @pass_cfg
 def space_build(cfg):
-    sp = space_from_config(cfg)
+    sp = _stages(cfg, "space build").space
     doc = json.dumps(space_to_document(sp), indent=1) + "\n"
     emit(cfg, "space.json", doc)
     click.echo(f"space n={sp.n} a0={fmt(sp.a0)} ({sp.a0_method}) "
@@ -308,9 +372,7 @@ def space_build(cfg):
 @space.command("report")
 @pass_cfg
 def space_report(cfg):
-    sp = space_from_config(cfg)
-    grid = cfg["lab"]["radius_grid"] or default_radius_grid(sp)
-    rep = geometry_report(sp, grid, fit_reverse=True)
+    rep = _geometry(_stages(cfg, "space report"), fit_reverse=True)
     suite = SuiteReport("geometry report")
     suite.add("doubling", "value", passed=None, value=rep.c_mu,
               omega=rep.omega, diam=rep.diam, v_ratio=rep.v_ratio)
@@ -331,7 +393,7 @@ def cubes():
 @cubes.command("build")
 @pass_cfg
 def cubes_build(cfg):
-    cubes, _ = dyadic_from_config(cfg)
+    cubes = _stages(cfg, "cubes build").cubes
     ver = dy.verify_cubes(cubes)
     emit(cfg, "cubes.json", json.dumps(dy.cube_dump(cubes)) + "\n")
     suite = _verification_suite(ver)
@@ -365,7 +427,7 @@ def _verification_suite(ver):
               required=True)
 @pass_cfg
 def cubes_verify(cfg, dump_path):
-    sp = space_from_config(cfg)
+    sp = _stages(cfg, "cubes verify").space
     with open(dump_path) as fh:
         doc = json.load(fh)
     ver = dy.verify_cubes(dy.cubes_from_dump(doc, sp))
@@ -381,8 +443,7 @@ def ati():
 @ati.command("build")
 @pass_cfg
 def ati_build(cfg):
-    pipe = pipeline_from_config(cfg)
-    st = pipe.stack
+    st = _stages(cfg, "ati build").stack
     suite = SuiteReport("kernel stack")
     suite.add("levels", "value", passed=None, value=len(list(st.levels())),
               k_min=st.k_min, k_max=st.k_max, flavor=st.flavor)
@@ -392,8 +453,8 @@ def ati_build(cfg):
 @ati.command("validate")
 @pass_cfg
 def ati_validate(cfg):
-    pipe = pipeline_from_config(cfg)
-    rep = validate_ati(pipe.stack, pipe.cubes)
+    built = _stages(cfg, "ati validate")
+    rep = validate_ati(built.stack, built.cubes)
     suite = SuiteReport("kernel validation")
     suite.add("cancellation residual", "exact",
               passed=rep.cancel_resid <= 1e-10, value=rep.cancel_resid)
@@ -418,25 +479,21 @@ def ati_validate(cfg):
 @click.option("--variant", default=None,
               help="shorthand for --set norm.variant=...")
 @pass_cfg
-def norm_cmd(cfg, action, variant):
-    if variant is not None:
-        cfg["norm"]["variant"] = variant
-    pipe = pipeline_from_config(cfg)
-    spec = norm_spec_from_config(cfg)
-    f = field_from_config(pipe.space, pipe.stack, cfg["norm"]["field"])
+def norm_cmd(cfg, action):
+    built = _stages(cfg, "norm compute")
+    spec = built.specs["norm"]
+    f = built.specs["field"].make(built.space, built.stack)
     variant = cfg["norm"]["variant"]
     if variant == "besov":
-        val = besov_norm(f, spec, pipe.stack, pipe.cubes)
+        val = besov_norm(f, spec, built.stack, built.cubes)
     elif variant == "triebel":
-        val = triebel_lizorkin_norm(f, spec, pipe.stack, pipe.cubes)
+        val = triebel_lizorkin_norm(f, spec, built.stack, built.cubes)
     elif variant == "lebesgue":
         val = lebesgue_norm(f, spec.p)
     elif variant in VARIANTS:
         val = lipschitz_norm(f, spec, variant)
-    elif variant in TRUNCATED_VARIANTS:
-        val = truncated_norm(f, spec, variant)
     else:
-        raise ParameterError(f"unknown norm variant {variant!r}")
+        val = truncated_norm(f, spec, variant)
     click.echo(fmt(val))
     suite = SuiteReport("norm compute")
     suite.add(f"{variant}", "value", passed=None, value=val)
@@ -448,17 +505,17 @@ def norm_cmd(cfg, action, variant):
 @click.argument("action", type=click.Choice(["reconstruct"]))
 @pass_cfg
 def frame_cmd(cfg, action):
-    pipe = pipeline_from_config(cfg)
-    f = field_from_config(pipe.space, pipe.stack, cfg["norm"]["field"])
-    rf, rep = reconstruct(pipe.stack, pipe.cubes, f,
-                          tol=cfg["frame"]["tol"],
-                          maxiter=cfg["frame"]["maxiter"])
+    built = _stages(cfg, "frame reconstruct")
+    f = built.specs["field"].make(built.space, built.stack)
+    rf, rep = reconstruct(built.stack, built.cubes, f,
+                          tol=built.specs["frame"].tol,
+                          maxiter=built.specs["frame"].maxiter)
     suite = SuiteReport("frame reconstruction")
     suite.add("relative residual", "band", passed=rep.converged,
               value=rep.relative_residual, iterations=rep.iterations,
               frame_lower=rep.frame_lower, frame_upper=rep.frame_upper)
     if cfg["frame"]["dump_coefficients"]:
-        grid = analyze(pipe.stack, pipe.cubes, f)
+        grid = analyze(built.stack, built.cubes, f)
         lines = ["k,alpha,m,y_index,value,weight"]
         for row in grid.rows():
             lines.append(",".join(fmt(v) for v in row))
@@ -471,29 +528,30 @@ def lab():
     """Experiment suites."""
 
 
-def _geometry(cfg, sp):
-    grid = cfg["lab"]["radius_grid"] or default_radius_grid(sp)
-    return geometry_report(sp, grid)
+def _geometry(built, fit_reverse=False):
+    grid = built.specs["lab"].radius_grid
+    return geometry_report(built.space,
+                           grid or default_radius_grid(built.space),
+                           fit_reverse=fit_reverse)
 
 
-def _lab_pipe(cfg):
-    pipe = pipeline_from_config(cfg)
-    geom = _geometry(cfg, pipe.space)
-    ensemble = labmod.generate_ensemble(pipe.space, pipe.stack,
-                                        ensemble_spec_from_config(cfg))
-    return pipe, geom, ensemble
+def _lab_pipe(cfg, command):
+    built = _stages(cfg, command)
+    ensemble = labmod.generate_ensemble(built.space, built.stack,
+                                        built.specs["lab"].ensemble)
+    return built, _geometry(built), ensemble
 
 
 @lab.command("equivalence")
 @pass_cfg
 def lab_equivalence(cfg):
-    pipe, geom, ensemble = _lab_pipe(cfg)
-    spec = norm_spec_from_config(cfg)
-    rep = validate_ati(pipe.stack, pipe.cubes)
+    built, geom, ensemble = _lab_pipe(cfg, "lab equivalence")
+    lab = built.specs["lab"]
+    rep = validate_ati(built.stack, built.cubes)
     eq = labmod.equivalence_experiment(
-        pipe.space, pipe.stack, pipe.cubes, spec, cfg["lab"]["pairing"],
-        ensemble, omega=geom.omega, eta=rep.eta_fit, geometry=geom,
-        caps=cfg["lab"]["caps"])
+        built.space, built.stack, built.cubes, built.specs["norm"],
+        lab.pairing, ensemble, omega=geom.omega, eta=rep.eta_fit,
+        geometry=geom, caps=lab.caps)
     suite = eq.to_suite()
     return _finish(cfg, "equivalence", suite)
 
@@ -501,22 +559,21 @@ def lab_equivalence(cfg):
 @lab.command("embeddings")
 @pass_cfg
 def lab_embeddings(cfg):
-    pipe, geom, ensemble = _lab_pipe(cfg)
-    spec = norm_spec_from_config(cfg)
-    suite = labmod.embedding_suite(pipe.space, pipe.stack, pipe.cubes,
-                                   ensemble, spec, geom.omega, geometry=geom,
-                                   caps=cfg["lab"]["caps"])
+    built, geom, ensemble = _lab_pipe(cfg, "lab embeddings")
+    suite = labmod.embedding_suite(built.space, built.stack, built.cubes,
+                                   ensemble, built.specs["norm"], geom.omega,
+                                   geometry=geom, caps=built.specs["lab"].caps)
     return _finish(cfg, "embeddings", suite)
 
 
 @lab.command("lemmas")
 @pass_cfg
 def lab_lemmas(cfg):
-    cubes, levels = dyadic_from_config(cfg)
-    suite = labmod.lemma_suite(cubes.space, cubes, levels,
-                               omega=_geometry(cfg, cubes.space).omega,
-                               caps=cfg["lab"]["caps"],
-                               seed=cfg["lab"]["ensemble"]["seed"])
+    built = _stages(cfg, "lab lemmas")
+    lab = built.specs["lab"]
+    suite = labmod.lemma_suite(built.space, built.cubes, built.levels,
+                               omega=_geometry(built).omega, caps=lab.caps,
+                               seed=lab.ensemble.seed)
     return _finish(cfg, "lemmas", suite)
 
 
@@ -524,9 +581,9 @@ def lab_lemmas(cfg):
 @pass_cfg
 def maximal_cmd(cfg):
     """Evaluate the maximal operator of the configured field (diagnostic)."""
-    pipe = pipeline_from_config(cfg)
-    f = field_from_config(pipe.space, pipe.stack, cfg["norm"]["field"])
-    mf = hl_maximal(pipe.space, f)
+    built = _stages(cfg, "maximal")
+    f = built.specs["field"].make(built.space, built.stack)
+    mf = hl_maximal(built.space, f)
     click.echo(fmt(float(mf.values.max())))
     return 0
 

@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError
-from .norms import INF, lebesgue_norm
+from .norms import INF, check_scales, lebesgue_norm, positive_exponent
 
 VARIANTS = ("Ldot", "L", "Lb_dot", "Lb", "Lt_dot", "Lt")
 TRUNCATED_VARIANTS = ("L_tilde", "Lb_tilde")
@@ -75,8 +75,7 @@ def _natural_levels(space, c_tilde, delta):
 def difference_scales(space, c_tilde, delta, levels=None):
     """Scales over the given levels, by default the natural window that
     every norm reads (empty for a single point)."""
-    if not 0 < delta < 1 or not c_tilde > 0:
-        raise ParameterError("need delta in (0,1) and c_tilde > 0")
+    check_scales(c_tilde, delta)
     if levels is None:
         levels = _natural_levels(space, c_tilde, delta)
     levels = tuple(int(k) for k in levels)
@@ -103,8 +102,7 @@ class DifferenceTable:
 
     def rows(self, exponent):
         if exponent not in self._rows:
-            if not exponent > 0:
-                raise ParameterError("inner exponent must be positive")
+            positive_exponent("inner exponent", exponent)
             space, ends = self.scales.space, self.scales.ends
             idx = space.ball_index
             values = self.field.values

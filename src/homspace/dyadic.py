@@ -34,11 +34,50 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FormatError, ParameterError, RangeError, integer_arg
+from .errors import (FormatError, ParameterError, RangeError, choice_arg,
+                     integer_arg, real_arg, resolve)
 
 DEFAULT_SIGMA = 0.6
 DEFAULT_DEEP_MARGIN = 0.3
 INTERIOR_MARGIN = 0.2  # delta^k units; see verify_cubes
+SAMPLERS = ("center", "lowest_index", "seeded_random")
+
+
+@dataclass(frozen=True)
+class DyadicSpec:
+    """Nets, cubes and their subcube samples.  A null `sigma` or
+    `deep_margin` is DEFAULT_SIGMA or DEFAULT_DEEP_MARGIN, a null `k_min`
+    or `k_max` the default level range; `seed` is the sampler's."""
+
+    delta: float = 0.5
+    k_min: int | None = None
+    k_max: int | None = None
+    j0: int = 2
+    sampler: str = "center"
+    seed: int = 0
+    sigma: float | None = None
+    deep_margin: float | None = None
+    strict: bool = False
+
+    def __post_init__(self):
+        real_arg("dyadic.delta", self.delta, lambda v: 0 < v < 1, "in (0, 1)")
+        resolve(self, "dyadic", "", {"sigma": DEFAULT_SIGMA,
+                                     "deep_margin": DEFAULT_DEEP_MARGIN},
+                "sigma", "deep_margin")
+        real_arg("dyadic.sigma", self.sigma, lambda v: 0 < v <= 1, "in (0, 1]")
+        real_arg("dyadic.deep_margin", self.deep_margin, lambda v: v >= 0,
+                 ">= 0")
+        for name in ("k_min", "k_max"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, integer_arg(
+                    f"dyadic.{name}", getattr(self, name)))
+        if None not in (self.k_min, self.k_max) and self.k_min > self.k_max:
+            raise ParameterError(f"empty level range: k_min={self.k_min} > "
+                                 f"k_max={self.k_max}")
+        object.__setattr__(self, "j0",
+                           integer_arg("dyadic.j0", self.j0, low=0))
+        choice_arg("sampler", self.sampler, SAMPLERS)
+        integer_arg("dyadic.seed", self.seed, low=0)
 
 
 def _read_only(a):
@@ -222,15 +261,14 @@ def build_nets(space, delta, k_range, sigma=DEFAULT_SIGMA,
 
     strict=True enforces the sufficient inequality 12 A0^3 C0 delta <= c0 on
     the measured constants instead of relying on post-hoc verification.
+    The arguments are checked as a `DyadicSpec` before any work.
     """
-    if not 0 < delta < 1:
-        raise ParameterError("delta must lie in (0, 1)")
-    k_min = integer_arg("k_range", k_range[0])
-    k_max = integer_arg("k_range", k_range[-1])
-    if k_max < k_min:
-        raise ParameterError("empty level range")
-    nets, assigns, cover = _build(space, delta, k_min, k_max, sigma,
-                                  deep_margin)
+    spec = DyadicSpec(delta=delta, k_min=integer_arg("k_range", k_range[0]),
+                      k_max=integer_arg("k_range", k_range[-1]), sigma=sigma,
+                      deep_margin=deep_margin, strict=strict)
+    k_min, k_max = spec.k_min, spec.k_max
+    nets, assigns, cover = _build(space, delta, k_min, k_max, spec.sigma,
+                                  spec.deep_margin)
 
     c0_lv = _separations(space, nets, delta)
     big_lv = {k: cover[k] / delta ** k for k in range(k_min, k_max + 1)}
@@ -242,8 +280,8 @@ def build_nets(space, delta, k_range, sigma=DEFAULT_SIGMA,
             f"{12 * space.a0 ** 3 * big_c0 * delta:.6g} exceeds c0 = {c0:.6g}")
     return NetSystem(delta=delta, k_min=k_min, k_max=k_max, nets=nets,
                      assigns=assigns, c0=c0, big_c0=big_c0, c0_per_level=c0_lv,
-                     big_c0_per_level=big_lv, sigma=sigma,
-                     deep_margin=deep_margin)
+                     big_c0_per_level=big_lv, sigma=spec.sigma,
+                     deep_margin=spec.deep_margin)
 
 
 def build_cubes(nets, space):
@@ -271,12 +309,11 @@ def refine_subcubes(cubes, j0, sampler="center", seed=0):
     The sample point y of each subcube is chosen by the sampler: "center"
     (the subcube's own net center), "lowest_index", or "seeded_random".
     j0 = 0 makes every cube its own single subcube with y = its center.
+    The arguments are checked as a `DyadicSpec` first.
     """
-    j0 = integer_arg("j0", j0)
-    if j0 < 0 or j0 > cubes.k_max - cubes.k_min:
+    j0 = DyadicSpec(j0=j0, sampler=sampler, seed=seed).j0
+    if j0 > cubes.k_max - cubes.k_min:
         raise RangeError(f"j0={j0} outside available levels")
-    if sampler not in ("center", "lowest_index", "seeded_random"):
-        raise ParameterError(f"unknown sampler {sampler!r}")
     rng = np.random.default_rng(seed)
     w = cubes.space.weight
     tables = {}

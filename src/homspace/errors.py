@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer-argument
-check that raises one."""
+"""Exception types shared across the package, and the argument checks
+that raise one: every spec's range rules are written with them."""
 
 import math
 import numbers
@@ -53,12 +53,44 @@ class ExperimentError(HomspaceError):
     """An experiment's hypotheses are violated or all probes degenerate."""
 
 
-def integer_arg(name, value):
-    """``value`` as an int: an integer, or an integral float such as 3.0.
-    A bool, a non-number or a fractional value raises ParameterError
-    instead of being truncated."""
+def integer_arg(name, value, low=None):
+    """``value`` as an int: an integer, or an integral float such as 3.0, at
+    least `low` if given.  A bool, a non-number or a fractional value raises
+    ParameterError instead of being truncated."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool) and (
             isinstance(value, numbers.Integral)
-            or (math.isfinite(value) and float(value).is_integer())):
+            or (math.isfinite(value) and float(value).is_integer())) and (
+            low is None or value >= low):
         return int(value)
-    raise ParameterError(f"{name} must be an integer, got {value!r}")
+    bound = "" if low is None else f" >= {low}"
+    raise ParameterError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def real_arg(name, value, ok=lambda v: True, want="a real number"):
+    """``value`` if it is a real number (not a bool or NaN) for which `ok`
+    holds, else ParameterError: `name` must be `want`."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and not math.isnan(value) and ok(value)):
+        return value
+    raise ParameterError(f"{name} must be {want}, got {value!r}")
+
+
+def choice_arg(name, value, choices):
+    """``value`` if it is one of `choices`, else ParameterError."""
+    if isinstance(value, str) and value in choices:
+        return value
+    raise ParameterError(f"unknown {name} {value!r}; choose one of "
+                         f"{', '.join(choices)}")
+
+
+def resolve(spec, section, choice, defaults, *optional):
+    """The one rule for leaves that depend on a choice: each field of `spec`
+    named in `optional` that the choice reads is a key of `defaults` and
+    takes its default when null; a set one it does not read raises."""
+    for name in optional:
+        value = getattr(spec, name)
+        if name in defaults and value is None:
+            object.__setattr__(spec, name, defaults[name])
+        elif name not in defaults and value is not None:
+            raise ParameterError(f"{choice}, so {section}.{name} would be "
+                                 f"ignored")

@@ -17,12 +17,12 @@ beyond; it returns a report and leaves the stack unmodified.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError, RangeError, integer_arg
+from .errors import (ConvergenceError, ParameterError, RangeError,
+                     choice_arg, integer_arg, real_arg, resolve)
 
 SCALING_TOL = 1e-12
 SCALING_CAP = 10_000
@@ -36,6 +36,52 @@ QUAD_BUDGET = 2_000
 PROBE_COUNT = 6
 # the pooled nu fit is thinned by a common stride to at most this many points
 FIT_POINTS = 2_000_000
+
+
+# the leaves each flavor reads besides a and fine_factor, with defaults
+FLAVOR_READS = {"homogeneous": {"coarse": "mean"},
+                "inhomogeneous": {"sigma": 1.0, "n_low": 1}}
+DEFAULT_FINE_FACTOR = 16.0
+
+
+@dataclass(frozen=True)
+class KernelSpec:
+    """A kernel stack: `a` is the decay exponent of the seed kernel, and
+    `fine_factor` puts the default finest level that far below the minimum
+    point gap.  The homogeneous flavor reads `coarse` (null: "mean"), the
+    inhomogeneous one `sigma` (null: 1.0) and `n_low` (null: 1); a leaf the
+    flavor does not read stays null."""
+
+    flavor: str = "homogeneous"
+    a: float = 1.0
+    sigma: float | None = None
+    n_low: int | None = None
+    coarse: str | None = None
+    fine_factor: float = DEFAULT_FINE_FACTOR
+
+    def __post_init__(self):
+        flavor = choice_arg("flavor", self.flavor, FLAVOR_READS)
+        real_arg("kernel.a", self.a, lambda v: 0 < v < math.inf, "> 0")
+        real_arg("kernel.fine_factor", self.fine_factor,
+                 lambda v: 0 < v < math.inf, "> 0")
+        resolve(self, "kernel", f"kernel.flavor is {flavor!r}",
+                FLAVOR_READS[flavor], "sigma", "n_low", "coarse")
+        if flavor == "homogeneous":
+            choice_arg("coarse cap", self.coarse, ("mean", "semigroup"))
+        else:
+            real_arg("kernel.sigma", self.sigma, lambda v: 0 < v < math.inf,
+                     "> 0")
+            object.__setattr__(self, "n_low", integer_arg(
+                "kernel.n_low", self.n_low, low=0))
+
+    def check_levels(self, k_min, k_max):
+        """Inhomogeneous levels run from 0 to at least 1; a null level is
+        the default range's."""
+        if self.flavor == "inhomogeneous" and (
+                k_min not in (None, 0) or k_max is not None and k_max < 1):
+            raise ParameterError(f"inhomogeneous levels run from 0 to at "
+                                 f"least 1, got k_min={k_min!r}, "
+                                 f"k_max={k_max!r}")
 
 
 def mean_projection(space):
@@ -145,18 +191,18 @@ def _difference_stack(space, delta, k_min, k_max, a, coarsest):
 def build_exp_ati(space, cubes, k_range, a=1.0, coarse="mean"):
     """Homogeneous stack on the integer levels k_range = (k_min, k_max):
     Q_k = P_{delta^k} - P_{delta^(k-1)}, the coarsest level capped by the
-    mean projection (coarse="mean") or P_{delta^(k_min-1)} ("semigroup")."""
+    mean projection (coarse="mean") or P_{delta^(k_min-1)} ("semigroup").
+    The arguments are checked as a `KernelSpec`."""
+    KernelSpec(a=a, coarse=coarse)
     delta = cubes.delta
     k_min = integer_arg("k_range", k_range[0])
     k_max = integer_arg("k_range", k_range[-1])
     if coarse == "mean":
         def cap(p):
             return p - mean_projection(space)
-    elif coarse == "semigroup":
+    else:
         def cap(p):
             return p - build_semigroup(space, delta ** (k_min - 1), a=a)
-    else:
-        raise ParameterError(f"unknown coarse cap {coarse!r}")
     q = _difference_stack(space, delta, k_min, k_max, a, cap)
     return KernelStack(flavor="homogeneous", space=space, delta=delta,
                        k_min=k_min, k_max=k_max, a=a, q=q, coarse=coarse)
@@ -165,21 +211,17 @@ def build_exp_ati(space, cubes, k_range, a=1.0, coarse="mean"):
 def build_exp_iati(space, cubes, k_range, a=1.0, sigma=1.0, n_low=1):
     """Inhomogeneous stack on the integer levels k_range = (0, k_max): Q_0 =
     P_sigma with unit integrals, then differences; the levels k <= n_low are
-    read through cell averages downstream (`KernelStack.cell_levels`)."""
-    delta = cubes.delta
-    if integer_arg("k_range", k_range[0]) != 0:
-        raise ParameterError("inhomogeneous stacks start at level 0")
+    read through cell averages downstream (`KernelStack.cell_levels`).  The
+    arguments are checked as a `KernelSpec`."""
+    spec = KernelSpec(flavor="inhomogeneous", a=a, sigma=sigma, n_low=n_low)
+    spec.check_levels(integer_arg("k_range", k_range[0]), None)
     k_max = integer_arg("k_range", k_range[-1])
-    if sigma <= 0:
-        raise ParameterError("sigma must be positive")
-    if (isinstance(n_low, bool) or not isinstance(n_low, numbers.Integral)
-            or n_low < 0):
-        raise ParameterError(f"n_low must be an integer >= 0, got {n_low!r}")
+    delta = cubes.delta
     q = _difference_stack(space, delta, 0, k_max, a,
                           lambda p: build_semigroup(space, sigma, a=a))
     return KernelStack(flavor="inhomogeneous", space=space, delta=delta,
                        k_min=0, k_max=k_max, a=a, q=q, sigma=sigma,
-                       n_low=n_low)
+                       n_low=spec.n_low)
 
 
 # -- validation ---------------------------------------------------------------

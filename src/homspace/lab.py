@@ -10,20 +10,20 @@ constants compared against configured caps.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .difference import (DifferenceTable, difference_scales, lipschitz_norm,
                          truncated_norm)
-from .errors import ExperimentError, ParameterError
+from .errors import (ExperimentError, ParameterError, choice_arg,
+                     integer_arg, real_arg)
 from .kernels import _r_gamma, build_semigroup, r_gamma_integral_band
 from .norms import (INF, NormSpec, admissible_range, besov_norm,
                     lebesgue_norm, lq_scale_combine, triebel_lizorkin_norm)
 from .operators import Field, LevelTable, analyze, hl_maximal
 from .report import SuiteReport
-from .space import default_radius_grid
+from .space import default_radius_grid, radius_grid_arg
 
 STANDARD_KINDS = ("bandlimited", "holder", "smoothed_indicator",
                   "gaussian_field")
@@ -40,10 +40,6 @@ DEFAULT_CAPS = {
 }
 
 
-def _nonnegative_int(v):
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0
-
-
 def merge_caps(caps=None):
     """DEFAULT_CAPS overridden by `caps`; every cap a known name holding a
     finite positive number."""
@@ -54,14 +50,12 @@ def merge_caps(caps=None):
     for name, val in merged.items():
         if name not in DEFAULT_CAPS:
             raise ParameterError(f"unknown cap {name!r}")
-        if (isinstance(val, bool) or not isinstance(val, numbers.Real)
-                or not math.isfinite(val) or val <= 0):
-            raise ParameterError(
-                f"cap {name} must be a finite positive number, got {val!r}")
+        real_arg(f"cap {name}", val, lambda v: 0 < v < math.inf,
+                 "a finite positive number")
     return merged
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnsembleSpec:
     kinds: tuple = STANDARD_KINDS
     counts: dict = field(default_factory=lambda: dict(STANDARD_COUNTS))
@@ -74,20 +68,18 @@ class EnsembleSpec:
             raise ParameterError(
                 f"ensemble kinds must be a non-empty list of "
                 f"{', '.join(STANDARD_KINDS)}; got {self.kinds!r}")
-        self.kinds = tuple(self.kinds)
+        object.__setattr__(self, "kinds", tuple(self.kinds))
         if not isinstance(self.counts, dict):
             raise ParameterError(
                 f"ensemble counts must be a mapping, got {self.counts!r}")
-        for kind, count in self.counts.items():
-            if not _nonnegative_int(count):
-                raise ParameterError(f"ensemble count {kind} must be an "
-                                     f"integer >= 0, got {count!r}")
+        object.__setattr__(self, "counts", {
+            kind: integer_arg(f"ensemble count {kind}", count, low=0)
+            for kind, count in self.counts.items()})
         for kind in self.kinds:
             if kind not in self.counts:
                 raise ParameterError(f"ensemble kind {kind} has no count")
-        if not _nonnegative_int(self.seed):
-            raise ParameterError(
-                f"ensemble seed must be an integer >= 0, got {self.seed!r}")
+        object.__setattr__(self, "seed",
+                           integer_arg("ensemble seed", self.seed, low=0))
         if not isinstance(self.mean_zero, bool):
             raise ParameterError(f"ensemble mean_zero must be true or false, "
                                  f"got {self.mean_zero!r}")
@@ -136,6 +128,24 @@ def generate_ensemble(space, stack, spec):
 PAIRING_VARIANTS = {"B_vs_L": "Ldot", "B_vs_Lb": "Lb_dot", "F_vs_Lt": "Lt_dot",
                     "F_vs_Lt_u": "Lt_dot", "inhomog_B_vs_L": "L",
                     "inhomog_F_vs_Lt": "Lt"}
+
+
+@dataclass(frozen=True)
+class LabSpec:
+    """The experiment suites: the equivalence `pairing`, the band `caps`
+    laid over DEFAULT_CAPS, the geometry's `radius_grid` (null:
+    `default_radius_grid`) and the probe `ensemble`."""
+
+    pairing: str = "B_vs_L"
+    caps: dict | None = None
+    radius_grid: list | None = None
+    ensemble: EnsembleSpec = field(default_factory=EnsembleSpec)
+
+    def __post_init__(self):
+        choice_arg("pairing", self.pairing, PAIRING_VARIANTS)
+        object.__setattr__(self, "caps", merge_caps(self.caps))
+        if self.radius_grid is not None:
+            radius_grid_arg(self.radius_grid)
 
 
 @dataclass
@@ -223,9 +233,7 @@ def equivalence_experiment(space, stack, cubes, spec, pairing, ensemble,
                            omega, eta, geometry=None, caps=None):
     """Check the pairing's hypotheses at the measured omega and eta, then
     compute both norms of the pairing over the ensemble; band the ratios."""
-    if pairing not in PAIRING_VARIANTS:
-        raise ExperimentError(f"unknown pairing {pairing!r}")
-    caps = merge_caps(caps)
+    caps = LabSpec(pairing=pairing, caps=caps).caps
     check_hypotheses(pairing, spec, omega, eta, geometry)
     left_spec = replace(spec, u=1.0) if pairing == "F_vs_Lt" else spec
     right_fn = besov_norm if "B_vs" in pairing else triebel_lizorkin_norm

@@ -12,18 +12,31 @@ over dyadic cubes and therefore needs a cube system.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FlavorMismatchError, ParameterError
+from .dyadic import DyadicSpec
+from .errors import FlavorMismatchError, ParameterError, real_arg
+from .kernels import KernelSpec
 from .operators import Field, LevelTable, _cell_average
 
 INF = math.inf
 
 
-@dataclass
+def positive_exponent(name, v):
+    """`v` when it is a real number > 0; inf is allowed."""
+    return real_arg(name, v, lambda e: e > 0, "> 0 (inf allowed)")
+
+
+def check_scales(c_tilde, delta):
+    """The ball multiplier c_tilde > 0 and the scale ratio delta in (0, 1)
+    of the difference norms."""
+    real_arg("c_tilde", c_tilde, lambda v: 0 < v < INF, "> 0")
+    DyadicSpec(delta=delta)
+
+
+@dataclass(frozen=True)
 class NormSpec:
     """Parameter bundle selecting a norm.
 
@@ -44,27 +57,18 @@ class NormSpec:
     flavor: str = "homogeneous"
 
     def __post_init__(self):
-        for name in ("s", "p", "q", "u", "beta", "gamma", "delta", "c_tilde"):
-            v = getattr(self, name)
-            if (isinstance(v, bool) or not isinstance(v, numbers.Real)
-                    or math.isnan(v)):
-                raise ParameterError(f"{name} must be a real number, got {v!r}")
-        if not self.p > 0 or not self.q > 0:
-            raise ParameterError("p and q must be positive (inf allowed)")
-        if not self.u > 0 or self.u == INF:
-            raise ParameterError("u must be finite and positive")
-        if not 0 < self.delta < 1:
-            raise ParameterError("delta must lie in (0,1)")
-        if not self.c_tilde > 0:
-            raise ParameterError("c_tilde must be positive")
-        if self.flavor not in ("homogeneous", "inhomogeneous"):
-            raise ParameterError(f"unknown flavor {self.flavor!r}")
+        for name in ("s", "beta", "gamma"):
+            real_arg(name, getattr(self, name))
+        positive_exponent("p", self.p)
+        positive_exponent("q", self.q)
+        real_arg("u", self.u, lambda v: 0 < v < INF, "finite and > 0")
+        check_scales(self.c_tilde, self.delta)
+        KernelSpec(flavor=self.flavor)
 
 
 def lebesgue_norm(f, p):
     """(sum |f|^p dmu)^(1/p); max |f| at p = inf."""
-    if not p > 0:
-        raise ParameterError("p must be positive")
+    positive_exponent("p", p)
     v = np.abs(f.values)
     if p == INF:
         return float(v.max())

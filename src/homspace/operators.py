@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IllConditionedFrameError, ParameterError, RangeError
+from .errors import (IllConditionedFrameError, ParameterError, RangeError,
+                     integer_arg, real_arg)
 
 
 @dataclass(frozen=True)
@@ -182,13 +183,29 @@ class ReconstructionReport:
     frame_upper: float | None
 
 
+@dataclass(frozen=True)
+class FrameSpec:
+    """Frame reconstruction: conjugate gradients to the relative residual
+    `tol`, in at most `maxiter` iterations."""
+
+    tol: float
+    maxiter: int
+
+    def __post_init__(self):
+        real_arg("frame.tol", self.tol, lambda v: 0 < v < math.inf, "> 0")
+        object.__setattr__(self, "maxiter", integer_arg(
+            "frame.maxiter", self.maxiter, low=1))
+
+
 def reconstruct(stack, cubes, f, tol=1e-8, maxiter=1000):
     """Solve S g = f by conjugate gradients in the mu-inner product and
-    return (S g, report); the dual frame is applied implicitly.
+    return (S g, report); the dual frame is applied implicitly.  The
+    arguments are checked as a `FrameSpec`.
 
     Homogeneous flavor works modulo constants: the mean is removed first and
     the reconstruction targets f minus its mean.
     """
+    maxiter = FrameSpec(tol=tol, maxiter=maxiter).maxiter
     space = stack.space
     b = f.values.copy()
     if stack.flavor == "homogeneous":

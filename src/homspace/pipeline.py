@@ -1,8 +1,10 @@
 """Assembly of the standard space -> nets -> cubes -> kernels pipeline.
 
-`build_dyadic` builds the nets and cubes and fixes the level range;
-`build_pipeline` adds the kernel stack on that range.  Commands that never
-read a kernel table call `build_dyadic` alone.
+`dyadic_stage` builds the nets and cubes of a `DyadicSpec` and fixes the
+level range of the stack a `KernelSpec` describes; `stack_stage` builds that
+stack on them.  `build_dyadic` and `build_pipeline` are the same stages
+taken from keyword arguments.  Commands that never read a kernel table run
+the dyadic stage alone.
 
 Default level policy: the coarsest level has scale comparable to the
 diameter (the mean-projection cap makes everything coarser exact), and the
@@ -15,13 +17,11 @@ decomposition and reference points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .dyadic import build_cubes, build_nets, refine_subcubes
-from .errors import ParameterError, integer_arg
-from .kernels import build_exp_ati, build_exp_iati
-
-DEFAULT_FINE_FACTOR = 16.0
+from .dyadic import DyadicSpec, build_cubes, build_nets, refine_subcubes
+from .kernels import (DEFAULT_FINE_FACTOR, KernelSpec, build_exp_ati,
+                      build_exp_iati)
 
 
 def default_level_range(space, delta=0.5, flavor="homogeneous",
@@ -53,59 +53,60 @@ class Pipeline:
     stack: object
 
 
-def build_dyadic(space, delta=0.5, flavor="homogeneous", j0=2,
-                 sampler="center", sampler_seed=0, k_min=None, k_max=None,
-                 fine_factor=DEFAULT_FINE_FACTOR, net_sigma=None,
-                 deep_margin=None, strict=False):
+def dyadic_stage(space, dyadic, kernel):
     """Nets and refined cubes, and the level range of the stack they serve.
 
     The range defaults to `default_level_range`; an inhomogeneous one runs
     from 0 to at least 1.  The cubes run j0 levels past the range, so every
     level of it has its subcube decomposition.  Returns (cubes, levels)."""
-    if flavor not in ("homogeneous", "inhomogeneous"):
-        raise ParameterError(f"unknown flavor {flavor!r}")
-    auto_min, auto_max = default_level_range(space, delta, flavor, fine_factor)
-    k_lo = auto_min if k_min is None else integer_arg("k_min", k_min)
-    k_hi = auto_max if k_max is None else integer_arg("k_max", k_max)
-    j0 = integer_arg("j0", j0)
-    if flavor == "inhomogeneous":
-        if k_min is not None and k_lo != 0 or k_max is not None and k_hi < 1:
-            raise ParameterError(f"inhomogeneous levels run from 0 to at "
-                                 f"least 1, got k_min={k_min!r}, "
-                                 f"k_max={k_max!r}")
+    kernel.check_levels(dyadic.k_min, dyadic.k_max)
+    k_lo, k_hi = default_level_range(space, dyadic.delta, kernel.flavor,
+                                     kernel.fine_factor)
+    k_lo = k_lo if dyadic.k_min is None else dyadic.k_min
+    k_hi = k_hi if dyadic.k_max is None else dyadic.k_max
+    if kernel.flavor == "inhomogeneous":
         k_lo, k_hi = 0, max(k_hi, 1)
-    if k_hi < k_lo:
-        raise ParameterError(f"empty level range: k_min={k_lo} > "
-                             f"k_max={k_hi}")
-    net_kwargs = {}
-    if net_sigma is not None:
-        net_kwargs["sigma"] = net_sigma
-    if deep_margin is not None:
-        net_kwargs["deep_margin"] = deep_margin
-    cube_hi = k_hi + max(j0, 1)
-    nets = build_nets(space, delta, (k_lo, cube_hi), strict=strict,
-                      **net_kwargs)
-    cubes = refine_subcubes(build_cubes(nets, space), j0, sampler=sampler,
-                            seed=sampler_seed)
+    replace(dyadic, k_min=k_lo, k_max=k_hi)  # the range must not be empty
+    nets = build_nets(space, dyadic.delta, (k_lo, k_hi + max(dyadic.j0, 1)),
+                      sigma=dyadic.sigma, deep_margin=dyadic.deep_margin,
+                      strict=dyadic.strict)
+    cubes = refine_subcubes(build_cubes(nets, space), dyadic.j0,
+                            sampler=dyadic.sampler, seed=dyadic.seed)
     return cubes, range(k_lo, k_hi + 1)
 
 
+def stack_stage(space, cubes, levels, kernel):
+    """The kernel stack `kernel` describes on the level range `levels`."""
+    k_range = (levels[0], levels[-1])
+    if kernel.flavor == "homogeneous":
+        return build_exp_ati(space, cubes, k_range=k_range, a=kernel.a,
+                             coarse=kernel.coarse)
+    return build_exp_iati(space, cubes, k_range=k_range, a=kernel.a,
+                          sigma=kernel.sigma, n_low=kernel.n_low)
+
+
+def build_dyadic(space, delta=0.5, flavor="homogeneous", j0=2,
+                 sampler="center", sampler_seed=0, k_min=None, k_max=None,
+                 fine_factor=DEFAULT_FINE_FACTOR, net_sigma=None,
+                 deep_margin=None, strict=False):
+    """`dyadic_stage` of the specs the arguments make; (cubes, levels)."""
+    return dyadic_stage(space, DyadicSpec(
+        delta=delta, k_min=k_min, k_max=k_max, j0=j0, sampler=sampler,
+        seed=sampler_seed, sigma=net_sigma, deep_margin=deep_margin,
+        strict=strict), KernelSpec(flavor=flavor, fine_factor=fine_factor))
+
+
 def build_pipeline(space, delta=0.5, flavor="homogeneous", j0=2,
-                   sampler="center", sampler_seed=0, a=1.0, sigma=1.0,
-                   n_low=1, k_min=None, k_max=None, coarse="mean",
+                   sampler="center", sampler_seed=0, a=1.0, sigma=None,
+                   n_low=None, k_min=None, k_max=None, coarse=None,
                    fine_factor=DEFAULT_FINE_FACTOR, net_sigma=None,
                    deep_margin=None, strict=False):
-    """`build_dyadic`, then the kernel stack on its level range."""
-    cubes, levels = build_dyadic(
-        space, delta=delta, flavor=flavor, j0=j0, sampler=sampler,
-        sampler_seed=sampler_seed, k_min=k_min, k_max=k_max,
-        fine_factor=fine_factor, net_sigma=net_sigma,
-        deep_margin=deep_margin, strict=strict)
-    k_range = (levels[0], levels[-1])
-    if flavor == "homogeneous":
-        stack = build_exp_ati(space, cubes, k_range=k_range, a=a,
-                              coarse=coarse)
-    else:
-        stack = build_exp_iati(space, cubes, k_range=k_range, a=a,
-                               sigma=sigma, n_low=n_low)
-    return Pipeline(space=space, cubes=cubes, stack=stack)
+    """Both stages of the specs the arguments make; `sigma`, `n_low` and
+    `coarse` are `KernelSpec`'s, null for the flavor's default."""
+    kernel = KernelSpec(flavor=flavor, a=a, sigma=sigma, n_low=n_low,
+                        coarse=coarse, fine_factor=fine_factor)
+    cubes, levels = dyadic_stage(space, DyadicSpec(
+        delta=delta, k_min=k_min, k_max=k_max, j0=j0, sampler=sampler,
+        seed=sampler_seed, sigma=net_sigma, deep_margin=deep_margin,
+        strict=strict), kernel)
+    return Pipeline(space, cubes, stack_stage(space, cubes, levels, kernel))

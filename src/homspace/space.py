@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (CertificationError, FormatError, ParameterError,
-                     integer_arg)
+                     choice_arg, integer_arg, real_arg, resolve)
 
 # Exact min-plus certificate up to this point count; sampled above it.
 A0_EXHAUSTIVE_CAP = 1025
@@ -367,6 +367,18 @@ def default_radius_grid(space):
     return sorted(out) or [hi]
 
 
+def radius_grid_arg(radius_grid):
+    """`radius_grid` as a list of floats: nonempty, positive and sorted."""
+    try:
+        radii = [float(r) for r in radius_grid]
+    except (TypeError, ValueError):
+        raise ParameterError(f"radius_grid must be a list of numbers, "
+                             f"got {radius_grid!r}") from None
+    if not radii or any(r <= 0 for r in radii) or radii != sorted(radii):
+        raise ParameterError("radius_grid must be nonempty, positive, sorted")
+    return radii
+
+
 def geometry_report(space, radius_grid, fit_reverse=False):
     """Measure doubling constant, upper dimension and lower-bound fits.
 
@@ -375,14 +387,7 @@ def geometry_report(space, radius_grid, fit_reverse=False):
     log mu(B(x,r)) against log r with worst-case (minimum intercept)
     constants, global over all radii and local over r <= 1.
     """
-    try:
-        radii = [float(r) for r in radius_grid]
-    except (TypeError, ValueError):
-        raise ParameterError(f"radius_grid must be a list of numbers, "
-                             f"got {radius_grid!r}") from None
-    if not radii or any(r <= 0 for r in radii) or radii != sorted(radii):
-        raise ParameterError("radius_grid must be nonempty, positive, sorted")
-
+    radii = radius_grid_arg(radius_grid)
     c_mu = 1.0
     logs_r, logs_v = [], []
     vols = {}
@@ -489,25 +494,70 @@ def _sierpinski_points(level):
     return np.unique(np.round(pts, 12), axis=0)
 
 
+# the leaves each stock kind and each measure reads, with their defaults
+KIND_READS = {"grid1d": {"size": 65}, "grid2d": {"size": 65},
+              "circle": {"size": 65}, "graph": {"size": 65},
+              "sierpinski_level": {"level": None},
+              "snowflake_power": {"size": 65, "exponent": None}}
+MEASURE_READS = {"uniform": {}, "custom": {"weights": None}}
+
+
+@dataclass(frozen=True)
+class SpaceSpec:
+    """A stock space, or a space document when `file` is set.  Null leaves
+    take their defaults: kind "grid1d", measure "uniform" and, for the kinds
+    that read it, size 65.  A leaf the kind, the measure or the file does not
+    read stays null; `seed` is the a0 sample's."""
+
+    kind: str | None = None
+    size: int | None = None
+    level: int | None = None
+    exponent: float | None = None
+    measure: str | None = None
+    weights: list | None = None
+    label: str | None = None
+    seed: int = 0
+    file: str | None = None
+
+    def __post_init__(self):
+        integer_arg("space.seed", self.seed, low=0)
+        if self.file is not None:
+            resolve(self, "space", "space.file is set", {}, "kind", "size",
+                    "level", "exponent", "measure", "weights", "label")
+            return
+        resolve(self, "space", "", {"kind": "grid1d", "measure": "uniform"},
+                "kind", "measure")
+        kind = choice_arg("space kind", self.kind, KIND_READS)
+        measure = choice_arg("measure", self.measure, MEASURE_READS)
+        resolve(self, "space", f"space.kind is {kind!r}", KIND_READS[kind],
+                "size", "level", "exponent")
+        resolve(self, "space", f"space.measure is {measure!r}",
+                MEASURE_READS[measure], "weights")
+        if self.size is not None:
+            object.__setattr__(self, "size",
+                               integer_arg("space.size", self.size, low=1))
+        if kind == "sierpinski_level":
+            object.__setattr__(self, "level",
+                               integer_arg("space.level", self.level, low=0))
+        if kind == "snowflake_power":
+            real_arg("space.exponent", self.exponent, lambda v: v > 0, "> 0")
+        if measure == "custom" and self.weights is None:
+            raise ParameterError("the custom measure requires space.weights")
+
+
 def generate_space(kind, size=None, level=None, exponent=None,
                    measure="uniform", weights=None, label=None, seed=0):
-    """Build one of the stock finite test spaces.
+    """Build one of the stock finite test spaces; the arguments are checked
+    as a `SpaceSpec`.
 
     Kinds: grid1d(size), grid2d(size per side), circle(size), graph(size,
     binary tree metric), sierpinski_level(level), snowflake_power(size,
     exponent a; d = |x - y|^a, a genuine quasi-metric for a > 1).
     """
+    spec = SpaceSpec(kind=kind, size=size, level=level, exponent=exponent,
+                     measure=measure, weights=weights, label=label, seed=seed)
+    kind, size = spec.kind, spec.size
     points = None
-    for name, value, reader in (("level", level, "sierpinski_level"),
-                                ("exponent", exponent, "snowflake_power")):
-        if value is not None and kind != reader:
-            raise ParameterError(f"{name} is read only by {reader}, "
-                                 f"not by {kind!r}")
-    if kind in ("grid1d", "grid2d", "circle", "graph", "snowflake_power"):
-        size = None if size is None else integer_arg("size", size)
-        if size is None or size < 1:
-            raise ParameterError("size must be >= 1")
-
     if kind == "grid1d":
         points = _grid1d_points(size)
         dist = _euclidean(points)
@@ -519,35 +569,15 @@ def generate_space(kind, size=None, level=None, exponent=None,
     elif kind == "graph":
         dist = _binary_tree_dist(size)
     elif kind == "sierpinski_level":
-        level = None if level is None else integer_arg("level", level)
-        if level is None or level < 0:
-            raise ParameterError("level must be >= 0")
-        points = _sierpinski_points(level)
+        points = _sierpinski_points(spec.level)
         dist = _euclidean(points)
-    elif kind == "snowflake_power":
-        if exponent is None or not exponent > 0:
-            raise ParameterError("snowflake exponent must be > 0")
-        base = _grid1d_points(size)
-        dist = _euclidean(base) ** float(exponent)
-        points = base
-    else:
-        raise ParameterError(f"unknown space kind {kind!r}")
-
+    else:  # snowflake_power
+        points = _grid1d_points(size)
+        dist = _euclidean(points) ** float(exponent)
     n = dist.shape[0]
-    if weights is not None and measure != "custom":
-        raise ParameterError(f"weights are read only by the custom measure, "
-                             f"not by {measure!r}")
-    if measure == "uniform":
-        w = np.full(n, 1.0 / n)
-    elif measure == "custom":
-        if weights is None:
-            raise ParameterError("custom measure requires weights")
-        w = weights
-    else:
-        raise ParameterError(f"unknown measure {measure!r}")
-
-    return MetricMeasureSpace(
-        dist, w, label=label or kind, points=points, seed=seed)
+    w = np.full(n, 1.0 / n) if spec.measure == "uniform" else weights
+    return MetricMeasureSpace(dist, w, label=label or kind, points=points,
+                              seed=seed)
 
 
 # -- document I/O -----------------------------------------------------------

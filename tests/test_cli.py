@@ -1,14 +1,18 @@
+import importlib.util
 import json
 import os
 import re
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from homspace import kernels
+from homspace import cli, kernels
 from homspace import lab as labmod
-from homspace.cli import DEFAULT_CONFIG, NULL_DEFAULT_TYPES, load_config, main
+from homspace.cli import (COMMAND_STAGES, DEFAULT_CONFIG, NULL_DEFAULT_TYPES,
+                          config_specs, load_config, main)
 from homspace.errors import ParameterError
 from homspace.lab import DEFAULT_CAPS, STANDARD_KINDS
 
@@ -77,7 +81,9 @@ def test_bad_space_document_exit_1(tmp_path, capsys):
     doc = {"n": 2, "dist": [[0.0, 1.0], [2.0, 0.0]], "weights": [1.0, 1.0]}
     p = tmp_path / "bad_space.json"
     p.write_text(json.dumps(doc))
-    cfg = write_config(tmp_path, {"space": {"file": str(p)}})
+    # a space file reads no kind or size, so BASE's are nulled
+    cfg = write_config(tmp_path, {"space": {"file": str(p), "kind": None,
+                                            "size": None}})
     assert run(["--config", cfg, "space", "build"]) == 1
     assert "asymmetric" in capsys.readouterr().err
 
@@ -241,11 +247,10 @@ def test_space_leaves_the_space_would_ignore_exit_1(tmp_path, capsys):
     weights = "space.weights=[5, 5, 5]"
     assert run(["--out", out, "--set", "space.size=3", "--set", weights,
                 "space", "build"]) == 1
-    assert "custom measure" in capsys.readouterr().err
-    for leaf, reader in (("space.level=2", "sierpinski_level"),
-                         ("space.exponent=2.0", "snowflake_power")):
+    assert "so space.weights would be ignored" in capsys.readouterr().err
+    for leaf in ("space.level=2", "space.exponent=2.0"):
         assert run(["--out", out, "--set", leaf, "space", "build"]) == 1
-        assert f"read only by {reader}" in capsys.readouterr().err
+        assert "space.kind is 'grid1d', so" in capsys.readouterr().err
     assert run(["--out", out, "--set", "space.size=3", "--set", weights,
                 "--set", 'space.measure="custom"', "space", "build"]) == 0
     capsys.readouterr()
@@ -323,6 +328,10 @@ BAD_PIPELINE_SETS = (
     ("frame.dump_coefficients=1",),
     ('kernel.flavor="inhomogeneous"', "kernel.n_low=-1"),
     ('kernel.flavor="inhomogeneous"', "dyadic.k_min=3"),
+    ("kernel.fine_factor=0",),
+    ("kernel.fine_factor=-1",),
+    ("kernel.a=-1",),
+    ("kernel.a=0",),
 )
 # norm parameters and field leaves that are not numbers or lie out of range
 BAD_NORM_SETS = (
@@ -404,3 +413,82 @@ def test_bad_ensemble_settings_set_paths_and_fields_exit_1(tmp_path, capsys):
         name="nan.json")
     assert run(["--config", bad, "norm", "compute"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+# leaves out of range, each with a command that never reads it or reads it
+# only after the space is built; all exit 1 before any space is built
+REJECTED_BEFORE_WORK = (
+    (('kernel.flavor="inhomogeneous"', "kernel.sigma=-1"), "cubes build"),
+    (('kernel.flavor="inhomogeneous"', "kernel.sigma=-1"), "lab lemmas"),
+    (('kernel.flavor="inhomogeneous"', "kernel.n_low=-1"), "cubes build"),
+    (('kernel.flavor="inhomogeneous"', "kernel.n_low=-1"), "lab lemmas"),
+    (('kernel.flavor="inhomogeneous"', 'kernel.coarse="warp"'), "ati build"),
+    (("space.size=3", 'space.kind="sierpinski_level"', "space.level=1"),
+     "space build"),
+    (('lab.pairing="bogus"',), "lab embeddings"),
+    (("lab.radius_grid=[-1]",), "ati build"),
+    (('norm.variant="bogus"',), "norm compute"),
+    ((), "norm compute --variant bogus"),
+    (("space.size=33", "dyadic.delta=2"), "cubes build"),
+    (("dyadic.sigma=1.05",), "cubes build"),
+    (("dyadic.deep_margin=-1",), "cubes build"),
+    (("kernel.fine_factor=0",), "cubes build"),
+    (("kernel.fine_factor=-1",), "cubes build"),
+    (("kernel.a=-1",), "ati build"),
+    (("kernel.a=-1",), "lab lemmas"),
+    (("kernel.sigma=0.5",), "ati build"),
+    (('space.file="x.json"', "space.size=9"), "space build"),
+)
+
+
+@pytest.mark.parametrize("sets,command", REJECTED_BEFORE_WORK)
+def test_bad_leaves_exit_1_before_any_space_is_built(tmp_path, capsys,
+                                                     monkeypatch, sets,
+                                                     command):
+    def no_space(*args, **kwargs):
+        raise AssertionError("a space was built")
+
+    monkeypatch.setattr(cli, "generate_space", no_space)
+    monkeypatch.setattr(cli, "load_space", no_space)
+    args = [arg for a in sets for arg in ("--set", a)]
+    assert run(["--out", str(tmp_path), *args, *command.split()]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err, err
+
+
+def test_seeds_and_field_leaves_are_never_unread():
+    """The seeds and the field leaves keep their defaults and are never
+    rejected as unread, whatever the space, kernel or field choice."""
+    cfg = load_config(None, [
+        'space.kind="sierpinski_level"', "space.level=2", "space.seed=3",
+        "dyadic.seed=3", 'dyadic.sampler="center"', "norm.field.seed=3",
+        'norm.field.kind="constant"', "norm.field.theta=0.5",
+        "norm.field.radius=0.5", "lab.ensemble.seed=3"])
+    specs = config_specs(cfg)
+    assert (specs["space"].size, specs["space"].level) == (None, 2)
+    assert (specs["kernel"].coarse, specs["kernel"].sigma) == ("mean", None)
+
+
+def _bench_workloads(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_argv_passes_the_config_checks(monkeypatch):
+    """Every benchmark step's --set list, with the seeds it sets on every
+    command, and every set-up's list pass `load_config` and build their
+    specs; each step's command is in the stage table."""
+    wl = _bench_workloads(monkeypatch)
+    for workload in wl.WORKLOADS.values():
+        for seed in (0, 3):
+            for step in workload.steps:
+                assert " ".join(step.command) in COMMAND_STAGES
+                config_specs(load_config(None, workload.space
+                                         + wl.seed_sets(seed) + step.sets))
+            for flavour in workload.flavours:
+                config_specs(load_config(
+                    None, wl.setup_sets(workload, seed, flavour)))

@@ -26,6 +26,21 @@ def test_delta_out_of_range(grid65):
         build_nets(grid65, 1.5, (0, 2))
 
 
+def test_dyadic_arguments_are_checked_before_any_work():
+    """delta >= 1 would loop in the level range and sigma > 1 in the greedy
+    net growth; both builders reject them, and a negative margin, first."""
+    from homspace import build_dyadic
+    sp = generate_space("grid1d", size=17)
+    for kw in (dict(delta=2.0), dict(delta=1.0), dict(net_sigma=1.05),
+               dict(net_sigma=0.0), dict(deep_margin=-0.1)):
+        with pytest.raises(ParameterError):
+            build_dyadic(sp, **kw)
+    for kw in (dict(sigma=1.05), dict(sigma=0.0), dict(deep_margin=-0.1)):
+        with pytest.raises(ParameterError):
+            build_nets(sp, 0.5, (0, 4), **kw)
+    assert build_nets(sp, 0.5, (0, 4), sigma=1.0).k_max == 4
+
+
 def test_net_nestedness_and_sizes(grid257):
     nets = build_nets(grid257, 0.5, (0, 8))
     for k in range(0, 8):

@@ -251,6 +251,23 @@ def test_build_dyadic_matches_the_pipeline(grid65, flavor, kw):
     assert cubes.delta == pipe.stack.delta
 
 
+def test_kernel_arguments_are_checked_before_any_work(grid65):
+    """a and fine_factor must be positive, and a leaf the flavor does not
+    read must stay unset."""
+    for kw in (dict(a=-1.0), dict(a=0.0), dict(fine_factor=0.0),
+               dict(fine_factor=-1.0), dict(sigma=0.5), dict(n_low=2),
+               dict(flavor="inhomogeneous", coarse="mean"),
+               dict(flavor="inhomogeneous", sigma=-1.0),
+               dict(flavor="inhomogeneous", n_low=-1)):
+        with pytest.raises(ParameterError):
+            build_pipeline(grid65, **kw)
+    with pytest.raises(ParameterError, match="fine_factor"):
+        build_dyadic(grid65, fine_factor=0.0)
+    st = build_exp_iati(grid65, build_pipeline(grid65).cubes, (0, 3),
+                        n_low=2.0)
+    assert st.n_low == 2 and isinstance(st.n_low, int)
+
+
 def test_build_dyadic_rejects_an_empty_level_range(grid65):
     with pytest.raises(ParameterError, match="empty level range"):
         build_dyadic(grid65, k_min=5, k_max=4, j0=0)

@@ -47,7 +47,7 @@ def test_invalid_params():
     # parameters the kind or measure would ignore
     for kw in (dict(weights=[1.0, 1.0, 1.0]), dict(level=2),
                dict(exponent=2.0)):
-        with pytest.raises(ParameterError, match="read only by"):
+        with pytest.raises(ParameterError, match="would be ignored"):
             generate_space("grid1d", size=3, **kw)
 
 
