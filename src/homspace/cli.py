@@ -7,11 +7,11 @@ single leaves, and a mapping value is merged into the section it names.
 (`config_specs`), the same spec the library builders check their
 arguments with.  A leaf that its section's choice does not read (a size for
 a Sierpinski space, a kernel sigma for the homogeneous flavor) has a null
-default and must stay null.  Each command then builds only the stages it
-reads (`COMMAND_STAGES`).  Reports are written atomically and contain no
-timestamps
-(wall-clock metadata goes to the ``run_meta.json`` sidecar), so re-running
-with the same config and seeds reproduces byte-identical outputs.
+default and must stay null.  Each command reads the stages it uses from
+one lazy `Pipeline` of the config's specs, so it builds only those.
+Reports are written atomically and contain no timestamps (wall-clock
+metadata goes to the ``run_meta.json`` sidecar), so re-running with the
+same config and seeds reproduces byte-identical outputs.
 
 Exit codes: 0 success, 1 usage/format/parameter errors, 2 violated exact
 invariants or band caps.
@@ -26,7 +26,6 @@ import math
 import os
 import time
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 import click
 import numpy as np
@@ -40,7 +39,7 @@ from .kernels import KernelSpec, validate_ati
 from .norms import (NormSpec, besov_norm, lebesgue_norm,
                     triebel_lizorkin_norm)
 from .operators import Field, FrameSpec, analyze, hl_maximal, reconstruct
-from .pipeline import Pipeline, dyadic_stage, stack_stage
+from .pipeline import Pipeline
 from .report import SuiteReport, fmt
 from .space import (SpaceSpec, _as_float_array, default_radius_grid,
                     generate_space, geometry_report, load_space,
@@ -72,8 +71,10 @@ class FieldSpec:
         if self.kind == "file" and self.file is None:
             raise ParameterError("field kind 'file' needs norm.field.file")
 
-    def make(self, space, stack):
-        """The field on `space`; a bandlimited one reads `stack`."""
+    def make(self, pipe):
+        """The field on the pipeline's space; a bandlimited one reads its
+        stack, once the level is known to lie in the stack's range."""
+        space = pipe.space
         if not self.center < space.n:
             raise ParameterError(f"norm.field.center must lie in "
                                  f"[0, {space.n}), got {self.center}")
@@ -85,10 +86,13 @@ class FieldSpec:
             return Field(space, (space.dist[self.center] < float(self.radius))
                          .astype(float))
         if self.kind == "bandlimited":
-            levels = stack.levels()
+            levels = pipe.levels
             j = levels[len(levels) // 2] if self.level is None else self.level
+            if j not in levels:
+                raise ParameterError(f"norm.field.level {j} outside stack "
+                                     f"range [{levels[0]}, {levels[-1]}]")
             noise = np.random.default_rng(self.seed).standard_normal(space.n)
-            return Field(space, stack.apply(j, noise))
+            return Field(space, pipe.stack.apply(j, noise))
         with open(self.file) as fh:
             return Field(space, _as_float_array(json.load(fh),
                                                 "norm.field.file values"))
@@ -243,19 +247,8 @@ def _finish(cfg, name, suite):
     return 0 if suite.passed else 2
 
 
-# the stages each command builds past the space: "cubes" (the nets, the
-# refined cubes and the level range) or "stack" (those and the kernel
-# stack); "norm" and "field" build the stack only where the norm variant or
-# the field reads it
-COMMAND_STAGES = {
-    "space build": None, "space report": None, "cubes verify": None,
-    "cubes build": "cubes", "lab lemmas": "cubes", "ati build": "stack",
-    "ati validate": "stack", "frame reconstruct": "stack",
-    "lab equivalence": "stack", "lab embeddings": "stack",
-    "norm compute": "norm", "maximal": "field",
-}
-STACK_NORMS = ("besov", "triebel")
-NORM_VARIANTS = (*STACK_NORMS, "lebesgue", *VARIANTS, *TRUNCATED_VARIANTS)
+NORM_VARIANTS = ("besov", "triebel", "lebesgue", *VARIANTS,
+                 *TRUNCATED_VARIANTS)
 
 
 def config_specs(cfg):
@@ -288,38 +281,20 @@ def space_from_config(cfg):
     return generate_space(**{k: v for k, v in sc.items() if k != "file"})
 
 
-class Stages(NamedTuple):
-    """A command's specs by name, and what it built: the space, the refined
-    cubes and level range, and the kernel stack (None if not built)."""
-
-    specs: dict
-    space: object
-    cubes: object = None
-    levels: range | None = None
-    stack: object = None
-
-
-def _stages(cfg, command, space=None):
-    """The space, and past it what `command` builds (COMMAND_STAGES)."""
+def _pipeline(cfg, space=None):
+    """The config's specs, and the lazy pipeline of their stages on `space`
+    (null: the config's space)."""
     specs = config_specs(cfg)
-    space = space or space_from_config(cfg)
-    need = COMMAND_STAGES[command]
-    if need in ("norm", "field"):
-        reads = (specs["field"].kind == "bandlimited" or need == "norm"
-                 and cfg["norm"]["variant"] in STACK_NORMS)
-        need = "stack" if reads else None
-    if need is None:
-        return Stages(specs, space)
-    cubes, levels = dyadic_stage(space, specs["dyadic"], specs["kernel"])
-    stack = (stack_stage(space, cubes, levels, specs["kernel"])
-             if need == "stack" else None)
-    return Stages(specs, space, cubes, levels, stack)
+    return specs, Pipeline(space or space_from_config(cfg), specs["dyadic"],
+                           specs["kernel"])
 
 
 def pipeline_from_config(cfg, space=None):
-    """The whole pipeline: what `ati build` builds."""
-    built = _stages(cfg, "ati build", space)
-    return Pipeline(space=built.space, cubes=built.cubes, stack=built.stack)
+    """The config's pipeline with every stage built: what `ati build`
+    builds."""
+    pipe = _pipeline(cfg, space)[1]
+    pipe.stack
+    return pipe
 
 
 def _inf(v):
@@ -328,15 +303,18 @@ def _inf(v):
 
 
 def pass_cfg(command):
-    """Run `command` on the loaded config.  A command's --variant option is
-    one more --set, so it is checked with every other leaf."""
+    """Run `command` on the loaded config, its specs and the lazy pipeline
+    on its space.  A command's --variant option is one more --set, so it is
+    checked with every other leaf."""
     @click.pass_obj
     @functools.wraps(command)
     def run(obj, variant=None, **options):
         path, sets = obj
         if variant is not None:
             sets += (f"norm.variant={json.dumps(variant)}",)
-        return command(load_config(path, sets), **options)
+        cfg = load_config(path, sets)
+        specs, pipe = _pipeline(cfg)
+        return command(cfg, specs, pipe, **options)
     return run
 
 
@@ -360,8 +338,8 @@ def space():
 
 @space.command("build")
 @pass_cfg
-def space_build(cfg):
-    sp = _stages(cfg, "space build").space
+def space_build(cfg, specs, pipe):
+    sp = pipe.space
     doc = json.dumps(space_to_document(sp), indent=1) + "\n"
     emit(cfg, "space.json", doc)
     click.echo(f"space n={sp.n} a0={fmt(sp.a0)} ({sp.a0_method}) "
@@ -371,8 +349,8 @@ def space_build(cfg):
 
 @space.command("report")
 @pass_cfg
-def space_report(cfg):
-    rep = _geometry(_stages(cfg, "space report"), fit_reverse=True)
+def space_report(cfg, specs, pipe):
+    rep = _geometry(specs, pipe, fit_reverse=True)
     suite = SuiteReport("geometry report")
     suite.add("doubling", "value", passed=None, value=rep.c_mu,
               omega=rep.omega, diam=rep.diam, v_ratio=rep.v_ratio)
@@ -392,8 +370,8 @@ def cubes():
 
 @cubes.command("build")
 @pass_cfg
-def cubes_build(cfg):
-    cubes = _stages(cfg, "cubes build").cubes
+def cubes_build(cfg, specs, pipe):
+    cubes = pipe.cubes
     ver = dy.verify_cubes(cubes)
     emit(cfg, "cubes.json", json.dumps(dy.cube_dump(cubes)) + "\n")
     suite = _verification_suite(ver)
@@ -426,11 +404,10 @@ def _verification_suite(ver):
 @click.option("--dump", "dump_path", type=click.Path(exists=True),
               required=True)
 @pass_cfg
-def cubes_verify(cfg, dump_path):
-    sp = _stages(cfg, "cubes verify").space
+def cubes_verify(cfg, specs, pipe, dump_path):
     with open(dump_path) as fh:
         doc = json.load(fh)
-    ver = dy.verify_cubes(dy.cubes_from_dump(doc, sp))
+    ver = dy.verify_cubes(dy.cubes_from_dump(doc, pipe.space))
     suite = _verification_suite(ver)
     return _finish(cfg, "cubes_verify", suite)
 
@@ -442,8 +419,8 @@ def ati():
 
 @ati.command("build")
 @pass_cfg
-def ati_build(cfg):
-    st = _stages(cfg, "ati build").stack
+def ati_build(cfg, specs, pipe):
+    st = pipe.stack
     suite = SuiteReport("kernel stack")
     suite.add("levels", "value", passed=None, value=len(list(st.levels())),
               k_min=st.k_min, k_max=st.k_max, flavor=st.flavor)
@@ -452,9 +429,8 @@ def ati_build(cfg):
 
 @ati.command("validate")
 @pass_cfg
-def ati_validate(cfg):
-    built = _stages(cfg, "ati validate")
-    rep = validate_ati(built.stack, built.cubes)
+def ati_validate(cfg, specs, pipe):
+    rep = validate_ati(pipe.stack, pipe.cubes)
     suite = SuiteReport("kernel validation")
     suite.add("cancellation residual", "exact",
               passed=rep.cancel_resid <= 1e-10, value=rep.cancel_resid)
@@ -479,15 +455,14 @@ def ati_validate(cfg):
 @click.option("--variant", default=None,
               help="shorthand for --set norm.variant=...")
 @pass_cfg
-def norm_cmd(cfg, action):
-    built = _stages(cfg, "norm compute")
-    spec = built.specs["norm"]
-    f = built.specs["field"].make(built.space, built.stack)
+def norm_cmd(cfg, specs, pipe, action):
+    spec = specs["norm"]
+    f = specs["field"].make(pipe)
     variant = cfg["norm"]["variant"]
     if variant == "besov":
-        val = besov_norm(f, spec, built.stack, built.cubes)
+        val = besov_norm(f, spec, pipe.stack, pipe.cubes)
     elif variant == "triebel":
-        val = triebel_lizorkin_norm(f, spec, built.stack, built.cubes)
+        val = triebel_lizorkin_norm(f, spec, pipe.stack, pipe.cubes)
     elif variant == "lebesgue":
         val = lebesgue_norm(f, spec.p)
     elif variant in VARIANTS:
@@ -504,18 +479,16 @@ def norm_cmd(cfg, action):
 @cli.command("frame")
 @click.argument("action", type=click.Choice(["reconstruct"]))
 @pass_cfg
-def frame_cmd(cfg, action):
-    built = _stages(cfg, "frame reconstruct")
-    f = built.specs["field"].make(built.space, built.stack)
-    rf, rep = reconstruct(built.stack, built.cubes, f,
-                          tol=built.specs["frame"].tol,
-                          maxiter=built.specs["frame"].maxiter)
+def frame_cmd(cfg, specs, pipe, action):
+    f = specs["field"].make(pipe)
+    rf, rep = reconstruct(pipe.stack, pipe.cubes, f, tol=specs["frame"].tol,
+                          maxiter=specs["frame"].maxiter)
     suite = SuiteReport("frame reconstruction")
     suite.add("relative residual", "band", passed=rep.converged,
               value=rep.relative_residual, iterations=rep.iterations,
               frame_lower=rep.frame_lower, frame_upper=rep.frame_upper)
     if cfg["frame"]["dump_coefficients"]:
-        grid = analyze(built.stack, built.cubes, f)
+        grid = analyze(pipe.stack, pipe.cubes, f)
         lines = ["k,alpha,m,y_index,value,weight"]
         for row in grid.rows():
             lines.append(",".join(fmt(v) for v in row))
@@ -528,28 +501,28 @@ def lab():
     """Experiment suites."""
 
 
-def _geometry(built, fit_reverse=False):
-    grid = built.specs["lab"].radius_grid
-    return geometry_report(built.space,
-                           grid or default_radius_grid(built.space),
+def _geometry(specs, pipe, fit_reverse=False):
+    grid = specs["lab"].radius_grid
+    return geometry_report(pipe.space, grid or default_radius_grid(pipe.space),
                            fit_reverse=fit_reverse)
 
 
-def _lab_pipe(cfg, command):
-    built = _stages(cfg, command)
-    ensemble = labmod.generate_ensemble(built.space, built.stack,
-                                        built.specs["lab"].ensemble)
-    return built, _geometry(built), ensemble
+def _lab_pipe(specs, pipe):
+    """The geometry and the ensemble a lab suite reads; the ensemble reads
+    the stack, which is built before the geometry."""
+    ensemble = labmod.generate_ensemble(pipe.space, pipe.stack,
+                                        specs["lab"].ensemble)
+    return _geometry(specs, pipe), ensemble
 
 
 @lab.command("equivalence")
 @pass_cfg
-def lab_equivalence(cfg):
-    built, geom, ensemble = _lab_pipe(cfg, "lab equivalence")
-    lab = built.specs["lab"]
-    rep = validate_ati(built.stack, built.cubes)
+def lab_equivalence(cfg, specs, pipe):
+    geom, ensemble = _lab_pipe(specs, pipe)
+    lab = specs["lab"]
+    rep = validate_ati(pipe.stack, pipe.cubes)
     eq = labmod.equivalence_experiment(
-        built.space, built.stack, built.cubes, built.specs["norm"],
+        pipe.space, pipe.stack, pipe.cubes, specs["norm"],
         lab.pairing, ensemble, omega=geom.omega, eta=rep.eta_fit,
         geometry=geom, caps=lab.caps)
     suite = eq.to_suite()
@@ -558,32 +531,29 @@ def lab_equivalence(cfg):
 
 @lab.command("embeddings")
 @pass_cfg
-def lab_embeddings(cfg):
-    built, geom, ensemble = _lab_pipe(cfg, "lab embeddings")
-    suite = labmod.embedding_suite(built.space, built.stack, built.cubes,
-                                   ensemble, built.specs["norm"], geom.omega,
-                                   geometry=geom, caps=built.specs["lab"].caps)
+def lab_embeddings(cfg, specs, pipe):
+    geom, ensemble = _lab_pipe(specs, pipe)
+    suite = labmod.embedding_suite(pipe.space, pipe.stack, pipe.cubes,
+                                   ensemble, specs["norm"], geom.omega,
+                                   geometry=geom, caps=specs["lab"].caps)
     return _finish(cfg, "embeddings", suite)
 
 
 @lab.command("lemmas")
 @pass_cfg
-def lab_lemmas(cfg):
-    built = _stages(cfg, "lab lemmas")
-    lab = built.specs["lab"]
-    suite = labmod.lemma_suite(built.space, built.cubes, built.levels,
-                               omega=_geometry(built).omega, caps=lab.caps,
-                               seed=lab.ensemble.seed)
+def lab_lemmas(cfg, specs, pipe):
+    lab = specs["lab"]
+    suite = labmod.lemma_suite(pipe.space, pipe.cubes, pipe.levels,
+                               omega=_geometry(specs, pipe).omega,
+                               caps=lab.caps, seed=lab.ensemble.seed)
     return _finish(cfg, "lemmas", suite)
 
 
 @cli.command("maximal")
 @pass_cfg
-def maximal_cmd(cfg):
+def maximal_cmd(cfg, specs, pipe):
     """Evaluate the maximal operator of the configured field (diagnostic)."""
-    built = _stages(cfg, "maximal")
-    f = built.specs["field"].make(built.space, built.stack)
-    mf = hl_maximal(built.space, f)
+    mf = hl_maximal(pipe.space, specs["field"].make(pipe))
     click.echo(fmt(float(mf.values.max())))
     return 0
 

@@ -35,6 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .dyadic import finest_level
 from .errors import ParameterError
 from .norms import INF, check_scales, lebesgue_norm, positive_exponent
 
@@ -124,24 +125,14 @@ class DifferenceTable:
         return self._rows[exponent]
 
 
-def _finest_level_above(c_tilde, delta, x):
-    """Largest k with c_tilde * delta^k > x (radii shrink as k grows)."""
-    k = int(math.floor(math.log(x / c_tilde) / math.log(delta)))
-    while c_tilde * delta ** k <= x:
-        k -= 1
-    while c_tilde * delta ** (k + 1) > x:
-        k += 1
-    return k
-
-
 def natural_k_window(space, c_tilde, delta):
     """(k_const, k_fine): coarsest computed level (radius just above diam,
     all coarser terms equal it) and finest level with a nonempty ball
     (radius just above the minimum gap).  Returns None for a single point."""
     if not math.isfinite(space.min_gap) or space.diam <= 0:
         return None
-    return (_finest_level_above(c_tilde, delta, space.diam),
-            _finest_level_above(c_tilde, delta, space.min_gap))
+    return (finest_level(delta, space.diam, c_tilde),
+            finest_level(delta, space.min_gap, c_tilde))
 
 
 def scale_weights(k_const, k_fine, s, q, delta, nonneg=False):

@@ -29,6 +29,7 @@ levels and cube systems are frozen, and every array they hold is read-only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -80,6 +81,19 @@ class DyadicSpec:
         integer_arg("dyadic.seed", self.seed, low=0)
 
 
+def finest_level(delta, x, c=1.0, ties=False):
+    """The largest level k whose scale c * delta^k exceeds x, or reaches it
+    with `ties` (scales shrink as k grows)."""
+    def above(k):
+        return c * delta ** k >= x if ties else c * delta ** k > x
+    k = math.floor(math.log(x / c) / math.log(delta))
+    while not above(k):
+        k -= 1
+    while above(k + 1):
+        k += 1
+    return k
+
+
 def _read_only(a):
     a = np.asarray(a)
     a.setflags(write=False)
@@ -104,9 +118,6 @@ class NetSystem:
     c0: float
     big_c0: float
     c0_per_level: dict[int, float] = field(default_factory=dict)
-    big_c0_per_level: dict[int, float] = field(default_factory=dict)
-    sigma: float = DEFAULT_SIGMA
-    deep_margin: float = DEFAULT_DEEP_MARGIN
 
     def levels(self):
         return range(self.k_min, self.k_max + 1)
@@ -279,9 +290,7 @@ def build_nets(space, delta, k_range, sigma=DEFAULT_SIGMA,
             f"strict mode: 12*A0^3*C0*delta = "
             f"{12 * space.a0 ** 3 * big_c0 * delta:.6g} exceeds c0 = {c0:.6g}")
     return NetSystem(delta=delta, k_min=k_min, k_max=k_max, nets=nets,
-                     assigns=assigns, c0=c0, big_c0=big_c0, c0_per_level=c0_lv,
-                     big_c0_per_level=big_lv, sigma=spec.sigma,
-                     deep_margin=spec.deep_margin)
+                     assigns=assigns, c0=c0, big_c0=big_c0, c0_per_level=c0_lv)
 
 
 def build_cubes(nets, space):
@@ -584,5 +593,5 @@ def _cubes_from_dump(doc, space):
         delta=delta, k_min=k_min, k_max=k_max, nets=nets,
         assigns={k: lv.assign for k, lv in levels.items()},
         c0=float(min(c0_lv.values())), big_c0=float(max(big_lv.values())),
-        c0_per_level=c0_lv, big_c0_per_level=big_lv)
+        c0_per_level=c0_lv)
     return CubeSystem(space=space, nets=net_sys, levels=levels)

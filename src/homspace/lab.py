@@ -483,7 +483,7 @@ def fefferman_stein_constants(space, pairs, seed=0):
 def lemma_suite(space, cubes=None, levels=None, omega=1.0, caps=None, seed=0):
     """Numerical instantiation of the auxiliary inequalities; the discrete
     rows need the refined cubes and the stack's level range (a stack's
-    ``levels()``, or the range `build_dyadic` returns)."""
+    ``levels()``, or a `Pipeline`'s ``levels``)."""
     caps = merge_caps(caps)
     rep = SuiteReport("lemma suite")
     bad = theta_power_check(seed=seed)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from homspace import build_pipeline, generate_space, validate_ati
+from homspace import KernelSpec, Pipeline, generate_space, validate_ati
 from homspace.lab import EnsembleSpec, generate_ensemble
 from homspace.space import default_radius_grid, geometry_report
 
@@ -18,17 +18,17 @@ def grid257():
 
 @pytest.fixture(scope="session")
 def pipe65(grid65):
-    return build_pipeline(grid65)
+    return Pipeline(grid65)
 
 
 @pytest.fixture(scope="session")
 def pipe65_inhom(grid65):
-    return build_pipeline(grid65, flavor="inhomogeneous")
+    return Pipeline(grid65, kernel=KernelSpec(flavor="inhomogeneous"))
 
 
 @pytest.fixture(scope="session")
 def pipe257(grid257):
-    return build_pipeline(grid257)
+    return Pipeline(grid257)
 
 
 @pytest.fixture(scope="session")

@@ -6,8 +6,11 @@ arrays on demand), kept verbatim except that it returns plain dicts and
 touches no ``CubeSystem``.  ``test_dyadic.py`` asserts that the current
 array-based build reproduces every net, assignment, cover, member list and
 flat subcube table exactly.  ``structure_checks`` is the earlier per-cube
-partition, center and nesting loop of ``verify_cubes``.
+partition, center and nesting loop of ``verify_cubes``, and
+``default_level_range`` the earlier level-range rule of ``homspace.pipeline``.
 """
+
+import math
 
 import numpy as np
 
@@ -208,3 +211,26 @@ def structure_checks(cubes):
                     failures.append(
                         f"level {k}: point {bad} escapes parent cube {pid}")
     return partition, nesting, center, failures
+
+
+def default_level_range(space, delta, flavor, fine_factor):
+    """The earlier level-range rule: two floor/ceil-of-log searches, each
+    with its two fix-up loops."""
+    diam = space.diam
+    gap = space.min_gap
+    if diam <= 0 or not math.isfinite(gap):
+        return 0, 0
+    k_min = int(math.floor(math.log(diam) / math.log(delta)))
+    while delta ** k_min < diam:
+        k_min -= 1
+    while delta ** (k_min + 1) >= diam:
+        k_min += 1
+    if flavor == "inhomogeneous":
+        k_min = 0
+    target = gap / fine_factor
+    k_max = int(math.ceil(math.log(target) / math.log(delta)))
+    while delta ** k_max > target:
+        k_max += 1
+    while delta ** (k_max - 1) <= target:
+        k_max -= 1
+    return min(k_min, k_max), max(k_min + 1, k_max)

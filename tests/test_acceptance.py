@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from homspace import (Field, NormSpec, build_cubes, build_nets,
-                      build_pipeline, equivalence_experiment,
+                      KernelSpec, Pipeline, equivalence_experiment,
                       generate_ensemble, generate_space, hl_maximal,
                       lipschitz_norm, reconstruct, validate_ati,
                       verify_cubes)
@@ -60,18 +60,18 @@ def cube_systems():
 
 @pytest.fixture(scope="module")
 def pipe257():
-    return build_pipeline(generate_space("grid1d", size=257))
+    return Pipeline(generate_space("grid1d", size=257))
 
 
 @pytest.fixture(scope="module")
 def pipe513():
-    return build_pipeline(generate_space("grid1d", size=513))
+    return Pipeline(generate_space("grid1d", size=513))
 
 
 @pytest.fixture(scope="module")
 def norm_rig():
     sp = generate_space("grid1d", size=129)
-    pipe = build_pipeline(sp)
+    pipe = Pipeline(sp)
     ens = generate_ensemble(sp, pipe.stack, EnsembleSpec(mean_zero=True))
     return sp, pipe, ens
 
@@ -111,7 +111,7 @@ def test_criterion_3_exp_ati_validation(pipe257):
     assert rep.identity_resid <= 1e-3
 
     sp = pipe257.space
-    pipe_i = build_pipeline(sp, flavor="inhomogeneous")
+    pipe_i = Pipeline(sp, kernel=KernelSpec(flavor="inhomogeneous"))
     rep_i = validate_ati(pipe_i.stack, pipe_i.cubes)
     assert rep_i.unit_resid is not None and rep_i.unit_resid <= 1e-12
     assert rep_i.cancel_resid <= 1e-10
@@ -221,7 +221,7 @@ def test_criterion_6_exact_norm_identities(norm_rig):
 def test_criterion_7_oracle_equivalence():
     t0 = time.time()
     sp = generate_space("grid1d", size=65)
-    pipe = build_pipeline(sp)
+    pipe = Pipeline(sp)
     st = pipe.stack
     f = Field(sp, sp.dist[0] ** 0.7)
     s, p, q = 0.5, 2.0, 2.0
@@ -299,8 +299,8 @@ def test_criterion_8_theorem_equivalence(pipe257, pipe513):
         runs[pairing] = (a, b)
 
     spec_i = NormSpec(s=0.5, p=2.0, q=2.0, flavor="inhomogeneous")
-    pipe_i257 = build_pipeline(sp257, flavor="inhomogeneous")
-    pipe_i513 = build_pipeline(sp513, flavor="inhomogeneous")
+    pipe_i257 = Pipeline(sp257, kernel=KernelSpec(flavor="inhomogeneous"))
+    pipe_i513 = Pipeline(sp513, kernel=KernelSpec(flavor="inhomogeneous"))
     for pairing in ("inhomog_B_vs_L", "inhomog_F_vs_Lt"):
         a = _theorem_band(sp257, pipe_i257, spec_i, pairing, mean_zero=False)
         b = _theorem_band(sp513, pipe_i513, spec_i, pairing, mean_zero=False)
@@ -356,7 +356,7 @@ def test_criterion_10_determinism(tmp_path):
 
     # library-level determinism of a full suite rerun
     sp = generate_space("grid1d", size=33)
-    pipe = build_pipeline(sp)
+    pipe = Pipeline(sp)
     from homspace import lemma_suite
     a = lemma_suite(sp, pipe.cubes, pipe.stack.levels(), omega=1.0,
                     seed=0).to_text()

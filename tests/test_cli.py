@@ -1,18 +1,21 @@
 import importlib.util
+import inspect
 import json
 import os
 import re
 import sys
 from pathlib import Path
 
+import click
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from homspace import cli, kernels
+from homspace import (Pipeline, cli, generate_space, kernels, pipeline,
+                      space)
 from homspace import lab as labmod
-from homspace.cli import (COMMAND_STAGES, DEFAULT_CONFIG, NULL_DEFAULT_TYPES,
-                          config_specs, load_config, main)
+from homspace.cli import (DEFAULT_CONFIG, NULL_DEFAULT_TYPES, config_specs,
+                          load_config, main)
 from homspace.errors import ParameterError
 from homspace.lab import DEFAULT_CAPS, STANDARD_KINDS
 
@@ -469,26 +472,122 @@ def test_seeds_and_field_leaves_are_never_unread():
     assert (specs["kernel"].coarse, specs["kernel"].sigma) == ("mean", None)
 
 
-def _bench_workloads(monkeypatch):
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+def _bench_module(monkeypatch, name):
+    """The benchmark's module `name`, loaded without writing its bytecode."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec.loader.exec_module(module)
     return module
+
+
+def _resolve(words):
+    """The click command that `words` name, its arguments parsed."""
+    cmd, ctx = cli.cli, None
+    while isinstance(cmd, click.Group):
+        ctx = click.Context(cmd, parent=ctx)
+        name, cmd, words = cmd.resolve_command(ctx, list(words))
+    cmd.make_context(name, words, parent=ctx)
+    return cmd
 
 
 def test_benchmark_argv_passes_the_config_checks(monkeypatch):
     """Every benchmark step's --set list, with the seeds it sets on every
     command, and every set-up's list pass `load_config` and build their
-    specs; each step's command is in the stage table."""
-    wl = _bench_workloads(monkeypatch)
+    specs; each step's command resolves in the command group."""
+    wl = _bench_module(monkeypatch, "workloads")
     for workload in wl.WORKLOADS.values():
         for seed in (0, 3):
             for step in workload.steps:
-                assert " ".join(step.command) in COMMAND_STAGES
+                assert _resolve(step.command).callback is not None
                 config_specs(load_config(None, workload.space
                                          + wl.seed_sets(seed) + step.sets))
             for flavour in workload.flavours:
                 config_specs(load_config(
                     None, wl.setup_sets(workload, seed, flavour)))
+
+
+def test_names_the_benchmark_tracer_reads_resolve(monkeypatch):
+    """Every span the benchmark's tracer observes, holds or memory-traces is
+    a public function of its layer, every method it wraps exists, and the
+    observers' parameters are still there: a rename would silently zero a
+    per-layer figure or break the traced run."""
+    tracer = _bench_module(monkeypatch, "tracer")
+    for name in (*tracer.OBSERVERS, *tracer.HELD, *tracer.MEMORY_SPANS):
+        layer, attr = name.split(".")
+        module = importlib.import_module(f"homspace.{layer}")
+        fn = getattr(module, attr, None)
+        assert inspect.isfunction(fn) and fn.__module__ == module.__name__, \
+            name
+    for layer, cls, meth in tracer.METHODS:
+        owner = getattr(importlib.import_module(f"homspace.{layer}"), cls)
+        assert inspect.isfunction(vars(owner).get(meth)), (cls, meth)
+    assert {"dist", "samples"} <= set(
+        inspect.signature(space.certify_a0).parameters)
+    assert "text" in inspect.signature(cli.write_atomic).parameters
+
+
+@pytest.fixture()
+def builds(monkeypatch):
+    """Counts of the nets and semigroup tables built while a test runs."""
+    counts = {"build_nets": 0, "build_semigroup": 0}
+    for module, name in ((pipeline, "build_nets"),
+                         (kernels, "build_semigroup")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+BANDLIMITED = 'norm.field.kind="bandlimited"'
+# every command, with the stages it builds past the space: none, "cubes"
+# (the nets, the refined cubes and the level range) or "stack" (those and
+# the kernel stack); the default norm variant is besov, the default field
+# holder
+COMMAND_BUILDS = (
+    ("space build", (), None), ("space report", (), None),
+    ("cubes build", (), "cubes"), ("cubes verify --dump {dump}", (), None),
+    ("ati build", (), "stack"), ("ati validate", (), "stack"),
+    ("norm compute", (), "stack"),
+    ("norm compute", ('norm.variant="triebel"',), "stack"),
+    ("norm compute", ('norm.variant="lebesgue"',), None),
+    ("norm compute", ('norm.variant="Ldot"',), None),
+    ("norm compute", ('norm.variant="L_tilde"',), None),
+    ("norm compute", ('norm.variant="lebesgue"', BANDLIMITED), "stack"),
+    ("frame reconstruct", (), "stack"),
+    ("lab equivalence", (), "stack"), ("lab embeddings", (), "stack"),
+    ("lab lemmas", (), "cubes"),
+    ("maximal", (), None), ("maximal", (BANDLIMITED,), "stack"),
+)
+
+
+def test_every_command_builds_what_it_reads(tmp_path, capsys, builds):
+    out = tmp_path / "out"
+    assert run(["--out", str(out), "--set", "space.size=33",
+                "cubes", "build"]) == 0
+    Pipeline(generate_space("grid1d", size=33)).stack
+    stack_tables = builds["build_semigroup"]
+    want = {None: (0, 0), "cubes": (1, 0), "stack": (1, stack_tables)}
+    for command, sets, stages in COMMAND_BUILDS:
+        builds.update(build_nets=0, build_semigroup=0)
+        args = [arg for a in ("space.size=33", *sets) for arg in ("--set", a)]
+        words = command.format(dump=out / "cubes.json").split()
+        assert run(["--out", str(tmp_path / "run"), *args, *words]) == 0
+        got = (builds["build_nets"], builds["build_semigroup"])
+        assert got == want[stages], (command, sets)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["norm compute", "frame reconstruct",
+                                     "maximal"])
+def test_field_level_is_checked_before_any_build(tmp_path, capsys, builds,
+                                                 command):
+    args = ["--set", "space.size=33", "--set", BANDLIMITED,
+            "--set", "norm.field.level=99"]
+    assert run(["--out", str(tmp_path), *args, *command.split()]) == 1
+    assert builds == {"build_nets": 0, "build_semigroup": 0}
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "norm.field.level" in err, err

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import difference_oracle
 import dyadic_oracle
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from homspace import (FormatError, ParameterError, RangeError, build_cubes,
                       build_nets, generate_space, refine_subcubes,
                       verify_cubes)
 from homspace import dyadic
+from homspace.difference import natural_k_window
 from homspace.dyadic import cube_dump, cubes_from_dump
 from homspace.pipeline import default_level_range
 
@@ -28,13 +30,14 @@ def test_delta_out_of_range(grid65):
 
 def test_dyadic_arguments_are_checked_before_any_work():
     """delta >= 1 would loop in the level range and sigma > 1 in the greedy
-    net growth; both builders reject them, and a negative margin, first."""
-    from homspace import build_dyadic
+    net growth; the pipeline's spec and `build_nets` reject them, and a
+    negative margin, first."""
+    from homspace import DyadicSpec, Pipeline
     sp = generate_space("grid1d", size=17)
-    for kw in (dict(delta=2.0), dict(delta=1.0), dict(net_sigma=1.05),
-               dict(net_sigma=0.0), dict(deep_margin=-0.1)):
+    for kw in (dict(delta=2.0), dict(delta=1.0), dict(sigma=1.05),
+               dict(sigma=0.0), dict(deep_margin=-0.1)):
         with pytest.raises(ParameterError):
-            build_dyadic(sp, **kw)
+            Pipeline(sp, DyadicSpec(**kw))
     for kw in (dict(sigma=1.05), dict(sigma=0.0), dict(deep_margin=-0.1)):
         with pytest.raises(ParameterError):
             build_nets(sp, 0.5, (0, 4), **kw)
@@ -405,3 +408,31 @@ def test_dump_rejects_negative_member(grid65):
     doc["levels"]["2"]["members"][0].append(-1)
     with pytest.raises(FormatError, match="negative member"):
         cubes_from_dump(doc, grid65)
+
+
+# every stock kind; grid1d's diameter 1 is delta^0 and its gaps 1/32 and
+# 1/64 are powers of 1/2, so the tie rules show there
+STOCK_SPACES = (dict(kind="grid1d", size=2), dict(kind="grid1d", size=33),
+                dict(kind="grid1d", size=65), dict(kind="grid2d", size=9),
+                dict(kind="circle", size=40), dict(kind="graph", size=63),
+                dict(kind="sierpinski_level", level=3),
+                dict(kind="snowflake_power", size=33, exponent=0.5))
+
+
+@pytest.mark.parametrize("delta", [0.3, 0.5, 0.7])
+def test_level_searches_match_the_frozen_loops(delta):
+    """`default_level_range` (delta^k >= diam) and the natural window
+    (c * delta^k > x) share `finest_level` and keep the old results."""
+    for kw in STOCK_SPACES:
+        sp = generate_space(**kw)
+        for flavor in ("homogeneous", "inhomogeneous"):
+            for fine_factor in (1.0, 16.0):
+                assert default_level_range(sp, delta, flavor, fine_factor) \
+                    == dyadic_oracle.default_level_range(sp, delta, flavor,
+                                                         fine_factor), kw
+        for c_tilde in (0.5, 1.0, 2.0):
+            assert natural_k_window(sp, c_tilde, delta) == \
+                difference_oracle.natural_k_window(sp, c_tilde, delta), kw
+    grid = generate_space("grid1d", size=65)
+    assert default_level_range(grid) == (0, 10)
+    assert natural_k_window(grid, 1.0, 0.5) == (-1, 5)

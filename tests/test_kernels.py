@@ -1,18 +1,19 @@
 import tracemalloc
-from dataclasses import asdict, fields, replace
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 
 import numpy as np
 import pytest
 from ati_oracle import reference_validate_ati
 
-from homspace import (Field, ParameterError, build_dyadic, build_exp_ati,
-                      build_exp_iati, build_pipeline, build_semigroup,
-                      generate_space, validate_ati)
+from homspace import (DyadicSpec, Field, KernelSpec, ParameterError,
+                      Pipeline, build_exp_ati, build_exp_iati,
+                      build_semigroup, generate_space, validate_ati)
 from homspace.dyadic import cube_dump
 from homspace.kernels import mean_projection, r_gamma_integral_band
 
 CANCEL_TOL = 1e-10
 UNIT_TOL = 1e-12
+INHOM = KernelSpec(flavor="inhomogeneous")
 
 
 def test_semigroup_two_point_symmetric():
@@ -131,12 +132,10 @@ def test_fields_and_kernel_tables_are_read_only(pipe65):
 def oracle_pipes(pipe257, grid257):
     grid513 = generate_space("grid1d", size=513)
     return {"grid1d-257": pipe257,
-            "grid1d-257-inhom": build_pipeline(grid257,
-                                               flavor="inhomogeneous"),
-            "circle-256": build_pipeline(generate_space("circle", size=256)),
-            "grid1d-513": build_pipeline(grid513),
-            "grid1d-513-inhom": build_pipeline(grid513,
-                                               flavor="inhomogeneous")}
+            "grid1d-257-inhom": Pipeline(grid257, kernel=INHOM),
+            "circle-256": Pipeline(generate_space("circle", size=256)),
+            "grid1d-513": Pipeline(grid513),
+            "grid1d-513-inhom": Pipeline(grid513, kernel=INHOM)}
 
 
 # grid1d-513 masks about 2.15 M kernel entries, above kernels.FIT_POINTS, so
@@ -155,9 +154,10 @@ def test_validation_peak_memory(oracle_pipes):
     # streamed levels peak at about 66 MB here; keeping every level's masked
     # arrays until the fit took 137-146 MB
     pipe = oracle_pipes["grid1d-513"]
+    stack, cubes = pipe.stack, pipe.cubes
     tracemalloc.start()
     try:
-        validate_ati(pipe.stack, pipe.cubes)
+        validate_ati(stack, cubes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -180,7 +180,7 @@ def test_scale_covariance_of_size_const():
     consts = {}
     for n in (33, 65):
         sp = generate_space("grid1d", size=n)
-        pipe = build_pipeline(sp, k_max=6)
+        pipe = Pipeline(sp, DyadicSpec(k_max=6))
         rep = validate_ati(pipe.stack, pipe.cubes)
         consts[n] = rep.size_const
     ratio = consts[65] / consts[33]
@@ -213,12 +213,12 @@ def test_semigroup_coarse_cap_mode(grid65):
         build_exp_ati(grid65, cubes, k_range=(0, 6), coarse="warp")
 
 
-def test_build_pipeline_rejects_fractional_levels(grid65):
+def test_pipeline_rejects_fractional_levels(grid65):
     for kw in (dict(k_max=6.7), dict(k_min=0.5), dict(k_max=True),
                dict(j0=1.5)):
         with pytest.raises(ParameterError, match=next(iter(kw))):
-            build_pipeline(grid65, **kw)
-    pipe = build_pipeline(grid65, k_min=0.0, k_max=6.0, j0=2.0)
+            Pipeline(grid65, DyadicSpec(**kw))
+    pipe = Pipeline(grid65, DyadicSpec(k_min=0.0, k_max=6.0, j0=2.0))
     assert (pipe.stack.k_min, pipe.stack.k_max, pipe.cubes.j0) == (0, 6, 2)
 
 
@@ -235,18 +235,24 @@ def test_kernel_builders_reject_fractional_levels(grid65, pipe65):
 def test_inhomogeneous_pipeline_rejects_given_level_range(grid65):
     for kw in (dict(k_min=3), dict(k_min=-1), dict(k_max=0)):
         with pytest.raises(ParameterError, match=next(iter(kw))):
-            build_pipeline(grid65, flavor="inhomogeneous", **kw)
-    pipe = build_pipeline(grid65, flavor="inhomogeneous", k_min=0, k_max=4)
+            Pipeline(grid65, DyadicSpec(**kw), INHOM)
+    pipe = Pipeline(grid65, DyadicSpec(k_min=0, k_max=4), INHOM)
     assert (pipe.stack.k_min, pipe.stack.k_max) == (0, 4)
 
 
 @pytest.mark.parametrize("flavor,kw", [
     ("homogeneous", {}), ("homogeneous", dict(k_min=1, k_max=5)),
     ("inhomogeneous", {}), ("inhomogeneous", dict(k_min=0, k_max=4))])
-def test_build_dyadic_matches_the_pipeline(grid65, flavor, kw):
-    cubes, levels = build_dyadic(grid65, flavor=flavor, **kw)
-    pipe = build_pipeline(grid65, flavor=flavor, **kw)
-    assert levels == pipe.stack.levels()
+def test_cubes_without_a_stack_match_the_full_pipeline(grid65, flavor, kw):
+    """Cubes and levels read alone build no stack, and equal those of a
+    pipeline whose stack is read first."""
+    lazy = Pipeline(grid65, DyadicSpec(**kw), KernelSpec(flavor=flavor))
+    cubes, levels = lazy.cubes, lazy.levels
+    assert "stack" not in vars(lazy)
+    with pytest.raises(FrozenInstanceError):
+        lazy.cubes = None
+    pipe = Pipeline(grid65, DyadicSpec(**kw), KernelSpec(flavor=flavor))
+    assert levels == pipe.stack.levels() == pipe.levels
     assert cube_dump(cubes) == cube_dump(pipe.cubes)
     assert cubes.delta == pipe.stack.delta
 
@@ -260,17 +266,21 @@ def test_kernel_arguments_are_checked_before_any_work(grid65):
                dict(flavor="inhomogeneous", sigma=-1.0),
                dict(flavor="inhomogeneous", n_low=-1)):
         with pytest.raises(ParameterError):
-            build_pipeline(grid65, **kw)
+            Pipeline(grid65, kernel=KernelSpec(**kw))
     with pytest.raises(ParameterError, match="fine_factor"):
-        build_dyadic(grid65, fine_factor=0.0)
-    st = build_exp_iati(grid65, build_pipeline(grid65).cubes, (0, 3),
+        Pipeline(grid65, kernel=KernelSpec(fine_factor=0.0))
+    st = build_exp_iati(grid65, Pipeline(grid65).cubes, (0, 3),
                         n_low=2.0)
     assert st.n_low == 2 and isinstance(st.n_low, int)
 
 
-def test_build_dyadic_rejects_an_empty_level_range(grid65):
+def test_pipeline_rejects_an_empty_level_range(grid65):
     with pytest.raises(ParameterError, match="empty level range"):
-        build_dyadic(grid65, k_min=5, k_max=4, j0=0)
+        Pipeline(grid65, DyadicSpec(k_min=5, k_max=4, j0=0))
+    # an end above the default range's other end: found when levels are read
+    lazy = Pipeline(grid65, DyadicSpec(k_min=40, j0=0))
+    with pytest.raises(ParameterError, match="empty level range"):
+        lazy.levels
 
 
 def test_interior_levels_are_the_middle_third(pipe65):

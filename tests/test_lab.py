@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from homspace import (ExperimentError, NormSpec, ParameterError,
-                      build_pipeline, equivalence_experiment,
+                      Pipeline, equivalence_experiment,
                       generate_ensemble, generate_space, lemma_suite,
                       validate_ati)
 from homspace.lab import (EnsembleSpec, band_drift, check_hypotheses,
@@ -100,7 +100,7 @@ def test_p_le_one_gate_passes_on_circle():
 
 def test_u_variant_pairing_runs_on_circle():
     sp = generate_space("circle", size=128)
-    pipe = build_pipeline(sp)
+    pipe = Pipeline(sp)
     radii = sorted((m + 0.5) / 128 for m in (8, 16, 32))
     geom = geometry_report(sp, radii)
     rep = validate_ati(pipe.stack, pipe.cubes)
@@ -195,7 +195,7 @@ def test_mixed_ensemble_counts_degenerate(grid65, pipe65, geom65,
 
 def test_embedding_bands_run_on_circle():
     sp = generate_space("circle", size=128)
-    pipe = build_pipeline(sp)
+    pipe = Pipeline(sp)
     radii = sorted((m + 0.5) / 128 for m in (8, 16, 32))
     geom = geometry_report(sp, radii)
     ens = generate_ensemble(sp, pipe.stack, EnsembleSpec(

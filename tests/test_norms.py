@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from homspace import (Field, FlavorMismatchError, LevelTable, NormSpec,
-                      ParameterError, admissible_range, analyze, besov_norm,
-                      build_pipeline, frame_operator, generate_space,
-                      lebesgue_norm, triebel_lizorkin_norm)
+from homspace import (DyadicSpec, Field, FlavorMismatchError, KernelSpec,
+                      LevelTable, NormSpec, ParameterError, Pipeline,
+                      admissible_range, analyze, besov_norm, frame_operator,
+                      generate_space, lebesgue_norm, triebel_lizorkin_norm)
 from homspace import test_function_norm as tf_norm
 from homspace.lab import EnsembleSpec, generate_ensemble, sampled_besov_norm
 from homspace.dyadic import refine_subcubes
@@ -293,7 +293,7 @@ def test_truncation_risk_small_with_default_levels(pipe65):
 
 
 def test_truncation_risk_flags_narrow_range(grid65):
-    pipe = build_pipeline(grid65, k_min=2, k_max=4)
+    pipe = Pipeline(grid65, DyadicSpec(k_min=2, k_max=4))
     f = holder_field(grid65)
     spec = NormSpec(s=0.5, p=2.0, q=2.0)
     assert truncation_risk(f, spec, pipe.stack) > 0.3
@@ -322,8 +322,8 @@ def test_two_stack_stability_probe(grid65, ensemble65):
     # independence of the kernel family, empirically: two surrogate stacks
     # with different decay exponents give comparable norms (band measured
     # [0.81, 0.93] on this rig; frozen with slack)
-    pa = build_pipeline(grid65, a=1.0)
-    pb = build_pipeline(grid65, a=0.7)
+    pa = Pipeline(grid65, kernel=KernelSpec(a=1.0))
+    pb = Pipeline(grid65, kernel=KernelSpec(a=0.7))
     spec = NormSpec(s=0.5, p=2.0, q=2.0)
     for f in ensemble65[:8]:
         na = besov_norm(f, spec, pa.stack)
@@ -340,7 +340,7 @@ def test_norms_match_frozen_oracle(grid257):
               "gaussian_field": 1}
     for sp in (grid257, generate_space("circle", size=256)):
         for flavor in ("homogeneous", "inhomogeneous"):
-            pipe = build_pipeline(sp, flavor=flavor)
+            pipe = Pipeline(sp, kernel=KernelSpec(flavor=flavor))
             st, cubes = pipe.stack, pipe.cubes
             fields = generate_ensemble(sp, st, EnsembleSpec(
                 counts=counts, seed=3, mean_zero=flavor == "homogeneous"))
@@ -382,7 +382,7 @@ def test_norms_reject_foreign_table(pipe65, pipe65_inhom):
     spec = NormSpec(s=0.5, p=2.0, q=2.0)
     for norm_fn in (besov_norm, triebel_lizorkin_norm):
         with pytest.raises(ParameterError):
-            norm_fn(table, spec, build_pipeline(pipe65.space).stack)
+            norm_fn(table, spec, Pipeline(pipe65.space).stack)
     with pytest.raises(ParameterError):
         truncation_risk(table, spec, pipe65_inhom.stack)
 

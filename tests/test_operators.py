@@ -256,8 +256,8 @@ def test_reconstruct_nonconvergence_raises(pipe65, rng):
 
 
 def test_analyze_j0_zero_samples_at_centers(grid65):
-    from homspace import build_pipeline
-    pipe = build_pipeline(grid65, j0=0)
+    from homspace import DyadicSpec, Pipeline
+    pipe = Pipeline(grid65, DyadicSpec(j0=0))
     st, cubes = pipe.stack, pipe.cubes
     rng = np.random.default_rng(8)
     f = Field(grid65, rng.standard_normal(grid65.n))
