@@ -132,7 +132,8 @@ NULL_DEFAULT_TYPES = {
     "space.kind": str, "space.size": int, "space.level": int,
     "space.exponent": float, "space.measure": str, "space.weights": list,
     "space.file": str, "space.label": str, "kernel.sigma": float,
-    "kernel.n_low": int, "kernel.coarse": str, "dyadic.k_min": int,
+    "kernel.n_low": int, "kernel.coarse": str, "kernel.fine_factor": float,
+    "dyadic.k_min": int,
     "dyadic.k_max": int, "dyadic.sigma": float, "dyadic.deep_margin": float,
     "norm.field.level": int, "norm.field.file": str, "lab.radius_grid": list,
 }
@@ -430,7 +431,7 @@ def ati_build(cfg, specs, pipe):
 @ati.command("validate")
 @pass_cfg
 def ati_validate(cfg, specs, pipe):
-    rep = validate_ati(pipe.stack, pipe.cubes)
+    rep = validate_ati(pipe.stack)
     suite = SuiteReport("kernel validation")
     suite.add("cancellation residual", "exact",
               passed=rep.cancel_resid <= 1e-10, value=rep.cancel_resid)
@@ -460,9 +461,9 @@ def norm_cmd(cfg, specs, pipe, action):
     f = specs["field"].make(pipe)
     variant = cfg["norm"]["variant"]
     if variant == "besov":
-        val = besov_norm(f, spec, pipe.stack, pipe.cubes)
+        val = besov_norm(f, spec, pipe.stack)
     elif variant == "triebel":
-        val = triebel_lizorkin_norm(f, spec, pipe.stack, pipe.cubes)
+        val = triebel_lizorkin_norm(f, spec, pipe.stack)
     elif variant == "lebesgue":
         val = lebesgue_norm(f, spec.p)
     elif variant in VARIANTS:
@@ -481,14 +482,14 @@ def norm_cmd(cfg, specs, pipe, action):
 @pass_cfg
 def frame_cmd(cfg, specs, pipe, action):
     f = specs["field"].make(pipe)
-    rf, rep = reconstruct(pipe.stack, pipe.cubes, f, tol=specs["frame"].tol,
+    rf, rep = reconstruct(pipe.stack, f, tol=specs["frame"].tol,
                           maxiter=specs["frame"].maxiter)
     suite = SuiteReport("frame reconstruction")
     suite.add("relative residual", "band", passed=rep.converged,
               value=rep.relative_residual, iterations=rep.iterations,
               frame_lower=rep.frame_lower, frame_upper=rep.frame_upper)
     if cfg["frame"]["dump_coefficients"]:
-        grid = analyze(pipe.stack, pipe.cubes, f)
+        grid = analyze(pipe.stack, f)
         lines = ["k,alpha,m,y_index,value,weight"]
         for row in grid.rows():
             lines.append(",".join(fmt(v) for v in row))
@@ -510,8 +511,7 @@ def _geometry(specs, pipe, fit_reverse=False):
 def _lab_pipe(specs, pipe):
     """The geometry and the ensemble a lab suite reads; the ensemble reads
     the stack, which is built before the geometry."""
-    ensemble = labmod.generate_ensemble(pipe.space, pipe.stack,
-                                        specs["lab"].ensemble)
+    ensemble = labmod.generate_ensemble(pipe.stack, specs["lab"].ensemble)
     return _geometry(specs, pipe), ensemble
 
 
@@ -520,11 +520,10 @@ def _lab_pipe(specs, pipe):
 def lab_equivalence(cfg, specs, pipe):
     geom, ensemble = _lab_pipe(specs, pipe)
     lab = specs["lab"]
-    rep = validate_ati(pipe.stack, pipe.cubes)
+    rep = validate_ati(pipe.stack)
     eq = labmod.equivalence_experiment(
-        pipe.space, pipe.stack, pipe.cubes, specs["norm"],
-        lab.pairing, ensemble, omega=geom.omega, eta=rep.eta_fit,
-        geometry=geom, caps=lab.caps)
+        pipe.stack, specs["norm"], lab.pairing, ensemble, omega=geom.omega,
+        eta=rep.eta_fit, geometry=geom, caps=lab.caps)
     suite = eq.to_suite()
     return _finish(cfg, "equivalence", suite)
 
@@ -533,9 +532,9 @@ def lab_equivalence(cfg, specs, pipe):
 @pass_cfg
 def lab_embeddings(cfg, specs, pipe):
     geom, ensemble = _lab_pipe(specs, pipe)
-    suite = labmod.embedding_suite(pipe.space, pipe.stack, pipe.cubes,
-                                   ensemble, specs["norm"], geom.omega,
-                                   geometry=geom, caps=specs["lab"].caps)
+    suite = labmod.embedding_suite(pipe.stack, ensemble, specs["norm"],
+                                   geom.omega, geometry=geom,
+                                   caps=specs["lab"].caps)
     return _finish(cfg, "embeddings", suite)
 
 
@@ -553,7 +552,7 @@ def lab_lemmas(cfg, specs, pipe):
 @pass_cfg
 def maximal_cmd(cfg, specs, pipe):
     """Evaluate the maximal operator of the configured field (diagnostic)."""
-    mf = hl_maximal(pipe.space, specs["field"].make(pipe))
+    mf = hl_maximal(specs["field"].make(pipe))
     click.echo(fmt(float(mf.values.max())))
     return 0
 

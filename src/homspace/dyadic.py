@@ -125,7 +125,6 @@ class NetSystem:
 
 @dataclass(frozen=True)
 class CubeLevel:
-    k: int
     centers: np.ndarray          # point index per cube, insertion order
     assign: np.ndarray           # point -> cube id
     parent: np.ndarray | None    # cube id -> parent cube id (None at k_min)
@@ -148,7 +147,6 @@ class CubeSystem:
     nets: NetSystem
     levels: dict[int, CubeLevel]
     j0: int = 0
-    sampler: str | None = None
     # one table per level k <= k_max - j0
     subcubes: dict[int, SubcubeTable] | None = None
 
@@ -307,7 +305,7 @@ def build_cubes(nets, space):
         parent = (None if k == nets.k_min
                   else _read_only(nets.assigns[k - 1][net]))
         levels[k] = CubeLevel(
-            k=k, centers=net, assign=assign, parent=parent,
+            centers=net, assign=assign, parent=parent,
             members=tuple(np.split(by_cube, np.cumsum(counts)[:-1])))
     return CubeSystem(space=space, nets=nets, levels=levels)
 
@@ -345,21 +343,19 @@ def refine_subcubes(cubes, j0, sampler="center", seed=0):
         tables[k] = SubcubeTable(*map(_read_only, (
             alpha, np.arange(len(order)) - np.searchsorted(alpha, alpha), y,
             np.array([w[mem].sum() for mem in members]), rank[fine.assign])))
-    return replace(cubes, j0=j0, sampler=sampler, subcubes=tables)
+    return replace(cubes, j0=j0, subcubes=tables)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LevelSandwich:
-    k: int
     r_in: np.ndarray          # per cube, delta^k units
     r_out: np.ndarray
-    parent_margin: np.ndarray  # distance of center into parent, delta^k units
     interior: np.ndarray       # bool mask
     nominal_inner_pass: np.ndarray
     nominal_outer_pass: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class CubeVerification:
     partition_pass: bool
     nesting_pass: bool
@@ -516,7 +512,7 @@ def verify_cubes(cubes):
         r_out /= scale
         margin /= scale
         sandwich[k] = LevelSandwich(
-            k=k, r_in=r_in, r_out=r_out, parent_margin=margin,
+            r_in=r_in, r_out=r_out,
             interior=margin >= INTERIOR_MARGIN,
             nominal_inner_pass=r_in >= nominal_in,
             nominal_outer_pass=r_out < nominal_out)
@@ -581,7 +577,7 @@ def _cubes_from_dump(doc, space):
             assign[mem] = cid
         parent = rec["parent"]
         levels[k] = CubeLevel(
-            k=k, centers=centers, assign=_read_only(assign),
+            centers=centers, assign=_read_only(assign),
             parent=(None if parent is None
                     else _read_only(np.array(parent, dtype=int))),
             members=members)

@@ -47,23 +47,24 @@ DEFAULT_FINE_FACTOR = 16.0
 @dataclass(frozen=True)
 class KernelSpec:
     """A kernel stack: `a` is the decay exponent of the seed kernel, and
-    `fine_factor` puts the default finest level that far below the minimum
-    point gap.  The homogeneous flavor reads `coarse` (null: "mean"), the
-    inhomogeneous one `sigma` (null: 1.0) and `n_low` (null: 1); a leaf the
-    flavor does not read stays null."""
+    `fine_factor` (null: 16; unread when the dyadic `k_max` is set) puts the
+    default finest level that far below the minimum point gap.  Homogeneous
+    reads `coarse` (null: "mean"), inhomogeneous `sigma` (null: 1.0) and
+    `n_low` (null: 1); a leaf the flavor does not read stays null."""
 
     flavor: str = "homogeneous"
     a: float = 1.0
     sigma: float | None = None
     n_low: int | None = None
     coarse: str | None = None
-    fine_factor: float = DEFAULT_FINE_FACTOR
+    fine_factor: float | None = None
 
     def __post_init__(self):
         flavor = choice_arg("flavor", self.flavor, FLAVOR_READS)
         real_arg("kernel.a", self.a, lambda v: 0 < v < math.inf, "> 0")
-        real_arg("kernel.fine_factor", self.fine_factor,
-                 lambda v: 0 < v < math.inf, "> 0")
+        if self.fine_factor is not None:
+            real_arg("kernel.fine_factor", self.fine_factor,
+                     lambda v: 0 < v < math.inf, "> 0")
         resolve(self, "kernel", f"kernel.flavor is {flavor!r}",
                 FLAVOR_READS[flavor], "sigma", "n_low", "coarse")
         if flavor == "homogeneous":
@@ -75,13 +76,15 @@ class KernelSpec:
                 "kernel.n_low", self.n_low, low=0))
 
     def check_levels(self, k_min, k_max):
-        """Inhomogeneous levels run from 0 to at least 1; a null level is
-        the default range's."""
+        """Inhomogeneous levels run from 0 to at least 1, and a set `k_max`
+        leaves `fine_factor` unread; a null level is the default range's."""
         if self.flavor == "inhomogeneous" and (
                 k_min not in (None, 0) or k_max is not None and k_max < 1):
             raise ParameterError(f"inhomogeneous levels run from 0 to at "
                                  f"least 1, got k_min={k_min!r}, "
                                  f"k_max={k_max!r}")
+        if k_max is not None:
+            resolve(self, "kernel", "dyadic.k_max is set", {}, "fine_factor")
 
 
 def mean_projection(space):
@@ -115,7 +118,7 @@ def build_semigroup(space, t, a=1.0):
     return np.outer(u, u) * seed
 
 
-@dataclass
+@dataclass(frozen=True)
 class AtiValidationReport:
     nu: float
     eta_fit: float
@@ -130,9 +133,11 @@ class AtiValidationReport:
     sampled: bool = False
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class KernelStack:
-    """Dense per-level kernel tables Q_k with (Q_k f)(x) = sum Q_k(x,y) f(y) mu_y."""
+    """Kernel tables Q_k, (Q_k f)(x) = sum Q_k(x,y) f(y) mu_y, and the refined
+    `cubes` they were built on; construction, so every `replace` too, checks
+    that the cubes share the stack's space and delta and cover its levels."""
 
     flavor: str
     space: object
@@ -141,9 +146,21 @@ class KernelStack:
     k_max: int
     a: float
     q: dict[int, np.ndarray]
-    sigma: float = 1.0
+    cubes: object
     n_low: int = 1
-    coarse: str = "mean"
+
+    def __post_init__(self):
+        cubes = self.cubes
+        if cubes.space is not self.space or cubes.delta != self.delta:
+            raise ParameterError("the cubes live on another space or at "
+                                 "another delta than the stack")
+        if cubes.subcubes is None:
+            raise RangeError("cubes carry no subcubes; call refine_subcubes")
+        if self.k_max > cubes.k_max - cubes.j0:
+            raise RangeError(f"stack levels reach {self.k_max} but subcubes "
+                             f"stop at {cubes.k_max - cubes.j0}")
+        if self.k_min < cubes.k_min:
+            raise RangeError("stack starts coarser than the cube system")
 
     def levels(self):
         return range(self.k_min, self.k_max + 1)
@@ -188,13 +205,13 @@ def _difference_stack(space, delta, k_min, k_max, a, coarsest):
     return q
 
 
-def build_exp_ati(space, cubes, k_range, a=1.0, coarse="mean"):
-    """Homogeneous stack on the integer levels k_range = (k_min, k_max):
-    Q_k = P_{delta^k} - P_{delta^(k-1)}, the coarsest level capped by the
-    mean projection (coarse="mean") or P_{delta^(k_min-1)} ("semigroup").
-    The arguments are checked as a `KernelSpec`."""
+def build_exp_ati(cubes, k_range, a=1.0, coarse="mean"):
+    """Homogeneous stack on the refined `cubes` at the integer levels
+    k_range = (k_min, k_max): Q_k = P_{delta^k} - P_{delta^(k-1)}, the
+    coarsest level capped by the mean projection (coarse="mean") or
+    P_{delta^(k_min-1)} ("semigroup"), checked as a `KernelSpec`."""
     KernelSpec(a=a, coarse=coarse)
-    delta = cubes.delta
+    space, delta = cubes.space, cubes.delta
     k_min = integer_arg("k_range", k_range[0])
     k_max = integer_arg("k_range", k_range[-1])
     if coarse == "mean":
@@ -205,28 +222,28 @@ def build_exp_ati(space, cubes, k_range, a=1.0, coarse="mean"):
             return p - build_semigroup(space, delta ** (k_min - 1), a=a)
     q = _difference_stack(space, delta, k_min, k_max, a, cap)
     return KernelStack(flavor="homogeneous", space=space, delta=delta,
-                       k_min=k_min, k_max=k_max, a=a, q=q, coarse=coarse)
+                       k_min=k_min, k_max=k_max, a=a, q=q, cubes=cubes)
 
 
-def build_exp_iati(space, cubes, k_range, a=1.0, sigma=1.0, n_low=1):
-    """Inhomogeneous stack on the integer levels k_range = (0, k_max): Q_0 =
-    P_sigma with unit integrals, then differences; the levels k <= n_low are
-    read through cell averages downstream (`KernelStack.cell_levels`).  The
-    arguments are checked as a `KernelSpec`."""
+def build_exp_iati(cubes, k_range, a=1.0, sigma=1.0, n_low=1):
+    """Inhomogeneous stack on the refined `cubes` at the integer levels
+    k_range = (0, k_max): Q_0 = P_sigma with unit integrals, then
+    differences; the levels k <= n_low are read through cell averages
+    downstream (`KernelStack.cell_levels`), checked as a `KernelSpec`."""
     spec = KernelSpec(flavor="inhomogeneous", a=a, sigma=sigma, n_low=n_low)
     spec.check_levels(integer_arg("k_range", k_range[0]), None)
     k_max = integer_arg("k_range", k_range[-1])
-    delta = cubes.delta
+    space, delta = cubes.space, cubes.delta
     q = _difference_stack(space, delta, 0, k_max, a,
                           lambda p: build_semigroup(space, sigma, a=a))
     return KernelStack(flavor="inhomogeneous", space=space, delta=delta,
-                       k_min=0, k_max=k_max, a=a, q=q, sigma=sigma,
+                       k_min=0, k_max=k_max, a=a, q=q, cubes=cubes,
                        n_low=spec.n_low)
 
 
 # -- validation ---------------------------------------------------------------
 
-def validate_ati(stack, cubes, gamma_list=(1.0, 2.0), seed=0):
+def validate_ati(stack, gamma_list=(1.0, 2.0), seed=0):
     """Fit (nu, eta) and measure every condition constant of the stack.
 
     The levels are streamed: no whole-stack array outlives its level.  A
@@ -272,7 +289,7 @@ def validate_ati(stack, cubes, gamma_list=(1.0, 2.0), seed=0):
         scale = delta ** k
         vk = space.ball_measure(scale)
         logv = np.log(vk)
-        dY = cubes.refpoint_distance(k)
+        dY = stack.cubes.refpoint_distance(k)
         if (inhom and k == 0) or not np.any(np.isfinite(dY)):
             h = np.zeros(space.n)
         else:

@@ -19,8 +19,8 @@ from .difference import (DifferenceTable, difference_scales, lipschitz_norm,
 from .errors import (ExperimentError, ParameterError, choice_arg,
                      integer_arg, real_arg)
 from .kernels import _r_gamma, build_semigroup, r_gamma_integral_band
-from .norms import (INF, NormSpec, admissible_range, besov_norm,
-                    lebesgue_norm, lq_scale_combine, triebel_lizorkin_norm)
+from .norms import (INF, admissible_range, besov_norm, lebesgue_norm,
+                    lq_scale_combine, triebel_lizorkin_norm)
 from .operators import Field, LevelTable, analyze, hl_maximal
 from .report import SuiteReport
 from .space import default_radius_grid, radius_grid_arg
@@ -88,8 +88,9 @@ class EnsembleSpec:
         return sum(self.counts[k] for k in self.kinds)
 
 
-def generate_ensemble(space, stack, spec):
+def generate_ensemble(stack, spec):
     """Deterministic probe fields; mean removed when the flag is set."""
+    space = stack.space
     rng = np.random.default_rng(spec.seed)
     interior = stack.interior_levels()
     mid_scale = stack.delta ** interior[len(interior) // 2]
@@ -148,10 +149,9 @@ class LabSpec:
             radius_grid_arg(self.radius_grid)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EquivalenceReport:
     pairing: str
-    spec: NormSpec
     left: list
     right: list
     ratios: list
@@ -229,21 +229,21 @@ def _require_lower_bound(geometry, omega):
             f" not within 15% of omega={omega:.3g}")
 
 
-def equivalence_experiment(space, stack, cubes, spec, pairing, ensemble,
-                           omega, eta, geometry=None, caps=None):
+def equivalence_experiment(stack, spec, pairing, ensemble, omega, eta,
+                           geometry=None, caps=None):
     """Check the pairing's hypotheses at the measured omega and eta, then
     compute both norms of the pairing over the ensemble; band the ratios."""
     caps = LabSpec(pairing=pairing, caps=caps).caps
     check_hypotheses(pairing, spec, omega, eta, geometry)
     left_spec = replace(spec, u=1.0) if pairing == "F_vs_Lt" else spec
     right_fn = besov_norm if "B_vs" in pairing else triebel_lizorkin_norm
-    scales = difference_scales(space, spec.c_tilde, spec.delta)
+    scales = difference_scales(stack.space, spec.c_tilde, spec.delta)
     left, right, ratios = [], [], []
     excluded = 0
     for f in ensemble:
         l = lipschitz_norm(DifferenceTable(f, scales), left_spec,
                            PAIRING_VARIANTS[pairing])
-        r = right_fn(f, spec, stack, cubes)
+        r = right_fn(f, spec, stack)
         scale = max(abs(l), abs(r))
         if scale <= DEGENERATE_TOL or min(l, r) <= DEGENERATE_TOL * scale:
             excluded += 1
@@ -255,7 +255,7 @@ def equivalence_experiment(space, stack, cubes, spec, pairing, ensemble,
         raise ExperimentError("all ensemble fields degenerate for "
                               f"pairing {pairing}")
     gm = float(np.exp(np.mean(np.log(ratios))))
-    return EquivalenceReport(pairing=pairing, spec=spec, left=left,
+    return EquivalenceReport(pairing=pairing, left=left,
                              right=right, ratios=ratios, excluded=excluded,
                              caps=caps, geometric_mean=gm)
 
@@ -268,8 +268,8 @@ def band_drift(report_a, report_b):
 
 # -- embedding suite -----------------------------------------------------------
 
-def embedding_suite(space, stack, cubes, ensemble, spec, omega,
-                    geometry=None, caps=None):
+def embedding_suite(stack, ensemble, spec, omega, geometry=None,
+                    caps=None):
     """Exact inclusion inequalities plus constant-bearing embedding bands."""
     caps = merge_caps(caps)
     rep = SuiteReport("embedding suite")
@@ -279,7 +279,7 @@ def embedding_suite(space, stack, cubes, ensemble, spec, omega,
     spec0, spec1 = replace(spec, q=q0), replace(spec, q=q1)
     eps = 0.2
     shifted = replace(spec, s=spec.s + eps)
-    scales = difference_scales(space, spec.c_tilde, spec.delta)
+    scales = difference_scales(stack.space, spec.c_tilde, spec.delta)
     # violations of each exact row, counted in one pass over the fields
     bad_q = bad_jensen = bad_shift = bad_trunc = 0
     ratios = []
@@ -335,8 +335,8 @@ def embedding_suite(space, stack, cubes, ensemble, spec, omega,
                 table = LevelTable(f, stack)
                 for ratios, norm_fn in zip(by_name.values(), (
                         besov_norm, triebel_lizorkin_norm)):
-                    a = norm_fn(table, src, stack, cubes)
-                    b = norm_fn(table, tgt, stack, cubes)
+                    a = norm_fn(table, src, stack)
+                    b = norm_fn(table, tgt, stack)
                     if min(a, b) > DEGENERATE_TOL:
                         ratios.append(b / a)
             for name, ratios in by_name.items():
@@ -441,7 +441,7 @@ def _lemma_discrete_rows(rep, space, cubes, levels, omega, caps, seed):
             lhs = (base * decay * (wgt * a)[None, :]).sum(axis=1)
             r_exp = 0.8
             inside = (a ** r_exp)[sub_assign]
-            m_of = hl_maximal(space, Field(space, inside)).values ** (1.0 / r_exp)
+            m_of = hl_maximal(Field(space, inside)).values ** (1.0 / r_exp)
             factor = delta ** ((k - min(k, kp)) * omega * (1 - 1.0 / r_exp))
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = np.where(m_of > 0, lhs / (factor * m_of), 0.0)
@@ -465,7 +465,7 @@ def fefferman_stein_constants(space, pairs, seed=0):
     best = dict.fromkeys(pairs, 0.0)
     for _ in range(12):
         fam = rng.standard_normal((6, space.n))
-        mf = np.stack([hl_maximal(space, Field(space, g)).values
+        mf = np.stack([hl_maximal(Field(space, g)).values
                        for g in fam])
         for p, q in best:
             if q == INF:
@@ -502,7 +502,7 @@ def lemma_suite(space, cubes=None, levels=None, omega=1.0, caps=None, seed=0):
 
 # -- sampled-coefficient norm (sampler-independence probe) ----------------------
 
-def sampled_besov_norm(f, spec, stack, cubes):
+def sampled_besov_norm(f, spec, stack):
     """[sum_k d^(-ksq) (sum_{alpha,m} mu(Q^{k,m}) |Q_k f(y^{k,m})|^p)^(q/p)]^(1/q).
 
     The sampled counterpart of the Besov norm, read off the coefficients of
@@ -510,7 +510,7 @@ def sampled_besov_norm(f, spec, stack, cubes):
     of the sample points.
     """
     terms = []
-    for k, lc in analyze(stack, cubes, f).levels.items():
+    for k, lc in analyze(stack, f).levels.items():
         v = np.abs(lc.value)
         if spec.p == INF:
             val = float(np.max(v))

@@ -6,7 +6,7 @@ of the pointwise l^q, and the inhomogeneous flavor puts one block of
 subcube averages in place of the levels `stack.cell_levels()` (k <= N).
 All sums are exact and finite, with the usual modifications at p = inf or
 q = inf; the p = inf Triebel-Lizorkin scale takes a Carleson-type supremum
-over dyadic cubes and therefore needs a cube system.
+over the dyadic cubes the stack was built on (`stack.cubes`).
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def _besov_terms(mags, levels, spec, stack):
             for k, v in zip(levels, norms)]
 
 
-def _block_and_rows(f, spec, stack, cubes):
+def _block_and_rows(f, spec, stack):
     """The table's cell block over `stack.cell_levels()` (None when there
     are none) and the remaining levels with their rows |Q_k f|."""
     if spec.flavor != stack.flavor:
@@ -107,15 +107,13 @@ def _block_and_rows(f, spec, stack, cubes):
     cells = stack.cell_levels()
     block = None
     if cells:
-        if cubes is None:
-            raise ParameterError("inhomogeneous norms need a cube system")
-        block = _cell_block(mags[:len(cells)], spec, stack, cubes)
+        block = _cell_block(mags[:len(cells)], spec, stack)
     return block, stack.levels()[len(cells):], mags[len(cells):]
 
 
-def _cell_block(mags, spec, stack, cubes):
+def _cell_block(mags, spec, stack):
     """{sum_{k<=N} sum_{alpha,m} mu(Q^{k,m}) [m_Q(|Q_k f|)]^p}^(1/p)."""
-    tables = [cubes.sample_arrays(k) for k in stack.cell_levels()]
+    tables = [stack.cubes.sample_arrays(k) for k in stack.cell_levels()]
     aa = np.concatenate([_cell_average(stack.space, t.sub_assign,
                                        len(t.weight), row)
                          for t, row in zip(tables, mags)])
@@ -125,13 +123,13 @@ def _cell_block(mags, spec, stack, cubes):
     return float(np.sum(ww * aa ** spec.p) ** (1.0 / spec.p))
 
 
-def besov_norm(f, spec, stack, cubes=None):
+def besov_norm(f, spec, stack):
     """Homogeneous: [sum_k delta^(-ksq) ||Q_k f||_p^q]^(1/q).
 
     Inhomogeneous adds the cell-average block over levels k <= N and starts
     the weighted sum at N+1.
     """
-    block, levels, mags = _block_and_rows(f, spec, stack, cubes)
+    block, levels, mags = _block_and_rows(f, spec, stack)
     value = lq_scale_combine(_besov_terms(mags, levels, spec, stack), spec.q)
     return value if block is None else block + value
 
@@ -153,10 +151,10 @@ def _carleson_sup(terms, levels, spec, cubes):
     return best
 
 
-def triebel_lizorkin_norm(f, spec, stack, cubes=None):
+def triebel_lizorkin_norm(f, spec, stack):
     """L^p of the pointwise l^q scale aggregate; at p = inf a Carleson-type
     supremum over dyadic cubes (inhomogeneous: plus the coarse cell block)."""
-    block, levels, mags = _block_and_rows(f, spec, stack, cubes)
+    block, levels, mags = _block_and_rows(f, spec, stack)
     weight = np.array([stack.delta ** (-k * spec.s) for k in levels])
     terms = weight[:, None] * mags
     if spec.p != INF:
@@ -164,9 +162,7 @@ def triebel_lizorkin_norm(f, spec, stack, cubes=None):
                else (terms ** spec.q).sum(axis=0) ** (1.0 / spec.q))
         value = lebesgue_norm(Field(stack.space, agg), spec.p)
         return value if block is None else block + value
-    if cubes is None:
-        raise ParameterError("p = inf Triebel-Lizorkin needs cubes")
-    value = _carleson_sup(terms, levels, spec, cubes)
+    value = _carleson_sup(terms, levels, spec, stack.cubes)
     return value if block is None else max(block, value)
 
 
@@ -217,7 +213,7 @@ def test_function_norm(f, x1, r, beta, gamma):
     return best
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdmissibilityReport:
     p_threshold: float
     violations: dict[str, list[str]]

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (IllConditionedFrameError, ParameterError, RangeError,
-                     integer_arg, real_arg)
+from .errors import (IllConditionedFrameError, ParameterError, integer_arg,
+                     real_arg)
 
 
 @dataclass(frozen=True)
@@ -70,13 +70,14 @@ class LevelTable:
 
 # -- Hardy-Littlewood maximal operator ---------------------------------------
 
-def hl_maximal(space, f):
+def hl_maximal(f):
     """Central maximal function M f(x) = sup_r avg_{B(x,r)} |f| d mu.
 
     The sup runs over the open balls, the prefixes of the distance-sorted
     row that end on a tie-group end of the space's ball index; only those
     entries of the running sums are divided and compared.
     """
+    space = f.space
     flat, measure, starts = space.group_ends
     g = np.abs(f.values) * space.weight
     gpre = np.cumsum(g[space.ball_index.order], axis=1)
@@ -86,7 +87,7 @@ def hl_maximal(space, f):
 
 # -- sampled coefficients ------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class LevelCoefficients:
     k: int
     alpha: np.ndarray
@@ -97,7 +98,7 @@ class LevelCoefficients:
     average: np.ndarray | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoefficientGrid:
     flavor: str
     levels: dict[int, LevelCoefficients] = field(default_factory=dict)
@@ -114,18 +115,6 @@ class CoefficientGrid:
         return out
 
 
-def _require_subcubes(stack, cubes):
-    if cubes.subcubes is None:
-        raise RangeError("cube system has no subcube refinement; call "
-                         "refine_subcubes first")
-    if stack.k_max > cubes.k_max - cubes.j0:
-        raise RangeError(
-            f"stack levels reach {stack.k_max} but subcubes stop at "
-            f"{cubes.k_max - cubes.j0}; rebuild cubes j0 levels deeper")
-    if stack.k_min < cubes.k_min:
-        raise RangeError("stack starts coarser than the cube system")
-
-
 def _cell_average(space, sub_assign, nsub, g):
     """mu-average of g over each of the nsub cells that sub_assign names."""
     w = space.weight
@@ -134,27 +123,26 @@ def _cell_average(space, sub_assign, nsub, g):
     return sums / wsum
 
 
-def analyze(stack, cubes, f):
+def analyze(stack, f):
     """Sample Q_k f on the subcube points; cell averages on coarse levels.
 
     The levels of ``stack.cell_levels()`` (inhomogeneous k <= N) also carry
     the cell averages mu(Q)^-1 int_Q Q_k f dmu used by the reproducing
     formula and norms.  ``f`` is a Field or its level table.
     """
-    _require_subcubes(stack, cubes)
-    grid = CoefficientGrid(flavor=stack.flavor)
+    levels = {}
     for k, g in zip(stack.levels(), LevelTable.of(f, stack).rows):
-        alpha, m, y, wgt, sub_assign = cubes.sample_arrays(k)
+        alpha, m, y, wgt, sub_assign = stack.cubes.sample_arrays(k)
         avg = None
         if k in stack.cell_levels():
             avg = _cell_average(stack.space, sub_assign, len(y), g)
-        grid.levels[k] = LevelCoefficients(
+        levels[k] = LevelCoefficients(
             k=k, alpha=alpha, m=m, y_index=y, weight=wgt, value=g[y],
             average=avg)
-    return grid
+    return CoefficientGrid(flavor=stack.flavor, levels=levels)
 
 
-def frame_operator(stack, cubes, f):
+def frame_operator(stack, f):
     """Apply the self-dual sampled frame operator S.
 
     The synthesis of the coefficients of `analyze`: point samples at the
@@ -165,16 +153,16 @@ def frame_operator(stack, cubes, f):
     """
     space = stack.space
     out = np.zeros(space.n)
-    for k, lc in analyze(stack, cubes, f).levels.items():
+    for k, lc in analyze(stack, f).levels.items():
         if lc.average is None:
             out += stack.q[k][:, lc.y_index] @ (lc.weight * lc.value)
         else:
-            sub_assign = cubes.sample_arrays(k).sub_assign
+            sub_assign = stack.cubes.sample_arrays(k).sub_assign
             out += stack.q[k] @ (space.weight * lc.average[sub_assign])
     return Field(space, out)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReconstructionReport:
     iterations: int
     relative_residual: float
@@ -197,7 +185,7 @@ class FrameSpec:
             "frame.maxiter", self.maxiter, low=1))
 
 
-def reconstruct(stack, cubes, f, tol=1e-8, maxiter=1000):
+def reconstruct(stack, f, tol=1e-8, maxiter=1000):
     """Solve S g = f by conjugate gradients in the mu-inner product and
     return (S g, report); the dual frame is applied implicitly.  The
     arguments are checked as a `FrameSpec`.
@@ -212,7 +200,7 @@ def reconstruct(stack, cubes, f, tol=1e-8, maxiter=1000):
         b = b - float(b @ space.weight) / space.total_mass
 
     def apply_s(v):
-        return frame_operator(stack, cubes, Field(space, v)).values
+        return frame_operator(stack, Field(space, v)).values
 
     bnorm = math.sqrt(mu_dot(space, b, b))
     if bnorm == 0:

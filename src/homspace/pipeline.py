@@ -27,7 +27,7 @@ from .kernels import (DEFAULT_FINE_FACTOR, KernelSpec, build_exp_ati,
 
 
 def default_level_range(space, delta=0.5, flavor="homogeneous",
-                        fine_factor=DEFAULT_FINE_FACTOR):
+                        fine_factor=None):
     """(k_min, k_max): the finest k with delta^k >= diam, and the coarsest
     with delta^k <= min_gap / fine_factor (k_min is 0 if inhomogeneous)."""
     diam = space.diam
@@ -37,6 +37,8 @@ def default_level_range(space, delta=0.5, flavor="homogeneous",
     k_min = finest_level(delta, diam, ties=True)
     if flavor == "inhomogeneous":
         k_min = 0
+    if fine_factor is None:
+        fine_factor = DEFAULT_FINE_FACTOR
     k_max = finest_level(delta, gap / fine_factor) + 1
     return min(k_min, k_max), max(k_min + 1, k_max)
 
@@ -87,7 +89,7 @@ class Pipeline:
         kernel, cubes = self.kernel, self.cubes
         k_range = (self.levels[0], self.levels[-1])
         if kernel.flavor == "homogeneous":
-            return build_exp_ati(self.space, cubes, k_range=k_range,
-                                 a=kernel.a, coarse=kernel.coarse)
-        return build_exp_iati(self.space, cubes, k_range=k_range, a=kernel.a,
+            return build_exp_ati(cubes, k_range=k_range, a=kernel.a,
+                                 coarse=kernel.coarse)
+        return build_exp_iati(cubes, k_range=k_range, a=kernel.a,
                               sigma=kernel.sigma, n_low=kernel.n_low)

@@ -253,7 +253,9 @@ class MetricMeasureSpace:
         self.a0 = float(max(a0, 1.0))
         self.a0_method = method
         self.label = label
-        self.points = None if points is None else np.asarray(points, float)
+        self.points = None if points is None else np.array(points, float)
+        if self.points is not None:
+            self.points.setflags(write=False)
         self._v_table = None
 
     @property
@@ -331,7 +333,7 @@ class MetricMeasureSpace:
         return float(np.max(v[mask] / v.T[mask]))
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeometryReport:
     """Measured doubling/dimension constants of a space."""
 

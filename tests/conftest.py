@@ -38,7 +38,7 @@ def geom65(grid65):
 
 @pytest.fixture(scope="session")
 def validated65(pipe65):
-    return validate_ati(pipe65.stack, pipe65.cubes)
+    return validate_ati(pipe65.stack)
 
 
 @pytest.fixture(scope="session")
@@ -46,7 +46,7 @@ def ensemble65(grid65, pipe65):
     spec = EnsembleSpec(counts={"bandlimited": 4, "holder": 3,
                                 "smoothed_indicator": 3, "gaussian_field": 4},
                         mean_zero=True, seed=7)
-    return generate_ensemble(grid65, pipe65.stack, spec)
+    return generate_ensemble(pipe65.stack, spec)
 
 
 @pytest.fixture()

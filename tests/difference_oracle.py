@@ -235,8 +235,8 @@ def embedding_suite(space, stack, cubes, ensemble, spec, omega,
                                    triebel_lizorkin_norm)):
                 ratios = []
                 for f in ensemble:
-                    a = norm_fn(f, src, stack, cubes)
-                    b = norm_fn(f, tgt, stack, cubes)
+                    a = norm_fn(f, src, stack)
+                    b = norm_fn(f, tgt, stack)
                     if min(a, b) > DEGENERATE_TOL:
                         ratios.append(b / a)
                 if ratios:

@@ -72,7 +72,7 @@ def pipe513():
 def norm_rig():
     sp = generate_space("grid1d", size=129)
     pipe = Pipeline(sp)
-    ens = generate_ensemble(sp, pipe.stack, EnsembleSpec(mean_zero=True))
+    ens = generate_ensemble(pipe.stack, EnsembleSpec(mean_zero=True))
     return sp, pipe, ens
 
 
@@ -104,7 +104,7 @@ def test_criterion_2_ball_sandwich(cube_systems):
 
 def test_criterion_3_exp_ati_validation(pipe257):
     t0 = time.time()
-    rep = validate_ati(pipe257.stack, pipe257.cubes)
+    rep = validate_ati(pipe257.stack)
     assert rep.cancel_resid <= 1e-10
     assert math.isfinite(rep.size_const) and rep.size_const > 0
     assert rep.eta_fit >= 0.3
@@ -112,7 +112,7 @@ def test_criterion_3_exp_ati_validation(pipe257):
 
     sp = pipe257.space
     pipe_i = Pipeline(sp, kernel=KernelSpec(flavor="inhomogeneous"))
-    rep_i = validate_ati(pipe_i.stack, pipe_i.cubes)
+    rep_i = validate_ati(pipe_i.stack)
     assert rep_i.unit_resid is not None and rep_i.unit_resid <= 1e-12
     assert rep_i.cancel_resid <= 1e-10
     assert rep_i.identity_resid <= 1e-3
@@ -128,30 +128,30 @@ def test_criterion_4_maximal_operator():
     violations = 0
     for _ in range(1000):
         f = rng.standard_normal(sp.n)
-        mf = hl_maximal(sp, Field(sp, f)).values
+        mf = hl_maximal(Field(sp, f)).values
         if not np.all(mf >= np.abs(f) - 1e-13):
             violations += 1
         c = float(rng.uniform(0.5, 3.0))
-        mcf = hl_maximal(sp, Field(sp, -c * f)).values
+        mcf = hl_maximal(Field(sp, -c * f)).values
         if not np.allclose(mcf, c * mf, rtol=1e-12, atol=1e-15):
             violations += 1
     # sublinearity on paired fields
     for _ in range(200):
         f = rng.standard_normal(sp.n)
         g = rng.standard_normal(sp.n)
-        mf = hl_maximal(sp, Field(sp, f)).values
-        mg = hl_maximal(sp, Field(sp, g)).values
-        mfg = hl_maximal(sp, Field(sp, f + g)).values
+        mf = hl_maximal(Field(sp, f)).values
+        mg = hl_maximal(Field(sp, g)).values
+        mfg = hl_maximal(Field(sp, f + g)).values
         if not np.all(mfg <= mf + mg + 1e-12):
             violations += 1
-    const = hl_maximal(sp, Field(sp, np.full(sp.n, -1.5))).values
+    const = hl_maximal(Field(sp, np.full(sp.n, -1.5))).values
     if not np.allclose(const, 1.5, atol=1e-14):
         violations += 1
     assert violations == 0
 
     big = generate_space("grid1d", size=1025)
     x = np.linspace(0, 1, big.n)
-    m_end = hl_maximal(big, Field(big, (x <= 0.5).astype(float))).values[-1]
+    m_end = hl_maximal(Field(big, (x <= 0.5).astype(float))).values[-1]
     assert abs(m_end - 0.5) <= 2.0 / big.n
     _announce(4, "maximal operator exact properties", t0,
               endpoint=float(m_end))
@@ -159,22 +159,22 @@ def test_criterion_4_maximal_operator():
 
 def test_criterion_5_frame_reconstruction(pipe257):
     t0 = time.time()
-    st, cubes = pipe257.stack, pipe257.cubes
+    st = pipe257.stack
     sp = pipe257.space
     rng = np.random.default_rng(3)
     worst_iters = 0
     for j in (st.k_min + 3, st.k_min + 4, st.k_min + 5):
         f = Field(sp, st.apply(j, rng.standard_normal(sp.n)))
-        rf, rep = reconstruct(st, cubes, f, tol=1e-6, maxiter=200)
+        rf, rep = reconstruct(st, f, tol=1e-6, maxiter=200)
         assert rep.converged and rep.relative_residual <= 1e-6
         worst_iters = max(worst_iters, rep.iterations)
 
     f = Field(sp, st.apply(st.k_min + 3, rng.standard_normal(sp.n)))
     g = Field(sp, st.apply(st.k_min + 5, rng.standard_normal(sp.n)))
     combo = Field(sp, 1.5 * f.values + 2.5 * g.values)
-    rf, _ = reconstruct(st, cubes, f, tol=1e-8, maxiter=400)
-    rg, _ = reconstruct(st, cubes, g, tol=1e-8, maxiter=400)
-    rc, _ = reconstruct(st, cubes, combo, tol=1e-8, maxiter=400)
+    rf, _ = reconstruct(st, f, tol=1e-8, maxiter=400)
+    rg, _ = reconstruct(st, g, tol=1e-8, maxiter=400)
+    rc, _ = reconstruct(st, combo, tol=1e-8, maxiter=400)
     lhs = rc.values
     rhs = 1.5 * rf.values + 2.5 * rg.values
     rel = (math.sqrt(mu_dot(sp, lhs - rhs, lhs - rhs))
@@ -276,10 +276,10 @@ def test_criterion_7_oracle_equivalence():
 
 def _theorem_band(space, pipe, spec, pairing, mean_zero):
     geom = geometry_report(space, default_radius_grid(space))
-    rep = validate_ati(pipe.stack, pipe.cubes)
-    ens = generate_ensemble(space, pipe.stack,
+    rep = validate_ati(pipe.stack)
+    ens = generate_ensemble(pipe.stack,
                             EnsembleSpec(mean_zero=mean_zero))
-    return equivalence_experiment(space, pipe.stack, pipe.cubes, spec,
+    return equivalence_experiment(pipe.stack, spec,
                                   pairing, ens, omega=geom.omega,
                                   eta=rep.eta_fit, geometry=geom)
 

@@ -1,0 +1,87 @@
+"""The public surface: reports and kernel stacks are frozen records, and no
+function takes an object that another of its arguments already carries."""
+
+import inspect
+from dataclasses import FrozenInstanceError, fields
+
+import numpy as np
+import pytest
+
+from homspace import (Field, MetricMeasureSpace, NormSpec, admissible_range,
+                      analyze, equivalence_experiment, reconstruct,
+                      verify_cubes)
+from homspace import kernels, lab, norms, operators
+
+# lemma_suite's cubes and levels are optional: `lab lemmas` builds no stack
+SIGNATURE_EXEMPT = {"lab.lemma_suite"}
+
+
+def _public_functions():
+    for mod in (kernels, operators, norms, lab):
+        layer = mod.__name__.rsplit(".", 1)[1]
+        for name, fn in vars(mod).items():
+            if (inspect.isfunction(fn) and not name.startswith("_")
+                    and fn.__module__ == mod.__name__):
+                yield f"{layer}.{name}", set(inspect.signature(fn).parameters)
+
+
+def test_no_function_takes_what_its_stack_cubes_or_field_carries():
+    """A stack carries its cubes and its space, cubes and fields carry
+    their space: no public function of the kernels, operators, norms or lab
+    layer takes cubes next to a stack, or a space next to a stack, cubes
+    or a field `f`."""
+    seen, bad = {}, []
+    for name, params in _public_functions():
+        seen[name] = params
+        if name in SIGNATURE_EXEMPT:
+            continue
+        if {"cubes", "stack"} <= params or (
+                "space" in params and params & {"stack", "cubes", "f"}):
+            bad.append(name)
+    assert bad == []
+    # the walk reaches the functions it guards, and the exemption is live
+    assert {"kernels.validate_ati", "operators.reconstruct",
+            "norms.besov_norm", "lab.embedding_suite"} <= seen.keys()
+    assert {"space", "cubes"} <= seen["lab.lemma_suite"]
+
+
+@pytest.fixture(scope="module")
+def records(pipe65, geom65, validated65, ensemble65):
+    st = pipe65.stack
+    spec = NormSpec(s=0.5, p=2.0, q=2.0)
+    noise = np.random.default_rng(0).standard_normal(st.space.n)
+    f = Field(st.space, st.apply(st.k_min + 3, noise))
+    grid = analyze(st, ensemble65[0])
+    ver = verify_cubes(pipe65.cubes)
+    return {
+        "AtiValidationReport": validated65,
+        "ReconstructionReport": reconstruct(st, f, tol=1e-6)[1],
+        "GeometryReport": geom65,
+        "EquivalenceReport": equivalence_experiment(
+            st, spec, "B_vs_L", ensemble65, omega=geom65.omega,
+            eta=validated65.eta_fit, geometry=geom65),
+        "AdmissibilityReport": admissible_range(spec, geom65.omega,
+                                                validated65.eta_fit),
+        "CubeVerification": ver,
+        "LevelSandwich": next(iter(ver.sandwich.values())),
+        "LevelCoefficients": grid.levels[st.k_min],
+        "CoefficientGrid": grid,
+        "KernelStack": st,
+    }
+
+
+def test_records_are_frozen(records):
+    for name, obj in records.items():
+        assert type(obj).__name__ == name
+        for attr in [f.name for f in fields(obj)] + ["extra"]:
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, attr, getattr(obj, attr, None))
+
+
+def test_space_points_are_a_read_only_copy(grid65):
+    with pytest.raises(ValueError, match="read-only"):
+        grid65.points[0, 0] = 5.0
+    pts = np.array(grid65.points)
+    sp = MetricMeasureSpace(grid65.dist, grid65.weight, points=pts)
+    pts[0, 0] = 5.0  # the space holds its own copy
+    assert sp.points[0, 0] == grid65.points[0, 0]

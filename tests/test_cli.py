@@ -441,6 +441,9 @@ REJECTED_BEFORE_WORK = (
     (("kernel.a=-1",), "lab lemmas"),
     (("kernel.sigma=0.5",), "ati build"),
     (('space.file="x.json"', "space.size=9"), "space build"),
+    (("space.size=65", "dyadic.k_max=6", "kernel.fine_factor=2"), "ati build"),
+    (("space.size=65", "dyadic.k_max=6", "kernel.fine_factor=2"),
+     "cubes build"),
 )
 
 

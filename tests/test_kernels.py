@@ -6,8 +6,9 @@ import pytest
 from ati_oracle import reference_validate_ati
 
 from homspace import (DyadicSpec, Field, KernelSpec, ParameterError,
-                      Pipeline, build_exp_ati, build_exp_iati,
-                      build_semigroup, generate_space, validate_ati)
+                      Pipeline, RangeError, build_cubes, build_exp_ati,
+                      build_exp_iati, build_semigroup, generate_space,
+                      refine_subcubes, validate_ati)
 from homspace.dyadic import cube_dump
 from homspace.kernels import mean_projection, r_gamma_integral_band
 
@@ -87,9 +88,9 @@ def test_inhomogeneous_identity_on_arbitrary_fields(pipe65_inhom, rng):
         assert resid <= 1e-3
 
 
-def test_inhomogeneous_requires_level_zero(grid65, pipe65):
+def test_inhomogeneous_requires_level_zero(pipe65):
     with pytest.raises(ParameterError):
-        build_exp_iati(grid65, pipe65.cubes, k_range=(1, 5))
+        build_exp_iati(pipe65.cubes, k_range=(1, 5))
 
 
 def test_validation_report(pipe65, validated65):
@@ -108,7 +109,7 @@ def test_validation_leaves_stack_unchanged(pipe65):
     before = {f.name: getattr(st, f.name) for f in fields(st) if f.name != "q"}
     tables = {k: st.q[k].copy() for k in st.q}
     attrs = set(vars(st))
-    validate_ati(st, pipe65.cubes)
+    validate_ati(st)
     assert set(vars(st)) == attrs
     assert all(getattr(st, name) is val for name, val in before.items())
     assert st.q.keys() == tables.keys()
@@ -146,7 +147,7 @@ def oracle_pipes(pipe257, grid257):
     ("grid1d-513-inhom", 0)])
 def test_validation_matches_frozen_oracle(oracle_pipes, label, seed):
     pipe = oracle_pipes[label]
-    got = asdict(validate_ati(pipe.stack, pipe.cubes, seed=seed))
+    got = asdict(validate_ati(pipe.stack, seed=seed))
     assert got == reference_validate_ati(pipe.stack, pipe.cubes, seed=seed)
 
 
@@ -154,10 +155,10 @@ def test_validation_peak_memory(oracle_pipes):
     # streamed levels peak at about 66 MB here; keeping every level's masked
     # arrays until the fit took 137-146 MB
     pipe = oracle_pipes["grid1d-513"]
-    stack, cubes = pipe.stack, pipe.cubes
+    stack = pipe.stack  # and its cubes, built before tracemalloc starts
     tracemalloc.start()
     try:
-        validate_ati(stack, cubes)
+        validate_ati(stack)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -165,14 +166,14 @@ def test_validation_peak_memory(oracle_pipes):
 
 
 def test_validation_inhom_unit_resid(pipe65_inhom):
-    rep = validate_ati(pipe65_inhom.stack, pipe65_inhom.cubes)
+    rep = validate_ati(pipe65_inhom.stack)
     assert rep.unit_resid is not None and rep.unit_resid <= UNIT_TOL
     assert rep.cancel_resid <= CANCEL_TOL
 
 
 def test_rgamma_const_for_two_omega(pipe65, validated65):
     # exponential decay dominates any polynomial envelope; Gamma = 2*omega
-    rep = validate_ati(pipe65.stack, pipe65.cubes, gamma_list=(2.0,))
+    rep = validate_ati(pipe65.stack, gamma_list=(2.0,))
     assert np.isfinite(rep.rgamma_const[2.0])
 
 
@@ -181,7 +182,7 @@ def test_scale_covariance_of_size_const():
     for n in (33, 65):
         sp = generate_space("grid1d", size=n)
         pipe = Pipeline(sp, DyadicSpec(k_max=6))
-        rep = validate_ati(pipe.stack, pipe.cubes)
+        rep = validate_ati(pipe.stack)
         consts[n] = rep.size_const
     ratio = consts[65] / consts[33]
     assert 0.5 <= ratio <= 2.0
@@ -195,8 +196,8 @@ def test_r_gamma_integral_band(grid65):
 
 
 def test_validation_deterministic(pipe65):
-    a = validate_ati(pipe65.stack, pipe65.cubes, seed=5)
-    b = validate_ati(pipe65.stack, pipe65.cubes, seed=5)
+    a = validate_ati(pipe65.stack, seed=5)
+    b = validate_ati(pipe65.stack, seed=5)
     assert a == b
 
 
@@ -205,12 +206,12 @@ def test_semigroup_coarse_cap_mode(grid65):
     from homspace.kernels import build_exp_ati
     nets = build_nets(grid65, 0.5, (0, 8))
     cubes = refine_subcubes(build_cubes(nets, grid65), 2)
-    st = build_exp_ati(grid65, cubes, k_range=(0, 6), coarse="semigroup")
+    st = build_exp_ati(cubes, k_range=(0, 6), coarse="semigroup")
     w = grid65.weight
     for k in st.levels():
         assert np.max(np.abs(st.q[k] @ w)) <= 1e-10
     with pytest.raises(ParameterError):
-        build_exp_ati(grid65, cubes, k_range=(0, 6), coarse="warp")
+        build_exp_ati(cubes, k_range=(0, 6), coarse="warp")
 
 
 def test_pipeline_rejects_fractional_levels(grid65):
@@ -222,13 +223,13 @@ def test_pipeline_rejects_fractional_levels(grid65):
     assert (pipe.stack.k_min, pipe.stack.k_max, pipe.cubes.j0) == (0, 6, 2)
 
 
-def test_kernel_builders_reject_fractional_levels(grid65, pipe65):
+def test_kernel_builders_reject_fractional_levels(pipe65):
     for k_range in ((0.5, 4), (0, 4.7), (0, True)):
         with pytest.raises(ParameterError, match="k_range"):
-            build_exp_ati(grid65, pipe65.cubes, k_range)
+            build_exp_ati(pipe65.cubes, k_range)
         with pytest.raises(ParameterError, match="k_range"):
-            build_exp_iati(grid65, pipe65.cubes, k_range)
-    st = build_exp_iati(grid65, pipe65.cubes, (0.0, 3.0))
+            build_exp_iati(pipe65.cubes, k_range)
+    st = build_exp_iati(pipe65.cubes, (0.0, 3.0))
     assert (st.k_min, st.k_max) == (0, 3)
 
 
@@ -269,7 +270,7 @@ def test_kernel_arguments_are_checked_before_any_work(grid65):
             Pipeline(grid65, kernel=KernelSpec(**kw))
     with pytest.raises(ParameterError, match="fine_factor"):
         Pipeline(grid65, kernel=KernelSpec(fine_factor=0.0))
-    st = build_exp_iati(grid65, Pipeline(grid65).cubes, (0, 3),
+    st = build_exp_iati(Pipeline(grid65).cubes, (0, 3),
                         n_low=2.0)
     assert st.n_low == 2 and isinstance(st.n_low, int)
 
@@ -288,3 +289,42 @@ def test_interior_levels_are_the_middle_third(pipe65):
                         (8, [3, 4, 5, 6])):
         st = replace(pipe65.stack, k_min=0, k_max=k_max)
         assert list(st.interior_levels()) == want
+
+
+def test_stack_checks_its_cubes_on_construction(grid65, pipe65):
+    """A stack's cubes live on its space at its delta and carry subcubes at
+    every stack level; `replace` runs the check again, and a sampler variant
+    of the same nets passes it."""
+    st, cubes = pipe65.stack, pipe65.cubes
+    bare = build_cubes(cubes.nets, grid65)
+    with pytest.raises(RangeError, match="no subcubes"):
+        replace(st, cubes=bare)
+    with pytest.raises(RangeError, match="no subcubes"):
+        build_exp_ati(bare, (st.k_min, st.k_max))
+    with pytest.raises(RangeError, match="subcubes stop at"):
+        replace(st, k_max=cubes.k_max - cubes.j0 + 1)
+    with pytest.raises(RangeError, match="coarser than the cube system"):
+        replace(st, k_min=cubes.k_min - 1)
+    for other in (Pipeline(generate_space("grid1d", size=65)).cubes,
+                  Pipeline(grid65, DyadicSpec(delta=0.6)).cubes):
+        with pytest.raises(ParameterError, match="another space or at"):
+            replace(st, cubes=other)
+    variant = refine_subcubes(bare, cubes.j0, sampler="lowest_index")
+    moved = replace(st, cubes=variant)
+    assert moved.cubes is variant and moved.q is st.q
+    with pytest.raises(FrozenInstanceError):
+        st.cubes = variant
+
+
+def test_fine_factor_is_read_only_without_k_max(grid65):
+    """A null fine_factor means DEFAULT_FINE_FACTOR; with a given k_max it
+    would be ignored, so setting both is rejected."""
+    default = Pipeline(grid65).levels
+    assert Pipeline(grid65, kernel=KernelSpec(fine_factor=16.0)).levels \
+        == default
+    assert Pipeline(grid65, kernel=KernelSpec(fine_factor=2.0)).levels[-1] \
+        < default[-1]
+    with pytest.raises(ParameterError, match="dyadic.k_max is set, so "
+                       "kernel.fine_factor would be ignored"):
+        Pipeline(grid65, DyadicSpec(k_max=6), KernelSpec(fine_factor=2.0))
+    assert Pipeline(grid65, DyadicSpec(k_max=6)).levels[-1] == 6

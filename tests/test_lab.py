@@ -11,12 +11,12 @@ from homspace.lab import (EnsembleSpec, band_drift, check_hypotheses,
 from homspace.space import geometry_report
 
 
-def test_ensemble_deterministic(grid65, pipe65):
+def test_ensemble_deterministic(pipe65):
     spec = EnsembleSpec(counts={"bandlimited": 3, "holder": 2,
                                 "smoothed_indicator": 2, "gaussian_field": 3},
                         seed=4, mean_zero=True)
-    a = generate_ensemble(grid65, pipe65.stack, spec)
-    b = generate_ensemble(grid65, pipe65.stack, spec)
+    a = generate_ensemble(pipe65.stack, spec)
+    b = generate_ensemble(pipe65.stack, spec)
     assert len(a) == spec.total() == 10
     for fa, fb in zip(a, b):
         assert np.array_equal(fa.values, fb.values)
@@ -26,13 +26,13 @@ def test_ensemble_mean_zero_flag(grid65, pipe65):
     spec = EnsembleSpec(counts={"bandlimited": 2, "holder": 2,
                                 "smoothed_indicator": 2, "gaussian_field": 2},
                         seed=1, mean_zero=True)
-    for f in generate_ensemble(grid65, pipe65.stack, spec):
+    for f in generate_ensemble(pipe65.stack, spec):
         assert abs(f.values @ grid65.weight) <= 1e-12
 
 
 def test_ensemble_holder_matches_distance_powers(grid65, pipe65):
     spec = EnsembleSpec(kinds=("holder",), counts={"holder": 5}, seed=2)
-    fields = generate_ensemble(grid65, pipe65.stack, spec)
+    fields = generate_ensemble(pipe65.stack, spec)
     # every holder probe is d(., x0)^theta for the drawn (theta, x0)
     rng = np.random.default_rng(2)
     for f in fields:
@@ -41,9 +41,9 @@ def test_ensemble_holder_matches_distance_powers(grid65, pipe65):
         assert np.allclose(f.values, grid65.dist[x0] ** theta)
 
 
-def test_ensemble_rejects_empty_kinds(grid65, pipe65):
+def test_ensemble_rejects_empty_kinds(pipe65):
     with pytest.raises(ParameterError, match="non-empty"):
-        generate_ensemble(grid65, pipe65.stack,
+        generate_ensemble(pipe65.stack,
                           EnsembleSpec(kinds=(), counts={}))
 
 
@@ -52,11 +52,10 @@ def test_standard_ensemble_is_fifty(grid65, pipe65):
     assert spec.total() == 50
 
 
-def test_equivalence_bands(grid65, pipe65, geom65, validated65, ensemble65):
+def test_equivalence_bands(pipe65, geom65, validated65, ensemble65):
     spec = NormSpec(s=0.5, p=2.0, q=2.0)
     for pairing in ("B_vs_L", "B_vs_Lb", "F_vs_Lt"):
-        rep = equivalence_experiment(
-            grid65, pipe65.stack, pipe65.cubes, spec, pairing, ensemble65,
+        rep = equivalence_experiment(pipe65.stack, spec, pairing, ensemble65,
             omega=geom65.omega, eta=validated65.eta_fit, geometry=geom65)
         assert rep.passed
         assert rep.ratio_max / rep.ratio_min <= 100.0
@@ -66,18 +65,18 @@ def test_equivalence_bands(grid65, pipe65, geom65, validated65, ensemble65):
         assert suite.rows[0].passed
 
 
-def test_equivalence_rejects_bad_hypotheses(grid65, pipe65, geom65,
-                                            validated65, ensemble65):
+def test_equivalence_rejects_bad_hypotheses(pipe65, geom65, validated65,
+                                            ensemble65):
     bad = NormSpec(s=0.9, p=2.0, q=2.0)  # s >= beta^gamma
     with pytest.raises(ExperimentError, match="hypothesis"):
-        equivalence_experiment(grid65, pipe65.stack, pipe65.cubes, bad,
-                               "B_vs_L", ensemble65, omega=geom65.omega,
-                               eta=validated65.eta_fit, geometry=geom65)
+        equivalence_experiment(pipe65.stack, bad, "B_vs_L", ensemble65,
+                               omega=geom65.omega, eta=validated65.eta_fit,
+                               geometry=geom65)
     bad_f = NormSpec(s=0.5, p=1.0, q=2.0)  # F = L_t needs p > 1
     with pytest.raises(ExperimentError, match="p, q"):
-        equivalence_experiment(grid65, pipe65.stack, pipe65.cubes, bad_f,
-                               "F_vs_Lt", ensemble65, omega=geom65.omega,
-                               eta=validated65.eta_fit, geometry=geom65)
+        equivalence_experiment(pipe65.stack, bad_f, "F_vs_Lt", ensemble65,
+                               omega=geom65.omega, eta=validated65.eta_fit,
+                               geometry=geom65)
 
 
 def test_p_le_one_gate_requires_lower_bound(geom65):
@@ -103,12 +102,12 @@ def test_u_variant_pairing_runs_on_circle():
     pipe = Pipeline(sp)
     radii = sorted((m + 0.5) / 128 for m in (8, 16, 32))
     geom = geometry_report(sp, radii)
-    rep = validate_ati(pipe.stack, pipe.cubes)
-    ens = generate_ensemble(sp, pipe.stack, EnsembleSpec(
+    rep = validate_ati(pipe.stack)
+    ens = generate_ensemble(pipe.stack, EnsembleSpec(
         counts={"bandlimited": 4, "holder": 3, "smoothed_indicator": 3,
                 "gaussian_field": 4}, seed=3, mean_zero=True))
     spec = NormSpec(s=0.45, p=0.9, q=2.0, u=0.5, beta=0.7, gamma=0.7)
-    eq = equivalence_experiment(sp, pipe.stack, pipe.cubes, spec,
+    eq = equivalence_experiment(pipe.stack, spec,
                                 "F_vs_Lt_u", ens, omega=geom.omega,
                                 eta=rep.eta_fit, geometry=geom)
     assert eq.ratios and np.isfinite(eq.ratio_max)
@@ -119,23 +118,22 @@ def test_degenerate_fields_excluded(grid65, pipe65, geom65, validated65):
     spec = NormSpec(s=0.5, p=2.0, q=2.0)
     const = Field(grid65, np.zeros(grid65.n) + 0.0)
     with pytest.raises(ExperimentError, match="degenerate"):
-        equivalence_experiment(grid65, pipe65.stack, pipe65.cubes, spec,
+        equivalence_experiment(pipe65.stack, spec,
                                "B_vs_L", [const], omega=geom65.omega,
                                eta=validated65.eta_fit, geometry=geom65)
 
 
-def test_band_drift_helper(grid65, pipe65, geom65, validated65, ensemble65):
+def test_band_drift_helper(pipe65, geom65, validated65, ensemble65):
     spec = NormSpec(s=0.5, p=2.0, q=2.0)
-    rep = equivalence_experiment(grid65, pipe65.stack, pipe65.cubes, spec,
+    rep = equivalence_experiment(pipe65.stack, spec,
                                  "B_vs_L", ensemble65, omega=geom65.omega,
                                  eta=validated65.eta_fit, geometry=geom65)
     assert band_drift(rep, rep) == 1.0
 
 
-def test_embedding_suite_rows(grid65, pipe65, geom65, ensemble65):
+def test_embedding_suite_rows(pipe65, geom65, ensemble65):
     spec = NormSpec(s=0.5, p=2.0, q=2.0)
-    suite = embedding_suite(grid65, pipe65.stack, pipe65.cubes,
-                            ensemble65[:8], spec, geom65.omega,
+    suite = embedding_suite(pipe65.stack, ensemble65[:8], spec, geom65.omega,
                             geometry=geom65)
     names = [r.name for r in suite.rows]
     assert any("q-monotonicity" in n for n in names)
@@ -186,7 +184,7 @@ def test_mixed_ensemble_counts_degenerate(grid65, pipe65, geom65,
     from homspace import Field
     spec = NormSpec(s=0.5, p=2.0, q=2.0)
     fields = list(ensemble65[:4]) + [Field(grid65, np.zeros(grid65.n))]
-    rep = equivalence_experiment(grid65, pipe65.stack, pipe65.cubes, spec,
+    rep = equivalence_experiment(pipe65.stack, spec,
                                  "B_vs_L", fields, omega=geom65.omega,
                                  eta=validated65.eta_fit, geometry=geom65)
     assert rep.excluded == 1
@@ -198,25 +196,22 @@ def test_embedding_bands_run_on_circle():
     pipe = Pipeline(sp)
     radii = sorted((m + 0.5) / 128 for m in (8, 16, 32))
     geom = geometry_report(sp, radii)
-    ens = generate_ensemble(sp, pipe.stack, EnsembleSpec(
+    ens = generate_ensemble(pipe.stack, EnsembleSpec(
         counts={"bandlimited": 3, "holder": 2, "smoothed_indicator": 2,
                 "gaussian_field": 3}, seed=5, mean_zero=True))
     spec = NormSpec(s=0.5, p=2.0, q=2.0)
-    suite = embedding_suite(sp, pipe.stack, pipe.cubes, ens, spec,
-                            geom.omega, geometry=geom)
+    suite = embedding_suite(pipe.stack, ens, spec, geom.omega, geometry=geom)
     names = [r.name for r in suite.rows]
     assert any("Besov embedding band" in n for n in names)
     assert any("Triebel-Lizorkin embedding band" in n for n in names)
     assert suite.passed
 
 
-def test_embedding_skips_without_lower_bound(grid65, pipe65, geom65,
-                                             ensemble65):
+def test_embedding_skips_without_lower_bound(pipe65, geom65, ensemble65):
     spec = NormSpec(s=0.5, p=2.0, q=2.0)
     # grid1d's max-ratio dimension exceeds its fitted lower bound, so the
     # p <= 1 rows must report skipped rather than asserting
-    suite = embedding_suite(grid65, pipe65.stack, pipe65.cubes,
-                            ensemble65[:6], spec, geom65.omega,
+    suite = embedding_suite(pipe65.stack, ensemble65[:6], spec, geom65.omega,
                             geometry=geom65)
     skipped = [r for r in suite.rows if r.details.get("skipped")]
     assert skipped

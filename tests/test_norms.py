@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -100,7 +101,7 @@ def test_inhomogeneous_besov_block(pipe65_inhom):
     const = Field(sp, np.full(sp.n, 2.0))
     # constant field: Q_0 reproduces it, finer levels vanish; the norm is
     # the coarse block of the cell averages of |Q_k f|
-    val = besov_norm(const, spec, st, cubes)
+    val = besov_norm(const, spec, st)
     w_total = sp.total_mass
     expected = 0.0
     for k in range(0, st.n_low + 1):
@@ -139,7 +140,7 @@ def test_inhomogeneous_besov_matches_oracle(pipe65_inhom, rng):
     st, cubes = pipe65_inhom.stack, pipe65_inhom.cubes
     f = Field(st.space, rng.standard_normal(st.space.n))
     spec = NormSpec(s=0.3, p=2.0, q=1.5, flavor="inhomogeneous")
-    assert besov_norm(f, spec, st, cubes) == pytest.approx(
+    assert besov_norm(f, spec, st) == pytest.approx(
         _inhom_besov_oracle(f, spec, st, cubes), rel=1e-12)
 
 
@@ -154,7 +155,7 @@ def test_tl_infty_sup_attained_on_ancestor(pipe65):
     v -= float(v @ sp.weight) / sp.total_mass
     f = Field(sp, v)
     spec = NormSpec(s=0.3, p=INF, q=2.0)
-    val = triebel_lizorkin_norm(f, spec, st, cubes)
+    val = triebel_lizorkin_norm(f, spec, st)
 
     # exhaustive oracle over (l, alpha)
     best = 0.0
@@ -281,7 +282,7 @@ def test_sampled_norm_sampler_band(pipe65, ensemble65):
                 refine_subcubes(base, 2, sampler="lowest_index"),
                 refine_subcubes(base, 2, sampler="seeded_random", seed=11)]
     for f in ensemble65[:5]:
-        vals = [sampled_besov_norm(f, spec, pipe65.stack, c)
+        vals = [sampled_besov_norm(f, spec, replace(pipe65.stack, cubes=c))
                 for c in variants]
         assert max(vals) / min(vals) <= 2.0
 
@@ -303,7 +304,7 @@ def test_inhomogeneous_tl_p_infty(pipe65_inhom, ensemble65):
     spec = NormSpec(s=0.4, p=INF, q=2.0, flavor="inhomogeneous")
     st, cubes = pipe65_inhom.stack, pipe65_inhom.cubes
     f = Field(st.space, ensemble65[2].values)
-    val = triebel_lizorkin_norm(f, spec, st, cubes)
+    val = triebel_lizorkin_norm(f, spec, st)
     assert math.isfinite(val) and val > 0
     # coarse block alone is a lower bound by the max structure
     sp = st.space
@@ -342,7 +343,7 @@ def test_norms_match_frozen_oracle(grid257):
         for flavor in ("homogeneous", "inhomogeneous"):
             pipe = Pipeline(sp, kernel=KernelSpec(flavor=flavor))
             st, cubes = pipe.stack, pipe.cubes
-            fields = generate_ensemble(sp, st, EnsembleSpec(
+            fields = generate_ensemble(st, EnsembleSpec(
                 counts=counts, seed=3, mean_zero=flavor == "homogeneous"))
             for f in fields:
                 table = LevelTable(f, st)
@@ -351,11 +352,11 @@ def test_norms_match_frozen_oracle(grid257):
                         spec = NormSpec(s=0.4, p=p, q=q, flavor=flavor)
                         key = (sp.label, flavor, p, q)
                         want = oracle.besov_norm(f, spec, st, cubes)
-                        assert besov_norm(f, spec, st, cubes) == want, key
-                        assert besov_norm(table, spec, st, cubes) == want, key
+                        assert besov_norm(f, spec, st) == want, key
+                        assert besov_norm(table, spec, st) == want, key
                         want = oracle.triebel_lizorkin_norm(f, spec, st, cubes)
                         for g in (f, table):
-                            got = triebel_lizorkin_norm(g, spec, st, cubes)
+                            got = triebel_lizorkin_norm(g, spec, st)
                             if p == INF:
                                 assert got == pytest.approx(want, rel=1e-12,
                                                             abs=0.0), key
@@ -363,16 +364,16 @@ def test_norms_match_frozen_oracle(grid257):
                                 assert got == want, key
                         assert truncation_risk(table, spec, st) == \
                             oracle.truncation_risk(f, spec, st), key
-                        assert sampled_besov_norm(table, spec, st, cubes) == \
+                        assert sampled_besov_norm(table, spec, st) == \
                             oracle.sampled_besov_norm(f, spec, st, cubes), key
-                grid, want = analyze(st, cubes, f), oracle.analyze(st, cubes, f)
+                grid, want = analyze(st, f), oracle.analyze(st, cubes, f)
                 for k, lc in want.levels.items():
                     got = grid.levels[k]
                     assert np.array_equal(got.value, lc.value)
                     assert (got.average is None) == (lc.average is None)
                     if lc.average is not None:
                         assert np.array_equal(got.average, lc.average)
-                assert np.array_equal(frame_operator(st, cubes, f).values,
+                assert np.array_equal(frame_operator(st, f).values,
                                       oracle.frame_operator(st, cubes, f).values)
 
 

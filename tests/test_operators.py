@@ -42,9 +42,9 @@ def test_level_table_rejects_foreign_stack_and_space(pipe65, pipe65_inhom):
     with pytest.raises(ParameterError):
         LevelTable.of(table, pipe65_inhom.stack)
     with pytest.raises(ParameterError):
-        analyze(pipe65_inhom.stack, pipe65_inhom.cubes, table)
+        analyze(pipe65_inhom.stack, table)
     with pytest.raises(ParameterError):
-        frame_operator(pipe65_inhom.stack, pipe65_inhom.cubes, table)
+        frame_operator(pipe65_inhom.stack, table)
 
 
 def test_apply_level_range_error(pipe65):
@@ -56,24 +56,24 @@ def test_apply_level_range_error(pipe65):
 
 def test_maximal_constant(grid65):
     f = Field(grid65, np.full(grid65.n, -2.0))
-    assert np.allclose(hl_maximal(grid65, f).values, 2.0, atol=1e-15)
+    assert np.allclose(hl_maximal(f).values, 2.0, atol=1e-15)
 
 
 def test_maximal_dominates_pointwise(grid65, rng):
     for _ in range(20):
         f = Field(grid65, rng.standard_normal(grid65.n))
-        m = hl_maximal(grid65, f).values
+        m = hl_maximal(f).values
         assert np.all(m >= np.abs(f.values) - 1e-15)
 
 
 def test_maximal_sublinear_homogeneous(grid65, rng):
     f = rng.standard_normal(grid65.n)
     g = rng.standard_normal(grid65.n)
-    mf = hl_maximal(grid65, Field(grid65, f)).values
-    mg = hl_maximal(grid65, Field(grid65, g)).values
-    mfg = hl_maximal(grid65, Field(grid65, f + g)).values
+    mf = hl_maximal(Field(grid65, f)).values
+    mg = hl_maximal(Field(grid65, g)).values
+    mfg = hl_maximal(Field(grid65, f + g)).values
     assert np.all(mfg <= mf + mg + 1e-12)
-    mcf = hl_maximal(grid65, Field(grid65, -3.0 * f)).values
+    mcf = hl_maximal(Field(grid65, -3.0 * f)).values
     assert np.allclose(mcf, 3.0 * mf, rtol=1e-12)
 
 
@@ -81,14 +81,14 @@ def test_maximal_indicator_endpoint():
     sp = generate_space("grid1d", size=1025)
     x = np.linspace(0, 1, 1025)
     f = Field(sp, (x <= 0.5).astype(float))
-    m = hl_maximal(sp, f)
+    m = hl_maximal(f)
     assert abs(m.values[-1] - 0.5) <= 2.0 / 1025
 
 
 def test_maximal_matches_brute_force(rng):
     sp = generate_space("grid1d", size=33)
     f = Field(sp, rng.standard_normal(sp.n))
-    m = hl_maximal(sp, f).values
+    m = hl_maximal(f).values
     g = np.abs(f.values) * sp.weight
     for x in range(sp.n):
         best = 0.0
@@ -119,7 +119,7 @@ def test_maximal_matches_frozen_oracle(kind, size, measure, rng):
     sp = generate_space(kind, size=size, measure=measure, weights=weights)
     for values in (rng.standard_normal(n), np.zeros(n), np.full(n, -2.0)):
         f = Field(sp, values)
-        assert np.array_equal(hl_maximal(sp, f).values,
+        assert np.array_equal(hl_maximal(f).values,
                               _hl_maximal_oracle(sp, f))
     ends = sp.group_ends
     assert ends[0].dtype == np.int32 and len(ends[2]) == n
@@ -129,10 +129,10 @@ def test_maximal_matches_frozen_oracle(kind, size, measure, rng):
 # -- coefficients and frame -----------------------------------------------------
 
 def test_analyze_matches_direct_sampling(pipe65, rng):
-    st, cubes = pipe65.stack, pipe65.cubes
+    st = pipe65.stack
     sp = st.space
     f = Field(sp, rng.standard_normal(sp.n))
-    grid = analyze(st, cubes, f)
+    grid = analyze(st, f)
     for k in st.levels():
         g = st.apply(k, f.values)
         lc = grid.levels[k]
@@ -144,7 +144,7 @@ def test_analyze_matches_direct_sampling(pipe65, rng):
 def test_analyze_constant_homogeneous_zero(pipe65):
     sp = pipe65.space
     f = Field(sp, np.ones(sp.n))
-    grid = analyze(pipe65.stack, pipe65.cubes, f)
+    grid = analyze(pipe65.stack, f)
     for lc in grid.levels.values():
         assert np.max(np.abs(lc.value)) <= 1e-10
 
@@ -153,7 +153,7 @@ def test_analyze_inhom_averages(pipe65_inhom, rng):
     st, cubes = pipe65_inhom.stack, pipe65_inhom.cubes
     sp = st.space
     f = Field(sp, rng.standard_normal(sp.n))
-    grid = analyze(st, cubes, f)
+    grid = analyze(st, f)
     for k in range(0, st.n_low + 1):
         lc = grid.levels[k]
         assert lc.average is not None
@@ -167,7 +167,7 @@ def test_analyze_inhom_averages(pipe65_inhom, rng):
 
 def test_grid_rows_export(pipe65, rng):
     f = Field(pipe65.space, rng.standard_normal(pipe65.space.n))
-    rows = analyze(pipe65.stack, pipe65.cubes, f).rows()
+    rows = analyze(pipe65.stack, f).rows()
     assert len(rows) > 0
     k, alpha, m, y, val, wgt = rows[0]
     assert isinstance(alpha, int) and wgt > 0
@@ -177,8 +177,8 @@ def test_frame_operator_symmetric(pipe65, rng):
     sp = pipe65.space
     f = rng.standard_normal(sp.n)
     g = rng.standard_normal(sp.n)
-    sf = frame_operator(pipe65.stack, pipe65.cubes, Field(sp, f)).values
-    sg = frame_operator(pipe65.stack, pipe65.cubes, Field(sp, g)).values
+    sf = frame_operator(pipe65.stack, Field(sp, f)).values
+    sg = frame_operator(pipe65.stack, Field(sp, g)).values
     assert mu_dot(sp, sf, g) == pytest.approx(mu_dot(sp, f, sg), rel=1e-10)
 
 
@@ -186,27 +186,24 @@ def test_frame_operator_symmetric_inhom(pipe65_inhom, rng):
     sp = pipe65_inhom.space
     f = rng.standard_normal(sp.n)
     g = rng.standard_normal(sp.n)
-    sf = frame_operator(pipe65_inhom.stack, pipe65_inhom.cubes,
-                        Field(sp, f)).values
-    sg = frame_operator(pipe65_inhom.stack, pipe65_inhom.cubes,
-                        Field(sp, g)).values
+    sf = frame_operator(pipe65_inhom.stack, Field(sp, f)).values
+    sg = frame_operator(pipe65_inhom.stack, Field(sp, g)).values
     assert mu_dot(sp, sf, g) == pytest.approx(mu_dot(sp, f, sg), rel=1e-10)
 
 
 def test_frame_annihilates_constants(pipe65):
     sp = pipe65.space
-    sf = frame_operator(pipe65.stack, pipe65.cubes,
-                        Field(sp, np.ones(sp.n))).values
+    sf = frame_operator(pipe65.stack, Field(sp, np.ones(sp.n))).values
     assert np.max(np.abs(sf)) <= 1e-10
 
 
 def test_reconstruct_band_limited(pipe257, rng):
-    st, cubes = pipe257.stack, pipe257.cubes
+    st = pipe257.stack
     sp = st.space
     g = rng.standard_normal(sp.n)
     j = st.k_min + 4
     f = Field(sp, st.apply(j, g))
-    rf, rep = reconstruct(st, cubes, f, tol=1e-6, maxiter=200)
+    rf, rep = reconstruct(st, f, tol=1e-6, maxiter=200)
     assert rep.converged and rep.iterations <= 200
     err = np.sqrt(mu_dot(sp, rf.values - f.values, rf.values - f.values)
                   / mu_dot(sp, f.values, f.values))
@@ -217,20 +214,20 @@ def test_reconstruct_band_limited(pipe257, rng):
 def test_reconstruct_constant_gives_zero(pipe65):
     sp = pipe65.space
     f = Field(sp, np.full(sp.n, 4.2))
-    rf, rep = reconstruct(pipe65.stack, pipe65.cubes, f)
+    rf, rep = reconstruct(pipe65.stack, f)
     assert rep.converged
     assert np.max(np.abs(rf.values)) <= 1e-10
 
 
 def test_reconstruct_linear(pipe65, rng):
-    st, cubes = pipe65.stack, pipe65.cubes
+    st = pipe65.stack
     sp = st.space
     f = Field(sp, st.apply(st.k_min + 3, rng.standard_normal(sp.n)))
     g = Field(sp, st.apply(st.k_min + 4, rng.standard_normal(sp.n)))
     combo = Field(sp, 2.0 * f.values - 0.5 * g.values)
-    rf, _ = reconstruct(st, cubes, f, tol=1e-10, maxiter=400)
-    rg, _ = reconstruct(st, cubes, g, tol=1e-10, maxiter=400)
-    rc, _ = reconstruct(st, cubes, combo, tol=1e-10, maxiter=400)
+    rf, _ = reconstruct(st, f, tol=1e-10, maxiter=400)
+    rg, _ = reconstruct(st, g, tol=1e-10, maxiter=400)
+    rc, _ = reconstruct(st, combo, tol=1e-10, maxiter=400)
     lhs = rc.values
     rhs = 2.0 * rf.values - 0.5 * rg.values
     scale = np.max(np.abs(lhs)) or 1.0
@@ -242,7 +239,7 @@ def test_reconstruct_point_mass_residual(pipe257):
     v = np.zeros(sp.n)
     v[sp.n // 2] = 1.0
     f = Field(sp, v)
-    rf, rep = reconstruct(pipe257.stack, pipe257.cubes, f, tol=1e-2,
+    rf, rep = reconstruct(pipe257.stack, f, tol=1e-2,
                           maxiter=400)
     assert rep.relative_residual <= 1e-2
 
@@ -252,7 +249,7 @@ def test_reconstruct_nonconvergence_raises(pipe65, rng):
               pipe65.stack.apply(pipe65.stack.k_min + 3,
                                  rng.standard_normal(pipe65.space.n)))
     with pytest.raises(IllConditionedFrameError):
-        reconstruct(pipe65.stack, pipe65.cubes, f, tol=1e-14, maxiter=2)
+        reconstruct(pipe65.stack, f, tol=1e-14, maxiter=2)
 
 
 def test_analyze_j0_zero_samples_at_centers(grid65):
@@ -261,7 +258,7 @@ def test_analyze_j0_zero_samples_at_centers(grid65):
     st, cubes = pipe.stack, pipe.cubes
     rng = np.random.default_rng(8)
     f = Field(grid65, rng.standard_normal(grid65.n))
-    grid = analyze(st, cubes, f)
+    grid = analyze(st, f)
     for k in st.levels():
         g = st.apply(k, f.values)
         lc = grid.levels[k]
@@ -273,11 +270,11 @@ def test_analyze_j0_zero_samples_at_centers(grid65):
 def test_frame_rayleigh_floor_on_band_limited(pipe65, rng):
     # power-iteration-style oracle: Rayleigh quotients of S on band-limited
     # probes stay above a positive floor
-    st, cubes = pipe65.stack, pipe65.cubes
+    st = pipe65.stack
     sp = st.space
     floor = np.inf
     for j in (st.k_min + 3, st.k_min + 4, st.k_min + 5):
         f = st.apply(j, rng.standard_normal(sp.n))
-        sf = frame_operator(st, cubes, Field(sp, f)).values
+        sf = frame_operator(st, Field(sp, f)).values
         floor = min(floor, mu_dot(sp, sf, f) / mu_dot(sp, f, f))
     assert floor > 0.01
