@@ -9,9 +9,11 @@ so two-sided cancellation is exact and the stack telescopes to
 ``P_{delta^kmax} - mean``; every ``Q_k`` table is read-only.  Validation
 fits the decay rate and smoothness exponent and measures every condition
 constant in a counting loop and two passes that stream the levels (no
-whole-stack array outlives its level), exhaustively up to ``PAIR_BUDGET``
-pairs and ``QUAD_BUDGET`` quadruples per level and flagged as sampled
-beyond; it returns a report and leaves the stack unmodified.
+whole-stack array outlives its level) in blocks of rows of about
+``BLOCK_BYTES``, reading a block with few entries above the noise floor at
+their flat positions only; it maximizes exhaustively up to ``PAIR_BUDGET``
+pairs and ``QUAD_BUDGET`` quadruples per level, flagged as sampled beyond,
+and returns a report that leaves the stack unmodified.
 """
 
 from __future__ import annotations
@@ -36,6 +38,11 @@ QUAD_BUDGET = 2_000
 PROBE_COUNT = 6
 # the pooled nu fit is thinned by a common stride to at most this many points
 FIT_POINTS = 2_000_000
+# validate_ati's n x n passes run over blocks of rows of about this many
+# bytes, and a block with at most this share of its entries above the noise
+# floor is read at their flat positions only
+BLOCK_BYTES = 2 ** 18
+SPARSE_SHARE = 0.6
 
 
 # the leaves each flavor reads besides a and fine_factor, with defaults
@@ -150,17 +157,8 @@ class KernelStack:
     n_low: int = 1
 
     def __post_init__(self):
-        cubes = self.cubes
-        if cubes.space is not self.space or cubes.delta != self.delta:
-            raise ParameterError("the cubes live on another space or at "
-                                 "another delta than the stack")
-        if cubes.subcubes is None:
-            raise RangeError("cubes carry no subcubes; call refine_subcubes")
-        if self.k_max > cubes.k_max - cubes.j0:
-            raise RangeError(f"stack levels reach {self.k_max} but subcubes "
-                             f"stop at {cubes.k_max - cubes.j0}")
-        if self.k_min < cubes.k_min:
-            raise RangeError("stack starts coarser than the cube system")
+        _check_cubes(self.cubes, self.space, self.delta, self.k_min,
+                     self.k_max)
 
     def levels(self):
         return range(self.k_min, self.k_max + 1)
@@ -190,6 +188,22 @@ class KernelStack:
         return out
 
 
+def _check_cubes(cubes, space, delta, k_min, k_max):
+    """The one check that `cubes` live on `space` at `delta` and carry
+    subcubes at the stack levels k_min..k_max; the builders run it before
+    any table is made."""
+    if cubes.space is not space or cubes.delta != delta:
+        raise ParameterError("the cubes live on another space or at "
+                             "another delta than the stack")
+    if cubes.subcubes is None:
+        raise RangeError("cubes carry no subcubes; call refine_subcubes")
+    if k_max > cubes.k_max - cubes.j0:
+        raise RangeError(f"stack levels reach {k_max} but subcubes "
+                         f"stop at {cubes.k_max - cubes.j0}")
+    if k_min < cubes.k_min:
+        raise RangeError("stack starts coarser than the cube system")
+
+
 def _difference_stack(space, delta, k_min, k_max, a, coarsest):
     """Q_k = P_{delta^k} - P_{delta^(k-1)} for k_min < k <= k_max and
     Q_{k_min} = coarsest(P_{delta^k_min}); at most two P_t tables are live.
@@ -214,6 +228,7 @@ def build_exp_ati(cubes, k_range, a=1.0, coarse="mean"):
     space, delta = cubes.space, cubes.delta
     k_min = integer_arg("k_range", k_range[0])
     k_max = integer_arg("k_range", k_range[-1])
+    _check_cubes(cubes, space, delta, k_min, k_max)
     if coarse == "mean":
         def cap(p):
             return p - mean_projection(space)
@@ -234,6 +249,7 @@ def build_exp_iati(cubes, k_range, a=1.0, sigma=1.0, n_low=1):
     spec.check_levels(integer_arg("k_range", k_range[0]), None)
     k_max = integer_arg("k_range", k_range[-1])
     space, delta = cubes.space, cubes.delta
+    _check_cubes(cubes, space, delta, 0, k_max)
     q = _difference_stack(space, delta, 0, k_max, a,
                           lambda p: build_semigroup(space, sigma, a=a))
     return KernelStack(flavor="inhomogeneous", space=space, delta=delta,
@@ -243,84 +259,106 @@ def build_exp_iati(cubes, k_range, a=1.0, sigma=1.0, n_low=1):
 
 # -- validation ---------------------------------------------------------------
 
+def _row_blocks(n):
+    """Slices of consecutive rows of an n x n float table, each about
+    `BLOCK_BYTES` long (at least one row)."""
+    step = max(1, BLOCK_BYTES // (8 * n))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
 def validate_ati(stack, gamma_list=(1.0, 2.0), seed=0):
     """Fit (nu, eta) and measure every condition constant of the stack.
 
-    The levels are streamed: no whole-stack array outlives its level.  A
-    first loop counts each level's entries above the noise floor, which fixes
-    the stride that thins the pooled nu fit to at most `FIT_POINTS` points.
-    Pass 1 takes what does not depend on nu (the fit's strided samples of the
-    masked log-kernel against the decay and refpoint terms, cancellation/unit
-    residuals, the R_Gamma envelope) and keeps only O(n) pieces per level;
-    pass 2 recomputes the masked log-kernel for the size constants and takes
-    the regularity peaks and second differences after the fit.
+    The levels are streamed, and every n x n pass runs over row blocks of
+    about `BLOCK_BYTES` (`_row_blocks`).  A counting loop takes each level's
+    noise floor and each block's count of entries above it, which fixes the
+    stride that thins the pooled nu fit to at most `FIT_POINTS` points; a
+    block with at most a `SPARSE_SHARE` of its entries above the floor is
+    read at their flat positions only (`_above_floor`).  Pass 1 takes
+    what does not depend on nu: the fit's strided samples of the masked
+    log-kernel against the decay and refpoint terms, the R_Gamma peaks and
+    the cancellation/unit residuals.  After the fit, pass 2 finds each
+    level's admissible pairs and forms its pair envelope once per block,
+    with the same floating-point operations that both size constants read
+    off it; the regularity chunks (one block's worth of pair rows each, in
+    reused buffers) and the second-difference quadruples then read it.
     Maximizations are exhaustive up to `PAIR_BUDGET` admissible pairs and
     `QUAD_BUDGET` zipped quadruples per level and uniformly sampled (flagged)
     beyond; `PROBE_COUNT` random fields probe the identity.  Returns the
     report; the stack is not modified.
     """
     space = stack.space
+    n = space.n
     w = space.weight
     d = space.dist
     delta = stack.delta
     inhom = stack.flavor == "inhomogeneous"
     rng = np.random.default_rng(seed)
     vtab = space.v_table()
+    blocks = _row_blocks(n)
 
-    # count: the fit's stride is known before any log-kernel is formed
-    floors, counts = {}, {}
+    # count: each level's floor and each block's above-floor count; the
+    # fit's stride is then known before any log-kernel is formed
+    census = {}
     for k in stack.levels():
-        q = np.abs(stack.q[k])
-        floors[k] = NOISE_FLOOR * q.max()
-        counts[k] = int(np.count_nonzero(q > floors[k]))
-    total = sum(counts.values())
+        qk = stack.q[k]
+        floor = NOISE_FLOOR * max(qk.max(), -qk.min())  # the largest |Q_k|
+        census[k] = floor, [
+            (blk, int(np.count_nonzero(np.abs(qk[blk]) > floor)))
+            for blk in blocks]
+    total = sum(count for _, parts in census.values() for _, count in parts)
     stride = total // FIT_POINTS + 1 if total > FIT_POINTS else 1
     zf = np.empty(-(-total // stride))
     tf = np.empty_like(zf)
 
-    # pass 1: per-level pieces that do not depend on nu.  A level at global
+    # pass 1: per-level pieces that do not depend on nu.  A block at global
     # offset o starts its fit samples at local index (-o) % stride, so the
     # fit sees every stride-th masked entry of the stacked levels
     rgamma = {float(g): 0.0 for g in gamma_list}
     cancel, unit = 0.0, None
     per_level = []
     offset = filled = 0
-    for k in stack.levels():
-        scale = delta ** k
-        vk = space.ball_measure(scale)
-        logv = np.log(vk)
-        dY = stack.cubes.refpoint_distance(k)
-        if (inhom and k == 0) or not np.any(np.isfinite(dY)):
-            h = np.zeros(space.n)
-        else:
-            h = (dY / scale) ** stack.a  # pair (x, y) takes max(h_x, h_y)
-        q = np.abs(stack.q[k])
-        mask = q > floors[k]
-        u = (d / scale) ** stack.a
-        z, _, tq = _masked_envelope(q, mask, logv, u,
-                                    np.maximum(h[:, None], h[None, :]))
-        take = slice((-offset) % stride, None, stride)
-        part = z[take]
-        zf[filled:filled + part.size] = part
-        tf[filled:filled + part.size] = tq[take]
-        offset += z.size
-        filled += part.size
-        del z, tq, u, part
-        if mask.any():
-            peaks = [float(np.max(q[mask] / r[mask]))
-                     for r in _r_gamma(d, scale, vk, vtab, gamma_list)]
-            for gamma, peak in zip(gamma_list, peaks):
-                rgamma[float(gamma)] = max(rgamma[float(gamma)], peak)
-        row = stack.q[k] @ w
-        col = stack.q[k].T @ w
-        if inhom and k == 0:
-            unit = max(float(np.max(np.abs(row - 1.0))),
-                       float(np.max(np.abs(col - 1.0))))
-        else:
-            cancel = max(cancel, float(np.max(np.abs(row))),
-                         float(np.max(np.abs(col))))
-        per_level.append((k, logv, h))
-    del q, mask  # only the O(n) pieces of each level are kept
+    with np.errstate(invalid="ignore"):  # 0/0 ratios, skipped by fmax
+        for k in stack.levels():
+            scale = delta ** k
+            vk = space.ball_measure(scale)
+            logv = np.log(vk)
+            dY = stack.cubes.refpoint_distance(k)
+            if (inhom and k == 0) or not np.any(np.isfinite(dY)):
+                h = np.zeros(space.n)
+            else:
+                h = (dY / scale) ** stack.a  # pair (x, y) takes max(h_x, h_y)
+            floor, parts = census[k]
+            for blk, count in parts:
+                if not count:
+                    continue
+                at, q, flat = _above_floor(stack.q[k], blk, floor, count)
+                # a 0 entry gives a ratio of 0 (or nan, which fmax skips),
+                # below every above-floor ratio
+                ratios = _r_gamma(at.of(d), scale, at.row(vk) + at.of(vtab),
+                                  gamma_list)
+                for gamma, r in zip(gamma_list, ratios):
+                    peak = np.fmax.reduce(np.divide(q, r, out=r), axis=None)
+                    rgamma[float(gamma)] = max(rgamma[float(gamma)],
+                                               float(peak))
+                fit = _Entries(blk, flat[(-offset) % stride::stride], n)
+                offset += count
+                end = filled + fit.flat.size
+                z = np.log(np.abs(fit.of(stack.q[k])), out=zf[filled:end])
+                z += 0.5 * (fit.row(logv) + fit.col(logv))
+                t = tf[filled:end]
+                t[:] = (fit.of(d) / scale) ** stack.a
+                t += np.maximum(fit.row(h), fit.col(h))
+                filled = end
+            row = stack.q[k] @ w
+            col = stack.q[k].T @ w
+            if inhom and k == 0:
+                unit = max(float(np.max(np.abs(row - 1.0))),
+                           float(np.max(np.abs(col - 1.0))))
+            else:
+                cancel = max(cancel, float(np.max(np.abs(row))),
+                             float(np.max(np.abs(col))))
+            per_level.append((k, logv, h))
 
     # pooled envelope fit of nu on z vs (d/delta^k)^a + h-term
     if len(zf) >= 2 and np.ptp(tf) > 0:
@@ -333,46 +371,76 @@ def validate_ati(stack, gamma_list=(1.0, 2.0), seed=0):
     size_const = size_const_no_h = 0.0
     sampled = False
     log_tau, log_peak, quads = [], [], []
-    with np.errstate(over="ignore"):
+    logenv = np.empty((n, n))
+    chunk = blocks[0].stop
+    num, other = np.empty((chunk, n)), np.empty((chunk, n))
+    ok_buf = np.empty((chunk, n), dtype=bool)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for k, logv, h in per_level:
             scale = delta ** k
             q_signed = stack.q[k]
-            floor = floors[k]
-            u = (d / scale) ** stack.a
-            hmax = np.maximum(h[:, None], h[None, :])
-            if counts[k]:
-                q = np.abs(q_signed)
-                z, uq, tq = _masked_envelope(q, q > floor, logv, u, hmax)
-                size_const = max(size_const,
-                                 float(np.exp(np.max(z + nu * tq))))
-                size_const_no_h = max(size_const_no_h,
-                                      float(np.exp(np.max(z + nu * uq))))
-                del q, z, uq, tq
-            rows, cols = np.nonzero((d <= scale) & (d > 0))
-            if len(rows) == 0:
+            floor, parts = census[k]
+            # the admissible pairs as flat positions, in row-major order
+            pairs = np.concatenate([
+                np.flatnonzero((d[blk] <= scale) & (d[blk] > 0))
+                + blk.start * n for blk in blocks])
+            # one block pass forms the pair envelope logenv = c + U, with
+            # c = 0.5(log V_x + log V_y) and U = nu((d/delta^k)^a + h-term):
+            # minus the log of each pair's decay bound (negation is exact
+            # under round-to-nearest).  The size constants are the largest
+            # z + U and z + nu (d/delta^k)^a over the above-floor entries,
+            # z = log|Q_k| + c; a level without pairs forms only those
+            for blk, count in parts:
+                if count:
+                    at, q, _ = _above_floor(q_signed, blk, floor, count)
+                elif not len(pairs):
+                    continue
+                env = _Entries(blk, None, n) if len(pairs) else at
+                u = (env.of(d) / scale) ** stack.a
+                big_u = u + np.maximum(env.row(h), env.col(h))
+                big_u *= nu
+                c = 0.5 * (env.row(logv) + env.col(logv))
+                if len(pairs):
+                    np.add(c, big_u, out=logenv[blk])
+                if not count:
+                    continue
+                if env.flat is None and at.flat is not None:
+                    u, big_u, c = (x.ravel()[at.flat] for x in (u, big_u, c))
+                u *= nu
+                z = np.log(q, out=q)  # log 0 = -inf, and fmax skips nan
+                z += c
+                size_const = max(size_const, float(np.exp(
+                    np.fmax.reduce(z + big_u, axis=None))))
+                size_const_no_h = max(size_const_no_h, float(np.exp(
+                    np.fmax.reduce(np.add(z, u, out=u), axis=None))))
+            if len(pairs) == 0:
                 continue
-            if len(rows) > PAIR_BUDGET:
+            if len(pairs) > PAIR_BUDGET:
                 sampled = True
-                sel = rng.choice(len(rows), size=PAIR_BUDGET, replace=False)
-                rows, cols = rows[sel], cols[sel]
-            # minus the log of each pair's decay bound, one n x n table per
-            # level; adding it subtracts the log bound exactly, since
-            # negation is exact under round-to-nearest
-            u += hmax
-            u *= nu
-            logenv = 0.5 * (logv[:, None] + logv[None, :])
-            logenv += u
-            del u, hmax
+                pairs = pairs[rng.choice(len(pairs), size=PAIR_BUDGET,
+                                         replace=False)]
+            rows, cols = _rows_cols(pairs, n)
             # regularity: log tau is constant along a pair's row, so the
-            # binned peaks and reg_const need only each pair's largest ratio
-            for lo in range(0, len(rows), 512):
-                r = rows[lo:lo + 512]
-                c = cols[lo:lo + 512]
-                num = 2.0 * np.abs(q_signed[r] - q_signed[c])
-                ok = num > 2.0 * floor
-                logratio = np.log(num, where=ok,
-                                  out=np.full_like(num, -np.inf))
-                logratio += logenv[r]
+            # binned peaks and reg_const need only each pair's largest ratio.
+            # They are maxima, so the pairs can go in row order, which keeps
+            # the rows a chunk gathers in cache
+            by_row = np.argsort(rows, kind="stable")
+            # (mode="clip" lets take write straight into the buffer; every
+            # index is in range)
+            for lo in range(0, len(rows), chunk):
+                r = rows[by_row[lo:lo + chunk]]
+                c = cols[by_row[lo:lo + chunk]]
+                m = len(r)
+                diff = np.take(q_signed, r, axis=0, out=num[:m], mode="clip")
+                diff -= np.take(q_signed, c, axis=0, out=other[:m],
+                                mode="clip")
+                np.abs(diff, out=diff)
+                diff *= 2.0
+                ok = np.greater(diff, 2.0 * floor, out=ok_buf[:m])
+                # every entry's log (-inf at 0); the maximum reads the ok ones
+                logratio = np.log(diff, out=diff)
+                logratio += np.take(logenv, r, axis=0, out=other[:m],
+                                    mode="clip")
                 hit = ok.any(axis=1)
                 log_tau.append(np.log(d[r, c] / scale)[hit])
                 log_peak.append(np.max(logratio, axis=1, where=ok,
@@ -450,22 +518,60 @@ def validate_ati(stack, gamma_list=(1.0, 2.0), seed=0):
         sampled=sampled)
 
 
-def _masked_envelope(q, mask, logv, u, hmax):
-    """The entries of |Q_k| above the noise floor as flat arrays: the
-    log-kernel log|Q_k| + (log V_x + log V_y)/2, the decay term u and the
-    decay-plus-refpoint term u + max(h_x, h_y)."""
-    z = np.log(q, where=mask, out=np.full_like(q, -np.inf))
-    z += 0.5 * (logv[:, None] + logv[None, :])
-    uq = u[mask]
-    return z[mask], uq, uq + hmax[mask]
+class _Entries:
+    """Entries of the row block `blk` of n x n tables: the whole block, or
+    the entries at its flat positions `flat`."""
+
+    def __init__(self, blk, flat, n):
+        self.blk, self.flat = blk, flat
+        if flat is not None:
+            self.rows, self.cols = _rows_cols(flat, n)
+            self.rows += blk.start
+
+    def of(self, table):
+        block = table[self.blk]
+        return block if self.flat is None else block.ravel()[self.flat]
+
+    def row(self, v):
+        """v at each entry's row."""
+        return v[self.blk, None] if self.flat is None else v[self.rows]
+
+    def col(self, v):
+        """v at each entry's column."""
+        return v[None, :] if self.flat is None else v[self.cols]
 
 
-def _r_gamma(d, r, vr, vtab, gammas):
+def _above_floor(table, blk, floor, count):
+    """|table| on the row block `blk`, whose `count` entries above `floor`
+    are known: returns the `_Entries` read, their values and the flat
+    positions of the above-floor entries.  A block with at most a
+    `SPARSE_SHARE` of its entries above the floor is read at those
+    positions only; a denser one whole, its other entries set to 0."""
+    q = np.abs(table[blk])
+    n = table.shape[1]
+    if count == q.size:
+        return _Entries(blk, None, n), q, np.arange(q.size)
+    mask = q > floor
+    flat = np.flatnonzero(mask)
+    if count <= SPARSE_SHARE * q.size:
+        return _Entries(blk, flat, n), q.ravel()[flat], flat
+    q *= mask
+    return _Entries(blk, None, n), q, flat
+
+
+def _rows_cols(flat, n):
+    """Rows and columns of the flat positions `flat` of an n x n table."""
+    rows = flat // n
+    return rows, flat - rows * n
+
+
+def _r_gamma(d, r, denom, gammas):
     """R_gamma(x, y; r) = (r/(r+d(x,y)))^gamma / (V_r(x) + V(x,y)) for each
-    gamma in turn, the ratio and the denominator formed once per radius; the
-    last table is made in the ratio's own buffer, so a single gamma holds
-    two n x n arrays, as the one-expression form did."""
-    ratio, denom = r / (r + d), vr[:, None] + vtab
+    gamma in turn, from the distances `d` and the denominators `denom` of
+    the same entries (a table, a block of rows or flat positions); the
+    ratio is formed once, and the last table is made in its own buffer, so
+    a single gamma holds two arrays of d's shape."""
+    ratio = r / (r + d)
     for gamma in gammas[:-1]:
         out = ratio ** gamma
         out /= denom
@@ -484,7 +590,7 @@ def r_gamma_integral_band(space, gamma, radii):
     out = {}
     vtab = space.v_table()
     for r in radii:
-        rmat = next(_r_gamma(space.dist, r, space.ball_measure(r), vtab,
-                             (gamma,)))
+        rmat = next(_r_gamma(space.dist, r,
+                             space.ball_measure(r)[:, None] + vtab, (gamma,)))
         out[float(r)] = float(np.max(rmat @ space.weight))
     return out

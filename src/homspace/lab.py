@@ -399,7 +399,8 @@ def _lemma_geometric_rows(rep, space, caps):
     gamma = 2.0
     consts = []
     for r in radii[:3]:
-        rg = next(_r_gamma(d, r, space.ball_measure(r), v, (gamma,)))
+        rg = next(_r_gamma(d, r, space.ball_measure(r)[:, None] + v,
+                            (gamma,)))
         for R in radii[:3]:
             lhs = (np.where(d >= R, rg, 0.0) * w[None, :]).sum(axis=1).max()
             consts.append(float(lhs / (r / (r + R)) ** gamma))

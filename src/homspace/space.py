@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -204,7 +204,8 @@ class BallIndex(NamedTuple):
 
 
 class MetricMeasureSpace:
-    """Immutable finite quasi-metric measure space.
+    """Immutable finite quasi-metric measure space: no attribute can be
+    rebound or deleted, and its arrays are read-only.
 
     Parameters
     ----------
@@ -246,17 +247,21 @@ class MetricMeasureSpace:
                     f"declared a0={a0} violated: triple {worst} attains "
                     f"ratio {measured:.12g}", triple=worst)
 
-        self.dist = d
-        self.dist.setflags(write=False)
-        self.weight = w
-        self.weight.setflags(write=False)
-        self.a0 = float(max(a0, 1.0))
-        self.a0_method = method
-        self.label = label
-        self.points = None if points is None else np.array(points, float)
-        if self.points is not None:
-            self.points.setflags(write=False)
-        self._v_table = None
+        if points is not None:
+            points = np.array(points, float)
+            points.setflags(write=False)
+        d.setflags(write=False)
+        w.setflags(write=False)
+        # the only writes: after this, attributes cannot be rebound, and the
+        # cached tables go straight into the instance dict
+        vars(self).update(dist=d, weight=w, a0=float(max(a0, 1.0)),
+                          a0_method=method, label=label, points=points)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @property
     def n(self):
@@ -309,20 +314,22 @@ class MetricMeasureSpace:
 
     def v_table(self):
         """V(x, y) = mu(B(x, d(x, y))) as an (n, n) table; V(x, x) = 0."""
-        if self._v_table is None:
-            idx = self.ball_index
-            # B(x, d(x, y)) is the prefix that ends before y's tie group;
-            # the prefixes grow along a row, so a running max carries the
-            # last group end forward
-            before = np.zeros_like(idx.weight_prefix)
-            before[:, 1:] = np.where(idx.group_end[:, :-1],
-                                     idx.weight_prefix[:, :-1], 0.0)
-            v = np.empty_like(self.dist)
-            np.put_along_axis(v, idx.order,
-                              np.maximum.accumulate(before, axis=1), axis=1)
-            v.setflags(write=False)
-            self._v_table = v
         return self._v_table
+
+    @cached_property
+    def _v_table(self):
+        idx = self.ball_index
+        # B(x, d(x, y)) is the prefix that ends before y's tie group; the
+        # prefixes grow along a row, so a running max carries the last group
+        # end forward
+        before = np.zeros_like(idx.weight_prefix)
+        before[:, 1:] = np.where(idx.group_end[:, :-1],
+                                 idx.weight_prefix[:, :-1], 0.0)
+        v = np.empty_like(self.dist)
+        np.put_along_axis(v, idx.order,
+                          np.maximum.accumulate(before, axis=1), axis=1)
+        v.setflags(write=False)
+        return v
 
     def v_symmetry_ratio(self):
         """max over pairs of V(x,y)/V(y,x); finite because balls own centers."""

@@ -78,6 +78,20 @@ def test_records_are_frozen(records):
                 setattr(obj, attr, getattr(obj, attr, None))
 
 
+def test_space_attributes_cannot_be_rebound(grid65):
+    """A space is frozen like the records: every attribute, a cached table
+    and a property too, and a new name, refuses assignment and deletion."""
+    table = grid65.v_table()
+    names = list(vars(grid65)) + ["n", "diam", "extra"]
+    assert {"a0", "dist", "_v_table"} <= set(names)
+    for name in names:
+        with pytest.raises(FrozenInstanceError):
+            setattr(grid65, name, 7.0)
+        with pytest.raises(FrozenInstanceError):
+            delattr(grid65, name)
+    assert grid65.a0 == 1.0 and grid65.v_table() is table
+
+
 def test_space_points_are_a_read_only_copy(grid65):
     with pytest.raises(ValueError, match="read-only"):
         grid65.points[0, 0] = 5.0

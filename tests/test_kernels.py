@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from ati_oracle import reference_validate_ati
 
-from homspace import (DyadicSpec, Field, KernelSpec, ParameterError,
-                      Pipeline, RangeError, build_cubes, build_exp_ati,
-                      build_exp_iati, build_semigroup, generate_space,
+from homspace import (DyadicSpec, Field, KernelSpec, MetricMeasureSpace,
+                      ParameterError, Pipeline, RangeError, build_cubes,
+                      build_exp_ati, build_exp_iati, build_nets,
+                      build_semigroup, generate_space, kernels,
                       refine_subcubes, validate_ati)
 from homspace.dyadic import cube_dump
 from homspace.kernels import mean_projection, r_gamma_integral_band
@@ -132,23 +133,103 @@ def test_fields_and_kernel_tables_are_read_only(pipe65):
 @pytest.fixture(scope="module")
 def oracle_pipes(pipe257, grid257):
     grid513 = generate_space("grid1d", size=513)
+    sierpinski = generate_space("sierpinski_level", level=5)
+    circle = generate_space("circle", size=40)
+    weight = 0.5 + np.random.default_rng(5).random(circle.n)
     return {"grid1d-257": pipe257,
             "grid1d-257-inhom": Pipeline(grid257, kernel=INHOM),
             "circle-256": Pipeline(generate_space("circle", size=256)),
             "grid1d-513": Pipeline(grid513),
-            "grid1d-513-inhom": Pipeline(grid513, kernel=INHOM)}
+            "grid1d-513-inhom": Pipeline(grid513, kernel=INHOM),
+            "sierpinski-5": Pipeline(sierpinski),
+            "sierpinski-5-inhom": Pipeline(sierpinski, kernel=INHOM),
+            "snowflake-257": Pipeline(generate_space(
+                "snowflake_power", size=257, exponent=2.0)),
+            "graph-127": Pipeline(generate_space("graph", size=127)),
+            "circle-40-weighted": Pipeline(MetricMeasureSpace(
+                circle.dist, weight, label="circle-40-weighted"))}
 
 
 # grid1d-513 masks about 2.15 M kernel entries, above kernels.FIT_POINTS, so
-# its pooled nu fit takes every second one; the other spaces fit them all
+# its pooled nu fit takes every second one; the other spaces fit them all.
+# sierpinski-5 has tied distances; n = 257 and 513 are no multiples of their
+# block row counts (127 and 63 rows)
 @pytest.mark.parametrize("label,seed", [
     ("grid1d-257", 0), ("grid1d-257", 5), ("grid1d-257-inhom", 0),
     ("grid1d-257-inhom", 5), ("circle-256", 0), ("grid1d-513", 0),
-    ("grid1d-513-inhom", 0)])
+    ("grid1d-513-inhom", 0), ("sierpinski-5", 0), ("sierpinski-5-inhom", 5),
+    ("snowflake-257", 0), ("graph-127", 5), ("circle-40-weighted", 0)])
 def test_validation_matches_frozen_oracle(oracle_pipes, label, seed):
     pipe = oracle_pipes[label]
     got = asdict(validate_ati(pipe.stack, seed=seed))
     assert got == reference_validate_ati(pipe.stack, pipe.cubes, seed=seed)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 65])
+@pytest.mark.parametrize("share", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("flavor", ["homogeneous", "inhomogeneous"])
+def test_validation_block_sizes_agree(pipe65, pipe65_inhom, monkeypatch,
+                                      rows, share, flavor):
+    """One-row blocks, blocks that do not divide n = 65 and one block of
+    every row, each with no sparse block, the default share and every block
+    sparse, give the oracle's report."""
+    pipe = pipe65 if flavor == "homogeneous" else pipe65_inhom
+    monkeypatch.setattr(kernels, "BLOCK_BYTES", 8 * 65 * rows)
+    monkeypatch.setattr(kernels, "SPARSE_SHARE", share)
+    assert len(kernels._row_blocks(65)) == -(-65 // rows)
+    got = asdict(validate_ati(pipe.stack, seed=5))
+    assert got == reference_validate_ati(pipe.stack, pipe.cubes, seed=5)
+
+
+def test_validation_skips_entries_below_the_floor(pipe65):
+    """Entries at or below a level's noise floor that do not decay (here
+    replaced by noise of up to half the floor) would set the size constants
+    and, far from the diagonal at Gamma = 8, the R_Gamma peaks if a pass
+    read them."""
+    st = pipe65.stack
+    rng = np.random.default_rng(3)
+    noisy = {}
+    for k, q in st.q.items():
+        floor = kernels.NOISE_FLOOR * np.abs(q).max()
+        noise = rng.uniform(-0.25, 0.25, q.shape) * floor
+        noisy[k] = np.where(np.abs(q) > floor, q, noise + noise.T)
+        noisy[k].setflags(write=False)
+    st = replace(st, q=noisy)
+    got = asdict(validate_ati(st, gamma_list=(2.0, 8.0), seed=5))
+    assert got == reference_validate_ati(st, pipe65.cubes,
+                                         gamma_list=(2.0, 8.0), seed=5)
+
+
+def test_validation_fit_samples_every_stride_th_entry(pipe65, monkeypatch):
+    """With the fit thinned to a stride of 3 and of 40, the fit reads every
+    stride-th above-floor entry of the stacked levels in row-major order,
+    across blocks of 7 rows and sparse blocks."""
+    st = pipe65.stack
+    zs, ts = [], []
+    for k in st.levels():
+        q = np.abs(st.q[k])
+        mask = q > kernels.NOISE_FLOOR * q.max()
+        logv = np.log(st.space.ball_measure(st.delta ** k))
+        z = np.log(q, where=mask, out=np.full_like(q, -np.inf))
+        z += 0.5 * (logv[:, None] + logv[None, :])
+        dY = st.cubes.refpoint_distance(k)
+        h = ((dY / st.delta ** k) ** st.a if np.any(np.isfinite(dY))
+             else np.zeros(st.space.n))
+        u = (st.space.dist / st.delta ** k) ** st.a
+        zs.append(z[mask])
+        ts.append(u[mask] + np.maximum(h[:, None], h[None, :])[mask])
+    zs, ts = np.concatenate(zs), np.concatenate(ts)
+    seen = []
+    monkeypatch.setattr(kernels, "BLOCK_BYTES", 8 * 65 * 7)
+    monkeypatch.setattr(kernels.np, "polyfit", lambda t, z, deg: (
+        seen.append((t.copy(), z.copy())), np.array([-1.0, 0.0]))[1])
+    for stride in (3, 40):
+        monkeypatch.setattr(kernels, "FIT_POINTS", zs.size // stride + 1)
+        seen.clear()
+        validate_ati(st)
+        t, z = seen[0]  # the nu fit; the eta fit comes second
+        assert np.array_equal(t, ts[::stride])
+        assert np.array_equal(z, zs[::stride])
 
 
 def test_validation_peak_memory(oracle_pipes):
@@ -314,6 +395,26 @@ def test_stack_checks_its_cubes_on_construction(grid65, pipe65):
     assert moved.cubes is variant and moved.q is st.q
     with pytest.raises(FrozenInstanceError):
         st.cubes = variant
+
+
+def test_builders_check_the_cubes_before_any_table(grid65, monkeypatch):
+    """Cubes without subcubes, or refined too shallowly, are rejected before
+    the first semigroup table is built."""
+    calls = []
+    real = kernels.build_semigroup
+    monkeypatch.setattr(kernels, "build_semigroup",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    bare = build_cubes(build_nets(grid65, 0.5, (0, 10)), grid65)
+    for build in (build_exp_ati, build_exp_iati):
+        with pytest.raises(RangeError, match="no subcubes"):
+            build(bare, (0, 10))
+    shallow = refine_subcubes(bare, 2)
+    for build in (build_exp_ati, build_exp_iati):
+        with pytest.raises(RangeError, match="subcubes stop at"):
+            build(shallow, (0, 10))
+    assert calls == []
+    build_exp_ati(shallow, (0, 3))
+    assert len(calls) == 4
 
 
 def test_fine_factor_is_read_only_without_k_max(grid65):
