@@ -11,9 +11,10 @@ fits the decay rate and smoothness exponent and measures every condition
 constant in a counting loop and two passes that stream the levels (no
 whole-stack array outlives its level) in blocks of rows of about
 ``BLOCK_BYTES``, reading a block with few entries above the noise floor at
-their flat positions only; it maximizes exhaustively up to ``PAIR_BUDGET``
-pairs and ``QUAD_BUDGET`` quadruples per level, flagged as sampled beyond,
-and returns a report that leaves the stack unmodified.
+their flat positions only where no level envelope is needed; it maximizes
+exhaustively up to ``PAIR_BUDGET`` pairs and ``QUAD_BUDGET`` quadruples per
+level, flagged as sampled beyond, and returns a report that leaves the stack
+unmodified.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ PROBE_COUNT = 6
 FIT_POINTS = 2_000_000
 # validate_ati's n x n passes run over blocks of rows of about this many
 # bytes, and a block with at most this share of its entries above the noise
-# floor is read at their flat positions only
+# floor is read at their flat positions only (pass 1, and pass 2 on levels
+# without admissible pairs)
 BLOCK_BYTES = 2 ** 18
 SPARSE_SHARE = 0.6
 
@@ -274,8 +276,9 @@ def validate_ati(stack, gamma_list=(1.0, 2.0), seed=0):
     noise floor and each block's count of entries above it, which fixes the
     stride that thins the pooled nu fit to at most `FIT_POINTS` points; a
     block with at most a `SPARSE_SHARE` of its entries above the floor is
-    read at their flat positions only (`_above_floor`).  Pass 1 takes
-    what does not depend on nu: the fit's strided samples of the masked
+    read at their flat positions only (`_above_floor`), except on a level
+    with admissible pairs in pass 2, which needs its envelope whole.  Pass 1
+    takes what does not depend on nu: the fit's strided samples of the masked
     log-kernel against the decay and refpoint terms, the R_Gamma peaks and
     the cancellation/unit residuals.  After the fit, pass 2 finds each
     level's admissible pairs and forms its pair envelope once per block,
@@ -389,23 +392,25 @@ def validate_ati(stack, gamma_list=(1.0, 2.0), seed=0):
             # minus the log of each pair's decay bound (negation is exact
             # under round-to-nearest).  The size constants are the largest
             # z + U and z + nu (d/delta^k)^a over the above-floor entries,
-            # z = log|Q_k| + c; a level without pairs forms only those
+            # z = log|Q_k| + c.  A level with pairs needs the envelope at
+            # every entry, so it reads its blocks whole; one without pairs
+            # forms only the size constants, from its above-floor entries
             for blk, count in parts:
                 if count:
-                    at, q, _ = _above_floor(q_signed, blk, floor, count)
-                elif not len(pairs):
+                    at, q, _ = _above_floor(q_signed, blk, floor, count,
+                                            whole=len(pairs) > 0)
+                elif len(pairs):
+                    at = _Entries(blk, None, n)
+                else:
                     continue
-                env = _Entries(blk, None, n) if len(pairs) else at
-                u = (env.of(d) / scale) ** stack.a
-                big_u = u + np.maximum(env.row(h), env.col(h))
+                u = (at.of(d) / scale) ** stack.a
+                big_u = u + np.maximum(at.row(h), at.col(h))
                 big_u *= nu
-                c = 0.5 * (env.row(logv) + env.col(logv))
+                c = 0.5 * (at.row(logv) + at.col(logv))
                 if len(pairs):
                     np.add(c, big_u, out=logenv[blk])
                 if not count:
                     continue
-                if env.flat is None and at.flat is not None:
-                    u, big_u, c = (x.ravel()[at.flat] for x in (u, big_u, c))
                 u *= nu
                 z = np.log(q, out=q)  # log 0 = -inf, and fmax skips nan
                 z += c
@@ -541,19 +546,20 @@ class _Entries:
         return v[None, :] if self.flat is None else v[self.cols]
 
 
-def _above_floor(table, blk, floor, count):
+def _above_floor(table, blk, floor, count, whole=False):
     """|table| on the row block `blk`, whose `count` entries above `floor`
     are known: returns the `_Entries` read, their values and the flat
-    positions of the above-floor entries.  A block with at most a
-    `SPARSE_SHARE` of its entries above the floor is read at those
-    positions only; a denser one whole, its other entries set to 0."""
+    positions of the above-floor entries.  Unless `whole`, a block with at
+    most a `SPARSE_SHARE` of its entries above the floor is read at those
+    positions only; otherwise the block is read whole, its other entries
+    set to 0."""
     q = np.abs(table[blk])
     n = table.shape[1]
     if count == q.size:
         return _Entries(blk, None, n), q, np.arange(q.size)
     mask = q > floor
     flat = np.flatnonzero(mask)
-    if count <= SPARSE_SHARE * q.size:
+    if not whole and count <= SPARSE_SHARE * q.size:
         return _Entries(blk, flat, n), q.ravel()[flat], flat
     q *= mask
     return _Entries(blk, None, n), q, flat

@@ -2,9 +2,10 @@
 
 This is the earlier four-loop implementation (each level's arrays built
 twice, a full (pair, y) regularity ratio array, an n x n refpoint table),
-kept verbatim except that it returns the report fields as a dict and does
-not touch the stack.  ``test_kernels.py`` asserts that the current
-``validate_ati`` reproduces every field exactly.
+kept verbatim except that it returns the report fields as a dict, does
+not touch the stack and takes the fit's point cap as ``fit_points`` (the
+constant it hard-coded is the default).  ``test_kernels.py`` asserts that
+the current ``validate_ati`` reproduces every field exactly.
 """
 
 import math
@@ -30,7 +31,7 @@ def _admissible_pairs(space, radius):
 
 def reference_validate_ati(stack, cubes, gamma_list=(1.0, 2.0),
                            pair_budget=4_000, quad_budget=2_000,
-                           probe_count=6, seed=0):
+                           probe_count=6, seed=0, fit_points=2_000_000):
     space = stack.space
     w = space.weight
     d = space.dist
@@ -63,8 +64,8 @@ def reference_validate_ati(stack, cubes, gamma_list=(1.0, 2.0),
     if zs:
         zf = np.concatenate(zs)
         tf = np.concatenate(ts)
-        if len(zf) > 2_000_000:
-            stride = len(zf) // 2_000_000 + 1
+        if len(zf) > fit_points:
+            stride = len(zf) // fit_points + 1
             zf, tf = zf[::stride], tf[::stride]
         if len(zf) >= 2 and np.ptp(tf) > 0:
             nu = max(-float(np.polyfit(tf, zf, 1)[0]), 1e-3)

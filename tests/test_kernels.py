@@ -165,20 +165,46 @@ def test_validation_matches_frozen_oracle(oracle_pipes, label, seed):
     assert got == reference_validate_ati(pipe.stack, pipe.cubes, seed=seed)
 
 
+@pytest.fixture(scope="module")
+def oracle65(pipe65, pipe65_inhom):
+    """The oracle's seed-5 report for each flavor on grid1d-65."""
+    return {p.stack.flavor: reference_validate_ati(p.stack, p.cubes, seed=5)
+            for p in (pipe65, pipe65_inhom)}
+
+
 @pytest.mark.parametrize("rows", [1, 7, 65])
-@pytest.mark.parametrize("share", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("share", [0.0, 1.0])
 @pytest.mark.parametrize("flavor", ["homogeneous", "inhomogeneous"])
-def test_validation_block_sizes_agree(pipe65, pipe65_inhom, monkeypatch,
-                                      rows, share, flavor):
+def test_validation_block_sizes_agree(pipe65, pipe65_inhom, oracle65,
+                                      monkeypatch, rows, share, flavor):
     """One-row blocks, blocks that do not divide n = 65 and one block of
-    every row, each with no sparse block, the default share and every block
-    sparse, give the oracle's report."""
+    every row, each with no sparse block and with every block sparse that
+    may be, give the oracle's report."""
     pipe = pipe65 if flavor == "homogeneous" else pipe65_inhom
     monkeypatch.setattr(kernels, "BLOCK_BYTES", 8 * 65 * rows)
     monkeypatch.setattr(kernels, "SPARSE_SHARE", share)
     assert len(kernels._row_blocks(65)) == -(-65 // rows)
-    got = asdict(validate_ati(pipe.stack, seed=5))
-    assert got == reference_validate_ati(pipe.stack, pipe.cubes, seed=5)
+    assert asdict(validate_ati(pipe.stack, seed=5)) == oracle65[flavor]
+
+
+@pytest.mark.parametrize("stride", [3, 40])
+@pytest.mark.parametrize("flavor", ["homogeneous", "inhomogeneous"])
+def test_validation_thinned_fit_matches_frozen_oracle(
+        pipe65, pipe65_inhom, monkeypatch, stride, flavor):
+    """A fit thinned to a stride above 2, across blocks of 7 rows, gives
+    every field of the oracle's report under the same point cap."""
+    st = (pipe65 if flavor == "homogeneous" else pipe65_inhom).stack
+    total = 0
+    for q in st.q.values():
+        q = np.abs(q)
+        total += int(np.count_nonzero(q > kernels.NOISE_FLOOR * q.max()))
+    points = total // stride + 1
+    assert total // points + 1 == stride
+    monkeypatch.setattr(kernels, "BLOCK_BYTES", 8 * 65 * 7)
+    monkeypatch.setattr(kernels, "FIT_POINTS", points)
+    got = asdict(validate_ati(st, seed=5))
+    assert got == reference_validate_ati(st, st.cubes, seed=5,
+                                         fit_points=points)
 
 
 def test_validation_skips_entries_below_the_floor(pipe65):
