@@ -511,11 +511,9 @@ def verify_cubes(cubes):
         r_in /= scale
         r_out /= scale
         margin /= scale
-        sandwich[k] = LevelSandwich(
-            r_in=r_in, r_out=r_out,
-            interior=margin >= INTERIOR_MARGIN,
-            nominal_inner_pass=r_in >= nominal_in,
-            nominal_outer_pass=r_out < nominal_out)
+        sandwich[k] = LevelSandwich(*map(_read_only, (
+            r_in, r_out, margin >= INTERIOR_MARGIN, r_in >= nominal_in,
+            r_out < nominal_out)))
         if cubes.subcubes is not None and k in cubes.subcubes:
             fails, nsub = _subcube_failures(k, cubes.subcubes[k], inside,
                                             space.weight)

@@ -10,11 +10,9 @@ so two-sided cancellation is exact and the stack telescopes to
 fits the decay rate and smoothness exponent and measures every condition
 constant in a counting loop and two passes that stream the levels (no
 whole-stack array outlives its level) in blocks of rows of about
-``BLOCK_BYTES``, reading a block with few entries above the noise floor at
-their flat positions only where no level envelope is needed; it maximizes
-exhaustively up to ``PAIR_BUDGET`` pairs and ``QUAD_BUDGET`` quadruples per
-level, flagged as sampled beyond, and returns a report that leaves the stack
-unmodified.
+``BLOCK_BYTES``; it maximizes exhaustively up to ``PAIR_BUDGET`` pairs and
+``QUAD_BUDGET`` quadruples per level, flagged as sampled beyond, and returns
+a report that leaves the stack unmodified.
 """
 
 from __future__ import annotations
@@ -39,12 +37,8 @@ QUAD_BUDGET = 2_000
 PROBE_COUNT = 6
 # the pooled nu fit is thinned by a common stride to at most this many points
 FIT_POINTS = 2_000_000
-# validate_ati's n x n passes run over blocks of rows of about this many
-# bytes, and a block with at most this share of its entries above the noise
-# floor is read at their flat positions only (pass 1, and pass 2 on levels
-# without admissible pairs)
+# validate_ati's n x n passes run over blocks of rows of about this many bytes
 BLOCK_BYTES = 2 ** 18
-SPARSE_SHARE = 0.6
 
 
 # the leaves each flavor reads besides a and fine_factor, with defaults
@@ -274,16 +268,14 @@ def validate_ati(stack, gamma_list=(1.0, 2.0), seed=0):
     The levels are streamed, and every n x n pass runs over row blocks of
     about `BLOCK_BYTES` (`_row_blocks`).  A counting loop takes each level's
     noise floor and each block's count of entries above it, which fixes the
-    stride that thins the pooled nu fit to at most `FIT_POINTS` points; a
-    block with at most a `SPARSE_SHARE` of its entries above the floor is
-    read at their flat positions only (`_above_floor`), except on a level
-    with admissible pairs in pass 2, which needs its envelope whole.  Pass 1
-    takes what does not depend on nu: the fit's strided samples of the masked
-    log-kernel against the decay and refpoint terms, the R_Gamma peaks and
-    the cancellation/unit residuals.  After the fit, pass 2 finds each
-    level's admissible pairs and forms its pair envelope once per block,
-    with the same floating-point operations that both size constants read
-    off it; the regularity chunks (one block's worth of pair rows each, in
+    stride that thins the pooled nu fit to at most `FIT_POINTS` points.
+    Every block is read whole, its entries at or below the floor set to 0.
+    Pass 1 takes what does not depend on nu: the fit's strided samples of
+    the masked log-kernel against the decay and refpoint terms, the R_Gamma
+    peaks and the cancellation/unit residuals.  After the fit, pass 2 finds
+    each level's admissible pairs and forms its pair envelope once per
+    block, with the same floating-point operations that both size constants
+    read off it; the regularity chunks (one block's worth of pair rows each, in
     reused buffers) and the second-difference quadruples then read it.
     Maximizations are exhaustive up to `PAIR_BUDGET` admissible pairs and
     `QUAD_BUDGET` zipped quadruples per level and uniformly sampled (flagged)
@@ -335,23 +327,27 @@ def validate_ati(stack, gamma_list=(1.0, 2.0), seed=0):
             for blk, count in parts:
                 if not count:
                     continue
-                at, q, flat = _above_floor(stack.q[k], blk, floor, count)
+                q = np.abs(stack.q[k][blk])
+                mask = q > floor
+                q *= mask
                 # a 0 entry gives a ratio of 0 (or nan, which fmax skips),
                 # below every above-floor ratio
-                ratios = _r_gamma(at.of(d), scale, at.row(vk) + at.of(vtab),
+                ratios = _r_gamma(d[blk], scale, vk[blk, None] + vtab[blk],
                                   gamma_list)
                 for gamma, r in zip(gamma_list, ratios):
                     peak = np.fmax.reduce(np.divide(q, r, out=r), axis=None)
                     rgamma[float(gamma)] = max(rgamma[float(gamma)],
                                                float(peak))
-                fit = _Entries(blk, flat[(-offset) % stride::stride], n)
+                fit = np.flatnonzero(mask)[(-offset) % stride::stride]
                 offset += count
-                end = filled + fit.flat.size
-                z = np.log(np.abs(fit.of(stack.q[k])), out=zf[filled:end])
-                z += 0.5 * (fit.row(logv) + fit.col(logv))
+                rows, cols = _rows_cols(fit, n)
+                rows += blk.start
+                end = filled + fit.size
+                z = np.log(q.ravel()[fit], out=zf[filled:end])
+                z += 0.5 * (logv[rows] + logv[cols])
                 t = tf[filled:end]
-                t[:] = (fit.of(d) / scale) ** stack.a
-                t += np.maximum(fit.row(h), fit.col(h))
+                t[:] = (d[blk].ravel()[fit] / scale) ** stack.a
+                t += np.maximum(h[rows], h[cols])
                 filled = end
             row = stack.q[k] @ w
             col = stack.q[k].T @ w
@@ -392,26 +388,22 @@ def validate_ati(stack, gamma_list=(1.0, 2.0), seed=0):
             # minus the log of each pair's decay bound (negation is exact
             # under round-to-nearest).  The size constants are the largest
             # z + U and z + nu (d/delta^k)^a over the above-floor entries,
-            # z = log|Q_k| + c.  A level with pairs needs the envelope at
-            # every entry, so it reads its blocks whole; one without pairs
-            # forms only the size constants, from its above-floor entries
+            # z = log|Q_k| + c.  A block is skipped only when it has no
+            # above-floor entry and the level no pairs
             for blk, count in parts:
-                if count:
-                    at, q, _ = _above_floor(q_signed, blk, floor, count,
-                                            whole=len(pairs) > 0)
-                elif len(pairs):
-                    at = _Entries(blk, None, n)
-                else:
+                if not (count or len(pairs)):
                     continue
-                u = (at.of(d) / scale) ** stack.a
-                big_u = u + np.maximum(at.row(h), at.col(h))
+                u = (d[blk] / scale) ** stack.a
+                big_u = u + np.maximum(h[blk, None], h[None, :])
                 big_u *= nu
-                c = 0.5 * (at.row(logv) + at.col(logv))
+                c = 0.5 * (logv[blk, None] + logv[None, :])
                 if len(pairs):
                     np.add(c, big_u, out=logenv[blk])
                 if not count:
                     continue
                 u *= nu
+                q = np.abs(q_signed[blk])
+                q *= q > floor
                 z = np.log(q, out=q)  # log 0 = -inf, and fmax skips nan
                 z += c
                 size_const = max(size_const, float(np.exp(
@@ -521,48 +513,6 @@ def validate_ati(stack, gamma_list=(1.0, 2.0), seed=0):
         second_diff_const=second, cancel_resid=cancel,
         identity_resid=identity, unit_resid=unit, rgamma_const=rgamma,
         sampled=sampled)
-
-
-class _Entries:
-    """Entries of the row block `blk` of n x n tables: the whole block, or
-    the entries at its flat positions `flat`."""
-
-    def __init__(self, blk, flat, n):
-        self.blk, self.flat = blk, flat
-        if flat is not None:
-            self.rows, self.cols = _rows_cols(flat, n)
-            self.rows += blk.start
-
-    def of(self, table):
-        block = table[self.blk]
-        return block if self.flat is None else block.ravel()[self.flat]
-
-    def row(self, v):
-        """v at each entry's row."""
-        return v[self.blk, None] if self.flat is None else v[self.rows]
-
-    def col(self, v):
-        """v at each entry's column."""
-        return v[None, :] if self.flat is None else v[self.cols]
-
-
-def _above_floor(table, blk, floor, count, whole=False):
-    """|table| on the row block `blk`, whose `count` entries above `floor`
-    are known: returns the `_Entries` read, their values and the flat
-    positions of the above-floor entries.  Unless `whole`, a block with at
-    most a `SPARSE_SHARE` of its entries above the floor is read at those
-    positions only; otherwise the block is read whole, its other entries
-    set to 0."""
-    q = np.abs(table[blk])
-    n = table.shape[1]
-    if count == q.size:
-        return _Entries(blk, None, n), q, np.arange(q.size)
-    mask = q > floor
-    flat = np.flatnonzero(mask)
-    if not whole and count <= SPARSE_SHARE * q.size:
-        return _Entries(blk, flat, n), q.ravel()[flat], flat
-    q *= mask
-    return _Entries(blk, None, n), q, flat
 
 
 def _rows_cols(flat, n):

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dyadic import _read_only
 from .errors import (IllConditionedFrameError, ParameterError, integer_arg,
                      real_arg)
 
@@ -135,10 +136,11 @@ def analyze(stack, f):
         alpha, m, y, wgt, sub_assign = stack.cubes.sample_arrays(k)
         avg = None
         if k in stack.cell_levels():
-            avg = _cell_average(stack.space, sub_assign, len(y), g)
+            avg = _read_only(_cell_average(stack.space, sub_assign, len(y),
+                                           g))
         levels[k] = LevelCoefficients(
-            k=k, alpha=alpha, m=m, y_index=y, weight=wgt, value=g[y],
-            average=avg)
+            k=k, alpha=alpha, m=m, y_index=y, weight=wgt,
+            value=_read_only(g[y]), average=avg)
     return CoefficientGrid(flavor=stack.flavor, levels=levels)
 
 

@@ -29,17 +29,19 @@ from .kernels import (DEFAULT_FINE_FACTOR, KernelSpec, build_exp_ati,
 def default_level_range(space, delta=0.5, flavor="homogeneous",
                         fine_factor=None):
     """(k_min, k_max): the finest k with delta^k >= diam, and the coarsest
-    with delta^k <= min_gap / fine_factor (k_min is 0 if inhomogeneous)."""
+    with delta^k <= min_gap / fine_factor; inhomogeneous levels run from 0
+    to at least 1."""
+    inhom = flavor == "inhomogeneous"
     diam = space.diam
     gap = space.min_gap
     if diam <= 0 or not math.isfinite(gap):
-        return 0, 0
-    k_min = finest_level(delta, diam, ties=True)
-    if flavor == "inhomogeneous":
-        k_min = 0
+        return (0, 1) if inhom else (0, 0)
     if fine_factor is None:
         fine_factor = DEFAULT_FINE_FACTOR
     k_max = finest_level(delta, gap / fine_factor) + 1
+    if inhom:
+        return 0, max(1, k_max)
+    k_min = finest_level(delta, diam, ties=True)
     return min(k_min, k_max), max(k_min + 1, k_max)
 
 
@@ -59,15 +61,13 @@ class Pipeline:
     @cached_property
     def levels(self):
         """The level range of the stack: `default_level_range` unless the
-        dyadic spec fixes an end; an inhomogeneous one runs from 0 to at
-        least 1."""
+        dyadic spec fixes an end (`KernelSpec.check_levels` holds a set end
+        to the flavor's rule)."""
         dyadic, kernel = self.dyadic, self.kernel
         k_lo, k_hi = default_level_range(self.space, dyadic.delta,
                                          kernel.flavor, kernel.fine_factor)
         k_lo = k_lo if dyadic.k_min is None else dyadic.k_min
         k_hi = k_hi if dyadic.k_max is None else dyadic.k_max
-        if kernel.flavor == "inhomogeneous":
-            k_lo, k_hi = 0, max(k_hi, 1)
         replace(dyadic, k_min=k_lo, k_max=k_hi)  # the range must not be empty
         return range(k_lo, k_hi + 1)
 

@@ -226,8 +226,8 @@ class MetricMeasureSpace:
         w = _as_float_array(weight, "weights")
         if w.shape != (n,):
             raise FormatError("weight vector length does not match point count")
-        if not np.all(np.isfinite(d)) or not np.all(np.isfinite(w)):
-            raise FormatError("distances and weights must be finite")
+        if not np.all(np.isfinite(w)):
+            raise FormatError("weights must be finite")
         if np.any(w <= 0):
             bad = int(np.argmax(w <= 0))
             raise FormatError(f"weight of point {bad} is not positive")

@@ -46,12 +46,14 @@ def test_no_function_takes_what_its_stack_cubes_or_field_carries():
 
 
 @pytest.fixture(scope="module")
-def records(pipe65, geom65, validated65, ensemble65):
+def records(pipe65, pipe65_inhom, geom65, validated65, ensemble65):
     st = pipe65.stack
     spec = NormSpec(s=0.5, p=2.0, q=2.0)
     noise = np.random.default_rng(0).standard_normal(st.space.n)
     f = Field(st.space, st.apply(st.k_min + 3, noise))
     grid = analyze(st, ensemble65[0])
+    # an inhomogeneous cell level also carries its cell averages
+    cell = analyze(pipe65_inhom.stack, ensemble65[0]).levels[0]
     ver = verify_cubes(pipe65.cubes)
     return {
         "AtiValidationReport": validated65,
@@ -64,18 +66,26 @@ def records(pipe65, geom65, validated65, ensemble65):
                                                 validated65.eta_fit),
         "CubeVerification": ver,
         "LevelSandwich": next(iter(ver.sandwich.values())),
-        "LevelCoefficients": grid.levels[st.k_min],
+        "LevelCoefficients": cell,
         "CoefficientGrid": grid,
         "KernelStack": st,
     }
 
 
 def test_records_are_frozen(records):
+    """No field can be rebound, and every array field is read-only."""
+    arrays = set()
     for name, obj in records.items():
         assert type(obj).__name__ == name
         for attr in [f.name for f in fields(obj)] + ["extra"]:
             with pytest.raises(FrozenInstanceError):
                 setattr(obj, attr, getattr(obj, attr, None))
+            value = getattr(obj, attr, None)
+            if isinstance(value, np.ndarray):
+                arrays.add(f"{name}.{attr}")
+                assert not value.flags.writeable, f"{name}.{attr}"
+    assert {"LevelCoefficients.value", "LevelCoefficients.average",
+            "LevelSandwich.r_in"} <= arrays
 
 
 def test_space_attributes_cannot_be_rebound(grid65):

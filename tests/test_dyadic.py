@@ -6,7 +6,8 @@ import dyadic_oracle
 import numpy as np
 import pytest
 
-from homspace import (FormatError, ParameterError, RangeError, build_cubes,
+from homspace import (FormatError, KernelSpec, MetricMeasureSpace,
+                      ParameterError, Pipeline, RangeError, build_cubes,
                       build_nets, generate_space, refine_subcubes,
                       verify_cubes)
 from homspace import dyadic
@@ -436,3 +437,18 @@ def test_level_searches_match_the_frozen_loops(delta):
     grid = generate_space("grid1d", size=65)
     assert default_level_range(grid) == (0, 10)
     assert natural_k_window(grid, 1.0, 0.5) == (-1, 5)
+
+
+def test_inhomogeneous_levels_run_from_0_to_at_least_1():
+    """Gaps far above delta^0 put every homogeneous level below 0; the
+    inhomogeneous range still runs from 0 to 1, with and without a
+    pipeline, and a one-point space's does too."""
+    grid = generate_space("grid1d", size=65)
+    sp = MetricMeasureSpace(grid.dist * 1e4, grid.weight)
+    assert default_level_range(sp) == (-14, -3)
+    assert default_level_range(sp, flavor="inhomogeneous") == (0, 1)
+    inhom = KernelSpec(flavor="inhomogeneous")
+    assert Pipeline(sp, kernel=inhom).levels == range(0, 2)
+    one = generate_space("circle", size=1)
+    assert default_level_range(one, flavor="inhomogeneous") == (0, 1)
+    assert Pipeline(one, kernel=inhom).levels == range(0, 2)

@@ -173,16 +173,13 @@ def oracle65(pipe65, pipe65_inhom):
 
 
 @pytest.mark.parametrize("rows", [1, 7, 65])
-@pytest.mark.parametrize("share", [0.0, 1.0])
 @pytest.mark.parametrize("flavor", ["homogeneous", "inhomogeneous"])
 def test_validation_block_sizes_agree(pipe65, pipe65_inhom, oracle65,
-                                      monkeypatch, rows, share, flavor):
+                                      monkeypatch, rows, flavor):
     """One-row blocks, blocks that do not divide n = 65 and one block of
-    every row, each with no sparse block and with every block sparse that
-    may be, give the oracle's report."""
+    every row give the oracle's report."""
     pipe = pipe65 if flavor == "homogeneous" else pipe65_inhom
     monkeypatch.setattr(kernels, "BLOCK_BYTES", 8 * 65 * rows)
-    monkeypatch.setattr(kernels, "SPARSE_SHARE", share)
     assert len(kernels._row_blocks(65)) == -(-65 // rows)
     assert asdict(validate_ati(pipe.stack, seed=5)) == oracle65[flavor]
 
@@ -229,7 +226,7 @@ def test_validation_skips_entries_below_the_floor(pipe65):
 def test_validation_fit_samples_every_stride_th_entry(pipe65, monkeypatch):
     """With the fit thinned to a stride of 3 and of 40, the fit reads every
     stride-th above-floor entry of the stacked levels in row-major order,
-    across blocks of 7 rows and sparse blocks."""
+    across blocks of 7 rows."""
     st = pipe65.stack
     zs, ts = [], []
     for k in st.levels():

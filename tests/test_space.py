@@ -332,6 +332,10 @@ def test_certify_a0_rejects_bad_tables():
     for match, d in bad.items():
         with pytest.raises(FormatError, match=match):
             certify_a0(d)
+        with pytest.raises(FormatError, match=match):
+            MetricMeasureSpace(d, np.ones(6))
+    with pytest.raises(FormatError, match="weights must be finite"):
+        MetricMeasureSpace(good, np.full(6, np.nan))
 
 
 def test_declared_a0_violation_names_oracle_triple():
