@@ -132,9 +132,7 @@ NULL_DEFAULT_TYPES = {
     "space.kind": str, "space.size": int, "space.level": int,
     "space.exponent": float, "space.measure": str, "space.weights": list,
     "space.file": str, "space.label": str, "kernel.sigma": float,
-    "kernel.n_low": int, "kernel.coarse": str, "kernel.fine_factor": float,
-    "dyadic.k_min": int,
-    "dyadic.k_max": int, "dyadic.sigma": float, "dyadic.deep_margin": float,
+    "kernel.n_low": int, "dyadic.k_min": int, "dyadic.k_max": int,
     "norm.field.level": int, "norm.field.file": str, "lab.radius_grid": list,
 }
 # leaves that also take "inf" or JSON Infinity
@@ -518,8 +516,9 @@ def _lab_pipe(specs, pipe):
 @lab.command("equivalence")
 @pass_cfg
 def lab_equivalence(cfg, specs, pipe):
-    geom, ensemble = _lab_pipe(specs, pipe)
     lab = specs["lab"]
+    lab.check_flavor(specs["kernel"].flavor)
+    geom, ensemble = _lab_pipe(specs, pipe)
     rep = validate_ati(pipe.stack)
     eq = labmod.equivalence_experiment(
         pipe.stack, specs["norm"], lab.pairing, ensemble, omega=geom.omega,
@@ -542,7 +541,7 @@ def lab_embeddings(cfg, specs, pipe):
 @pass_cfg
 def lab_lemmas(cfg, specs, pipe):
     lab = specs["lab"]
-    suite = labmod.lemma_suite(pipe.space, pipe.cubes, pipe.levels,
+    suite = labmod.lemma_suite(pipe.cubes, pipe.levels,
                                omega=_geometry(specs, pipe).omega,
                                caps=lab.caps, seed=lab.ensemble.seed)
     return _finish(cfg, "lemmas", suite)

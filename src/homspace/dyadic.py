@@ -9,14 +9,15 @@ Two refinements to the plain greedy keep cube centers away from inherited
 cube boundaries, which is what gives usable inner-ball constants at scale
 ratio 1/2:
 
-* the separation threshold is relaxed to ``sigma * delta^k`` (sigma < 1),
-  which leaves a choice of candidates instead of forcing the single
-  farthest point (always a coarse Voronoi vertex, i.e. a future boundary);
-* among candidates, points lying at least ``deep_margin * delta^k`` inside
-  their current cube are preferred.
+* the separation threshold is relaxed to ``DEFAULT_SIGMA * delta^k``
+  (below 1), which leaves a choice of candidates instead of forcing the
+  single farthest point (always a coarse Voronoi vertex, i.e. a future
+  boundary);
+* among candidates, points lying at least ``DEFAULT_DEEP_MARGIN * delta^k``
+  inside their current cube are preferred.
 
 Covering stays below ``delta^k`` (the greedy runs until it is), so the
-measured constants satisfy c0 >= sigma and C0 <= 1.
+measured constants satisfy c0 >= DEFAULT_SIGMA and C0 <= 1.
 
 The subcube refinement stores one flat table per level k, a
 ``SubcubeTable(alpha, m, y, weight, sub_assign)`` with one row per
@@ -36,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (FormatError, ParameterError, RangeError, choice_arg,
-                     integer_arg, real_arg, resolve)
+                     integer_arg, real_arg)
 
 DEFAULT_SIGMA = 0.6
 DEFAULT_DEEP_MARGIN = 0.3
@@ -46,9 +47,8 @@ SAMPLERS = ("center", "lowest_index", "seeded_random")
 
 @dataclass(frozen=True)
 class DyadicSpec:
-    """Nets, cubes and their subcube samples.  A null `sigma` or
-    `deep_margin` is DEFAULT_SIGMA or DEFAULT_DEEP_MARGIN, a null `k_min`
-    or `k_max` the default level range; `seed` is the sampler's."""
+    """Nets, cubes and their subcube samples.  A null `k_min` or `k_max` is
+    the default level range's; `seed` is the sampler's."""
 
     delta: float = 0.5
     k_min: int | None = None
@@ -56,18 +56,10 @@ class DyadicSpec:
     j0: int = 2
     sampler: str = "center"
     seed: int = 0
-    sigma: float | None = None
-    deep_margin: float | None = None
     strict: bool = False
 
     def __post_init__(self):
         real_arg("dyadic.delta", self.delta, lambda v: 0 < v < 1, "in (0, 1)")
-        resolve(self, "dyadic", "", {"sigma": DEFAULT_SIGMA,
-                                     "deep_margin": DEFAULT_DEEP_MARGIN},
-                "sigma", "deep_margin")
-        real_arg("dyadic.sigma", self.sigma, lambda v: 0 < v <= 1, "in (0, 1]")
-        real_arg("dyadic.deep_margin", self.deep_margin, lambda v: v >= 0,
-                 ">= 0")
         for name in ("k_min", "k_max"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, integer_arg(
@@ -264,8 +256,7 @@ def _separations(space, nets, delta):
     return out
 
 
-def build_nets(space, delta, k_range, sigma=DEFAULT_SIGMA,
-               deep_margin=DEFAULT_DEEP_MARGIN, strict=False):
+def build_nets(space, delta, k_range, strict=False):
     """Build nested nets over k_range = (k_min, k_max), coarse to fine.
 
     strict=True enforces the sufficient inequality 12 A0^3 C0 delta <= c0 on
@@ -273,11 +264,11 @@ def build_nets(space, delta, k_range, sigma=DEFAULT_SIGMA,
     The arguments are checked as a `DyadicSpec` before any work.
     """
     spec = DyadicSpec(delta=delta, k_min=integer_arg("k_range", k_range[0]),
-                      k_max=integer_arg("k_range", k_range[-1]), sigma=sigma,
-                      deep_margin=deep_margin, strict=strict)
+                      k_max=integer_arg("k_range", k_range[-1]),
+                      strict=strict)
     k_min, k_max = spec.k_min, spec.k_max
-    nets, assigns, cover = _build(space, delta, k_min, k_max, spec.sigma,
-                                  spec.deep_margin)
+    nets, assigns, cover = _build(space, delta, k_min, k_max, DEFAULT_SIGMA,
+                                  DEFAULT_DEEP_MARGIN)
 
     c0_lv = _separations(space, nets, delta)
     big_lv = {k: cover[k] / delta ** k for k in range(k_min, k_max + 1)}

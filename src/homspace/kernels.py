@@ -41,53 +41,41 @@ FIT_POINTS = 2_000_000
 BLOCK_BYTES = 2 ** 18
 
 
-# the leaves each flavor reads besides a and fine_factor, with defaults
-FLAVOR_READS = {"homogeneous": {"coarse": "mean"},
+# the leaves each flavor reads besides a, with defaults
+FLAVOR_READS = {"homogeneous": {},
                 "inhomogeneous": {"sigma": 1.0, "n_low": 1}}
-DEFAULT_FINE_FACTOR = 16.0
 
 
 @dataclass(frozen=True)
 class KernelSpec:
     """A kernel stack: `a` is the decay exponent of the seed kernel, and
-    `fine_factor` (null: 16; unread when the dyadic `k_max` is set) puts the
-    default finest level that far below the minimum point gap.  Homogeneous
-    reads `coarse` (null: "mean"), inhomogeneous `sigma` (null: 1.0) and
-    `n_low` (null: 1); a leaf the flavor does not read stays null."""
+    inhomogeneous reads `sigma` (null: 1.0) and `n_low` (null: 1); a leaf
+    the flavor does not read stays null."""
 
     flavor: str = "homogeneous"
     a: float = 1.0
     sigma: float | None = None
     n_low: int | None = None
-    coarse: str | None = None
-    fine_factor: float | None = None
 
     def __post_init__(self):
         flavor = choice_arg("flavor", self.flavor, FLAVOR_READS)
         real_arg("kernel.a", self.a, lambda v: 0 < v < math.inf, "> 0")
-        if self.fine_factor is not None:
-            real_arg("kernel.fine_factor", self.fine_factor,
-                     lambda v: 0 < v < math.inf, "> 0")
         resolve(self, "kernel", f"kernel.flavor is {flavor!r}",
-                FLAVOR_READS[flavor], "sigma", "n_low", "coarse")
-        if flavor == "homogeneous":
-            choice_arg("coarse cap", self.coarse, ("mean", "semigroup"))
-        else:
+                FLAVOR_READS[flavor], "sigma", "n_low")
+        if flavor == "inhomogeneous":
             real_arg("kernel.sigma", self.sigma, lambda v: 0 < v < math.inf,
                      "> 0")
             object.__setattr__(self, "n_low", integer_arg(
                 "kernel.n_low", self.n_low, low=0))
 
     def check_levels(self, k_min, k_max):
-        """Inhomogeneous levels run from 0 to at least 1, and a set `k_max`
-        leaves `fine_factor` unread; a null level is the default range's."""
+        """Inhomogeneous levels run from 0 to at least 1; a null level is the
+        default range's."""
         if self.flavor == "inhomogeneous" and (
                 k_min not in (None, 0) or k_max is not None and k_max < 1):
             raise ParameterError(f"inhomogeneous levels run from 0 to at "
                                  f"least 1, got k_min={k_min!r}, "
                                  f"k_max={k_max!r}")
-        if k_max is not None:
-            resolve(self, "kernel", "dyadic.k_max is set", {}, "fine_factor")
 
 
 def mean_projection(space):
@@ -215,23 +203,18 @@ def _difference_stack(space, delta, k_min, k_max, a, coarsest):
     return q
 
 
-def build_exp_ati(cubes, k_range, a=1.0, coarse="mean"):
+def build_exp_ati(cubes, k_range, a=1.0):
     """Homogeneous stack on the refined `cubes` at the integer levels
     k_range = (k_min, k_max): Q_k = P_{delta^k} - P_{delta^(k-1)}, the
-    coarsest level capped by the mean projection (coarse="mean") or
-    P_{delta^(k_min-1)} ("semigroup"), checked as a `KernelSpec`."""
-    KernelSpec(a=a, coarse=coarse)
+    coarsest level capped by the mean projection, checked as a
+    `KernelSpec`."""
+    KernelSpec(a=a)
     space, delta = cubes.space, cubes.delta
     k_min = integer_arg("k_range", k_range[0])
     k_max = integer_arg("k_range", k_range[-1])
     _check_cubes(cubes, space, delta, k_min, k_max)
-    if coarse == "mean":
-        def cap(p):
-            return p - mean_projection(space)
-    else:
-        def cap(p):
-            return p - build_semigroup(space, delta ** (k_min - 1), a=a)
-    q = _difference_stack(space, delta, k_min, k_max, a, cap)
+    q = _difference_stack(space, delta, k_min, k_max, a,
+                          lambda p: p - mean_projection(space))
     return KernelStack(flavor="homogeneous", space=space, delta=delta,
                        k_min=k_min, k_max=k_max, a=a, q=q, cubes=cubes)
 
@@ -524,7 +507,7 @@ def _rows_cols(flat, n):
 def _r_gamma(d, r, denom, gammas):
     """R_gamma(x, y; r) = (r/(r+d(x,y)))^gamma / (V_r(x) + V(x,y)) for each
     gamma in turn, from the distances `d` and the denominators `denom` of
-    the same entries (a table, a block of rows or flat positions); the
+    the same entries (a table or a block of its rows); the
     ratio is formed once, and the last table is made in its own buffer, so
     a single gamma holds two arrays of d's shape."""
     ratio = r / (r + d)

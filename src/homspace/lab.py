@@ -16,8 +16,8 @@ import numpy as np
 
 from .difference import (DifferenceTable, difference_scales, lipschitz_norm,
                          truncated_norm)
-from .errors import (ExperimentError, ParameterError, choice_arg,
-                     integer_arg, real_arg)
+from .errors import (ExperimentError, FlavorMismatchError, ParameterError,
+                     choice_arg, integer_arg, real_arg)
 from .kernels import _r_gamma, build_semigroup, r_gamma_integral_band
 from .norms import (INF, admissible_range, besov_norm, lebesgue_norm,
                     lq_scale_combine, triebel_lizorkin_norm)
@@ -148,6 +148,16 @@ class LabSpec:
         if self.radius_grid is not None:
             radius_grid_arg(self.radius_grid)
 
+    def check_flavor(self, flavor):
+        """The `inhomog_` pairings read an inhomogeneous kernel stack, the
+        others a homogeneous one."""
+        need = ("inhomogeneous" if self.pairing.startswith("inhomog_")
+                else "homogeneous")
+        if flavor != need:
+            raise FlavorMismatchError(f"pairing {self.pairing!r} needs "
+                                      f"kernel flavor {need!r}, got "
+                                      f"{flavor!r}")
+
 
 @dataclass(frozen=True)
 class EquivalenceReport:
@@ -233,7 +243,8 @@ def equivalence_experiment(stack, spec, pairing, ensemble, omega, eta,
                            geometry=None, caps=None):
     """Check the pairing's hypotheses at the measured omega and eta, then
     compute both norms of the pairing over the ensemble; band the ratios."""
-    caps = LabSpec(pairing=pairing, caps=caps).caps
+    lab = LabSpec(pairing=pairing, caps=caps)
+    lab.check_flavor(stack.flavor)
     check_hypotheses(pairing, spec, omega, eta, geometry)
     left_spec = replace(spec, u=1.0) if pairing == "F_vs_Lt" else spec
     right_fn = besov_norm if "B_vs" in pairing else triebel_lizorkin_norm
@@ -257,7 +268,7 @@ def equivalence_experiment(stack, spec, pairing, ensemble, omega, eta,
     gm = float(np.exp(np.mean(np.log(ratios))))
     return EquivalenceReport(pairing=pairing, left=left,
                              right=right, ratios=ratios, excluded=excluded,
-                             caps=caps, geometric_mean=gm)
+                             caps=lab.caps, geometric_mean=gm)
 
 
 def band_drift(report_a, report_b):
@@ -481,18 +492,18 @@ def fefferman_stein_constants(space, pairs, seed=0):
     return best
 
 
-def lemma_suite(space, cubes=None, levels=None, omega=1.0, caps=None, seed=0):
-    """Numerical instantiation of the auxiliary inequalities; the discrete
-    rows need the refined cubes and the stack's level range (a stack's
-    ``levels()``, or a `Pipeline`'s ``levels``)."""
+def lemma_suite(cubes, levels, omega=1.0, caps=None, seed=0):
+    """Numerical instantiation of the auxiliary inequalities on the space of
+    the refined `cubes`; the discrete rows read the stack's level range (a
+    stack's ``levels()``, or a `Pipeline`'s ``levels``)."""
+    space = cubes.space
     caps = merge_caps(caps)
     rep = SuiteReport("lemma suite")
     bad = theta_power_check(seed=seed)
     rep.add("theta-power inequality", "exact", passed=bad == 0, value=bad,
             sequences=THETA_SEQUENCES)
     _lemma_geometric_rows(rep, space, caps)
-    if cubes is not None and levels is not None:
-        _lemma_discrete_rows(rep, space, cubes, levels, omega, caps, seed)
+    _lemma_discrete_rows(rep, space, cubes, levels, omega, caps, seed)
     fs = fefferman_stein_constants(
         space, ((1.5, 2.0), (2.0, 2.0), (4.0, 4.0)), seed=seed)
     for (p, q), c in fs.items():

@@ -42,8 +42,9 @@ class NormSpec:
 
     s: smoothness; p, q in (0, inf]; u: inner exponent of the u-variant
     difference norms; beta, gamma: test-class exponents; c_tilde: ball
-    multiplier of the difference norms; flavor: that of the kernel stack
-    the Besov and Triebel-Lizorkin norms read.
+    multiplier of the difference norms; delta and flavor: those of the
+    kernel stack the Besov and Triebel-Lizorkin norms read (delta is also
+    the scale ratio of the difference norms).
     """
 
     s: float
@@ -99,10 +100,14 @@ def _besov_terms(mags, levels, spec, stack):
 
 def _block_and_rows(f, spec, stack):
     """The table's cell block over `stack.cell_levels()` (None when there
-    are none) and the remaining levels with their rows |Q_k f|."""
+    are none) and the remaining levels with their rows |Q_k f|; the spec
+    must have the stack's flavor and delta."""
     if spec.flavor != stack.flavor:
         raise FlavorMismatchError(
             f"spec flavor {spec.flavor!r} vs stack flavor {stack.flavor!r}")
+    if spec.delta != stack.delta:
+        raise ParameterError(
+            f"spec delta {spec.delta!r} vs stack delta {stack.delta!r}")
     mags = np.abs(LevelTable.of(f, stack).rows)
     cells = stack.cell_levels()
     block = None

@@ -8,7 +8,7 @@ never reads a kernel table builds no stack.
 
 Default level policy: the coarsest level has scale comparable to the
 diameter (the mean-projection cap makes everything coarser exact), and the
-finest level runs `fine_factor` below the minimum point gap so the fine cap
+finest level runs `FINE_FACTOR` below the minimum point gap so the fine cap
 of the telescoping stack is the identity to high accuracy.  Cubes are built
 j0 levels deeper than the stack so every stack level has its subcube
 decomposition and reference points.
@@ -22,23 +22,22 @@ from functools import cached_property
 
 from .dyadic import (DyadicSpec, build_cubes, build_nets, finest_level,
                      refine_subcubes)
-from .kernels import (DEFAULT_FINE_FACTOR, KernelSpec, build_exp_ati,
-                      build_exp_iati)
+from .kernels import KernelSpec, build_exp_ati, build_exp_iati
+
+# the default finest level lies this far below the minimum point gap
+FINE_FACTOR = 16.0
 
 
-def default_level_range(space, delta=0.5, flavor="homogeneous",
-                        fine_factor=None):
+def default_level_range(space, delta=0.5, flavor="homogeneous"):
     """(k_min, k_max): the finest k with delta^k >= diam, and the coarsest
-    with delta^k <= min_gap / fine_factor; inhomogeneous levels run from 0
+    with delta^k <= min_gap / FINE_FACTOR; inhomogeneous levels run from 0
     to at least 1."""
     inhom = flavor == "inhomogeneous"
     diam = space.diam
     gap = space.min_gap
     if diam <= 0 or not math.isfinite(gap):
         return (0, 1) if inhom else (0, 0)
-    if fine_factor is None:
-        fine_factor = DEFAULT_FINE_FACTOR
-    k_max = finest_level(delta, gap / fine_factor) + 1
+    k_max = finest_level(delta, gap / FINE_FACTOR) + 1
     if inhom:
         return 0, max(1, k_max)
     k_min = finest_level(delta, diam, ties=True)
@@ -63,9 +62,9 @@ class Pipeline:
         """The level range of the stack: `default_level_range` unless the
         dyadic spec fixes an end (`KernelSpec.check_levels` holds a set end
         to the flavor's rule)."""
-        dyadic, kernel = self.dyadic, self.kernel
+        dyadic = self.dyadic
         k_lo, k_hi = default_level_range(self.space, dyadic.delta,
-                                         kernel.flavor, kernel.fine_factor)
+                                         self.kernel.flavor)
         k_lo = k_lo if dyadic.k_min is None else dyadic.k_min
         k_hi = k_hi if dyadic.k_max is None else dyadic.k_max
         replace(dyadic, k_min=k_lo, k_max=k_hi)  # the range must not be empty
@@ -78,7 +77,6 @@ class Pipeline:
         dyadic, levels = self.dyadic, self.levels
         nets = build_nets(self.space, dyadic.delta,
                           (levels[0], levels[-1] + max(dyadic.j0, 1)),
-                          sigma=dyadic.sigma, deep_margin=dyadic.deep_margin,
                           strict=dyadic.strict)
         return refine_subcubes(build_cubes(nets, self.space), dyadic.j0,
                                sampler=dyadic.sampler, seed=dyadic.seed)
@@ -89,7 +87,6 @@ class Pipeline:
         kernel, cubes = self.kernel, self.cubes
         k_range = (self.levels[0], self.levels[-1])
         if kernel.flavor == "homogeneous":
-            return build_exp_ati(cubes, k_range=k_range, a=kernel.a,
-                                 coarse=kernel.coarse)
+            return build_exp_ati(cubes, k_range=k_range, a=kernel.a)
         return build_exp_iati(cubes, k_range=k_range, a=kernel.a,
                               sigma=kernel.sigma, n_low=kernel.n_low)

@@ -10,8 +10,9 @@ Up to ``A0_EXHAUSTIVE_CAP`` points a0 is exhaustive: one blocked min-plus
 sweep covers every triple exactly, and the result equals the maximum over
 all triples bit for bit.  Above the cap a0 is a sample of
 ``A0_SAMPLE_TRIPLES`` random triples, flagged "sampled"; the cap sits where
-the sweep (about 1 s at n = 1025 and 1.3 s at n = 1089 on one core) starts
-to cost more than the sample (about 0.5 s).
+the sweep (about 1.0 s at n = 1025 and 1.2 s at n = 1089 on one core)
+starts to cost more than the sample (about 0.6 s at n = 1025 and at
+n = 1089).
 """
 
 from __future__ import annotations

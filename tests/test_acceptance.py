@@ -358,9 +358,9 @@ def test_criterion_10_determinism(tmp_path):
     sp = generate_space("grid1d", size=33)
     pipe = Pipeline(sp)
     from homspace import lemma_suite
-    a = lemma_suite(sp, pipe.cubes, pipe.stack.levels(), omega=1.0,
+    a = lemma_suite(pipe.cubes, pipe.stack.levels(), omega=1.0,
                     seed=0).to_text()
-    b = lemma_suite(sp, pipe.cubes, pipe.stack.levels(), omega=1.0,
+    b = lemma_suite(pipe.cubes, pipe.stack.levels(), omega=1.0,
                     seed=0).to_text()
     assert a == b
     _announce(10, "byte-identical reruns", t0, rerun_seconds=rerun)

@@ -12,9 +12,6 @@ from homspace import (Field, MetricMeasureSpace, NormSpec, admissible_range,
                       verify_cubes)
 from homspace import kernels, lab, norms, operators
 
-# lemma_suite's cubes and levels are optional: `lab lemmas` builds no stack
-SIGNATURE_EXEMPT = {"lab.lemma_suite"}
-
 
 def _public_functions():
     for mod in (kernels, operators, norms, lab):
@@ -33,16 +30,14 @@ def test_no_function_takes_what_its_stack_cubes_or_field_carries():
     seen, bad = {}, []
     for name, params in _public_functions():
         seen[name] = params
-        if name in SIGNATURE_EXEMPT:
-            continue
         if {"cubes", "stack"} <= params or (
                 "space" in params and params & {"stack", "cubes", "f"}):
             bad.append(name)
     assert bad == []
-    # the walk reaches the functions it guards, and the exemption is live
+    # the walk reaches the functions it guards
     assert {"kernels.validate_ati", "operators.reconstruct",
-            "norms.besov_norm", "lab.embedding_suite"} <= seen.keys()
-    assert {"space", "cubes"} <= seen["lab.lemma_suite"]
+            "norms.besov_norm", "lab.embedding_suite",
+            "lab.lemma_suite"} <= seen.keys()
 
 
 @pytest.fixture(scope="module")

@@ -331,8 +331,6 @@ BAD_PIPELINE_SETS = (
     ("frame.dump_coefficients=1",),
     ('kernel.flavor="inhomogeneous"', "kernel.n_low=-1"),
     ('kernel.flavor="inhomogeneous"', "dyadic.k_min=3"),
-    ("kernel.fine_factor=0",),
-    ("kernel.fine_factor=-1",),
     ("kernel.a=-1",),
     ("kernel.a=0",),
 )
@@ -418,8 +416,9 @@ def test_bad_ensemble_settings_set_paths_and_fields_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-# leaves out of range, each with a command that never reads it or reads it
-# only after the space is built; all exit 1 before any space is built
+# leaves out of range or removed, each with a command that never reads it
+# or reads it only after the space is built; all exit 1 before any space is
+# built
 REJECTED_BEFORE_WORK = (
     (('kernel.flavor="inhomogeneous"', "kernel.sigma=-1"), "cubes build"),
     (('kernel.flavor="inhomogeneous"', "kernel.sigma=-1"), "lab lemmas"),
@@ -462,6 +461,33 @@ def test_bad_leaves_exit_1_before_any_space_is_built(tmp_path, capsys,
     assert err.startswith("error: ") and "Traceback" not in err, err
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("kernel", "coarse", "mean"), ("kernel", "fine_factor", 16.0),
+    ("dyadic", "sigma", 0.6), ("dyadic", "deep_margin", 0.3)])
+def test_removed_keys_are_unknown(tmp_path, capsys, section, key, value):
+    """A config that still sets a removed leaf, even to the value it used
+    to default to, fails loudly."""
+    cfg = write_config(tmp_path, {section: {key: value}})
+    assert run(["--config", cfg, "cubes", "build"]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: unknown config key {section}.{key}")
+
+
+@pytest.mark.parametrize("sets", [
+    ('lab.pairing="inhomog_B_vs_L"', 'kernel.flavor="homogeneous"'),
+    ('lab.pairing="B_vs_L"', 'kernel.flavor="inhomogeneous"')])
+def test_lab_pairing_of_the_other_flavor_exits_1_before_any_kernel(
+        tmp_path, capsys, monkeypatch, sets):
+    def no_semigroup(*args, **kwargs):
+        raise AssertionError("a kernel table was built")
+
+    monkeypatch.setattr(kernels, "build_semigroup", no_semigroup)
+    monkeypatch.setattr(labmod, "build_semigroup", no_semigroup)
+    args = [arg for a in ("space.size=65", *sets) for arg in ("--set", a)]
+    assert run(["--out", str(tmp_path), *args, "lab", "equivalence"]) == 1
+    assert capsys.readouterr().err.startswith("error: pairing")
+
+
 def test_seeds_and_field_leaves_are_never_unread():
     """The seeds and the field leaves keep their defaults and are never
     rejected as unread, whatever the space, kernel or field choice."""
@@ -472,7 +498,7 @@ def test_seeds_and_field_leaves_are_never_unread():
         "norm.field.radius=0.5", "lab.ensemble.seed=3"])
     specs = config_specs(cfg)
     assert (specs["space"].size, specs["space"].level) == (None, 2)
-    assert (specs["kernel"].coarse, specs["kernel"].sigma) == ("mean", None)
+    assert specs["kernel"].sigma is None
 
 
 def _bench_module(monkeypatch, name):

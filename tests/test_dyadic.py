@@ -30,19 +30,13 @@ def test_delta_out_of_range(grid65):
 
 
 def test_dyadic_arguments_are_checked_before_any_work():
-    """delta >= 1 would loop in the level range and sigma > 1 in the greedy
-    net growth; the pipeline's spec and `build_nets` reject them, and a
-    negative margin, first."""
+    """delta >= 1 would loop in the level range; the pipeline's spec
+    rejects it first."""
     from homspace import DyadicSpec, Pipeline
     sp = generate_space("grid1d", size=17)
-    for kw in (dict(delta=2.0), dict(delta=1.0), dict(sigma=1.05),
-               dict(sigma=0.0), dict(deep_margin=-0.1)):
+    for kw in (dict(delta=2.0), dict(delta=1.0)):
         with pytest.raises(ParameterError):
             Pipeline(sp, DyadicSpec(**kw))
-    for kw in (dict(sigma=1.05), dict(sigma=0.0), dict(deep_margin=-0.1)):
-        with pytest.raises(ParameterError):
-            build_nets(sp, 0.5, (0, 4), **kw)
-    assert build_nets(sp, 0.5, (0, 4), sigma=1.0).k_max == 4
 
 
 def test_net_nestedness_and_sizes(grid257):
@@ -427,10 +421,8 @@ def test_level_searches_match_the_frozen_loops(delta):
     for kw in STOCK_SPACES:
         sp = generate_space(**kw)
         for flavor in ("homogeneous", "inhomogeneous"):
-            for fine_factor in (1.0, 16.0):
-                assert default_level_range(sp, delta, flavor, fine_factor) \
-                    == dyadic_oracle.default_level_range(sp, delta, flavor,
-                                                         fine_factor), kw
+            assert default_level_range(sp, delta, flavor) == \
+                dyadic_oracle.default_level_range(sp, delta, flavor, 16.0), kw
         for c_tilde in (0.5, 1.0, 2.0):
             assert natural_k_window(sp, c_tilde, delta) == \
                 difference_oracle.natural_k_window(sp, c_tilde, delta), kw

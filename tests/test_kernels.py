@@ -305,19 +305,6 @@ def test_validation_deterministic(pipe65):
     assert a == b
 
 
-def test_semigroup_coarse_cap_mode(grid65):
-    from homspace import build_cubes, build_nets, refine_subcubes
-    from homspace.kernels import build_exp_ati
-    nets = build_nets(grid65, 0.5, (0, 8))
-    cubes = refine_subcubes(build_cubes(nets, grid65), 2)
-    st = build_exp_ati(cubes, k_range=(0, 6), coarse="semigroup")
-    w = grid65.weight
-    for k in st.levels():
-        assert np.max(np.abs(st.q[k] @ w)) <= 1e-10
-    with pytest.raises(ParameterError):
-        build_exp_ati(cubes, k_range=(0, 6), coarse="warp")
-
-
 def test_pipeline_rejects_fractional_levels(grid65):
     for kw in (dict(k_max=6.7), dict(k_min=0.5), dict(k_max=True),
                dict(j0=1.5)):
@@ -363,17 +350,13 @@ def test_cubes_without_a_stack_match_the_full_pipeline(grid65, flavor, kw):
 
 
 def test_kernel_arguments_are_checked_before_any_work(grid65):
-    """a and fine_factor must be positive, and a leaf the flavor does not
-    read must stay unset."""
-    for kw in (dict(a=-1.0), dict(a=0.0), dict(fine_factor=0.0),
-               dict(fine_factor=-1.0), dict(sigma=0.5), dict(n_low=2),
-               dict(flavor="inhomogeneous", coarse="mean"),
+    """a must be positive, and a leaf the flavor does not read must stay
+    unset."""
+    for kw in (dict(a=-1.0), dict(a=0.0), dict(sigma=0.5), dict(n_low=2),
                dict(flavor="inhomogeneous", sigma=-1.0),
                dict(flavor="inhomogeneous", n_low=-1)):
         with pytest.raises(ParameterError):
             Pipeline(grid65, kernel=KernelSpec(**kw))
-    with pytest.raises(ParameterError, match="fine_factor"):
-        Pipeline(grid65, kernel=KernelSpec(fine_factor=0.0))
     st = build_exp_iati(Pipeline(grid65).cubes, (0, 3),
                         n_low=2.0)
     assert st.n_low == 2 and isinstance(st.n_low, int)
@@ -438,17 +421,3 @@ def test_builders_check_the_cubes_before_any_table(grid65, monkeypatch):
     assert calls == []
     build_exp_ati(shallow, (0, 3))
     assert len(calls) == 4
-
-
-def test_fine_factor_is_read_only_without_k_max(grid65):
-    """A null fine_factor means DEFAULT_FINE_FACTOR; with a given k_max it
-    would be ignored, so setting both is rejected."""
-    default = Pipeline(grid65).levels
-    assert Pipeline(grid65, kernel=KernelSpec(fine_factor=16.0)).levels \
-        == default
-    assert Pipeline(grid65, kernel=KernelSpec(fine_factor=2.0)).levels[-1] \
-        < default[-1]
-    with pytest.raises(ParameterError, match="dyadic.k_max is set, so "
-                       "kernel.fine_factor would be ignored"):
-        Pipeline(grid65, DyadicSpec(k_max=6), KernelSpec(fine_factor=2.0))
-    assert Pipeline(grid65, DyadicSpec(k_max=6)).levels[-1] == 6

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from homspace import (ExperimentError, NormSpec, ParameterError,
-                      Pipeline, equivalence_experiment,
+from homspace import (ExperimentError, FlavorMismatchError, NormSpec,
+                      ParameterError, Pipeline, equivalence_experiment,
                       generate_ensemble, generate_space, lemma_suite,
                       validate_ati)
+from homspace import lab as labmod
 from homspace.lab import (EnsembleSpec, band_drift, check_hypotheses,
                           embedding_suite, fefferman_stein_constants,
                           theta_power_check)
@@ -79,6 +80,25 @@ def test_equivalence_rejects_bad_hypotheses(pipe65, geom65, validated65,
                                geometry=geom65)
 
 
+def test_equivalence_rejects_a_pairing_of_the_other_flavor(
+        pipe65, pipe65_inhom, geom65, validated65, ensemble65, monkeypatch):
+    """The inhomog_ pairings need an inhomogeneous stack and the others a
+    homogeneous one; a mismatch is refused before any norm is computed."""
+    cases = ((pipe65.stack, NormSpec(s=0.5, p=2.0, q=2.0), "inhomog_B_vs_L"),
+             (pipe65_inhom.stack, NormSpec(s=0.5, p=2.0, q=2.0,
+                                           flavor="inhomogeneous"), "B_vs_L"))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("norm work before the flavor check")
+
+    monkeypatch.setattr(labmod, "difference_scales", no_work)
+    for stack, spec, pairing in cases:
+        with pytest.raises(FlavorMismatchError, match=pairing):
+            equivalence_experiment(stack, spec, pairing, ensemble65,
+                                   omega=geom65.omega,
+                                   eta=validated65.eta_fit, geometry=geom65)
+
+
 def test_p_le_one_gate_requires_lower_bound(geom65):
     spec = NormSpec(s=0.5, p=0.8, q=2.0, u=0.5, beta=0.7, gamma=0.7)
     # grid1d: max-ratio omega ~ 1.22 vs fitted lower bound ~ 1.0 -> gated out
@@ -145,8 +165,8 @@ def test_theta_power_zero_violations():
     assert theta_power_check(seed=0) == 0
 
 
-def test_lemma_suite_passes(grid65, pipe65, geom65):
-    suite = lemma_suite(grid65, pipe65.cubes, pipe65.stack.levels(),
+def test_lemma_suite_passes(pipe65, geom65):
+    suite = lemma_suite(pipe65.cubes, pipe65.stack.levels(),
                         omega=geom65.omega, seed=0)
     assert suite.passed
     assert any("theta-power" in r.name for r in suite.rows)
@@ -168,8 +188,8 @@ def test_fefferman_stein_stability_under_refinement():
         assert alone[p, q] == c1
 
 
-def test_suite_report_rendering(grid65, pipe65, geom65):
-    suite = lemma_suite(grid65, pipe65.cubes, pipe65.stack.levels(),
+def test_suite_report_rendering(pipe65, geom65):
+    suite = lemma_suite(pipe65.cubes, pipe65.stack.levels(),
                         omega=geom65.omega, seed=0)
     text = suite.to_text()
     assert text.startswith("# lemma suite")

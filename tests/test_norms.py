@@ -94,6 +94,16 @@ def test_flavor_mismatch(pipe65):
         besov_norm(f, spec, pipe65.stack)
 
 
+def test_spec_delta_must_be_the_stacks(pipe65):
+    """Besov and Triebel-Lizorkin weigh the stack's levels by the spec's
+    delta, so a spec at another delta is refused."""
+    f = holder_field(pipe65.space)
+    spec = NormSpec(s=0.5, p=2.0, q=2.0, delta=0.25)
+    for norm in (besov_norm, triebel_lizorkin_norm):
+        with pytest.raises(ParameterError, match="delta"):
+            norm(f, spec, pipe65.stack)
+
+
 def test_inhomogeneous_besov_block(pipe65_inhom):
     st, cubes = pipe65_inhom.stack, pipe65_inhom.cubes
     sp = st.space
