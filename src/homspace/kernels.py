@@ -4,15 +4,19 @@ A symmetric Markov table ``P_t`` is built from the seed
 ``exp(-(d(x,y)/t)^a)`` by symmetric diagonal scaling until every row
 integrates to one against mu.  Level kernels are consecutive differences
 ``Q_k = P_{delta^k} - P_{delta^(k-1)}``; the coarsest homogeneous level is
-capped with the exact mean projection (the t -> infinity limit of ``P_t``),
-so two-sided cancellation is exact and the stack telescopes to
-``P_{delta^kmax} - mean``; every ``Q_k`` table is read-only.  Validation
-fits the decay rate and smoothness exponent and measures every condition
-constant in a counting loop and two passes that stream the levels (no
-whole-stack array outlives its level) in blocks of rows of about
-``BLOCK_BYTES``; it maximizes exhaustively up to ``PAIR_BUDGET`` pairs and
-``QUAD_BUDGET`` quadruples per level, flagged as sampled beyond, and returns
-a report that leaves the stack unmodified.
+capped with the exact mean projection (the t -> infinity limit of ``P_t``,
+the constant 1/mu(X)), so two-sided cancellation is exact and the stack
+telescopes to ``P_{delta^kmax} - mean``; every ``Q_k`` table is read-only.
+A stack is built in place: each ``P_t`` is formed and scaled in its own
+table and each difference is written into the coarser one, so besides the
+finished levels a build holds one more ``P_t`` and the one being built.
+Validation fits the decay rate and smoothness exponent and measures every
+condition constant in a counting loop and two passes that stream the
+levels (no whole-stack array outlives its level) in blocks of rows of about
+``BLOCK_BYTES``; both fits take np.polyfit's degree-1 steps on a design
+matrix filled in place (``_slope``).  It maximizes exhaustively up to
+``PAIR_BUDGET`` pairs and ``QUAD_BUDGET`` quadruples per level, flagged as
+sampled beyond, and returns a report that leaves the stack unmodified.
 """
 
 from __future__ import annotations
@@ -37,7 +41,8 @@ QUAD_BUDGET = 2_000
 PROBE_COUNT = 6
 # the pooled nu fit is thinned by a common stride to at most this many points
 FIT_POINTS = 2_000_000
-# validate_ati's n x n passes run over blocks of rows of about this many bytes
+# the semigroup's scaling and validate_ati's n x n passes run over blocks of
+# rows of about this many bytes
 BLOCK_BYTES = 2 ** 18
 
 
@@ -78,9 +83,11 @@ class KernelSpec:
                                  f"k_max={k_max!r}")
 
 
-def mean_projection(space):
-    """Kernel of the mu-mean projector: constant 1/mu(X)."""
-    return np.full((space.n, space.n), 1.0 / space.total_mass)
+def _row_blocks(n):
+    """Slices of consecutive rows of an n x n float table, each about
+    `BLOCK_BYTES` long (at least one row)."""
+    step = max(1, BLOCK_BYTES // (8 * n))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 def build_semigroup(space, t, a=1.0):
@@ -89,12 +96,17 @@ def build_semigroup(space, t, a=1.0):
     Iterative proportional fitting with one diagonal on both sides, at most
     `SCALING_CAP` sweeps to row residual `SCALING_TOL`; the fixed point
     satisfies sum_y P(x,y) mu_y = 1 for every x and P is exactly symmetric.
+    The seed is formed and scaled in place, so the call holds one n x n
+    table and one block of rows besides.
     """
     if not t > 0:
         raise ParameterError("semigroup scale t must be positive")
     w = space.weight
+    seed = space.dist / t
+    seed **= a
+    np.negative(seed, out=seed)
     with np.errstate(under="ignore"):
-        seed = np.exp(-((space.dist / t) ** a))
+        np.exp(seed, out=seed)
     u = 1.0 / np.sqrt(seed @ w)
     err = math.inf
     for _ in range(SCALING_CAP):
@@ -106,7 +118,9 @@ def build_semigroup(space, t, a=1.0):
     else:
         raise ConvergenceError(
             f"diagonal scaling stalled at residual {err:.3e} (t={t})")
-    return np.outer(u, u) * seed
+    for blk in _row_blocks(space.n):
+        seed[blk] *= np.outer(u[blk], u)
+    return seed
 
 
 @dataclass(frozen=True)
@@ -190,13 +204,14 @@ def _check_cubes(cubes, space, delta, k_min, k_max):
 
 def _difference_stack(space, delta, k_min, k_max, a, coarsest):
     """Q_k = P_{delta^k} - P_{delta^(k-1)} for k_min < k <= k_max and
-    Q_{k_min} = coarsest(P_{delta^k_min}); at most two P_t tables are live.
-    The tables are returned read-only."""
+    Q_{k_min} = coarsest(P_{delta^k_min}).  Each difference is written
+    into the coarser table, so besides the finished levels one P_t table
+    and one being built are live.  The tables are returned read-only."""
     prev = build_semigroup(space, delta ** k_min, a=a)
     q = {k_min: coarsest(prev)}
     for k in range(k_min + 1, k_max + 1):
         cur = build_semigroup(space, delta ** k, a=a)
-        q[k] = cur - prev
+        q[k] = np.subtract(cur, prev, out=prev)
         prev = cur
     for table in q.values():
         table.setflags(write=False)
@@ -214,7 +229,7 @@ def build_exp_ati(cubes, k_range, a=1.0):
     k_max = integer_arg("k_range", k_range[-1])
     _check_cubes(cubes, space, delta, k_min, k_max)
     q = _difference_stack(space, delta, k_min, k_max, a,
-                          lambda p: p - mean_projection(space))
+                          lambda p: p - 1.0 / space.total_mass)
     return KernelStack(flavor="homogeneous", space=space, delta=delta,
                        k_min=k_min, k_max=k_max, a=a, q=q, cubes=cubes)
 
@@ -238,13 +253,6 @@ def build_exp_iati(cubes, k_range, a=1.0, sigma=1.0, n_low=1):
 
 # -- validation ---------------------------------------------------------------
 
-def _row_blocks(n):
-    """Slices of consecutive rows of an n x n float table, each about
-    `BLOCK_BYTES` long (at least one row)."""
-    step = max(1, BLOCK_BYTES // (8 * n))
-    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
-
-
 def validate_ati(stack, gamma_list=(1.0, 2.0), seed=0):
     """Fit (nu, eta) and measure every condition constant of the stack.
 
@@ -254,12 +262,16 @@ def validate_ati(stack, gamma_list=(1.0, 2.0), seed=0):
     stride that thins the pooled nu fit to at most `FIT_POINTS` points.
     Every block is read whole, its entries at or below the floor set to 0.
     Pass 1 takes what does not depend on nu: the fit's strided samples of
-    the masked log-kernel against the decay and refpoint terms, the R_Gamma
-    peaks and the cancellation/unit residuals.  After the fit, pass 2 finds
-    each level's admissible pairs and forms its pair envelope once per
-    block, with the same floating-point operations that both size constants
-    read off it; the regularity chunks (one block's worth of pair rows each, in
-    reused buffers) and the second-difference quadruples then read it.
+    the masked log-kernel, and of the decay and refpoint terms, which it
+    writes into column 0 of the fit's design matrix [t, 1]; the R_Gamma
+    peaks; and the cancellation/unit residuals.  The fit (`_slope`) solves
+    on that matrix in place, np.polyfit's steps without its copies.  After
+    the fit, pass 2 finds each level's admissible pairs and forms its pair
+    envelope once per block, with the same floating-point operations that
+    both size constants read off it (the log of |Q_k|, with -inf written
+    at or below the floor afterwards); the regularity chunks (one block's
+    worth of pair rows each, in reused buffers) and the second-difference
+    quadruples then read it.
     Maximizations are exhaustive up to `PAIR_BUDGET` admissible pairs and
     `QUAD_BUDGET` zipped quadruples per level and uniformly sampled (flagged)
     beyond; `PROBE_COUNT` random fields probe the identity.  Returns the
@@ -287,7 +299,8 @@ def validate_ati(stack, gamma_list=(1.0, 2.0), seed=0):
     total = sum(count for _, parts in census.values() for _, count in parts)
     stride = total // FIT_POINTS + 1 if total > FIT_POINTS else 1
     zf = np.empty(-(-total // stride))
-    tf = np.empty_like(zf)
+    # the fit's design matrix [t, 1]: pass 1 writes t into column 0
+    lhs = np.ones((len(zf), 2))
 
     # pass 1: per-level pieces that do not depend on nu.  A block at global
     # offset o starts its fit samples at local index (-o) % stride, so the
@@ -328,7 +341,7 @@ def validate_ati(stack, gamma_list=(1.0, 2.0), seed=0):
                 end = filled + fit.size
                 z = np.log(q.ravel()[fit], out=zf[filled:end])
                 z += 0.5 * (logv[rows] + logv[cols])
-                t = tf[filled:end]
+                t = lhs[filled:end, 0]
                 t[:] = (d[blk].ravel()[fit] / scale) ** stack.a
                 t += np.maximum(h[rows], h[cols])
                 filled = end
@@ -343,11 +356,11 @@ def validate_ati(stack, gamma_list=(1.0, 2.0), seed=0):
             per_level.append((k, logv, h))
 
     # pooled envelope fit of nu on z vs (d/delta^k)^a + h-term
-    if len(zf) >= 2 and np.ptp(tf) > 0:
-        nu = max(-float(np.polyfit(tf, zf, 1)[0]), 1e-3)
+    if len(zf) >= 2 and np.ptp(lhs[:, 0]) > 0:
+        nu = max(-_slope(lhs, zf), 1e-3)
     else:
         nu = 1.0
-    del zf, tf
+    zf = lhs = z = t = None  # pass 1's z and t are views of the fit arrays
 
     # pass 2: size constants, regularity peaks, second-difference quadruples
     size_const = size_const_no_h = 0.0
@@ -386,8 +399,9 @@ def validate_ati(stack, gamma_list=(1.0, 2.0), seed=0):
                     continue
                 u *= nu
                 q = np.abs(q_signed[blk])
-                q *= q > floor
-                z = np.log(q, out=q)  # log 0 = -inf, and fmax skips nan
+                below = q <= floor
+                z = np.log(q, out=q)
+                np.copyto(z, -np.inf, where=below)
                 z += c
                 size_const = max(size_const, float(np.exp(
                     np.fmax.reduce(z + big_u, axis=None))))
@@ -456,7 +470,9 @@ def validate_ati(stack, gamma_list=(1.0, 2.0), seed=0):
                 centers.append(0.5 * (bins[b - 1] + bins[b]))
                 peaks.append(lr[sel].max())
         if len(centers) >= 3 and np.ptp(centers) > 0:
-            eta = float(np.polyfit(centers, peaks, 1)[0])
+            fit = np.ones((len(centers), 2))
+            fit[:, 0] = centers
+            eta = _slope(fit, np.array(peaks))
         else:
             eta = 0.5
         eta = min(max(eta, 0.05), 0.999)
@@ -496,6 +512,17 @@ def validate_ati(stack, gamma_list=(1.0, 2.0), seed=0):
         second_diff_const=second, cancel_resid=cancel,
         identity_resid=identity, unit_resid=unit, rgamma_const=rgamma,
         sampled=sampled)
+
+
+def _slope(lhs, z):
+    """Slope of the least-squares line through the points (t, z), from the
+    design matrix lhs = [t, 1]: the steps of np.polyfit(t, z, 1) on the
+    caller's arrays, so the same bits without its copies of t and z and of
+    the matrix.  lhs is scaled in place."""
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    c = np.linalg.lstsq(lhs, z, len(z) * np.finfo(float).eps)[0]
+    return float(c[0] / scale[0])
 
 
 def _rows_cols(flat, n):

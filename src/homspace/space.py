@@ -9,10 +9,11 @@ One sorted ball index (``BallIndex``) defines every ball measure.
 Up to ``A0_EXHAUSTIVE_CAP`` points a0 is exhaustive: one blocked min-plus
 sweep covers every triple exactly, and the result equals the maximum over
 all triples bit for bit.  Above the cap a0 is a sample of
-``A0_SAMPLE_TRIPLES`` random triples, flagged "sampled"; the cap sits where
-the sweep (about 1.0 s at n = 1025 and 1.2 s at n = 1089 on one core)
-starts to cost more than the sample (about 0.6 s at n = 1025 and at
-n = 1089).
+``A0_SAMPLE_TRIPLES`` random triples, flagged "sampled", read in
+sub-blocks of ``A0_SAMPLE_BLOCK`` triples so that it holds about 14 MB at
+any n; the cap sits where the sweep (about 1.0 s at n = 1025 and 1.2 s at
+n = 1089 on one core) starts to cost more than the sample (about 0.6 s at
+n = 1025 and at n = 1089).
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from .errors import (CertificationError, FormatError, ParameterError,
 # Exact min-plus certificate up to this point count; sampled above it.
 A0_EXHAUSTIVE_CAP = 1025
 A0_SAMPLE_TRIPLES = 10_000_000
+# triples per sub-block of the sample, in reused index and value buffers
+A0_SAMPLE_BLOCK = 1 << 16
 # rows per block of the min-plus sweep
 A0_BLOCK_ROWS = 64
 
@@ -62,11 +65,12 @@ def _check_distance_table(d):
         idx = np.argwhere(d != d.T)[0]
         raise FormatError(
             f"distance table is asymmetric at ({idx[0]},{idx[1]})")
-    off = d + np.eye(n)
-    if np.any(off <= 0):
-        idx = np.argwhere(off <= 0)[0]
+    bad = d <= 0
+    np.fill_diagonal(bad, False)
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), n)
         raise FormatError(
-            f"dist({idx[0]},{idx[1]}) is not positive for distinct points")
+            f"dist({i},{j}) is not positive for distinct points")
 
 
 def _upper_ratios(d):
@@ -121,7 +125,10 @@ def certify_a0(dist, cap=A0_EXHAUSTIVE_CAP, samples=A0_SAMPLE_TRIPLES, seed=0):
     row-major order.  The sweep costs about n^3/2 additions and minima (about
     0.15 s at n = 513 and 1 s at n = 1025 on one core).  Above the cap the
     method is "sampled": ``samples`` random triples drawn from ``seed``, a
-    lower bound on the true constant, not a certificate.
+    lower bound on the true constant, not a certificate.  They are drawn
+    1 M at a time as int32 and read in sub-blocks of ``A0_SAMPLE_BLOCK``
+    through reused buffers; the worst triple is the first drawn that
+    attains the maximum.
     `MetricMeasureSpace` calls it with ``cap=A0_EXHAUSTIVE_CAP`` and the
     default sample count; tests call it with other caps and counts.
     """
@@ -140,21 +147,37 @@ def certify_a0(dist, cap=A0_EXHAUSTIVE_CAP, samples=A0_SAMPLE_TRIPLES, seed=0):
     worst = None
     flat = d.ravel()
     rng = np.random.default_rng(seed)
-    chunk = 1_000_000
+    # int32 draws are the int64 draws' values, from the same stream
+    chunk, block = 1_000_000, A0_SAMPLE_BLOCK
+    index = np.empty(block, dtype=np.intp)
+    num, denom, other = np.empty(block), np.empty(block), np.empty(block)
     remaining = samples
     while remaining > 0:
         m = min(chunk, remaining)
-        x, y, z = rng.integers(0, n, size=(3, m))
-        num = flat.take(x * n + z)
-        denom = flat.take(x * n + y) + flat.take(y * n + z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(denom > 0, num / denom, 0.0)
-        k = int(np.argmax(ratio))
-        if ratio[k] > best:
-            best = float(ratio[k])
-            worst = (int(x[k]), int(y[k]), int(z[k]))
+        draw = rng.integers(0, n, size=(3, m), dtype=np.int32)
+        for lo in range(0, m, block):
+            x, y, z = draw[:, lo:lo + block]
+            ratio = _flat_take(flat, x, n, z, index, num)
+            den = _flat_take(flat, x, n, y, index, denom)
+            den += _flat_take(flat, y, n, z, index, other)
+            # den is 0 only when x = y = z, where the ratio's d(x, z) is 0
+            np.divide(ratio, den, out=ratio, where=den > 0)
+            k = int(np.argmax(ratio))
+            if ratio[k] > best:  # the first triple to attain the maximum
+                best = float(ratio[k])
+                worst = (int(x[k]), int(y[k]), int(z[k]))
         remaining -= m
+        del draw, x, y, z  # free the chunk before the next is drawn
     return best, "sampled", worst
+
+
+def _flat_take(flat, rows, n, cols, index, out):
+    """flat[rows * n + cols] of an n x n table's flat view, into the front
+    of `out`, with the flat positions formed in `index` (both reused)."""
+    b = len(rows)
+    np.multiply(rows, n, out=index[:b], dtype=np.intp)
+    index[:b] += cols
+    return np.take(flat, index[:b], out=out[:b], mode="clip")
 
 
 class BallIndex(NamedTuple):

@@ -416,45 +416,52 @@ def test_bad_ensemble_settings_set_paths_and_fields_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-# leaves out of range or removed, each with a command that never reads it
-# or reads it only after the space is built; all exit 1 before any space is
-# built
+# leaves out of range, each with a command that never reads it or reads it
+# only after the space is built; all exit 1 before any space is built.  The
+# ids are fixed strings (the positional names pytest gave these cases), so
+# removing a case renames no other
 REJECTED_BEFORE_WORK = (
-    (('kernel.flavor="inhomogeneous"', "kernel.sigma=-1"), "cubes build"),
-    (('kernel.flavor="inhomogeneous"', "kernel.sigma=-1"), "lab lemmas"),
-    (('kernel.flavor="inhomogeneous"', "kernel.n_low=-1"), "cubes build"),
-    (('kernel.flavor="inhomogeneous"', "kernel.n_low=-1"), "lab lemmas"),
-    (('kernel.flavor="inhomogeneous"', 'kernel.coarse="warp"'), "ati build"),
-    (("space.size=3", 'space.kind="sierpinski_level"', "space.level=1"),
-     "space build"),
-    (('lab.pairing="bogus"',), "lab embeddings"),
-    (("lab.radius_grid=[-1]",), "ati build"),
-    (('norm.variant="bogus"',), "norm compute"),
-    ((), "norm compute --variant bogus"),
-    (("space.size=33", "dyadic.delta=2"), "cubes build"),
-    (("dyadic.sigma=1.05",), "cubes build"),
-    (("dyadic.deep_margin=-1",), "cubes build"),
-    (("kernel.fine_factor=0",), "cubes build"),
-    (("kernel.fine_factor=-1",), "cubes build"),
-    (("kernel.a=-1",), "ati build"),
-    (("kernel.a=-1",), "lab lemmas"),
-    (("kernel.sigma=0.5",), "ati build"),
-    (('space.file="x.json"', "space.size=9"), "space build"),
-    (("space.size=65", "dyadic.k_max=6", "kernel.fine_factor=2"), "ati build"),
-    (("space.size=65", "dyadic.k_max=6", "kernel.fine_factor=2"),
-     "cubes build"),
+    pytest.param(('kernel.flavor="inhomogeneous"', "kernel.sigma=-1"),
+                 "cubes build", id="sets0-cubes build"),
+    pytest.param(('kernel.flavor="inhomogeneous"', "kernel.sigma=-1"),
+                 "lab lemmas", id="sets1-lab lemmas"),
+    pytest.param(('kernel.flavor="inhomogeneous"', "kernel.n_low=-1"),
+                 "cubes build", id="sets2-cubes build"),
+    pytest.param(('kernel.flavor="inhomogeneous"', "kernel.n_low=-1"),
+                 "lab lemmas", id="sets3-lab lemmas"),
+    pytest.param(("space.size=3", 'space.kind="sierpinski_level"',
+                  "space.level=1"), "space build", id="sets5-space build"),
+    pytest.param(('lab.pairing="bogus"',), "lab embeddings",
+                 id="sets6-lab embeddings"),
+    pytest.param(("lab.radius_grid=[-1]",), "ati build",
+                 id="sets7-ati build"),
+    pytest.param(('norm.variant="bogus"',), "norm compute",
+                 id="sets8-norm compute"),
+    pytest.param((), "norm compute --variant bogus",
+                 id="sets9-norm compute --variant bogus"),
+    pytest.param(("space.size=33", "dyadic.delta=2"), "cubes build",
+                 id="sets10-cubes build"),
+    pytest.param(("kernel.a=-1",), "ati build", id="sets15-ati build"),
+    pytest.param(("kernel.a=-1",), "lab lemmas", id="sets16-lab lemmas"),
+    pytest.param(("kernel.sigma=0.5",), "ati build", id="sets17-ati build"),
+    pytest.param(('space.file="x.json"', "space.size=9"), "space build",
+                 id="sets18-space build"),
 )
+
+
+def _no_space(monkeypatch):
+    def no_space(*args, **kwargs):
+        raise AssertionError("a space was built")
+
+    monkeypatch.setattr(cli, "generate_space", no_space)
+    monkeypatch.setattr(cli, "load_space", no_space)
 
 
 @pytest.mark.parametrize("sets,command", REJECTED_BEFORE_WORK)
 def test_bad_leaves_exit_1_before_any_space_is_built(tmp_path, capsys,
                                                      monkeypatch, sets,
                                                      command):
-    def no_space(*args, **kwargs):
-        raise AssertionError("a space was built")
-
-    monkeypatch.setattr(cli, "generate_space", no_space)
-    monkeypatch.setattr(cli, "load_space", no_space)
+    _no_space(monkeypatch)
     args = [arg for a in sets for arg in ("--set", a)]
     assert run(["--out", str(tmp_path), *args, *command.split()]) == 1
     err = capsys.readouterr().err
@@ -464,13 +471,17 @@ def test_bad_leaves_exit_1_before_any_space_is_built(tmp_path, capsys,
 @pytest.mark.parametrize("section,key,value", [
     ("kernel", "coarse", "mean"), ("kernel", "fine_factor", 16.0),
     ("dyadic", "sigma", 0.6), ("dyadic", "deep_margin", 0.3)])
-def test_removed_keys_are_unknown(tmp_path, capsys, section, key, value):
-    """A config that still sets a removed leaf, even to the value it used
-    to default to, fails loudly."""
+def test_removed_keys_are_unknown(tmp_path, capsys, monkeypatch, section,
+                                  key, value):
+    """A config file or a --set that still sets a removed leaf, even to the
+    value it used to default to, fails loudly before any space is built."""
+    _no_space(monkeypatch)
     cfg = write_config(tmp_path, {section: {key: value}})
-    assert run(["--config", cfg, "cubes", "build"]) == 1
-    assert capsys.readouterr().err.startswith(
-        f"error: unknown config key {section}.{key}")
+    for args in (["--config", cfg],
+                 ["--set", f"{section}.{key}={json.dumps(value)}"]):
+        assert run(["--out", str(tmp_path), *args, "cubes", "build"]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: unknown config key {section}.{key}")
 
 
 @pytest.mark.parametrize("sets", [

@@ -3,6 +3,7 @@ from dataclasses import FrozenInstanceError, asdict, fields, replace
 
 import numpy as np
 import pytest
+import stack_oracle
 from ati_oracle import reference_validate_ati
 
 from homspace import (DyadicSpec, Field, KernelSpec, MetricMeasureSpace,
@@ -11,7 +12,7 @@ from homspace import (DyadicSpec, Field, KernelSpec, MetricMeasureSpace,
                       build_semigroup, generate_space, kernels,
                       refine_subcubes, validate_ati)
 from homspace.dyadic import cube_dump
-from homspace.kernels import mean_projection, r_gamma_integral_band
+from homspace.kernels import r_gamma_integral_band
 
 CANCEL_TOL = 1e-10
 UNIT_TOL = 1e-12
@@ -65,7 +66,7 @@ def test_homogeneous_telescoping_to_mean(pipe65):
     sp = st.space
     total = sum(st.q[k] for k in st.levels())
     fine = build_semigroup(sp, st.delta ** st.k_max, a=st.a)
-    assert np.allclose(total, fine - mean_projection(sp), atol=1e-11)
+    assert np.allclose(total, fine - 1.0 / sp.total_mass, atol=1e-11)
 
 
 def test_inhomogeneous_unit_integrals(pipe65_inhom):
@@ -244,8 +245,8 @@ def test_validation_fit_samples_every_stride_th_entry(pipe65, monkeypatch):
     zs, ts = np.concatenate(zs), np.concatenate(ts)
     seen = []
     monkeypatch.setattr(kernels, "BLOCK_BYTES", 8 * 65 * 7)
-    monkeypatch.setattr(kernels.np, "polyfit", lambda t, z, deg: (
-        seen.append((t.copy(), z.copy())), np.array([-1.0, 0.0]))[1])
+    monkeypatch.setattr(kernels, "_slope", lambda lhs, z: (
+        seen.append((lhs[:, 0].copy(), z.copy())), -1.0)[1])
     for stride in (3, 40):
         monkeypatch.setattr(kernels, "FIT_POINTS", zs.size // stride + 1)
         seen.clear()
@@ -256,17 +257,87 @@ def test_validation_fit_samples_every_stride_th_entry(pipe65, monkeypatch):
 
 
 def test_validation_peak_memory(oracle_pipes):
-    # streamed levels peak at about 66 MB here; keeping every level's masked
-    # arrays until the fit took 137-146 MB
+    # streamed levels with the fit's design matrix filled in place peak at
+    # about 41 MB here; np.polyfit's copies took it to 66 MB, and keeping
+    # every level's masked arrays until the fit to 137-146 MB
     pipe = oracle_pipes["grid1d-513"]
     stack = pipe.stack  # and its cubes, built before tracemalloc starts
+    stack.space.v_table()  # the space's cache, 8 MB on a first call
     tracemalloc.start()
     try:
         validate_ati(stack)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 80 * 2 ** 20
+    assert peak < 50 * 2 ** 20
+
+
+def _design(t):
+    lhs = np.ones((len(t), 2))
+    lhs[:, 0] = t
+    return lhs
+
+
+@pytest.mark.parametrize("case", ["random", "tied", "two-point", "eta-sized"])
+def test_slope_is_polyfit_bit_for_bit(case):
+    """The fits' slope helper gives np.polyfit(t, z, 1)[0] exactly: on many
+    points, on t with few distinct values, on two points and on the 12 bin
+    centres of the eta fit."""
+    rng = np.random.default_rng(7)
+    t = {"random": rng.gamma(2.0, 3.0, 200_003),
+         "tied": rng.integers(0, 5, 10_007).astype(float),
+         "two-point": np.array([0.25, 3.0]),
+         "eta-sized": np.linspace(-6.5, -0.2, 12)}[case]
+    z = -1.7 * t + rng.standard_normal(len(t))
+    want = np.polyfit(t, z, 1)[0]
+    zc = z.copy()
+    assert kernels._slope(_design(t), zc) == want
+    assert np.array_equal(zc, z)  # z is read, not written
+
+
+@pytest.fixture(scope="module")
+def stack_spaces(oracle_pipes):
+    return {"grid1d-513": oracle_pipes["grid1d-513"].stack.space,
+            "sierpinski-5": oracle_pipes["sierpinski-5"].stack.space,
+            "grid2d-33": generate_space("grid2d", size=33),
+            "snowflake-257": oracle_pipes["snowflake-257"].stack.space}
+
+
+@pytest.mark.parametrize("flavor", ["homogeneous", "inhomogeneous"])
+@pytest.mark.parametrize("label", ["grid1d-513", "sierpinski-5", "grid2d-33",
+                                   "snowflake-257"])
+def test_stack_tables_match_frozen_builder(stack_spaces, label, flavor):
+    """Seeds formed and scaled in place, differences written into the
+    coarser table and the scalar mean cap give the frozen builder's tables
+    bit for bit."""
+    pipe = Pipeline(stack_spaces[label], kernel=KernelSpec(flavor=flavor))
+    st = pipe.stack
+    want = stack_oracle.kernel_tables(st.space, st.delta, st.k_min,
+                                      st.k_max, st.a, flavor)
+    assert st.q.keys() == want.keys()
+    assert all(np.array_equal(st.q[k], want[k]) for k in want)
+    t = st.delta ** st.k_max
+    for a in (0.5, 2.0):
+        assert np.array_equal(build_semigroup(st.space, t, a=a),
+                              stack_oracle.build_semigroup(st.space, t, a=a))
+
+
+@pytest.mark.parametrize("build", [build_exp_ati, build_exp_iati])
+def test_stack_build_peak_memory(oracle_pipes, build):
+    """Besides its finished tables a stack build holds one transient n x n
+    table, the P_t being built, and a block of rows.  The out-of-place
+    build, which formed each product and difference as a new table, went
+    past the bound of two tables."""
+    pipe = oracle_pipes["grid1d-513"]
+    cubes, levels = pipe.cubes, pipe.levels
+    tracemalloc.start()
+    try:
+        st = build(cubes, (levels[0], levels[-1]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    final = sum(q.nbytes for q in st.q.values())
+    assert peak - final <= 2 * 8 * st.space.n ** 2
 
 
 def test_validation_inhom_unit_resid(pipe65_inhom):

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import tracemalloc
 
 import a0_oracle
 import numpy as np
@@ -311,6 +313,56 @@ def test_certify_a0_sampled_matches_oracle():
     want = a0_oracle.certify_a0(sp.dist)
     assert (sp.a0, sp.a0_method) == want[:2]
     assert certify_a0(sp.dist) == want
+
+
+@pytest.mark.parametrize("name", ["grid1d-1100", "snowflake2-257"])
+def test_certify_a0_sampled_sub_blocks_match_oracle(name):
+    """A sample count that is a multiple of neither the draw chunk nor the
+    sub-block, on a grid with many tied ratios and on a snowflake whose
+    a0 = 2 is attained by many triples, gives the oracle's first worst
+    triple."""
+    if name == "grid1d-1100":
+        dist = space_mod._euclidean(space_mod._grid1d_points(1100))
+        cap = A0_EXHAUSTIVE_CAP
+    else:
+        dist = generate_space("snowflake_power", size=257, exponent=2.0).dist
+        cap = 128
+    samples = 2_345_678
+    assert samples % 1_000_000 and samples % space_mod.A0_SAMPLE_BLOCK
+    for seed in (0, 4):
+        got = certify_a0(dist, cap=cap, samples=samples, seed=seed)
+        assert got[1] == "sampled"
+        assert got == a0_oracle.certify_a0(dist, cap=cap, samples=samples,
+                                           seed=seed)
+
+
+def test_sampled_a0_peak_memory():
+    """The sample holds one chunk of int32 triples at a time and reads it
+    in sub-blocks, about 14 MB; int64 draws and whole-chunk index and value
+    arrays took about 69 MB on grid2d-33."""
+    d = space_mod._euclidean(space_mod._grid2d_points(33))
+    tracemalloc.start()
+    try:
+        got = certify_a0(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got[1] == "sampled"
+    assert peak < 20 * 2 ** 20
+
+
+def test_certify_a0_names_the_first_nonpositive_distance():
+    """The first offending pair in row-major order, as d + I <= 0 found it,
+    for zero and negative off-diagonal entries."""
+    good = _random_quasi_metric(40, seed=2)
+    for pairs in ([(3, 17)], [(5, 9), (2, 30)], [(0, 39), (0, 1)]):
+        d = good.copy()
+        for value, (i, j) in zip((0.0, -0.5), pairs):
+            d[i, j] = d[j, i] = value
+        i, j = np.argwhere(d + np.eye(40) <= 0)[0]
+        with pytest.raises(FormatError, match=re.escape(
+                f"dist({i},{j}) is not positive for distinct points")):
+            certify_a0(d)
 
 
 def test_certify_a0_cap_boundary(monkeypatch):
