@@ -416,10 +416,10 @@ def test_bad_ensemble_settings_set_paths_and_fields_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-# leaves out of range, each with a command that never reads it or reads it
-# only after the space is built; all exit 1 before any space is built.  The
-# ids are fixed strings (the positional names pytest gave these cases), so
-# removing a case renames no other
+# leaves out of range or removed from the config, each with a command that
+# never reads it or reads it only after the space is built; all exit 1 before
+# any space is built.  The ids are fixed strings (the positional names pytest
+# gave these cases), so removing a case renames no other
 REJECTED_BEFORE_WORK = (
     pytest.param(('kernel.flavor="inhomogeneous"', "kernel.sigma=-1"),
                  "cubes build", id="sets0-cubes build"),
@@ -429,6 +429,8 @@ REJECTED_BEFORE_WORK = (
                  "cubes build", id="sets2-cubes build"),
     pytest.param(('kernel.flavor="inhomogeneous"', "kernel.n_low=-1"),
                  "lab lemmas", id="sets3-lab lemmas"),
+    pytest.param(('kernel.flavor="inhomogeneous"', 'kernel.coarse="warp"'),
+                 "ati build", id="sets4-ati build"),
     pytest.param(("space.size=3", 'space.kind="sierpinski_level"',
                   "space.level=1"), "space build", id="sets5-space build"),
     pytest.param(('lab.pairing="bogus"',), "lab embeddings",
@@ -441,11 +443,23 @@ REJECTED_BEFORE_WORK = (
                  id="sets9-norm compute --variant bogus"),
     pytest.param(("space.size=33", "dyadic.delta=2"), "cubes build",
                  id="sets10-cubes build"),
+    pytest.param(("dyadic.sigma=1.05",), "cubes build",
+                 id="sets11-cubes build"),
+    pytest.param(("dyadic.deep_margin=-1",), "cubes build",
+                 id="sets12-cubes build"),
+    pytest.param(("kernel.fine_factor=0",), "cubes build",
+                 id="sets13-cubes build"),
+    pytest.param(("kernel.fine_factor=-1",), "cubes build",
+                 id="sets14-cubes build"),
     pytest.param(("kernel.a=-1",), "ati build", id="sets15-ati build"),
     pytest.param(("kernel.a=-1",), "lab lemmas", id="sets16-lab lemmas"),
     pytest.param(("kernel.sigma=0.5",), "ati build", id="sets17-ati build"),
     pytest.param(('space.file="x.json"', "space.size=9"), "space build",
                  id="sets18-space build"),
+    pytest.param(("space.size=65", "dyadic.k_max=6", "kernel.fine_factor=2"),
+                 "ati build", id="sets19-ati build"),
+    pytest.param(("space.size=65", "dyadic.k_max=6", "kernel.fine_factor=2"),
+                 "cubes build", id="sets20-cubes build"),
 )
 
 
