@@ -173,7 +173,7 @@ class CubeSystem:
         ref = self.refpoints(k)
         if len(ref) == 0:
             return np.full(self.space.n, np.inf)
-        return self.space.dist[:, ref].min(axis=1)
+        return self.space.dist[ref].min(axis=0)
 
 
 def _grow_level(space, net, threshold, sep, deep_mask):
@@ -181,12 +181,14 @@ def _grow_level(space, net, threshold, sep, deep_mask):
 
     Adds points while the covering radius is >= threshold; candidates must be
     >= sep from the net, preferring deep ones. Ties break to the lowest point
-    index via argmax semantics on exact equality.
+    index via argmax semantics on exact equality.  The distance table is
+    exactly symmetric, so d(., net) is read from the contiguous rows of the
+    net's points.
     """
     dist = space.dist
     if not net:
         net.append(0)
-    mind = dist[:, net].min(axis=1)
+    mind = dist[net].min(axis=0)
     while True:
         far = mind.max()
         if far < threshold:
@@ -198,19 +200,24 @@ def _grow_level(space, net, threshold, sep, deep_mask):
         score = np.where(pick_from, mind, -1.0)
         new = int(np.argmax(score))
         net.append(new)
-        mind = np.minimum(mind, dist[:, new])
+        mind = np.minimum(mind, dist[new])
     return net, float(mind.max())
 
 
 def _assign(space, net, prev_assign):
     """Position in `net` of each point's nearest center within the point's
     own coarser cube (`prev_assign`, all zero at the coarsest level).
-    Ties go to the center with the lowest point index."""
+    Ties go to the center with the lowest point index.
+
+    The distance table is exactly symmetric, so the (center, point) table
+    is gathered from the centers' contiguous rows.  The first center that
+    attains each column's minimum is found as the first match of the
+    minimum: `argmin` over axis 0 would copy the whole float table."""
     order = np.argsort(net, kind="stable")
     cand = net[order]
-    d = space.dist[:, cand]
-    d[prev_assign[:, None] != prev_assign[cand]] = np.inf
-    return order[np.argmin(d, axis=1)]
+    d = space.dist[cand]
+    d[prev_assign[cand][:, None] != prev_assign] = np.inf
+    return order[(d == d.min(axis=0)).argmax(axis=0)]
 
 
 def _deep_mask(space, assign, margin):
@@ -572,7 +579,7 @@ def _cubes_from_dump(doc, space):
             members=members)
     # measured constants recomputed from the dumped nets
     c0_lv = _separations(space, nets, delta)
-    big_lv = {k: float(space.dist[:, nets[k]].min(axis=1).max()) / delta ** k
+    big_lv = {k: float(space.dist[nets[k]].min(axis=0).max()) / delta ** k
               for k in range(k_min, k_max + 1)}
     net_sys = NetSystem(
         delta=delta, k_min=k_min, k_max=k_max, nets=nets,

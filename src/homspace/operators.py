@@ -81,7 +81,8 @@ def hl_maximal(f):
     space = f.space
     flat, measure, starts = space.group_ends
     g = np.abs(f.values) * space.weight
-    gpre = np.cumsum(g[space.ball_index.order], axis=1)
+    gpre = g[space.ball_index.order]
+    np.cumsum(gpre, axis=1, out=gpre)
     return Field(space, np.maximum.reduceat(gpre.ravel()[flat] / measure,
                                             starts))
 
@@ -151,13 +152,15 @@ def frame_operator(stack, f):
     y_alpha^{k,m}, and the cell averages of the levels of
     ``stack.cell_levels()`` (inhomogeneous k <= N) on both the analysis and
     synthesis side (the pattern of the k = 0 block of the reproducing
-    formula), which keeps S symmetric.
+    formula), which keeps S symmetric.  Every Q_k is exactly symmetric, so
+    the point-sample synthesis reads the contiguous rows Q_k(y, .) in place
+    of the columns Q_k(., y): the same numbers, gathered without striding.
     """
     space = stack.space
     out = np.zeros(space.n)
     for k, lc in analyze(stack, f).levels.items():
         if lc.average is None:
-            out += stack.q[k][:, lc.y_index] @ (lc.weight * lc.value)
+            out += (lc.weight * lc.value) @ stack.q[k][lc.y_index]
         else:
             sub_assign = stack.cubes.sample_arrays(k).sub_assign
             out += stack.q[k] @ (space.weight * lc.average[sub_assign])

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import (CertificationError, FormatError, ParameterError,
                      choice_arg, integer_arg, real_arg, resolve)
+from .kernels import _row_blocks
 
 # Exact min-plus certificate up to this point count; sampled above it.
 A0_EXHAUSTIVE_CAP = 1025
@@ -304,8 +305,9 @@ class MetricMeasureSpace:
         """Smallest positive pairwise distance (inf for one point)."""
         if self.n == 1:
             return math.inf
-        off = self.dist + np.where(np.eye(self.n, dtype=bool), np.inf, 0.0)
-        return float(off.min())
+        off = np.eye(self.n, dtype=bool)
+        np.logical_not(off, out=off)
+        return float(self.dist.min(where=off, initial=np.inf))
 
     # -- ball machinery -----------------------------------------------------
 
@@ -356,12 +358,18 @@ class MetricMeasureSpace:
         return v
 
     def v_symmetry_ratio(self):
-        """max over pairs of V(x,y)/V(y,x); finite because balls own centers."""
+        """max over pairs of V(x,y)/V(y,x); finite because balls own centers.
+        Taken over blocks of rows, with the 0/0 of the diagonal left out."""
         if self.n == 1:
             return 1.0
         v = self.v_table()
-        mask = ~np.eye(self.n, dtype=bool)
-        return float(np.max(v[mask] / v.T[mask]))
+        best = -np.inf
+        for blk in _row_blocks(self.n):
+            with np.errstate(invalid="ignore"):
+                ratio = v[blk] / v.T[blk]
+            np.fill_diagonal(ratio[:, blk], -np.inf)
+            best = max(best, float(ratio.max()))
+        return best
 
 
 @dataclass(frozen=True)

@@ -302,6 +302,35 @@ def test_build_matches_frozen_oracle(name):
                     assert np.array_equal(g, w), (j0, sampler, k, field_name)
 
 
+@pytest.mark.parametrize("name", sorted(ORACLE_SPACES))
+def test_refpoint_distance_matches_column_min(name):
+    """d(x, Y^k) read from the rows of Y^k equals the column minimum at
+    every level, the finest (where Y^k is empty) included."""
+    sp = generate_space(**ORACLE_SPACES[name])
+    lo, hi = default_level_range(sp)
+    cubes = build_cubes(build_nets(sp, 0.5, (lo, hi + 2)), sp)
+    for k in cubes.nets.levels():
+        ref = cubes.refpoints(k)
+        want = (sp.dist[:, ref].min(axis=1) if len(ref)
+                else np.full(sp.n, np.inf))
+        assert np.array_equal(cubes.refpoint_distance(k), want), k
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SPACES))
+def test_dump_reload_keeps_covering_constants(name):
+    """A dumped and reloaded cube system measures the same C0 from its
+    nets' rows as the build did while growing them."""
+    sp = generate_space(**ORACLE_SPACES[name])
+    lo, hi = default_level_range(sp)
+    nets = build_nets(sp, 0.5, (lo, hi + 2))
+    loaded = cubes_from_dump(cube_dump(build_cubes(nets, sp)), sp).nets
+    assert loaded.big_c0 == nets.big_c0
+    assert loaded.big_c0 == max(
+        float(sp.dist[:, nets.nets[k]].min(axis=1).max()) / 0.5 ** k
+        for k in nets.levels())
+    assert loaded.c0_per_level == nets.c0_per_level
+
+
 def test_cube_system_is_frozen_and_read_only(grid65):
     nets = build_nets(grid65, 0.5, (0, 6))
     cubes = refine_subcubes(build_cubes(nets, grid65), 2)

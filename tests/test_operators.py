@@ -1,9 +1,11 @@
+import frame_oracle
 import numpy as np
 import pytest
 
-from homspace import (Field, IllConditionedFrameError, LevelTable,
-                      ParameterError, RangeError, analyze, frame_operator,
-                      generate_space, hl_maximal, reconstruct)
+from homspace import (Field, IllConditionedFrameError, KernelSpec,
+                      LevelTable, ParameterError, Pipeline, RangeError,
+                      analyze, frame_operator, generate_space, hl_maximal,
+                      operators, reconstruct)
 from homspace.operators import mu_dot
 
 
@@ -189,6 +191,66 @@ def test_frame_operator_symmetric_inhom(pipe65_inhom, rng):
     sf = frame_operator(pipe65_inhom.stack, Field(sp, f)).values
     sg = frame_operator(pipe65_inhom.stack, Field(sp, g)).values
     assert mu_dot(sp, sf, g) == pytest.approx(mu_dot(sp, f, sg), rel=1e-10)
+
+
+FRAME_SPACES = {"grid2d-33": dict(kind="grid2d", size=33),
+                "grid1d-513": dict(kind="grid1d", size=513),
+                "sierpinski-5": dict(kind="sierpinski_level", level=5)}
+FLAVORS = ("homogeneous", "inhomogeneous")
+
+
+@pytest.fixture(scope="module")
+def frame_pipes():
+    """One pipeline per space and flavor; each stack is built on first read."""
+    pipes = {}
+    for label, kw in FRAME_SPACES.items():
+        sp = generate_space(**kw)
+        for flavor in FLAVORS:
+            pipes[label, flavor] = Pipeline(sp,
+                                            kernel=KernelSpec(flavor=flavor))
+    return pipes
+
+
+def _bandlimited(st, seed=0):
+    """Q_j of white noise at the stack's middle level, as `frame
+    reconstruct` makes its bandlimited field."""
+    levels = st.levels()
+    noise = np.random.default_rng(seed).standard_normal(st.space.n)
+    return Field(st.space, st.apply(levels[len(levels) // 2], noise))
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("label", sorted(FRAME_SPACES))
+def test_frame_operator_matches_frozen_column_form(frame_pipes, label, flavor,
+                                                   rng):
+    """The synthesis from rows of Q_k gives the frozen column form's bits,
+    on point-sample levels that sample every point and on coarser ones, and
+    next to the cell-average levels of an inhomogeneous stack."""
+    st = frame_pipes[label, flavor].stack
+    sp = st.space
+    sampled = [k for k in st.levels() if k not in st.cell_levels()]
+    assert any(len(st.cubes.sample_arrays(k).y) < sp.n for k in sampled)
+    assert any(len(st.cubes.sample_arrays(k).y) == sp.n for k in sampled)
+    assert bool(st.cell_levels()) == (flavor == "inhomogeneous")
+    fields = [Field(sp, rng.standard_normal(sp.n)) for _ in range(2)]
+    fields.append(_bandlimited(st))
+    for f in fields:
+        assert np.array_equal(frame_operator(st, f).values,
+                              frame_oracle.frame_operator(st, f).values)
+
+
+def test_reconstruct_matches_frozen_column_form(frame_pipes, monkeypatch):
+    """`frame reconstruct`'s solve on grid2d-33: the report and the
+    reconstruction equal those of CG run on the frozen column form."""
+    st = frame_pipes["grid2d-33", "homogeneous"].stack
+    f = _bandlimited(st)
+    rf, rep = reconstruct(st, f, tol=1e-10, maxiter=500)
+    monkeypatch.setattr(operators, "frame_operator",
+                        frame_oracle.frame_operator)
+    want_rf, want_rep = reconstruct(st, f, tol=1e-10, maxiter=500)
+    assert rep == want_rep
+    assert rep.iterations == 13
+    assert np.array_equal(rf.values, want_rf.values)
 
 
 def test_frame_annihilates_constants(pipe65):

@@ -135,6 +135,51 @@ def test_v_symmetry_ratio_reported(grid65):
     assert 1.0 <= r < 10.0
 
 
+GAP_SPACES = {
+    "grid1d-2": dict(kind="grid1d", size=2),
+    "grid1d-65": dict(kind="grid1d", size=65),
+    "circle-64": dict(kind="circle", size=64),
+    "graph-63": dict(kind="graph", size=63),
+    "sierpinski-4": dict(kind="sierpinski_level", level=4),
+    "grid2d-17": dict(kind="grid2d", size=17),
+    "snowflake-129": dict(kind="snowflake_power", size=129, exponent=2.0),
+    "circle-40-custom": dict(kind="circle", size=40, measure="custom",
+                             weights=[1.0 + (i * 7) % 5 for i in range(40)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAP_SPACES))
+def test_min_gap_and_v_ratio_match_whole_table_forms(name):
+    """The masked minimum and the blocked V ratio equal the forms that
+    built an n x n table: the distances plus inf on the diagonal, and
+    V(x,y)/V(y,x) gathered over every off-diagonal pair."""
+    sp = generate_space(**GAP_SPACES[name])
+    off = ~np.eye(sp.n, dtype=bool)
+    gap = float((sp.dist + np.where(~off, np.inf, 0.0)).min())
+    v = sp.v_table()
+    assert sp.min_gap == gap
+    assert sp.v_symmetry_ratio() == float(np.max(v[off] / v.T[off]))
+
+
+@pytest.mark.parametrize("kw", [dict(kind="grid1d", size=513),
+                                dict(kind="graph", size=600)],
+                         ids=["grid1d-513", "graph-600"])
+def test_min_gap_and_v_ratio_peak_memory(kw):
+    """Neither value holds a float n x n temporary: each peak stays below
+    half of one distance table (the whole-table forms took about two)."""
+    sp = generate_space(**kw)
+    sp.v_table()
+    bound = sp.dist.nbytes // 2
+    for read in (lambda: sp.min_gap, sp.v_symmetry_ratio):
+        tracemalloc.start()
+        try:
+            read()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+
 def test_geometry_single_point():
     sp = generate_space("circle", size=1)
     rep = geometry_report(sp, [0.5])
