@@ -2,16 +2,16 @@
 
 One JSON config file drives every command; ``--set a.b.c=value`` overrides
 single leaves, and a mapping value is merged into the section it names.
-`load_config` checks every leaf before any work: its type against
-`DEFAULT_CONFIG`, and its range in its stage's frozen spec
-(`config_specs`), the same spec the library builders check their
-arguments with.  A leaf that its section's choice does not read (a size for
-a Sierpinski space, a kernel sigma for the homogeneous flavor) has a null
-default and must stay null.  Each command reads the stages it uses from
-one lazy `Pipeline` of the config's specs, so it builds only those.
-Reports are written atomically and contain no timestamps (wall-clock
-metadata goes to the ``run_meta.json`` sidecar), so re-running with the
-same config and seeds reproduces byte-identical outputs.
+`load_config` checks every leaf before any space is built: its type
+against `DEFAULT_CONFIG`, then every range rule in `config_specs`, each
+stage's frozen spec and the two rules that tie the level range and
+`lab.pairing` to the kernel flavor.  A leaf that its section's choice does
+not read (a kernel sigma for the homogeneous flavor) has a null default and
+must stay null; a null `lab.pairing` is the flavor's Besov pairing.  Each
+command builds only the stages it reads from one lazy `Pipeline`.  Reports
+(``.txt`` and ``.csv``) are written atomically without timestamps (the wall
+clock goes to the ``run_meta.json`` sidecar), so re-running with the same
+config and seeds reproduces byte-identical outputs.
 
 Exit codes: 0 success, 1 usage/format/parameter errors, 2 violated exact
 invariants or band caps.
@@ -118,11 +118,11 @@ DEFAULT_CONFIG = {
         "ensemble": {"kinds": list(labmod.STANDARD_KINDS),
                      "counts": dict(labmod.STANDARD_COUNTS),
                      "seed": 0, "mean_zero": True},
-        "pairing": "B_vs_L",
+        "pairing": None,
         "caps": dict(labmod.DEFAULT_CAPS),
         "radius_grid": None,
     },
-    "output": {"dir": "out", "formats": ["text", "csv"]},
+    "output": {"dir": "out"},
 }
 
 
@@ -133,11 +133,11 @@ NULL_DEFAULT_TYPES = {
     "space.exponent": float, "space.measure": str, "space.weights": list,
     "space.file": str, "space.label": str, "kernel.sigma": float,
     "kernel.n_low": int, "dyadic.k_min": int, "dyadic.k_max": int,
-    "norm.field.level": int, "norm.field.file": str, "lab.radius_grid": list,
+    "norm.field.level": int, "norm.field.file": str, "lab.pairing": str,
+    "lab.radius_grid": list,
 }
 # leaves that also take "inf" or JSON Infinity
 INF_LEAVES = ("norm.p", "norm.q")
-OUTPUT_FORMATS = ("text", "csv")
 TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number",
               str: "a string", list: "a list"}
 
@@ -205,10 +205,6 @@ def load_config(path, sets):
             raise ParameterError(f"unknown config key {dotted}")
         node[name] = _merge(node.get(name), _parse_leaf(raw))
     _check_config(cfg, DEFAULT_CONFIG)
-    formats = cfg["output"]["formats"]
-    if not all(f in OUTPUT_FORMATS for f in formats):
-        raise ParameterError(f"output.formats must list only "
-                             f"{', '.join(OUTPUT_FORMATS)}; got {formats!r}")
     config_specs(cfg)
     return cfg
 
@@ -223,14 +219,11 @@ def write_atomic(path, text):
 
 def emit(cfg, name, suite_or_text):
     outdir = cfg["output"]["dir"]
-    formats = cfg["output"]["formats"]
     if isinstance(suite_or_text, SuiteReport):
-        if "text" in formats:
-            write_atomic(os.path.join(outdir, f"{name}.txt"),
-                         suite_or_text.to_text())
-        if "csv" in formats:
-            write_atomic(os.path.join(outdir, f"{name}.csv"),
-                         suite_or_text.to_csv())
+        write_atomic(os.path.join(outdir, f"{name}.txt"),
+                     suite_or_text.to_text())
+        write_atomic(os.path.join(outdir, f"{name}.csv"),
+                     suite_or_text.to_csv())
     else:
         write_atomic(os.path.join(outdir, name), suite_or_text)
     write_atomic(os.path.join(outdir, "effective_config.json"),
@@ -252,20 +245,24 @@ NORM_VARIANTS = ("besov", "triebel", "lebesgue", *VARIANTS,
 
 def config_specs(cfg):
     """Every stage's spec, by name, from a merged config: each range rule
-    runs here in its spec's constructor, and so before any work."""
+    runs here, in its spec's constructor or between two specs, and so before
+    any work.  A null pairing is the kernel flavor's Besov pairing."""
     nc, lc = cfg["norm"], cfg["lab"]
     choice_arg("norm variant", nc["variant"], NORM_VARIANTS)
     specs = dict(space=SpaceSpec(**cfg["space"]),
                  dyadic=DyadicSpec(**cfg["dyadic"]),
                  kernel=KernelSpec(**cfg["kernel"]),
                  field=FieldSpec(**nc["field"]),
-                 frame=FrameSpec(cfg["frame"]["tol"], cfg["frame"]["maxiter"]),
-                 lab=labmod.LabSpec(
-                     pairing=lc["pairing"], caps=lc["caps"],
-                     radius_grid=lc["radius_grid"],
-                     ensemble=labmod.EnsembleSpec(**lc["ensemble"])))
+                 frame=FrameSpec(cfg["frame"]["tol"], cfg["frame"]["maxiter"]))
     dyadic, kernel = specs["dyadic"], specs["kernel"]
     kernel.check_levels(dyadic.k_min, dyadic.k_max)
+    pairing = lc["pairing"]
+    specs["lab"] = labmod.LabSpec(
+        pairing=(labmod.FLAVOR_PAIRING[kernel.flavor] if pairing is None
+                 else pairing),
+        caps=lc["caps"], radius_grid=lc["radius_grid"],
+        ensemble=labmod.EnsembleSpec(**lc["ensemble"]))
+    specs["lab"].check_flavor(kernel.flavor)
     specs["norm"] = NormSpec(
         s=nc["s"], p=_inf(nc["p"]), q=_inf(nc["q"]), u=nc["u"],
         beta=nc["beta"], gamma=nc["gamma"], delta=dyadic.delta,
@@ -373,8 +370,7 @@ def cubes_build(cfg, specs, pipe):
     cubes = pipe.cubes
     ver = dy.verify_cubes(cubes)
     emit(cfg, "cubes.json", json.dumps(dy.cube_dump(cubes)) + "\n")
-    suite = _verification_suite(ver)
-    return _finish(cfg, "cubes_verify", suite)
+    return _finish(cfg, "cubes_verify", _verification_suite(ver))
 
 
 def _verification_suite(ver):
@@ -407,8 +403,7 @@ def cubes_verify(cfg, specs, pipe, dump_path):
     with open(dump_path) as fh:
         doc = json.load(fh)
     ver = dy.verify_cubes(dy.cubes_from_dump(doc, pipe.space))
-    suite = _verification_suite(ver)
-    return _finish(cfg, "cubes_verify", suite)
+    return _finish(cfg, "cubes_verify", _verification_suite(ver))
 
 
 @cli.group()
@@ -517,14 +512,12 @@ def _lab_pipe(specs, pipe):
 @pass_cfg
 def lab_equivalence(cfg, specs, pipe):
     lab = specs["lab"]
-    lab.check_flavor(specs["kernel"].flavor)
     geom, ensemble = _lab_pipe(specs, pipe)
     rep = validate_ati(pipe.stack)
     eq = labmod.equivalence_experiment(
         pipe.stack, specs["norm"], lab.pairing, ensemble, omega=geom.omega,
         eta=rep.eta_fit, geometry=geom, caps=lab.caps)
-    suite = eq.to_suite()
-    return _finish(cfg, "equivalence", suite)
+    return _finish(cfg, "equivalence", eq.to_suite())
 
 
 @lab.command("embeddings")

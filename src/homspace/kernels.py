@@ -74,8 +74,11 @@ class KernelSpec:
                 "kernel.n_low", self.n_low, low=0))
 
     def check_levels(self, k_min, k_max):
-        """Inhomogeneous levels run from 0 to at least 1; a null level is the
-        default range's."""
+        """The range is not empty, and inhomogeneous levels run from 0 to at
+        least 1; a null level is the default range's."""
+        if None not in (k_min, k_max) and k_min > k_max:
+            raise ParameterError(f"empty level range: k_min={k_min} > "
+                                 f"k_max={k_max}")
         if self.flavor == "inhomogeneous" and (
                 k_min not in (None, 0) or k_max is not None and k_max < 1):
             raise ParameterError(f"inhomogeneous levels run from 0 to at "
@@ -223,10 +226,10 @@ def build_exp_ati(cubes, k_range, a=1.0):
     k_range = (k_min, k_max): Q_k = P_{delta^k} - P_{delta^(k-1)}, the
     coarsest level capped by the mean projection, checked as a
     `KernelSpec`."""
-    KernelSpec(a=a)
     space, delta = cubes.space, cubes.delta
     k_min = integer_arg("k_range", k_range[0])
     k_max = integer_arg("k_range", k_range[-1])
+    KernelSpec(a=a).check_levels(k_min, k_max)
     _check_cubes(cubes, space, delta, k_min, k_max)
     q = _difference_stack(space, delta, k_min, k_max, a,
                           lambda p: p - 1.0 / space.total_mass)
@@ -240,8 +243,9 @@ def build_exp_iati(cubes, k_range, a=1.0, sigma=1.0, n_low=1):
     differences; the levels k <= n_low are read through cell averages
     downstream (`KernelStack.cell_levels`), checked as a `KernelSpec`."""
     spec = KernelSpec(flavor="inhomogeneous", a=a, sigma=sigma, n_low=n_low)
-    spec.check_levels(integer_arg("k_range", k_range[0]), None)
+    k_min = integer_arg("k_range", k_range[0])
     k_max = integer_arg("k_range", k_range[-1])
+    spec.check_levels(k_min, k_max)
     space, delta = cubes.space, cubes.delta
     _check_cubes(cubes, space, delta, 0, k_max)
     q = _difference_stack(space, delta, 0, k_max, a,

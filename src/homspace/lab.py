@@ -129,6 +129,8 @@ def generate_ensemble(stack, spec):
 PAIRING_VARIANTS = {"B_vs_L": "Ldot", "B_vs_Lb": "Lb_dot", "F_vs_Lt": "Lt_dot",
                     "F_vs_Lt_u": "Lt_dot", "inhomog_B_vs_L": "L",
                     "inhomog_F_vs_Lt": "Lt"}
+# the Besov pairing of each kernel flavor: a null `lab.pairing` is its flavor's
+FLAVOR_PAIRING = {"homogeneous": "B_vs_L", "inhomogeneous": "inhomog_B_vs_L"}
 
 
 @dataclass(frozen=True)

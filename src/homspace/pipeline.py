@@ -17,7 +17,7 @@ decomposition and reference points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 from .dyadic import (DyadicSpec, build_cubes, build_nets, finest_level,
@@ -60,14 +60,14 @@ class Pipeline:
     @cached_property
     def levels(self):
         """The level range of the stack: `default_level_range` unless the
-        dyadic spec fixes an end (`KernelSpec.check_levels` holds a set end
-        to the flavor's rule)."""
+        dyadic spec fixes an end; `KernelSpec.check_levels` holds the range
+        to the flavor's rule."""
         dyadic = self.dyadic
         k_lo, k_hi = default_level_range(self.space, dyadic.delta,
                                          self.kernel.flavor)
         k_lo = k_lo if dyadic.k_min is None else dyadic.k_min
         k_hi = k_hi if dyadic.k_max is None else dyadic.k_max
-        replace(dyadic, k_min=k_lo, k_max=k_hi)  # the range must not be empty
+        self.kernel.check_levels(k_lo, k_hi)
         return range(k_lo, k_hi + 1)
 
     @cached_property

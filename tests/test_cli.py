@@ -4,6 +4,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import click
@@ -345,8 +346,8 @@ BAD_NORM_SETS = (
 )
 
 
-# leaves of the wrong type, also ones `lab lemmas` never reads, output
-# formats outside text and csv, and lists of non-numbers
+# leaves of the wrong type, also ones `lab lemmas` never reads, the removed
+# output.formats, and lists of non-numbers
 BAD_LEAF_SETS = (
     ("output.dir=5",),
     ('output.formats=["pdf"]',),
@@ -484,7 +485,8 @@ def test_bad_leaves_exit_1_before_any_space_is_built(tmp_path, capsys,
 
 @pytest.mark.parametrize("section,key,value", [
     ("kernel", "coarse", "mean"), ("kernel", "fine_factor", 16.0),
-    ("dyadic", "sigma", 0.6), ("dyadic", "deep_margin", 0.3)])
+    ("dyadic", "sigma", 0.6), ("dyadic", "deep_margin", 0.3),
+    ("output", "formats", ["text", "csv"])])
 def test_removed_keys_are_unknown(tmp_path, capsys, monkeypatch, section,
                                   key, value):
     """A config file or a --set that still sets a removed leaf, even to the
@@ -511,6 +513,64 @@ def test_lab_pairing_of_the_other_flavor_exits_1_before_any_kernel(
     args = [arg for a in ("space.size=65", *sets) for arg in ("--set", a)]
     assert run(["--out", str(tmp_path), *args, "lab", "equivalence"]) == 1
     assert capsys.readouterr().err.startswith("error: pairing")
+
+
+@pytest.mark.parametrize("command", ["lab equivalence", "ati build"])
+@pytest.mark.parametrize("sets", [
+    ('lab.pairing="inhomog_F_vs_Lt"', 'kernel.flavor="homogeneous"'),
+    ('lab.pairing="F_vs_Lt"', 'kernel.flavor="inhomogeneous"')])
+def test_pairing_of_the_other_flavor_exits_1_before_any_space_is_built(
+        tmp_path, capsys, monkeypatch, sets, command):
+    """The pairing is held to the kernel flavor with every other config
+    rule, also for a command that never reads the pairing."""
+    _no_space(monkeypatch)
+    args = [arg for a in sets for arg in ("--set", a)]
+    assert run(["--out", str(tmp_path), *args, *command.split()]) == 1
+    assert capsys.readouterr().err.startswith("error: pairing")
+
+
+def test_null_pairing_is_the_flavor_besov_pairing(tmp_path, capsys):
+    """An inhomogeneous config that sets no pairing runs `lab equivalence`
+    as inhomog_B_vs_L, report for report."""
+    sets = ("space.size=65", 'kernel.flavor="inhomogeneous"')
+    reports = {}
+    for name, pairing in (("null", ()),
+                          ("explicit", ('lab.pairing="inhomog_B_vs_L"',))):
+        args = [arg for a in (*sets, *pairing) for arg in ("--set", a)]
+        out = tmp_path / name
+        assert run(["--out", str(out), *args, "lab", "equivalence"]) == 0
+        reports[name] = [(out / f"equivalence.{ext}").read_bytes()
+                         for ext in ("txt", "csv")]
+    assert reports["null"] == reports["explicit"]
+    assert b"equivalence inhomog_B_vs_L" in reports["null"][0]
+    capsys.readouterr()
+
+
+# the leaves a command reads itself, not through a spec
+COMMAND_LEAVES = ("norm.variant", "frame.dump_coefficients", "output.dir")
+
+
+def test_every_config_leaf_is_read():
+    """Each leaf of DEFAULT_CONFIG is a field of the spec that `config_specs`
+    builds from its section (a key of a mapping leaf, such as a cap, is a
+    key of that field), or one a command reads itself: no key is accepted
+    for nothing."""
+    specs = config_specs(load_config(None, ()))
+    section_specs = {
+        "space": specs["space"], "dyadic": specs["dyadic"],
+        "kernel": specs["kernel"], "norm": specs["norm"],
+        "norm.field": specs["field"], "frame": specs["frame"],
+        "lab": specs["lab"], "lab.ensemble": specs["lab"].ensemble}
+    assert specs["lab"].caps == DEFAULT_CAPS
+    for leaf, _ in _leaves(DEFAULT_CONFIG):
+        if leaf in COMMAND_LEAVES:
+            continue
+        parts = leaf.split(".")
+        cut = 2 if ".".join(parts[:2]) in section_specs else 1
+        spec = section_specs.get(".".join(parts[:cut]))
+        name, *keys = parts[cut:]
+        assert spec and name in {f.name for f in fields(spec)}, leaf
+        assert all(key in getattr(spec, name) for key in keys), leaf
 
 
 def test_seeds_and_field_leaves_are_never_unread():

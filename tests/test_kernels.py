@@ -395,6 +395,23 @@ def test_kernel_builders_reject_fractional_levels(pipe65):
     assert (st.k_min, st.k_max) == (0, 3)
 
 
+@pytest.mark.parametrize("build,k_range", [
+    (build_exp_ati, (3, 1)), (build_exp_iati, (0, -1)),
+    (build_exp_iati, (0, 0))], ids=["ati-3-1", "iati-0-m1", "iati-0-0"])
+def test_kernel_builders_reject_an_empty_or_one_level_range(monkeypatch,
+                                                            build, k_range):
+    """A range with no level, or an inhomogeneous one without level 1, is
+    refused before any table is built."""
+    cubes = Pipeline(generate_space("grid1d", size=33)).cubes
+
+    def no_semigroup(*args, **kwargs):
+        raise AssertionError("a kernel table was built")
+
+    monkeypatch.setattr(kernels, "build_semigroup", no_semigroup)
+    with pytest.raises(ParameterError):
+        build(cubes, k_range)
+
+
 def test_inhomogeneous_pipeline_rejects_given_level_range(grid65):
     for kw in (dict(k_min=3), dict(k_min=-1), dict(k_max=0)):
         with pytest.raises(ParameterError, match=next(iter(kw))):
