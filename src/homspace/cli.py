@@ -115,8 +115,7 @@ DEFAULT_CONFIG = {
     },
     "frame": {"tol": 1e-6, "maxiter": 500, "dump_coefficients": False},
     "lab": {
-        "ensemble": {"kinds": list(labmod.STANDARD_KINDS),
-                     "counts": dict(labmod.STANDARD_COUNTS),
+        "ensemble": {"counts": dict(labmod.STANDARD_COUNTS),
                      "seed": 0, "mean_zero": True},
         "pairing": None,
         "caps": dict(labmod.DEFAULT_CAPS),
@@ -130,11 +129,10 @@ DEFAULT_CONFIG = {
 # type of their default); such a leaf may also stay null
 NULL_DEFAULT_TYPES = {
     "space.kind": str, "space.size": int, "space.level": int,
-    "space.exponent": float, "space.measure": str, "space.weights": list,
-    "space.file": str, "space.label": str, "kernel.sigma": float,
-    "kernel.n_low": int, "dyadic.k_min": int, "dyadic.k_max": int,
-    "norm.field.level": int, "norm.field.file": str, "lab.pairing": str,
-    "lab.radius_grid": list,
+    "space.exponent": float, "space.weights": list, "space.file": str,
+    "space.label": str, "kernel.sigma": float, "kernel.n_low": int,
+    "dyadic.k_min": int, "dyadic.k_max": int, "norm.field.level": int,
+    "norm.field.file": str, "lab.pairing": str, "lab.radius_grid": list,
 }
 # leaves that also take "inf" or JSON Infinity
 INF_LEAVES = ("norm.p", "norm.q")

@@ -57,27 +57,25 @@ def merge_caps(caps=None):
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    kinds: tuple = STANDARD_KINDS
+    """`counts` probe fields of each of `STANDARD_KINDS`, drawn from `seed`
+    in that order; a missing kind counts 0, and a count of 0 leaves it out."""
+
     counts: dict = field(default_factory=lambda: dict(STANDARD_COUNTS))
     seed: int = 0
     mean_zero: bool = False
 
     def __post_init__(self):
-        if (not isinstance(self.kinds, (list, tuple)) or not self.kinds
-                or any(kind not in STANDARD_KINDS for kind in self.kinds)):
-            raise ParameterError(
-                f"ensemble kinds must be a non-empty list of "
-                f"{', '.join(STANDARD_KINDS)}; got {self.kinds!r}")
-        object.__setattr__(self, "kinds", tuple(self.kinds))
         if not isinstance(self.counts, dict):
             raise ParameterError(
                 f"ensemble counts must be a mapping, got {self.counts!r}")
+        for kind in self.counts:
+            choice_arg("ensemble kind", kind, STANDARD_KINDS)
         object.__setattr__(self, "counts", {
-            kind: integer_arg(f"ensemble count {kind}", count, low=0)
-            for kind, count in self.counts.items()})
-        for kind in self.kinds:
-            if kind not in self.counts:
-                raise ParameterError(f"ensemble kind {kind} has no count")
+            kind: integer_arg(f"ensemble count {kind}",
+                              self.counts.get(kind, 0), low=0)
+            for kind in STANDARD_KINDS})
+        if not self.total():
+            raise ParameterError("ensemble must be non-empty; all counts 0")
         object.__setattr__(self, "seed",
                            integer_arg("ensemble seed", self.seed, low=0))
         if not isinstance(self.mean_zero, bool):
@@ -85,7 +83,7 @@ class EnsembleSpec:
                                  f"got {self.mean_zero!r}")
 
     def total(self):
-        return sum(self.counts[k] for k in self.kinds)
+        return sum(self.counts.values())
 
 
 def generate_ensemble(stack, spec):
@@ -96,8 +94,8 @@ def generate_ensemble(stack, spec):
     mid_scale = stack.delta ** interior[len(interior) // 2]
     mollifier = build_semigroup(space, mid_scale, a=stack.a)
     fields = []
-    for kind in spec.kinds:
-        for i in range(spec.counts[kind]):
+    for kind, count in spec.counts.items():
+        for i in range(count):
             if kind == "bandlimited":
                 j = interior[i % len(interior)]
                 v = stack.apply(j, rng.standard_normal(space.n))

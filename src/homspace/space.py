@@ -236,9 +236,9 @@ class MetricMeasureSpace:
     ----------
     dist : (n, n) array of pairwise distances, symmetric, zero diagonal.
     weight : (n,) array of strictly positive atomic measures.
-    a0 : declared quasi-triangle constant (>= 1), checked against the one
-        `certify_a0` measures; ``a0_method`` is then "declared", else the
-        measured method ("exhaustive" or "sampled").
+    a0 : declared quasi-triangle constant, a finite number >= 1 checked
+        before `certify_a0` runs, then against the constant it measures;
+        ``a0_method`` is then "declared", else the measured method.
     label : free-form description.
     points : optional coordinate array kept for round-tripping documents.
     seed : seed of the a0 sample, taken above ``A0_EXHAUSTIVE_CAP`` points
@@ -257,15 +257,15 @@ class MetricMeasureSpace:
             bad = int(np.argmax(w <= 0))
             raise FormatError(f"weight of point {bad} is not positive")
 
+        if a0 is not None:
+            a0 = float(real_arg("a0", a0, lambda v: 1 <= v < math.inf,
+                                "a finite number >= 1"))
         # certify_a0 also checks the rest of the distance table
         measured, method, worst = certify_a0(d, cap=A0_EXHAUSTIVE_CAP,
                                              seed=seed)
         if a0 is None:
             a0 = measured
         else:
-            a0 = float(a0)
-            if a0 < 1:
-                raise ParameterError("a0 must be >= 1")
             method = "declared"
             if measured > a0 * (1 + 1e-12):
                 raise CertificationError(
@@ -409,14 +409,16 @@ def default_radius_grid(space):
 
 
 def radius_grid_arg(radius_grid):
-    """`radius_grid` as a list of floats: nonempty, positive and sorted."""
+    """`radius_grid` as floats: nonempty, finite, positive and sorted."""
     try:
         radii = [float(r) for r in radius_grid]
     except (TypeError, ValueError):
         raise ParameterError(f"radius_grid must be a list of numbers, "
                              f"got {radius_grid!r}") from None
-    if not radii or any(r <= 0 for r in radii) or radii != sorted(radii):
-        raise ParameterError("radius_grid must be nonempty, positive, sorted")
+    if (not radii or any(not 0 < r < math.inf for r in radii)
+            or radii != sorted(radii)):
+        raise ParameterError("radius_grid must be nonempty, finite, positive, "
+                             "sorted")
     return radii
 
 
@@ -482,8 +484,16 @@ def geometry_report(space, radius_grid, fit_reverse=False):
 # -- generators -------------------------------------------------------------
 
 def _euclidean(points):
-    diff = points[:, None, :] - points[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+    """Distance table of the rows of `points`, summed one coordinate at a
+    time with no (n, n, dim) temporary: below 8 coordinates (numpy sums
+    pairwise from 8 terms on) bit for bit the summed squared differences."""
+    n = len(points)
+    out, diff = np.zeros((n, n)), np.empty((n, n))
+    for x in points.T:
+        np.subtract(x[:, None], x, out=diff)
+        np.multiply(diff, diff, out=diff)
+        out += diff
+    return np.sqrt(out, out=out)
 
 
 def _grid1d_points(size):
@@ -535,26 +545,25 @@ def _sierpinski_points(level):
     return np.unique(np.round(pts, 12), axis=0)
 
 
-# the leaves each stock kind and each measure reads, with their defaults
+# the leaves each stock kind reads, with their defaults (all read weights)
 KIND_READS = {"grid1d": {"size": 65}, "grid2d": {"size": 65},
               "circle": {"size": 65}, "graph": {"size": 65},
               "sierpinski_level": {"level": None},
               "snowflake_power": {"size": 65, "exponent": None}}
-MEASURE_READS = {"uniform": {}, "custom": {"weights": None}}
 
 
 @dataclass(frozen=True)
 class SpaceSpec:
     """A stock space, or a space document when `file` is set.  Null leaves
-    take their defaults: kind "grid1d", measure "uniform" and, for the kinds
-    that read it, size 65.  A leaf the kind, the measure or the file does not
-    read stays null; `seed` is the a0 sample's."""
+    take their defaults: kind "grid1d" and, for the kinds that read it, size
+    65.  Null `weights` are the uniform measure of mass 1, a list the atomic
+    weights of the points.  A leaf the kind or the file does not read stays
+    null; `seed` is the a0 sample's."""
 
     kind: str | None = None
     size: int | None = None
     level: int | None = None
     exponent: float | None = None
-    measure: str | None = None
     weights: list | None = None
     label: str | None = None
     seed: int = 0
@@ -564,16 +573,12 @@ class SpaceSpec:
         integer_arg("space.seed", self.seed, low=0)
         if self.file is not None:
             resolve(self, "space", "space.file is set", {}, "kind", "size",
-                    "level", "exponent", "measure", "weights", "label")
+                    "level", "exponent", "weights", "label")
             return
-        resolve(self, "space", "", {"kind": "grid1d", "measure": "uniform"},
-                "kind", "measure")
+        resolve(self, "space", "", {"kind": "grid1d"}, "kind")
         kind = choice_arg("space kind", self.kind, KIND_READS)
-        measure = choice_arg("measure", self.measure, MEASURE_READS)
         resolve(self, "space", f"space.kind is {kind!r}", KIND_READS[kind],
                 "size", "level", "exponent")
-        resolve(self, "space", f"space.measure is {measure!r}",
-                MEASURE_READS[measure], "weights")
         if self.size is not None:
             object.__setattr__(self, "size",
                                integer_arg("space.size", self.size, low=1))
@@ -582,21 +587,19 @@ class SpaceSpec:
                                integer_arg("space.level", self.level, low=0))
         if kind == "snowflake_power":
             real_arg("space.exponent", self.exponent, lambda v: v > 0, "> 0")
-        if measure == "custom" and self.weights is None:
-            raise ParameterError("the custom measure requires space.weights")
 
 
-def generate_space(kind, size=None, level=None, exponent=None,
-                   measure="uniform", weights=None, label=None, seed=0):
+def generate_space(kind, size=None, level=None, exponent=None, weights=None,
+                   label=None, seed=0):
     """Build one of the stock finite test spaces; the arguments are checked
-    as a `SpaceSpec`.
+    as a `SpaceSpec`.  Null `weights` give every point mass 1/n.
 
     Kinds: grid1d(size), grid2d(size per side), circle(size), graph(size,
     binary tree metric), sierpinski_level(level), snowflake_power(size,
     exponent a; d = |x - y|^a, a genuine quasi-metric for a > 1).
     """
     spec = SpaceSpec(kind=kind, size=size, level=level, exponent=exponent,
-                     measure=measure, weights=weights, label=label, seed=seed)
+                     weights=weights, label=label, seed=seed)
     kind, size = spec.kind, spec.size
     points = None
     if kind == "grid1d":
@@ -616,7 +619,7 @@ def generate_space(kind, size=None, level=None, exponent=None,
         points = _grid1d_points(size)
         dist = _euclidean(points) ** float(exponent)
     n = dist.shape[0]
-    w = np.full(n, 1.0 / n) if spec.measure == "uniform" else weights
+    w = np.full(n, 1.0 / n) if weights is None else weights
     return MetricMeasureSpace(dist, w, label=label or kind, points=points,
                               seed=seed)
 

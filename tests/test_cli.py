@@ -92,6 +92,17 @@ def test_bad_space_document_exit_1(tmp_path, capsys):
     assert "asymmetric" in capsys.readouterr().err
 
 
+def test_space_document_with_nan_a0_exit_1(tmp_path, capsys):
+    doc = space.space_to_document(generate_space("grid1d", size=9))
+    doc["a0"] = float("nan")
+    p = tmp_path / "nan_a0.json"
+    p.write_text(json.dumps(doc))
+    assert run(["--out", str(tmp_path / "out"), "--set",
+                f"space.file={json.dumps(str(p))}", "space", "build"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a0 must be") and "Traceback" not in err
+
+
 def test_cubes_build_and_verify_roundtrip(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert run(["--config", cfg, "cubes", "build"]) == 0
@@ -249,14 +260,11 @@ def test_set_mapping_merges_into_section(tmp_path, capsys):
 def test_space_leaves_the_space_would_ignore_exit_1(tmp_path, capsys):
     out = str(tmp_path / "out")
     weights = "space.weights=[5, 5, 5]"
-    assert run(["--out", out, "--set", "space.size=3", "--set", weights,
-                "space", "build"]) == 1
-    assert "so space.weights would be ignored" in capsys.readouterr().err
     for leaf in ("space.level=2", "space.exponent=2.0"):
         assert run(["--out", out, "--set", leaf, "space", "build"]) == 1
         assert "space.kind is 'grid1d', so" in capsys.readouterr().err
     assert run(["--out", out, "--set", "space.size=3", "--set", weights,
-                "--set", 'space.measure="custom"', "space", "build"]) == 0
+                "space", "build"]) == 0
     capsys.readouterr()
     doc = tmp_path / "out" / "space.json"
     for leaf in (weights, "space.level=2", "space.exponent=2.0",
@@ -305,8 +313,9 @@ def test_bad_counts_seed_and_caps_exit_1(tmp_path, capsys, assignment):
     assert "error:" in capsys.readouterr().err
 
 
-# ensemble settings that are not a non-empty list of known kinds, each with
-# a count, and a bool mean_zero; then --set paths that name no config leaf
+# the removed lab.ensemble.kinds, counts that are not integers >= 0 of known
+# kinds, and a mean_zero that is not a bool; then --set paths that name no
+# config leaf
 BAD_SETS = (
     'lab.ensemble.kinds=["bogus"]',
     "lab.ensemble.kinds=5",
@@ -347,7 +356,7 @@ BAD_NORM_SETS = (
 
 
 # leaves of the wrong type, also ones `lab lemmas` never reads, the removed
-# output.formats, and lists of non-numbers
+# output.formats and space.measure, and lists of non-numbers
 BAD_LEAF_SETS = (
     ("output.dir=5",),
     ('output.formats=["pdf"]',),
@@ -359,6 +368,7 @@ BAD_LEAF_SETS = (
     ("norm.p=null",),
     ('norm.s="x"',),
     ('space.measure="custom"', 'space.weights=["x"]'),
+    ('space.weights=["x"]',),
 )
 
 
@@ -461,6 +471,10 @@ REJECTED_BEFORE_WORK = (
                  "ati build", id="sets19-ati build"),
     pytest.param(("space.size=65", "dyadic.k_max=6", "kernel.fine_factor=2"),
                  "cubes build", id="sets20-cubes build"),
+    pytest.param(("lab.radius_grid=[0.1, Infinity]",), "space report",
+                 id="sets21-space report"),
+    pytest.param(("lab.radius_grid=[NaN]",), "space report",
+                 id="sets22-space report"),
 )
 
 
@@ -486,7 +500,8 @@ def test_bad_leaves_exit_1_before_any_space_is_built(tmp_path, capsys,
 @pytest.mark.parametrize("section,key,value", [
     ("kernel", "coarse", "mean"), ("kernel", "fine_factor", 16.0),
     ("dyadic", "sigma", 0.6), ("dyadic", "deep_margin", 0.3),
-    ("output", "formats", ["text", "csv"])])
+    ("output", "formats", ["text", "csv"]), ("space", "measure", "uniform"),
+    ("lab", "ensemble", {"kinds": ["holder"]})])
 def test_removed_keys_are_unknown(tmp_path, capsys, monkeypatch, section,
                                   key, value):
     """A config file or a --set that still sets a removed leaf, even to the

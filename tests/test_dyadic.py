@@ -228,7 +228,7 @@ ORACLE_SPACES = {
     "circle-64": dict(kind="circle", size=64),
     "graph-63": dict(kind="graph", size=63),
     "sierpinski-4": dict(kind="sierpinski_level", level=4),
-    "circle-40-custom": dict(kind="circle", size=40, measure="custom",
+    "circle-40-custom": dict(kind="circle", size=40,
                              weights=[1.0 + (i * 7) % 5 for i in range(40)]),
 }
 

@@ -32,7 +32,7 @@ def test_ensemble_mean_zero_flag(grid65, pipe65):
 
 
 def test_ensemble_holder_matches_distance_powers(grid65, pipe65):
-    spec = EnsembleSpec(kinds=("holder",), counts={"holder": 5}, seed=2)
+    spec = EnsembleSpec(counts={"holder": 5}, seed=2)
     fields = generate_ensemble(pipe65.stack, spec)
     # every holder probe is d(., x0)^theta for the drawn (theta, x0)
     rng = np.random.default_rng(2)
@@ -42,10 +42,31 @@ def test_ensemble_holder_matches_distance_powers(grid65, pipe65):
         assert np.allclose(f.values, grid65.dist[x0] ** theta)
 
 
+def test_holder_count_alone_draws_the_holder_fields(grid65, pipe65):
+    """A count of one kind fills the others with 0: the fields are the
+    ones the holder kind alone drew, value for value."""
+    spec = EnsembleSpec(counts={"holder": 5}, seed=2)
+    assert spec.counts == {"bandlimited": 0, "holder": 5,
+                           "smoothed_indicator": 0, "gaussian_field": 0}
+    assert list(spec.counts) == list(labmod.STANDARD_KINDS)
+    fields = generate_ensemble(pipe65.stack, spec)
+    rng = np.random.default_rng(2)
+    assert len(fields) == 5
+    for f in fields:
+        theta = float(rng.uniform(0.3, 1.0))
+        x0 = int(rng.integers(grid65.n))
+        assert np.array_equal(f.values, grid65.dist[x0] ** theta)
+
+
+def test_ensemble_rejects_unknown_count_key():
+    with pytest.raises(ParameterError, match="'bogus'"):
+        EnsembleSpec(counts={"holder": 1, "bogus": 2})
+
+
 def test_ensemble_rejects_empty_kinds(pipe65):
     with pytest.raises(ParameterError, match="non-empty"):
         generate_ensemble(pipe65.stack,
-                          EnsembleSpec(kinds=(), counts={}))
+                          EnsembleSpec(counts={}))
 
 
 def test_standard_ensemble_is_fifty(grid65, pipe65):

@@ -118,7 +118,7 @@ def _hl_maximal_oracle(space, f):
 def test_maximal_matches_frozen_oracle(kind, size, measure, rng):
     n = size * size if kind == "grid2d" else size
     weights = rng.uniform(0.5, 2.0, n) if measure == "custom" else None
-    sp = generate_space(kind, size=size, measure=measure, weights=weights)
+    sp = generate_space(kind, size=size, weights=weights)
     for values in (rng.standard_normal(n), np.zeros(n), np.full(n, -2.0)):
         f = Field(sp, values)
         assert np.array_equal(hl_maximal(f).values,

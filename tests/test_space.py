@@ -46,9 +46,8 @@ def test_invalid_params():
         generate_space("snowflake_power", size=5, exponent=0.0)
     with pytest.raises(ParameterError):
         generate_space("warp", size=5)
-    # parameters the kind or measure would ignore
-    for kw in (dict(weights=[1.0, 1.0, 1.0]), dict(level=2),
-               dict(exponent=2.0)):
+    # parameters the kind would ignore
+    for kw in (dict(level=2), dict(exponent=2.0)):
         with pytest.raises(ParameterError, match="would be ignored"):
             generate_space("grid1d", size=3, **kw)
 
@@ -68,6 +67,34 @@ def test_size_and_level_must_be_integers():
 def test_uniform_measure_normalized():
     sp = generate_space("grid2d", size=5)
     assert sp.total_mass == pytest.approx(1.0, rel=1e-15)
+
+
+def test_weights_alone_set_the_measure():
+    weights = [0.5, 2.0, 1.0, 3.0]
+    for kind, extra in (("grid1d", {}), ("circle", {}), ("graph", {}),
+                        ("snowflake_power", {"exponent": 2.0})):
+        sp = generate_space(kind, size=4, weights=weights, **extra)
+        assert sp.weight.tolist() == weights
+
+
+@pytest.mark.parametrize("a0", [math.nan, math.inf, "abc", [1.0], True, 0.5])
+def test_declared_a0_is_checked_before_certification(monkeypatch, a0):
+    def no_certify(*args, **kwargs):
+        raise AssertionError("a0 was certified")
+
+    monkeypatch.setattr(space_mod, "certify_a0", no_certify)
+    with pytest.raises(ParameterError, match="a0 must be a finite number"):
+        MetricMeasureSpace([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5], a0=a0)
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_euclidean_equals_the_summed_squares(dim):
+    """Below 8 coordinates the one-coordinate-at-a-time table is bit for
+    bit the sum over the (n, n, dim) table of squared differences."""
+    points = np.random.default_rng(dim).uniform(-3.0, 3.0, (40, dim))
+    diff = points[:, None, :] - points[None, :, :]
+    want = np.sqrt(np.sum(diff * diff, axis=-1))
+    assert np.array_equal(space_mod._euclidean(points), want)
 
 
 def test_quasi_triangle_holds_exhaustively(grid65):
@@ -143,7 +170,7 @@ GAP_SPACES = {
     "sierpinski-4": dict(kind="sierpinski_level", level=4),
     "grid2d-17": dict(kind="grid2d", size=17),
     "snowflake-129": dict(kind="snowflake_power", size=129, exponent=2.0),
-    "circle-40-custom": dict(kind="circle", size=40, measure="custom",
+    "circle-40-custom": dict(kind="circle", size=40,
                              weights=[1.0 + (i * 7) % 5 for i in range(40)]),
 }
 
@@ -269,7 +296,7 @@ def test_declared_a0_violation_names_triple():
 
 
 def test_document_float_roundtrip_exact(tmp_path):
-    sp = generate_space("grid1d", size=7, measure="custom",
+    sp = generate_space("grid1d", size=7,
                         weights=[0.1, 0.2, 0.3, 0.1, 0.1, 0.1, 0.1])
     path = tmp_path / "s.json"
     save_space(sp, str(path))
@@ -282,8 +309,7 @@ def test_document_float_roundtrip_exact(tmp_path):
 
 def test_non_numeric_weights_and_radii_raise_library_errors(grid65):
     with pytest.raises(FormatError, match="weights"):
-        generate_space("grid1d", size=3, measure="custom",
-                       weights=["x", 1, 1])
+        generate_space("grid1d", size=3, weights=["x", 1, 1])
     with pytest.raises(FormatError, match="weights"):
         MetricMeasureSpace(grid65.dist, [[1.0], [1.0, 2.0]] * 32 + [[1.0]])
     with pytest.raises(ParameterError, match="radius_grid"):
