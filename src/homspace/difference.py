@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dyadic import finest_level
-from .errors import ParameterError
+from .errors import Frozen, ParameterError
 from .norms import INF, check_scales, lebesgue_norm, positive_exponent
 
 VARIANTS = ("Ldot", "L", "Lb_dot", "Lb", "Lt_dot", "Lt")
@@ -86,20 +86,19 @@ def difference_scales(space, c_tilde, delta, levels=None):
                             idx.read(idx.weight_prefix, ends))
 
 
-class DifferenceTable:
+class DifferenceTable(Frozen):
     """Ball averages A_e(x, k) of one field over the levels of `scales`.
 
     ``rows(e)`` is a read-only (levels, n) stack, made on first use: row x
     of |f(x) - f(y)| in ball-index order gives a running sum of mu-weighted
     e-powers (a running max at e = inf), read at every ball end at once.
+    No attribute can be rebound; the stacks made so far sit in ``_rows``.
     """
 
     def __init__(self, f, scales):
         if f.space is not scales.space:
             raise ParameterError("field and scales live on different spaces")
-        self.field = f
-        self.scales = scales
-        self._rows = {}
+        vars(self).update(field=f, scales=scales, _rows={})
 
     def rows(self, exponent):
         if exponent not in self._rows:

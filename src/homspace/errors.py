@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and the argument checks
-that raise one: every spec's range rules are written with them."""
+"""Exception types shared across the package, the argument checks that
+raise one (every spec's range rules are written with them), and `Frozen`,
+the base of the immutable objects that are not dataclasses."""
 
 import math
 import numbers
+from dataclasses import FrozenInstanceError
 
 
 class HomspaceError(Exception):
@@ -51,6 +53,17 @@ class IllConditionedFrameError(HomspaceError):
 
 class ExperimentError(HomspaceError):
     """An experiment's hypotheses are violated or all probes degenerate."""
+
+
+class Frozen:
+    """No attribute can be rebound or deleted: the constructor fills the
+    instance dict through ``vars(self)``, as `cached_property` does."""
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def integer_arg(name, value, low=None):

@@ -19,8 +19,8 @@ from .difference import (DifferenceTable, difference_scales, lipschitz_norm,
 from .errors import (ExperimentError, FlavorMismatchError, ParameterError,
                      choice_arg, integer_arg, real_arg)
 from .kernels import _r_gamma, build_semigroup, r_gamma_integral_band
-from .norms import (INF, admissible_range, besov_norm, lebesgue_norm,
-                    lq_scale_combine, triebel_lizorkin_norm)
+from .norms import (INF, _check_stack, admissible_range, besov_norm,
+                    lebesgue_norm, lq_scale_combine, triebel_lizorkin_norm)
 from .operators import Field, LevelTable, analyze, hl_maximal
 from .report import SuiteReport
 from .space import default_radius_grid, radius_grid_arg
@@ -241,20 +241,24 @@ def _require_lower_bound(geometry, omega):
 
 def equivalence_experiment(stack, spec, pairing, ensemble, omega, eta,
                            geometry=None, caps=None):
-    """Check the pairing's hypotheses at the measured omega and eta, then
-    compute both norms of the pairing over the ensemble; band the ratios."""
+    """Check the pairing's hypotheses at the measured omega and eta and the
+    spec against the stack, then compute both norms of the pairing over the
+    ensemble; band the ratios.  The right-hand norms read the level tables
+    of the whole ensemble, built together by `LevelTable.many`."""
     lab = LabSpec(pairing=pairing, caps=caps)
     lab.check_flavor(stack.flavor)
     check_hypotheses(pairing, spec, omega, eta, geometry)
+    _check_stack(spec, stack)
     left_spec = replace(spec, u=1.0) if pairing == "F_vs_Lt" else spec
     right_fn = besov_norm if "B_vs" in pairing else triebel_lizorkin_norm
     scales = difference_scales(stack.space, spec.c_tilde, spec.delta)
+    fields = list(ensemble)
     left, right, ratios = [], [], []
     excluded = 0
-    for f in ensemble:
+    for f, table in zip(fields, LevelTable.many(fields, stack)):
         l = lipschitz_norm(DifferenceTable(f, scales), left_spec,
                            PAIRING_VARIANTS[pairing])
-        r = right_fn(f, spec, stack)
+        r = right_fn(table, spec, stack)
         scale = max(abs(l), abs(r))
         if scale <= DEGENERATE_TOL or min(l, r) <= DEGENERATE_TOL * scale:
             excluded += 1
@@ -282,6 +286,7 @@ def band_drift(report_a, report_b):
 def embedding_suite(stack, ensemble, spec, omega, geometry=None,
                     caps=None):
     """Exact inclusion inequalities plus constant-bearing embedding bands."""
+    ensemble = list(ensemble)
     caps = merge_caps(caps)
     rep = SuiteReport("embedding suite")
     slack = 1 + 1e-12
@@ -342,8 +347,7 @@ def embedding_suite(stack, ensemble, spec, omega, geometry=None,
             tgt = replace(spec, p=1.0, s=s_target)
             # one level table per field serves all four norms
             by_name = {"Besov": [], "Triebel-Lizorkin": []}
-            for f in ensemble:
-                table = LevelTable(f, stack)
+            for table in LevelTable.many(ensemble, stack):
                 for ratios, norm_fn in zip(by_name.values(), (
                         besov_norm, triebel_lizorkin_norm)):
                     a = norm_fn(table, src, stack)

@@ -1,9 +1,11 @@
 """Lebesgue, Besov, Triebel-Lizorkin and test-function norms.
 
-Both scales read one field's `LevelTable` of Q_k f (a Field is tabled on
-entry): B^s_{p,q} is the l^q of delta^(-ks) ||Q_k f||_p, F^s_{p,q} the L^p
-of the pointwise l^q, and the inhomogeneous flavor puts one block of
-subcube averages in place of the levels `stack.cell_levels()` (k <= N).
+Both scales read one field's `LevelTable` of Q_k f: a Field is tabled on
+entry, and the lab's experiments pass the tables `LevelTable.many` built
+for their whole ensemble.  B^s_{p,q} is the l^q of delta^(-ks)
+||Q_k f||_p, F^s_{p,q} the L^p of the pointwise l^q, and the
+inhomogeneous flavor puts one block of subcube averages in place of the
+levels `stack.cell_levels()` (k <= N).
 All sums are exact and finite, with the usual modifications at p = inf or
 q = inf; the p = inf Triebel-Lizorkin scale takes a Carleson-type supremum
 over the dyadic cubes the stack was built on (`stack.cubes`).
@@ -98,16 +100,21 @@ def _besov_terms(mags, levels, spec, stack):
             for k, v in zip(levels, norms)]
 
 
-def _block_and_rows(f, spec, stack):
-    """The table's cell block over `stack.cell_levels()` (None when there
-    are none) and the remaining levels with their rows |Q_k f|; the spec
-    must have the stack's flavor and delta."""
+def _check_stack(spec, stack):
+    """The spec must have the stack's flavor and delta."""
     if spec.flavor != stack.flavor:
         raise FlavorMismatchError(
             f"spec flavor {spec.flavor!r} vs stack flavor {stack.flavor!r}")
     if spec.delta != stack.delta:
         raise ParameterError(
             f"spec delta {spec.delta!r} vs stack delta {stack.delta!r}")
+
+
+def _block_and_rows(f, spec, stack):
+    """The table's cell block over `stack.cell_levels()` (None when there
+    are none) and the remaining levels with their rows |Q_k f|; the spec
+    must have the stack's flavor and delta."""
+    _check_stack(spec, stack)
     mags = np.abs(LevelTable.of(f, stack).rows)
     cells = stack.cell_levels()
     block = None

@@ -3,6 +3,10 @@
 A field's `LevelTable` holds Q_k f at every level of a kernel stack; the
 coefficient grid, the frame operator and the Besov and Triebel-Lizorkin
 norms read its rows, cell-averaged at the levels of `stack.cell_levels()`.
+`LevelTable.many` tables a whole ensemble level by level, so that each
+n x n table Q_k is read from memory once for all the fields rather than
+once per field; every row is still one `stack.apply`, so the numbers are
+those of the tables made one at a time.
 
 The sampled reproducing identity is realized as a self-dual frame operator
 
@@ -21,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import _read_only
-from .errors import (IllConditionedFrameError, ParameterError, integer_arg,
-                     real_arg)
+from .errors import (Frozen, IllConditionedFrameError, ParameterError,
+                     integer_arg, real_arg)
 
 
 @dataclass(frozen=True)
@@ -46,18 +50,32 @@ def mu_dot(space, u, v):
     return float((u * v) @ space.weight)
 
 
-class LevelTable:
+class LevelTable(Frozen):
     """(Q_k f)(x) = sum_y Q_k(x, y) f(y) mu_y of one field at every level of
     one stack, one `stack.apply` each: ``rows[i]``, read-only, is level
-    ``stack.k_min + i``."""
+    ``stack.k_min + i``.  A table made alone is `many` with one field."""
 
     def __init__(self, f, stack):
-        if f.space is not stack.space:
+        (table,) = self.many([f], stack)
+        vars(self).update(vars(table))
+
+    @classmethod
+    def many(cls, fields, stack):
+        """One table per field, built level by level: every field's
+        ``stack.apply(k, ...)`` runs while Q_k is the table in cache.  The
+        tables are views of one read-only (fields, levels, n) array."""
+        fields = list(fields)
+        if any(f.space is not stack.space for f in fields):
             raise ParameterError("field and stack live on different spaces")
-        self.stack = stack
-        self.rows = np.stack([stack.apply(k, f.values)
-                              for k in stack.levels()])
-        self.rows.setflags(write=False)
+        rows = np.empty((len(fields), len(stack.levels()), stack.space.n))
+        for i, k in enumerate(stack.levels()):
+            for f, row in zip(fields, rows[:, i]):
+                row[:] = stack.apply(k, f.values)
+        rows.setflags(write=False)
+        tables = [object.__new__(cls) for _ in fields]
+        for table, r in zip(tables, rows):
+            vars(table).update(stack=stack, rows=r)
+        return tables
 
     @classmethod
     def of(cls, f, stack):

@@ -11,9 +11,11 @@ sweep covers every triple exactly, and the result equals the maximum over
 all triples bit for bit.  Above the cap a0 is a sample of
 ``A0_SAMPLE_TRIPLES`` random triples, flagged "sampled", read in
 sub-blocks of ``A0_SAMPLE_BLOCK`` triples so that it holds about 14 MB at
-any n; the cap sits where the sweep (about 1.0 s at n = 1025 and 1.2 s at
-n = 1089 on one core) starts to cost more than the sample (about 0.6 s at
-n = 1025 and at n = 1089).
+any n.  On one core of a 2-vCPU VM (best of 3, one BLAS thread, over
+several runs) the sweep takes 0.16-0.18 s at n = 513, 1.1-1.4 s at
+n = 1025 and 1.4-1.5 s at n = 1089, and the sample 0.54-0.68 s at
+n = 1025 and 0.71-0.93 s at n = 1089: at the cap an exact a0 costs about
+twice the sample.
 """
 
 from __future__ import annotations
@@ -21,13 +23,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (CertificationError, FormatError, ParameterError,
+from .errors import (CertificationError, FormatError, Frozen, ParameterError,
                      choice_arg, integer_arg, real_arg, resolve)
 from .kernels import _row_blocks
 
@@ -124,12 +126,12 @@ def certify_a0(dist, cap=A0_EXHAUSTIVE_CAP, samples=A0_SAMPLE_TRIPLES, seed=0):
     largest d(x,z)/S(x,z), bit for bit the maximum over all triples; the worst
     triple is the smallest middle point attaining it, then the first pair in
     row-major order.  The sweep costs about n^3/2 additions and minima (about
-    0.15 s at n = 513 and 1 s at n = 1025 on one core).  Above the cap the
-    method is "sampled": ``samples`` random triples drawn from ``seed``, a
-    lower bound on the true constant, not a certificate.  They are drawn
-    1 M at a time as int32 and read in sub-blocks of ``A0_SAMPLE_BLOCK``
-    through reused buffers; the worst triple is the first drawn that
-    attains the maximum.
+    0.16-0.18 s at n = 513 and 1.1-1.4 s at n = 1025 on one core).  Above the
+    cap the method is "sampled": ``samples`` random triples drawn from
+    ``seed``, a lower bound on the true constant, not a certificate.  They
+    are drawn 1 M at a time as int32 and read in sub-blocks of
+    ``A0_SAMPLE_BLOCK`` through reused buffers (0.54-0.68 s at n = 1025);
+    the worst triple is the first drawn that attains the maximum.
     `MetricMeasureSpace` calls it with ``cap=A0_EXHAUSTIVE_CAP`` and the
     default sample count; tests call it with other caps and counts.
     """
@@ -228,7 +230,7 @@ class BallIndex(NamedTuple):
         return np.where(end >= 0, table[np.arange(len(table)), end], 0.0)
 
 
-class MetricMeasureSpace:
+class MetricMeasureSpace(Frozen):
     """Immutable finite quasi-metric measure space: no attribute can be
     rebound or deleted, and its arrays are read-only.
 
@@ -281,12 +283,6 @@ class MetricMeasureSpace:
         # cached tables go straight into the instance dict
         vars(self).update(dist=d, weight=w, a0=float(max(a0, 1.0)),
                           a0_method=method, label=label, points=points)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @property
     def n(self):
@@ -557,8 +553,9 @@ class SpaceSpec:
     """A stock space, or a space document when `file` is set.  Null leaves
     take their defaults: kind "grid1d" and, for the kinds that read it, size
     65.  Null `weights` are the uniform measure of mass 1, a list the atomic
-    weights of the points.  A leaf the kind or the file does not read stays
-    null; `seed` is the a0 sample's."""
+    weights of the points: finite numbers > 0, one per point
+    (`point_count`).  A leaf the kind or the file does not read stays null;
+    `seed` is the a0 sample's."""
 
     kind: str | None = None
     size: int | None = None
@@ -587,6 +584,27 @@ class SpaceSpec:
                                integer_arg("space.level", self.level, low=0))
         if kind == "snowflake_power":
             real_arg("space.exponent", self.exponent, lambda v: v > 0, "> 0")
+        if self.weights is not None:
+            w = _as_float_array(self.weights, "space.weights")
+            n = point_count(kind, self.size, self.level)
+            if w.shape != (n,):
+                raise ParameterError(f"space.weights must hold {n} numbers, "
+                                     f"one per point, got shape {w.shape}")
+            bad = ~((w > 0) & (w < math.inf))
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ParameterError(f"space.weights[{i}] must be finite and "
+                                     f"> 0, got {float(w[i])!r}")
+
+
+def point_count(kind, size=None, level=None):
+    """The point count of a stock space of `kind`, read off its size (per
+    side for grid2d) or its level."""
+    if kind == "grid2d":
+        return size * size
+    if kind == "sierpinski_level":
+        return 3 * (3 ** level + 1) // 2
+    return size
 
 
 def generate_space(kind, size=None, level=None, exponent=None, weights=None,

@@ -5,13 +5,20 @@ only as a test oracle.
 Every function applies the kernel stack itself, level by level; the
 inhomogeneous coarse levels k <= N are re-decided at each site, and the
 p = inf Carleson supremum averages over each cube in a Python loop.
+`equivalence_loop` is the field-by-field loop of the equivalence
+experiment, each field's right-hand norm tabling its own Q_k f.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
+from homspace import norms
+from homspace.difference import (DifferenceTable, difference_scales,
+                                 lipschitz_norm)
 from homspace.errors import FlavorMismatchError, ParameterError, RangeError
+from homspace.lab import DEGENERATE_TOL, PAIRING_VARIANTS
 from homspace.operators import CoefficientGrid, Field, LevelCoefficients
 
 INF = math.inf
@@ -198,3 +205,28 @@ def frame_operator(stack, cubes, f):
         else:
             out += stack.q[k][:, y] @ (wgt * g[y])
     return Field(space, out)
+
+
+
+def equivalence_loop(stack, spec, pairing, ensemble):
+    """(left, right, ratios, excluded, geometric_mean) of the pairing over
+    the ensemble, one field at a time; no hypothesis is checked."""
+    left_spec = replace(spec, u=1.0) if pairing == "F_vs_Lt" else spec
+    right_fn = (norms.besov_norm if "B_vs" in pairing
+                else norms.triebel_lizorkin_norm)
+    scales = difference_scales(stack.space, spec.c_tilde, spec.delta)
+    left, right, ratios = [], [], []
+    excluded = 0
+    for f in ensemble:
+        l = lipschitz_norm(DifferenceTable(f, scales), left_spec,
+                           PAIRING_VARIANTS[pairing])
+        r = right_fn(f, spec, stack)
+        scale = max(abs(l), abs(r))
+        if scale <= DEGENERATE_TOL or min(l, r) <= DEGENERATE_TOL * scale:
+            excluded += 1
+            continue
+        left.append(l)
+        right.append(r)
+        ratios.append(l / r)
+    gm = float(np.exp(np.mean(np.log(ratios))))
+    return left, right, ratios, excluded, gm

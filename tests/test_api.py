@@ -7,9 +7,9 @@ from dataclasses import FrozenInstanceError, fields
 import numpy as np
 import pytest
 
-from homspace import (Field, MetricMeasureSpace, NormSpec, admissible_range,
-                      analyze, equivalence_experiment, reconstruct,
-                      verify_cubes)
+from homspace import (DifferenceTable, Field, LevelTable, MetricMeasureSpace,
+                      NormSpec, admissible_range, analyze, difference_scales,
+                      equivalence_experiment, reconstruct, verify_cubes)
 from homspace import kernels, lab, norms, operators
 
 
@@ -104,3 +104,22 @@ def test_space_points_are_a_read_only_copy(grid65):
     sp = MetricMeasureSpace(grid65.dist, grid65.weight, points=pts)
     pts[0, 0] = 5.0  # the space holds its own copy
     assert sp.points[0, 0] == grid65.points[0, 0]
+
+
+def test_level_and_difference_tables_cannot_be_rebound(pipe65, ensemble65):
+    """Level and difference tables are frozen like a space: no attribute,
+    and no new name, can be assigned or deleted, their arrays are
+    read-only, and a difference table still fills its rows on first use."""
+    st, f = pipe65.stack, ensemble65[0]
+    diff = DifferenceTable(f, difference_scales(st.space, 1.0, st.delta))
+    for table in (LevelTable(f, st), *LevelTable.many(ensemble65[:2], st),
+                  diff):
+        for name in [*vars(table), "extra"]:
+            with pytest.raises(FrozenInstanceError):
+                setattr(table, name, np.zeros(3))
+            with pytest.raises(FrozenInstanceError):
+                delattr(table, name)
+    rows = diff.rows(2.0)
+    assert diff.rows(2.0) is rows and not rows.flags.writeable
+    assert {"field", "scales"} <= set(vars(diff))
+    assert diff.field is f

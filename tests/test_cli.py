@@ -475,6 +475,16 @@ REJECTED_BEFORE_WORK = (
                  id="sets21-space report"),
     pytest.param(("lab.radius_grid=[NaN]",), "space report",
                  id="sets22-space report"),
+    pytest.param(("space.size=3", "space.weights=[1, 2]"), "space build",
+                 id="sets23-space build"),
+    pytest.param(("space.size=3", 'space.weights=["x"]'), "space build",
+                 id="sets24-space build"),
+    pytest.param(("space.size=3", "space.weights=[0, 1, 1]"), "space build",
+                 id="sets25-space build"),
+    pytest.param(("space.size=3", "space.weights=[-1, 1, 1]"), "space build",
+                 id="sets26-space build"),
+    pytest.param(("space.size=3", "space.weights=[NaN, 1, 1]"),
+                 "space build", id="sets27-space build"),
 )
 
 

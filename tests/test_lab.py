@@ -1,15 +1,16 @@
+import norms_oracle
 import numpy as np
 import pytest
 
-from homspace import (ExperimentError, FlavorMismatchError, NormSpec,
-                      ParameterError, Pipeline, equivalence_experiment,
-                      generate_ensemble, generate_space, lemma_suite,
-                      validate_ati)
+from homspace import (ExperimentError, Field, FlavorMismatchError, KernelSpec,
+                      KernelStack, NormSpec, ParameterError, Pipeline,
+                      equivalence_experiment, generate_ensemble,
+                      generate_space, lemma_suite, validate_ati)
 from homspace import lab as labmod
 from homspace.lab import (EnsembleSpec, band_drift, check_hypotheses,
                           embedding_suite, fefferman_stein_constants,
                           theta_power_check)
-from homspace.space import geometry_report
+from homspace.space import default_radius_grid, geometry_report
 
 
 def test_ensemble_deterministic(pipe65):
@@ -118,6 +119,28 @@ def test_equivalence_rejects_a_pairing_of_the_other_flavor(
             equivalence_experiment(stack, spec, pairing, ensemble65,
                                    omega=geom65.omega,
                                    eta=validated65.eta_fit, geometry=geom65)
+
+
+def test_equivalence_refuses_a_spec_of_another_stack_before_any_product(
+        pipe65, geom65, monkeypatch):
+    """A spec whose delta or flavor is not the stack's is refused before
+    any norm work: no difference scales, no level table."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("norm work before the spec check")
+
+    monkeypatch.setattr(KernelStack, "apply", no_work)
+    monkeypatch.setattr(labmod, "difference_scales", no_work)
+    for spec, error in ((NormSpec(s=0.5, p=2.0, q=2.0, delta=0.25),
+                         ParameterError),
+                        (NormSpec(s=0.5, p=2.0, q=2.0,
+                                  flavor="inhomogeneous"),
+                         FlavorMismatchError)):
+        with pytest.raises(error, match="vs stack"):
+            equivalence_experiment(pipe65.stack, spec, "B_vs_L",
+                                   [Field(pipe65.space,
+                                          np.ones(pipe65.space.n))],
+                                   omega=geom65.omega, eta=0.95,
+                                   geometry=geom65)
 
 
 def test_p_le_one_gate_requires_lower_bound(geom65):
@@ -256,3 +279,42 @@ def test_embedding_skips_without_lower_bound(pipe65, geom65, ensemble65):
                             geometry=geom65)
     skipped = [r for r in suite.rows if r.details.get("skipped")]
     assert skipped
+
+
+@pytest.mark.parametrize("size", [65, 257])
+def test_equivalence_matches_the_field_by_field_loop(size, monkeypatch):
+    """The ensemble's level tables, built level by level, give reports ==
+    to the loop that tabled one field at a time, for the four theorem-band
+    pairings, with exactly fields x levels `stack.apply` calls; an iterator
+    ensemble works like a list."""
+    sp = generate_space("grid1d", size=size)
+    geom = geometry_report(sp, default_radius_grid(sp))
+    calls = []
+    apply = KernelStack.apply
+
+    def counted(stack, k, values):
+        calls.append(k)
+        return apply(stack, k, values)
+
+    for flavor, pairings in (("homogeneous", ("B_vs_L", "F_vs_Lt")),
+                             ("inhomogeneous", ("inhomog_B_vs_L",
+                                                "inhomog_F_vs_Lt"))):
+        st = Pipeline(sp, kernel=KernelSpec(flavor=flavor)).stack
+        fields = generate_ensemble(st, EnsembleSpec(seed=1, mean_zero=True))
+        fields.append(Field(sp, np.zeros(sp.n)))  # excluded
+        for p, q in ((2.0, 2.0), (np.inf, np.inf)):
+            spec = NormSpec(s=0.5, p=p, q=q, flavor=flavor)
+            for pairing in pairings:
+                want = norms_oracle.equivalence_loop(st, spec, pairing,
+                                                     fields)
+                monkeypatch.setattr(KernelStack, "apply", counted)
+                calls.clear()
+                rep = equivalence_experiment(
+                    st, spec, pairing, iter(fields), omega=geom.omega,
+                    eta=0.95, geometry=geom)
+                monkeypatch.setattr(KernelStack, "apply", apply)
+                key = (size, pairing, p)
+                assert (rep.left, rep.right, rep.ratios, rep.excluded,
+                        rep.geometric_mean) == want, key
+                assert rep.excluded == 1, key
+                assert len(calls) == len(fields) * len(st.levels()), key

@@ -34,6 +34,29 @@ def test_level_table_matches_naive_loop(pipe65, rng):
         assert np.max(np.abs(got - want)) <= 1e-13
 
 
+def test_level_tables_of_many_fields_match_one_at_a_time(pipe65,
+                                                          pipe65_inhom,
+                                                          ensemble65):
+    """`LevelTable.many` gives each field the rows of its own table and of
+    one `stack.apply` per level, ==, in both flavors; its tables and the
+    array they share are read-only."""
+    for st in (pipe65.stack, pipe65_inhom.stack):
+        tables = LevelTable.many(iter(ensemble65), st)
+        assert len(tables) == len(ensemble65)
+        for f, table in zip(ensemble65, tables):
+            assert table.stack is st
+            assert np.array_equal(table.rows, LevelTable(f, st).rows)
+            assert np.array_equal(table.rows, np.stack(
+                [st.apply(k, f.values) for k in st.levels()]))
+            assert not table.rows.flags.writeable
+            assert not table.rows.base.flags.writeable
+    assert LevelTable.many([], pipe65.stack) == []
+    other = generate_space("grid1d", size=65)
+    with pytest.raises(ParameterError):
+        LevelTable.many([ensemble65[0], Field(other, np.ones(other.n))],
+                        pipe65.stack)
+
+
 def test_level_table_rejects_foreign_stack_and_space(pipe65, pipe65_inhom):
     f = Field(pipe65.space, np.ones(pipe65.space.n))
     other = generate_space("grid1d", size=65)

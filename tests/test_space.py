@@ -13,7 +13,7 @@ from homspace import (CertificationError, FormatError, MetricMeasureSpace,
 from homspace import space as space_mod
 from homspace.space import (A0_EXHAUSTIVE_CAP, certify_a0,
                             default_radius_grid, load_space_document,
-                            space_to_document)
+                            point_count, space_to_document)
 
 
 def test_grid1d_metric_a0_is_one():
@@ -75,6 +75,25 @@ def test_weights_alone_set_the_measure():
                         ("snowflake_power", {"exponent": 2.0})):
         sp = generate_space(kind, size=4, weights=weights, **extra)
         assert sp.weight.tolist() == weights
+
+
+@pytest.mark.parametrize("kind,sizes", [
+    ("grid1d", (1, 6)), ("grid2d", (1, 5)), ("circle", (2, 7)),
+    ("graph", (1, 9)), ("snowflake_power", (2, 6)),
+    ("sierpinski_level", (0, 2))])
+def test_point_count_is_the_built_spaces(kind, sizes):
+    """The point count the weights are checked against, before any space
+    is built, is the count of the space `generate_space` then builds."""
+    for size in sizes:
+        args = ({"level": size} if kind == "sierpinski_level" else
+                {"size": size, "exponent": 2.0} if kind == "snowflake_power"
+                else {"size": size})
+        n = point_count(kind, args.get("size"), args.get("level"))
+        assert generate_space(kind, **args).n == n
+        assert generate_space(kind, weights=[2.0] * n, **args).n == n
+        for bad in ([1.0] * (n + 1), [1.0] * (n - 1) + [0.0]):
+            with pytest.raises(ParameterError, match="space.weights"):
+                generate_space(kind, weights=bad, **args)
 
 
 @pytest.mark.parametrize("a0", [math.nan, math.inf, "abc", [1.0], True, 0.5])
