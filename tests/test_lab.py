@@ -307,12 +307,12 @@ def test_equivalence_matches_the_field_by_field_loop(size, monkeypatch):
             for pairing in pairings:
                 want = norms_oracle.equivalence_loop(st, spec, pairing,
                                                      fields)
-                monkeypatch.setattr(KernelStack, "apply", counted)
                 calls.clear()
-                rep = equivalence_experiment(
-                    st, spec, pairing, iter(fields), omega=geom.omega,
-                    eta=0.95, geometry=geom)
-                monkeypatch.setattr(KernelStack, "apply", apply)
+                with monkeypatch.context() as m:
+                    m.setattr(KernelStack, "apply", counted)
+                    rep = equivalence_experiment(
+                        st, spec, pairing, iter(fields), omega=geom.omega,
+                        eta=0.95, geometry=geom)
                 key = (size, pairing, p)
                 assert (rep.left, rep.right, rep.ratios, rep.excluded,
                         rep.geometric_mean) == want, key
