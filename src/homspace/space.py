@@ -11,11 +11,14 @@ sweep covers every triple exactly, and the result equals the maximum over
 all triples bit for bit.  Above the cap a0 is a sample of
 ``A0_SAMPLE_TRIPLES`` random triples, flagged "sampled", read in
 sub-blocks of ``A0_SAMPLE_BLOCK`` triples so that it holds about 14 MB at
-any n.  On one core of a 2-vCPU VM (best of 3, one BLAS thread, over
-several runs) the sweep takes 0.16-0.18 s at n = 513, 1.1-1.4 s at
-n = 1025 and 1.4-1.5 s at n = 1089, and the sample 0.54-0.68 s at
-n = 1025 and 0.71-0.93 s at n = 1089: at the cap an exact a0 costs about
-twice the sample.
+any n.  A space draws that sample on the first read of its ``a0``, so a
+command that never reads a0 never pays for it; construction still checks
+the distance table, the weights, the seed and a declared a0 (above the cap
+against a sample drawn at once).  On one core of a 2-vCPU VM (best of 3,
+one BLAS thread, over several runs) the sweep takes 0.16-0.18 s at
+n = 513, 1.1-1.4 s at n = 1025 and 1.4-1.5 s at n = 1089, and the sample
+0.54-0.68 s at n = 1025 and 0.71-0.93 s at n = 1089: at the cap an exact
+a0 costs about twice the sample.
 """
 
 from __future__ import annotations
@@ -133,7 +136,9 @@ def certify_a0(dist, cap=A0_EXHAUSTIVE_CAP, samples=A0_SAMPLE_TRIPLES, seed=0):
     ``A0_SAMPLE_BLOCK`` through reused buffers (0.54-0.68 s at n = 1025);
     the worst triple is the first drawn that attains the maximum.
     `MetricMeasureSpace` calls it with ``cap=A0_EXHAUSTIVE_CAP`` and the
-    default sample count; tests call it with other caps and counts.
+    default sample count when it is built, except for an undeclared a0
+    above the cap: that sample is drawn with ``cap=0`` on the space's first
+    read of ``a0``.  Tests call it with other caps and counts.
     """
     d = _as_float_matrix(dist)
     _check_distance_table(d)
@@ -239,15 +244,21 @@ class MetricMeasureSpace(Frozen):
     dist : (n, n) array of pairwise distances, symmetric, zero diagonal.
     weight : (n,) array of strictly positive atomic measures.
     a0 : declared quasi-triangle constant, a finite number >= 1 checked
-        before `certify_a0` runs, then against the constant it measures;
-        ``a0_method`` is then "declared", else the measured method.
+        before `certify_a0` runs, then against the constant it measures,
+        at construction; ``a0_method`` is then "declared", else the
+        measured method.  Undeclared, a0 is measured at construction up to
+        ``A0_EXHAUSTIVE_CAP`` points (the cap is read then) and sampled on
+        the first read of ``a0`` above it; ``a0_method`` reads "sampled"
+        at once.
     label : free-form description.
     points : optional coordinate array kept for round-tripping documents.
-    seed : seed of the a0 sample, taken above ``A0_EXHAUSTIVE_CAP`` points
-        (the cap is read at call time); non-numbers raise `FormatError`.
+    seed : seed of the a0 sample, an integer >= 0 checked at construction
+        for every n (`ParameterError` otherwise); only a sampled a0 reads
+        it.
     """
 
     def __init__(self, dist, weight, a0=None, label="", points=None, seed=0):
+        seed = integer_arg("seed", seed, low=0)
         d = _as_float_matrix(dist)
         n = d.shape[0]
         w = _as_float_array(weight, "weights")
@@ -262,17 +273,23 @@ class MetricMeasureSpace(Frozen):
         if a0 is not None:
             a0 = float(real_arg("a0", a0, lambda v: 1 <= v < math.inf,
                                 "a finite number >= 1"))
-        # certify_a0 also checks the rest of the distance table
-        measured, method, worst = certify_a0(d, cap=A0_EXHAUSTIVE_CAP,
-                                             seed=seed)
-        if a0 is None:
-            a0 = measured
+        if a0 is None and n > max(A0_EXHAUSTIVE_CAP, 2):
+            # the sample is drawn on the first read of `a0`
+            _check_distance_table(d)
+            a0_fields = dict(a0_method="sampled", _a0_seed=seed)
         else:
-            method = "declared"
-            if measured > a0 * (1 + 1e-12):
-                raise CertificationError(
-                    f"declared a0={a0} violated: triple {worst} attains "
-                    f"ratio {measured:.12g}", triple=worst)
+            # certify_a0 also checks the rest of the distance table
+            measured, method, worst = certify_a0(d, cap=A0_EXHAUSTIVE_CAP,
+                                                 seed=seed)
+            if a0 is None:
+                a0 = measured
+            else:
+                method = "declared"
+                if measured > a0 * (1 + 1e-12):
+                    raise CertificationError(
+                        f"declared a0={a0} violated: triple {worst} attains "
+                        f"ratio {measured:.12g}", triple=worst)
+            a0_fields = dict(a0=float(max(a0, 1.0)), a0_method=method)
 
         if points is not None:
             points = np.array(points, float)
@@ -281,8 +298,16 @@ class MetricMeasureSpace(Frozen):
         w.setflags(write=False)
         # the only writes: after this, attributes cannot be rebound, and the
         # cached tables go straight into the instance dict
-        vars(self).update(dist=d, weight=w, a0=float(max(a0, 1.0)),
-                          a0_method=method, label=label, points=points)
+        vars(self).update(dist=d, weight=w, label=label, points=points,
+                          **a0_fields)
+
+    @cached_property
+    def a0(self):
+        """The sampled a0 of an undeclared space above the cap, drawn on
+        first read from the seed given at construction; every other space
+        sets a0 when it is built.  ``cap=0`` keeps the sampled method chosen
+        then, whatever ``A0_EXHAUSTIVE_CAP`` reads now."""
+        return certify_a0(self.dist, cap=0, seed=self._a0_seed)[0]
 
     @property
     def n(self):
@@ -711,7 +736,9 @@ def load_space_document(doc, seed=0):
 
 
 def load_space(path, seed=0):
-    """Load and certify a space document (JSON)."""
+    """Load a space document (JSON) as a `MetricMeasureSpace`, which checks
+    it and certifies a declared a0 at once; an undeclared a0 above the cap
+    is sampled on first read."""
     with open(path) as fh:
         doc = json.load(fh)
     return load_space_document(doc, seed=seed)

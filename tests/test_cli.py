@@ -720,6 +720,29 @@ def test_every_command_builds_what_it_reads(tmp_path, capsys, builds):
     capsys.readouterr()
 
 
+def test_only_commands_that_read_a0_draw_its_sample(tmp_path, capsys,
+                                                   monkeypatch):
+    """Above the cap the a0 sample is drawn on the first read of
+    ``space.a0``: `frame reconstruct` and `lab lemmas` never read it."""
+    calls = []
+
+    def counted(*args, _fn=space.certify_a0, **kwargs):
+        calls.append(args)
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(space, "certify_a0", counted)
+    monkeypatch.setattr(space, "A0_EXHAUSTIVE_CAP", 16)
+    args = ["--out", str(tmp_path), "--set", 'space.kind="grid2d"',
+            "--set", "space.size=5"]
+    for command in ("frame reconstruct", "lab lemmas"):
+        assert run([*args, *command.split()]) == 0, command
+        assert calls == [], command
+    capsys.readouterr()
+    assert run([*args, "space", "build"]) == 0
+    assert len(calls) == 1
+    assert "(sampled)" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", ["norm compute", "frame reconstruct",
                                      "maximal"])
 def test_field_level_is_checked_before_any_build(tmp_path, capsys, builds,

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import a0_oracle
 import numpy as np
@@ -489,6 +490,91 @@ def test_declared_a0_violation_names_oracle_triple():
     a0, _, triple = a0_oracle.certify_a0(snow.dist, cap=129)
     assert err.value.triple == triple
     assert f"triple {triple} attains ratio {a0:.12g}" in str(err.value)
+
+
+@pytest.fixture()
+def a0_calls(monkeypatch):
+    """The arguments and result of every `space.certify_a0` call made while
+    a test runs, with ``A0_EXHAUSTIVE_CAP`` lowered to 4 points."""
+    calls = []
+
+    def counted(*args, _fn=space_mod.certify_a0, **kwargs):
+        result = _fn(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(space_mod, "certify_a0", counted)
+    monkeypatch.setattr(space_mod, "A0_EXHAUSTIVE_CAP", 4)
+    return calls
+
+
+@pytest.mark.parametrize("cap", [4, A0_EXHAUSTIVE_CAP],
+                         ids=["above-cap", "below-cap"])
+@pytest.mark.parametrize("seed", [None, True, [1], "x", 1.5, -1])
+def test_a0_seed_is_checked_when_the_space_is_built(monkeypatch, seed, cap):
+    """A seed that is not an integer >= 0 raises before any a0 work, on
+    either side of the cap, where it was taken (None drawing from OS
+    entropy), raised TypeError or ValueError, or was ignored."""
+    grid = generate_space("grid1d", size=9)
+    doc = space_to_document(grid)
+    del doc["a0"]
+
+    def no_certify(*args, **kwargs):
+        raise AssertionError("a0 was certified")
+
+    monkeypatch.setattr(space_mod, "certify_a0", no_certify)
+    monkeypatch.setattr(space_mod, "A0_EXHAUSTIVE_CAP", cap)
+    with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
+        MetricMeasureSpace(grid.dist, grid.weight, seed=seed)
+    with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
+        load_space_document(doc, seed=seed)
+
+
+def test_sampled_a0_is_not_drawn_when_the_space_is_built(a0_calls):
+    sp = generate_space("snowflake_power", size=9, exponent=2.0, seed=5)
+    assert sp.n > space_mod.A0_EXHAUSTIVE_CAP
+    assert sp.a0_method == "sampled" and a0_calls == []
+    # the exhaustive sweep is still eager below the cap
+    assert generate_space("grid1d", size=4).a0_method == "exhaustive"
+    assert len(a0_calls) == 1
+
+
+def test_sampled_a0_is_drawn_once_on_first_read(monkeypatch, a0_calls):
+    sp = generate_space("snowflake_power", size=9, exponent=2.0, seed=5)
+    monkeypatch.setattr(space_mod, "A0_EXHAUSTIVE_CAP", A0_EXHAUSTIVE_CAP)
+    want = a0_oracle.certify_a0(sp.dist, cap=4, seed=5)
+    assert sp.a0 == want[0] and a0_calls != []
+    (args, kwargs, result), = a0_calls
+    assert args[0] is sp.dist and kwargs["seed"] == 5
+    # the method chosen at construction, though the cap is now above n
+    assert result == want and sp.a0_method == "sampled"
+    assert sp.a0 == want[0] and len(a0_calls) == 1
+
+
+def test_deferred_a0_space_still_checks_at_construction(a0_calls):
+    snow = generate_space("snowflake_power", size=9, exponent=2.0)
+    with pytest.raises(CertificationError) as err:
+        MetricMeasureSpace(snow.dist, snow.weight, a0=1.5)
+    assert err.value.triple == a0_oracle.certify_a0(snow.dist, cap=4)[2]
+    assert [call[2][1] for call in a0_calls] == ["sampled"]
+    bad = snow.dist + np.triu(np.full((9, 9), 0.1), 1)
+    with pytest.raises(FormatError, match="asymmetric"):
+        MetricMeasureSpace(bad, snow.weight)
+    assert len(a0_calls) == 1
+
+
+def test_deferred_a0_cannot_be_rebound_and_is_saved(a0_calls):
+    sp = generate_space("snowflake_power", size=9, exponent=2.0, seed=5)
+    docs = []
+    for _ in range(2):  # before and after the first read
+        with pytest.raises(FrozenInstanceError):
+            sp.a0 = 2.0
+        with pytest.raises(FrozenInstanceError):
+            del sp.a0
+        docs.append(space_to_document(sp))
+    want = a0_oracle.certify_a0(sp.dist, cap=4, seed=5)[0]
+    assert docs[0]["a0"] == docs[1]["a0"] == want
+    assert len(a0_calls) == 1
 
 
 def test_binary_tree_space():
