@@ -37,7 +37,8 @@ import numpy as np
 
 from .dyadic import finest_level
 from .errors import Frozen, ParameterError
-from .norms import INF, check_scales, lebesgue_norm, positive_exponent
+from .norms import (INF, _lp, _lq, check_scales, lebesgue_norm,
+                    positive_exponent)
 
 VARIANTS = ("Ldot", "L", "Lb_dot", "Lb", "Lt_dot", "Lt")
 TRUNCATED_VARIANTS = ("L_tilde", "Lb_tilde")
@@ -176,22 +177,16 @@ def _scale_sum(table, spec, pointwise, inner, nonneg):
         return 0.0
     avgs = table.rows(inner)[ks[0] - levels[0]:]
     weight = table.field.space.weight
+    wts = np.asarray(wts)
     if pointwise:
-        wcol = np.asarray(wts)[:, None]
-        if spec.q == INF:
-            agg = np.max(wcol * avgs, axis=0)
-        else:
-            agg = np.sum(wcol * avgs ** spec.q, axis=0) ** (1.0 / spec.q)
-        if spec.p == INF:
-            return float(agg.max())
-        return float(np.sum(agg ** spec.p * weight) ** (1.0 / spec.p))
+        return _lp(_lq(avgs, spec.q, wts[:, None], axis=0), spec.p, weight)
+    # the rows' L^p norms as one matrix-vector product, not `_lp` row by
+    # row: the two differ in the last bits, and the frozen oracle pins these
     if spec.p == INF:
         norms = avgs.max(axis=1)
     else:
         norms = (avgs ** spec.p @ weight) ** (1.0 / spec.p)
-    if spec.q == INF:
-        return float(np.max(np.asarray(wts) * norms))
-    return float(np.sum(np.asarray(wts) * norms ** spec.q) ** (1.0 / spec.q))
+    return float(_lq(norms, spec.q, wts))
 
 
 def _norm(f, spec, variant):

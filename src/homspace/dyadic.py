@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (FormatError, ParameterError, RangeError, choice_arg,
-                     integer_arg, real_arg)
+                     integer_arg, is_integer, real_arg)
 
 DEFAULT_SIGMA = 0.6
 DEFAULT_DEEP_MARGIN = 0.3
@@ -547,36 +547,55 @@ def cubes_from_dump(doc, space):
     """Rebuild a CubeSystem from a dump for re-verification.
 
     Membership comes from the dump as-is, so planted defects are visible to
-    verify_cubes rather than silently repaired.
+    verify_cubes rather than silently repaired.  The dump is outside input:
+    its levels must be integers, delta in (0, 1), and each cube must have
+    one center and (below the coarsest level) one parent, or FormatError.
     """
     try:
         return _cubes_from_dump(doc, space)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError,
+            ParameterError) as exc:
         raise FormatError(f"malformed cube dump: {exc!r}") from None
 
 
+def _dumped_indices(values, n, what, k, count=None):
+    """A dumped list of indices at level k as a read-only int array, `count`
+    long if given; each entry must be an integer (`is_integer`) in [0, n)."""
+    if count is not None and len(values) != count:
+        raise FormatError(f"level {k}: {len(values)} {what}s for {count} "
+                          f"cubes")
+    for v in values:
+        if not (is_integer(v) and 0 <= v < n):
+            raise FormatError(f"level {k}: {what} index {v!r} is not an "
+                              f"integer in [0, {n}); bools, fractions and "
+                              f"negative {what} indices are refused")
+    return _read_only(np.array(values, dtype=int))
+
+
 def _cubes_from_dump(doc, space):
-    k_min, k_max = int(doc["k_min"]), int(doc["k_max"])
-    delta = float(doc["delta"])
+    k_min = integer_arg("k_min", doc["k_min"])
+    k_max = integer_arg("k_max", doc["k_max"])
+    delta = float(real_arg("delta", doc["delta"], lambda v: 0 < v < 1,
+                           "in (0, 1)"))
     nets = {}
     levels = {}
     for k in range(k_min, k_max + 1):
         rec = doc["levels"][str(k)]
-        centers = _read_only(np.array(rec["centers"], dtype=int))
-        nets[k] = centers
-        members = tuple(_read_only(np.array(m, dtype=int))
+        members = tuple(_dumped_indices(m, space.n, "member", k)
                         for m in rec["members"])
+        centers = nets[k] = _dumped_indices(rec["centers"], space.n,
+                                            "center", k, len(members))
         assign = np.full(space.n, -1, dtype=int)
         for cid, mem in enumerate(members):
-            if mem.size and mem.min() < 0:
-                raise IndexError(f"negative member index at level {k}")
             assign[mem] = cid
         parent = rec["parent"]
-        levels[k] = CubeLevel(
-            centers=centers, assign=_read_only(assign),
-            parent=(None if parent is None
-                    else _read_only(np.array(parent, dtype=int))),
-            members=members)
+        if k > k_min:
+            parent = _dumped_indices(parent, len(levels[k - 1].members),
+                                     "parent", k, len(members))
+        elif parent is not None:
+            raise FormatError(f"level {k}: the coarsest level has parents")
+        levels[k] = CubeLevel(centers=centers, assign=_read_only(assign),
+                              parent=parent, members=members)
     # measured constants recomputed from the dumped nets
     c0_lv = _separations(space, nets, delta)
     big_lv = {k: float(space.dist[nets[k]].min(axis=0).max()) / delta ** k

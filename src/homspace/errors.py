@@ -66,14 +66,18 @@ class Frozen:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
+def is_integer(value):
+    """An integer, or an integral float such as 3.0; never a bool, a
+    non-number or a fractional value."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral)
+        or (math.isfinite(value) and float(value).is_integer()))
+
+
 def integer_arg(name, value, low=None):
-    """``value`` as an int: an integer, or an integral float such as 3.0, at
-    least `low` if given.  A bool, a non-number or a fractional value raises
-    ParameterError instead of being truncated."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool) and (
-            isinstance(value, numbers.Integral)
-            or (math.isfinite(value) and float(value).is_integer())) and (
-            low is None or value >= low):
+    """``value`` as an int when `is_integer` holds, at least `low` if given;
+    otherwise ParameterError instead of a truncated value."""
+    if is_integer(value) and (low is None or value >= low):
         return int(value)
     bound = "" if low is None else f" >= {low}"
     raise ParameterError(f"{name} must be an integer{bound}, got {value!r}")

@@ -19,8 +19,8 @@ from .difference import (DifferenceTable, difference_scales, lipschitz_norm,
 from .errors import (ExperimentError, FlavorMismatchError, ParameterError,
                      choice_arg, integer_arg, real_arg)
 from .kernels import _r_gamma, build_semigroup, r_gamma_integral_band
-from .norms import (INF, _check_stack, admissible_range, besov_norm,
-                    lebesgue_norm, lq_scale_combine, triebel_lizorkin_norm)
+from .norms import (INF, _check_stack, _lp, _lq, admissible_range,
+                    besov_norm, lebesgue_norm, triebel_lizorkin_norm)
 from .operators import Field, LevelTable, analyze, hl_maximal
 from .report import SuiteReport
 from .space import default_radius_grid, radius_grid_arg
@@ -484,14 +484,8 @@ def fefferman_stein_constants(space, pairs, seed=0):
         mf = np.stack([hl_maximal(Field(space, g)).values
                        for g in fam])
         for p, q in best:
-            if q == INF:
-                lhs_v = np.max(mf, axis=0)
-                rhs_v = np.max(np.abs(fam), axis=0)
-            else:
-                lhs_v = (mf ** q).sum(axis=0) ** (1.0 / q)
-                rhs_v = (np.abs(fam) ** q).sum(axis=0) ** (1.0 / q)
-            lhs = lebesgue_norm(Field(space, lhs_v), p)
-            rhs = lebesgue_norm(Field(space, rhs_v), p)
+            lhs = _lp(_lq(mf, q, axis=0), p, space.weight)
+            rhs = _lp(_lq(np.abs(fam), q, axis=0), p, space.weight)
             best[p, q] = max(best[p, q], lhs / rhs)
     return best
 
@@ -525,12 +519,8 @@ def sampled_besov_norm(f, spec, stack):
     `analyze`; the theory says its value band does not depend on the choice
     of the sample points.
     """
-    terms = []
-    for k, lc in analyze(stack, f).levels.items():
-        v = np.abs(lc.value)
-        if spec.p == INF:
-            val = float(np.max(v))
-        else:
-            val = float(np.sum(lc.weight * v ** spec.p) ** (1.0 / spec.p))
-        terms.append(stack.delta ** (-k * spec.s) * val)
-    return lq_scale_combine(terms, spec.q)
+    _check_stack(spec, stack)
+    terms = np.array([stack.delta ** (-k * spec.s)
+                      * _lp(np.abs(lc.value), spec.p, lc.weight)
+                      for k, lc in analyze(stack, f).levels.items()])
+    return float(_lq(terms, spec.q))

@@ -2,13 +2,13 @@
 
 Both scales read one field's `LevelTable` of Q_k f: a Field is tabled on
 entry, and the lab's experiments pass the tables `LevelTable.many` built
-for their whole ensemble.  B^s_{p,q} is the l^q of delta^(-ks)
-||Q_k f||_p, F^s_{p,q} the L^p of the pointwise l^q, and the
-inhomogeneous flavor puts one block of subcube averages in place of the
-levels `stack.cell_levels()` (k <= N).
-All sums are exact and finite, with the usual modifications at p = inf or
-q = inf; the p = inf Triebel-Lizorkin scale takes a Carleson-type supremum
-over the dyadic cubes the stack was built on (`stack.cubes`).
+for their whole ensemble.  Each norm here and in `difference` takes two
+reductions, `_lp` over points and `_lq` over levels (maxima at exponent
+inf): B^s_{p,q} is the `_lq` of delta^(-ks) times the `_lp` of each Q_k f,
+F^s_{p,q} the `_lp` of the pointwise `_lq`.  The inhomogeneous flavor puts
+one block of subcube averages in place of the levels `stack.cell_levels()`
+(k <= N).  The p = inf Triebel-Lizorkin scale takes a Carleson-type
+supremum over the dyadic cubes the stack was built on (`stack.cubes`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .dyadic import DyadicSpec
 from .errors import FlavorMismatchError, ParameterError, real_arg
 from .kernels import KernelSpec
-from .operators import Field, LevelTable, _cell_average
+from .operators import LevelTable, _cell_average
 
 INF = math.inf
 
@@ -69,35 +69,33 @@ class NormSpec:
         KernelSpec(flavor=self.flavor)
 
 
+def _lp(values, p, measure):
+    """(sum v^p mu)^(1/p) of nonnegative values; their max at p = inf."""
+    if p == INF:
+        return float(np.max(values))
+    return float(np.sum(values ** p * measure) ** (1.0 / p))
+
+
+def _lq(values, q, weight=1.0, axis=None):
+    """(sum w t^q)^(1/q) of nonnegative terms t along `axis`, max w t at
+    q = inf (the weight rules of `difference.scale_weights`); empty sums
+    are 0."""
+    if q == INF:
+        return np.max(weight * values, axis=axis, initial=0.0)
+    return np.sum(weight * values ** q, axis=axis) ** (1.0 / q)
+
+
 def lebesgue_norm(f, p):
     """(sum |f|^p dmu)^(1/p); max |f| at p = inf."""
     positive_exponent("p", p)
-    v = np.abs(f.values)
-    if p == INF:
-        return float(v.max())
-    return float(np.sum(v ** p * f.space.weight) ** (1.0 / p))
-
-
-def lq_scale_combine(terms, q):
-    """(sum t^q)^(1/q) over scale terms, sup at q = inf; empty sums are 0."""
-    t = np.asarray(list(terms), dtype=float)
-    if t.size == 0:
-        return 0.0
-    if q == INF:
-        return float(t.max())
-    return float(np.sum(t ** q) ** (1.0 / q))
+    return _lp(np.abs(f.values), p, f.space.weight)
 
 
 def _besov_terms(mags, levels, spec, stack):
-    """delta^(-ks) ||Q_k f||_p for each level k and its row |Q_k f|; the
-    roots are taken one level at a time."""
-    if spec.p == INF:
-        norms = mags.max(axis=1)
-    else:
-        norms = [v ** (1.0 / spec.p)
-                 for v in (mags ** spec.p * stack.space.weight).sum(axis=1)]
-    return [stack.delta ** (-k * spec.s) * float(v)
-            for k, v in zip(levels, norms)]
+    """delta^(-ks) ||Q_k f||_p for each level k and its row |Q_k f|."""
+    return np.array([stack.delta ** (-k * spec.s)
+                     * _lp(row, spec.p, stack.space.weight)
+                     for k, row in zip(levels, mags)])
 
 
 def _check_stack(spec, stack):
@@ -117,9 +115,7 @@ def _block_and_rows(f, spec, stack):
     _check_stack(spec, stack)
     mags = np.abs(LevelTable.of(f, stack).rows)
     cells = stack.cell_levels()
-    block = None
-    if cells:
-        block = _cell_block(mags[:len(cells)], spec, stack)
+    block = _cell_block(mags[:len(cells)], spec, stack) if cells else None
     return block, stack.levels()[len(cells):], mags[len(cells):]
 
 
@@ -129,10 +125,7 @@ def _cell_block(mags, spec, stack):
     aa = np.concatenate([_cell_average(stack.space, t.sub_assign,
                                        len(t.weight), row)
                          for t, row in zip(tables, mags)])
-    if spec.p == INF:
-        return float(aa.max())
-    ww = np.concatenate([t.weight for t in tables])
-    return float(np.sum(ww * aa ** spec.p) ** (1.0 / spec.p))
+    return _lp(aa, spec.p, np.concatenate([t.weight for t in tables]))
 
 
 def besov_norm(f, spec, stack):
@@ -142,7 +135,7 @@ def besov_norm(f, spec, stack):
     the weighted sum at N+1.
     """
     block, levels, mags = _block_and_rows(f, spec, stack)
-    value = lq_scale_combine(_besov_terms(mags, levels, spec, stack), spec.q)
+    value = float(_lq(_besov_terms(mags, levels, spec, stack), spec.q))
     return value if block is None else block + value
 
 
@@ -170,9 +163,7 @@ def triebel_lizorkin_norm(f, spec, stack):
     weight = np.array([stack.delta ** (-k * spec.s) for k in levels])
     terms = weight[:, None] * mags
     if spec.p != INF:
-        agg = (np.max(terms, axis=0, initial=0.0) if spec.q == INF
-               else (terms ** spec.q).sum(axis=0) ** (1.0 / spec.q))
-        value = lebesgue_norm(Field(stack.space, agg), spec.p)
+        value = _lp(_lq(terms, spec.q, axis=0), spec.p, stack.space.weight)
         return value if block is None else block + value
     value = _carleson_sup(terms, levels, spec, stack.cubes)
     return value if block is None else max(block, value)
@@ -187,7 +178,8 @@ def truncation_risk(f, spec, stack):
     tiny; a user-restricted range that cuts live scales shows up here.
     """
     mags = np.abs(LevelTable.of(f, stack).rows)
-    terms = np.array(_besov_terms(mags, stack.levels(), spec, stack))
+    _check_stack(spec, stack)
+    terms = _besov_terms(mags, stack.levels(), spec, stack)
     q = spec.q if spec.q != INF else 1.0
     total = float(np.sum(terms ** q))
     if total == 0 or len(terms) < 3:

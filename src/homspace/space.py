@@ -128,13 +128,13 @@ def certify_a0(dist, cap=A0_EXHAUSTIVE_CAP, samples=A0_SAMPLE_TRIPLES, seed=0):
     by the min-plus table S(x,z) = min_y d(x,y) + d(y,z), and a0 is the
     largest d(x,z)/S(x,z), bit for bit the maximum over all triples; the worst
     triple is the smallest middle point attaining it, then the first pair in
-    row-major order.  The sweep costs about n^3/2 additions and minima (about
-    0.16-0.18 s at n = 513 and 1.1-1.4 s at n = 1025 on one core).  Above the
-    cap the method is "sampled": ``samples`` random triples drawn from
-    ``seed``, a lower bound on the true constant, not a certificate.  They
-    are drawn 1 M at a time as int32 and read in sub-blocks of
-    ``A0_SAMPLE_BLOCK`` through reused buffers (0.54-0.68 s at n = 1025);
-    the worst triple is the first drawn that attains the maximum.
+    row-major order.  The sweep costs about n^3/2 additions and minima (the
+    module docstring has the measured times of the sweep and the sample).
+    Above the cap the method is "sampled": ``samples`` random triples drawn
+    from ``seed``, a lower bound on the true constant, not a certificate.
+    They are drawn 1 M at a time as int32 and read in sub-blocks of
+    ``A0_SAMPLE_BLOCK`` through reused buffers; the worst triple is the
+    first drawn that attains the maximum.
     `MetricMeasureSpace` calls it with ``cap=A0_EXHAUSTIVE_CAP`` and the
     default sample count when it is built, except for an undeclared a0
     above the cap: that sample is drawn with ``cap=0`` on the space's first
@@ -702,14 +702,17 @@ def save_space(space, path):
 
 def load_space_document(doc, seed=0):
     try:
-        n = int(doc["n"])
+        n = integer_arg("n", doc["n"], low=1)
         weights = np.asarray(doc["weights"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ParameterError) as exc:
         raise FormatError(f"bad space document: {exc}") from None
-    if n < 1:
-        raise FormatError("n must be >= 1")
 
     points = None
+    if "points" in doc:
+        points = _as_float_array(doc["points"], "points")
+        if points.ndim not in (1, 2) or len(points) != n:
+            raise FormatError(f"points must be {n} coordinates or rows of "
+                              f"coordinates")
     if "dist" in doc:
         arr = _as_float_array(doc["dist"], "distances")
         if arr.ndim == 1:
@@ -718,14 +721,9 @@ def load_space_document(doc, seed=0):
             dist = arr
         else:
             raise FormatError("dist must be a lower triangle or full matrix")
-        if "points" in doc:
-            points = _as_float_array(doc["points"], "points")
-    elif "points" in doc:
-        points = _as_float_array(doc["points"], "points")
+    elif points is not None:
         if points.ndim == 1:
             points = points[:, None]
-        if points.shape[0] != n:
-            raise FormatError("points length does not match n")
         dist = _euclidean(points)
     else:
         raise FormatError("space document needs points or dist")

@@ -218,6 +218,25 @@ def test_malformed_dump_exit_1(tmp_path, capsys):
     assert "malformed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit", [lambda c: [-33] + c[1:], lambda c: c[:-1]],
+                         ids=["negative center", "one center short"])
+def test_dump_with_bad_centers_exit_1(tmp_path, capsys, edit):
+    # a center of -n used to wrap to point 0 and verify, and a level with
+    # fewer centers than member lists used to escape as a ValueError
+    cfg = write_config(tmp_path)
+    assert run(["--config", cfg, "cubes", "build"]) == 0
+    capsys.readouterr()
+    dump = tmp_path / "out" / "cubes.json"
+    doc = json.loads(dump.read_text())
+    rec = doc["levels"]["2"]
+    rec["centers"] = edit(rec["centers"])
+    dump.write_text(json.dumps(doc))
+    assert run(["--config", cfg, "cubes", "verify", "--dump",
+                str(dump)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: level 2: ") and "Traceback" not in err
+
+
 def test_field_file_kind(tmp_path, capsys):
     vals = tmp_path / "field.json"
     vals.write_text(json.dumps([float(i) for i in range(33)]))

@@ -251,10 +251,13 @@ def test_separation_matches_full_gather(name):
         k: _gathered_separation(sp, nets.nets[k], 0.5 ** k)
         for k in nets.levels()}
     # a dump whose nets are not nested prefixes: a middle level reversed,
-    # with a repeated center
+    # with a repeated center (in an empty cube, so that each center has its
+    # member list and parent)
     doc = cube_dump(build_cubes(nets, sp))
     mid = doc["levels"][str((lo + hi) // 2)]
     mid["centers"] = mid["centers"][::-1] + mid["centers"][:1]
+    mid["members"].append([])
+    mid["parent"].append(0)
     loaded = cubes_from_dump(doc, sp).nets
     want = {k: _gathered_separation(sp, loaded.nets[k], 0.5 ** k)
             for k in loaded.levels()}
@@ -432,6 +435,55 @@ def test_dump_rejects_negative_member(grid65):
     doc["levels"]["2"]["members"][0].append(-1)
     with pytest.raises(FormatError, match="negative member"):
         cubes_from_dump(doc, grid65)
+
+
+def _edit_level(k, key, edit):
+    def apply(doc):
+        rec = doc["levels"][str(k)]
+        rec[key] = edit(rec[key])
+    return apply
+
+
+def _set(key, value):
+    def apply(doc):
+        doc[key] = value
+    return apply
+
+
+# edits of a grid1d-9 dump over levels 0..3; most used to load as a nearby
+# valid value, or to reach verify_cubes and fail there with a ValueError
+DUMP_DEFECTS = {
+    "fractional k_min": _set("k_min", 0.5),
+    "bool k_max": _set("k_max", True),
+    "delta above 1": _set("delta", 2.0),
+    "delta as a string": _set("delta", "0.5"),
+    "fractional members": _edit_level(
+        3, "members", lambda m: [[0.4], [1.4]] + m[2:]),
+    "bool member": _edit_level(3, "members", lambda m: [[True]] + m[1:]),
+    "member past n": _edit_level(3, "members", lambda m: [m[0] + [9]] + m[1:]),
+    "negative center": _edit_level(2, "centers", lambda c: [-9] + c[1:]),
+    "fewer centers than member lists": _edit_level(2, "centers",
+                                                   lambda c: c[:-1]),
+    "more centers than member lists": _edit_level(2, "centers",
+                                                  lambda c: c + c[:1]),
+    "fewer parents than cubes": _edit_level(2, "parent", lambda p: p[:-1]),
+    "parent past the coarser level": _edit_level(2, "parent",
+                                                 lambda p: [99] + p[1:]),
+    "parent list at the coarsest level": _edit_level(0, "parent",
+                                                     lambda p: [0]),
+    "no parent list below the coarsest level": _edit_level(
+        1, "parent", lambda p: None),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(DUMP_DEFECTS))
+def test_dump_is_checked_as_outside_input(defect):
+    sp = generate_space("grid1d", size=9)
+    doc = cube_dump(build_cubes(build_nets(sp, 0.5, (0, 3)), sp))
+    assert verify_cubes(cubes_from_dump(doc, sp)).passed
+    DUMP_DEFECTS[defect](doc)
+    with pytest.raises(FormatError):
+        cubes_from_dump(doc, sp)
 
 
 # every stock kind; grid1d's diameter 1 is delta^0 and its gaps 1/32 and

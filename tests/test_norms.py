@@ -11,6 +11,7 @@ from homspace import (DyadicSpec, Field, FlavorMismatchError, KernelSpec,
 from homspace import test_function_norm as tf_norm
 from homspace.lab import EnsembleSpec, generate_ensemble, sampled_besov_norm
 from homspace.dyadic import refine_subcubes
+from homspace import norms
 from homspace.norms import truncation_risk
 
 import norms_oracle as oracle
@@ -396,6 +397,38 @@ def test_norms_reject_foreign_table(pipe65, pipe65_inhom):
             norm_fn(table, spec, Pipeline(pipe65.space).stack)
     with pytest.raises(ParameterError):
         truncation_risk(table, spec, pipe65_inhom.stack)
+
+
+def test_norms_reject_spec_of_another_stack(pipe65):
+    # truncation_risk and sampled_besov_norm used to read the stack's delta
+    # and ignore the spec's flavor
+    f = holder_field(pipe65.space)
+    for norm_fn in (besov_norm, triebel_lizorkin_norm, truncation_risk,
+                    sampled_besov_norm):
+        with pytest.raises(ParameterError, match="delta"):
+            norm_fn(f, NormSpec(s=0.5, p=2.0, q=2.0, delta=0.25),
+                    pipe65.stack)
+        with pytest.raises(FlavorMismatchError):
+            norm_fn(f, NormSpec(s=0.5, p=2.0, q=2.0, flavor="inhomogeneous"),
+                    pipe65.stack)
+
+
+def test_scale_sums_with_only_cell_levels():
+    # every level of this inhomogeneous stack is a cell level (k <= N = 1),
+    # so both scale sums are empty and each norm is its cell block
+    sp = generate_space("grid1d", size=33)
+    st = Pipeline(sp, DyadicSpec(k_max=1),
+                  KernelSpec(flavor="inhomogeneous")).stack
+    assert st.cell_levels() == st.levels()
+    f = holder_field(sp)
+    mags = np.abs(LevelTable(f, st).rows)
+    for p in (1.5, 2.0, INF):
+        for q in (1.5, 2.0, INF):
+            spec = NormSpec(s=0.4, p=p, q=q, flavor="inhomogeneous")
+            block = norms._cell_block(mags, spec, st)
+            assert block > 0
+            assert besov_norm(f, spec, st) == block, (p, q)
+            assert triebel_lizorkin_norm(f, spec, st) == block, (p, q)
 
 
 def test_tl_zero_field(pipe65):

@@ -301,6 +301,24 @@ def test_triangle_length_mismatch_rejected():
                                  "weights": [1.0, 1.0, 1.0]})
 
 
+@pytest.mark.parametrize("n", [2.7, True, "2", 0])
+def test_document_point_count_is_never_truncated(n):
+    # "n": 2.7 used to load as a 2-point space and "n": true as a 1-point one
+    with pytest.raises(FormatError, match="n must be an integer"):
+        load_space_document({"n": n, "dist": [1.0], "weights": [1.0, 1.0]})
+
+
+def test_document_points_must_match_n():
+    # with dist given, a 3-row points array used to be kept for n = 2
+    for extra in ({"dist": [1.0]}, {}):
+        with pytest.raises(FormatError, match="points must be 2"):
+            load_space_document({"n": 2, "weights": [1.0, 1.0],
+                                 "points": [[0.0], [1.0], [2.0]], **extra})
+    sp = load_space_document({"n": 2, "weights": [1.0, 1.0], "dist": [1.0],
+                              "points": [0.0, 1.0]})
+    assert sp.points.tolist() == [0.0, 1.0]
+
+
 def test_bad_weight_rejected():
     with pytest.raises(FormatError, match="not positive"):
         load_space_document({"n": 2, "dist": [1.0], "weights": [1.0, 0.0]})
