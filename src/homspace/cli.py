@@ -34,7 +34,8 @@ from . import dyadic as dy
 from . import lab as labmod
 from .difference import TRUNCATED_VARIANTS, VARIANTS, lipschitz_norm, truncated_norm
 from .dyadic import DyadicSpec
-from .errors import HomspaceError, ParameterError, choice_arg, integer_arg
+from .errors import (HomspaceError, ParameterError, choice_arg, integer_arg,
+                     real_arg)
 from .kernels import KernelSpec, validate_ati
 from .norms import (NormSpec, besov_norm, lebesgue_norm,
                     triebel_lizorkin_norm)
@@ -68,6 +69,10 @@ class FieldSpec:
         choice_arg("field kind", self.kind, FIELD_KINDS)
         integer_arg("norm.field.center", self.center, low=0)
         integer_arg("norm.field.seed", self.seed, low=0)
+        real_arg("norm.field.theta", self.theta, lambda v: 0 <= v < math.inf,
+                 "finite and >= 0")
+        real_arg("norm.field.radius", self.radius,
+                 lambda v: 0 < v < math.inf, "finite and > 0")
         if self.kind == "file" and self.file is None:
             raise ParameterError("field kind 'file' needs norm.field.file")
 

@@ -19,6 +19,13 @@ ratio 1/2:
 Covering stays below ``delta^k`` (the greedy runs until it is), so the
 measured constants satisfy c0 >= DEFAULT_SIGMA and C0 <= 1.
 
+The nets are nested prefixes and a minimum is exact, so the build carries
+one vector d(., net) from level to level instead of gathering it again, and
+forms the deep-point mask only on a level that adds a center.  Once the net
+is complete (every point a center, as on the levels below the least gap),
+each point is its own nearest center, so the level is assigned by the net's
+inverse permutation without the (center, point) gather.
+
 The subcube refinement stores one flat table per level k, a
 ``SubcubeTable(alpha, m, y, weight, sub_assign)`` with one row per
 level-(k+j0) subcube: rows are ordered by the level-k cube ``alpha`` that
@@ -176,32 +183,36 @@ class CubeSystem:
         return self.space.dist[ref].min(axis=0)
 
 
-def _grow_level(space, net, threshold, sep, deep_mask):
-    """Extend `net` (list of point indices) greedily.
+def _grow_level(space, net, mind, threshold, sep, assign, margin):
+    """Extend `net` (list of point indices) greedily; `mind` is d(., net)
+    and is updated in place.  Returns the covering radius.
 
     Adds points while the covering radius is >= threshold; candidates must be
-    >= sep from the net, preferring deep ones. Ties break to the lowest point
-    index via argmax semantics on exact equality.  The distance table is
-    exactly symmetric, so d(., net) is read from the contiguous rows of the
-    net's points.
+    >= sep from the net, preferring those at least `margin` inside their
+    cube of `assign` (the coarser level's).  That deep mask is formed when
+    the first point is added, and not at all on a level that adds none.
+    Ties break to the lowest point index via argmax semantics on exact
+    equality.  The distance table is exactly symmetric, so d(., new) is read
+    from the contiguous row of the new point.
+
+    `deep` is d(., net) on the deep points and -1 elsewhere: its argmax is
+    the farthest deep point, a candidate when it is >= sep.  Otherwise the
+    farthest point is picked, a candidate because sep < threshold.
     """
     dist = space.dist
-    if not net:
-        net.append(0)
-    mind = dist[net].min(axis=0)
+    deep = None
     while True:
-        far = mind.max()
-        if far < threshold:
-            break
-        cand = mind >= sep
-        pick_from = cand & deep_mask
-        if not pick_from.any():
-            pick_from = cand
-        score = np.where(pick_from, mind, -1.0)
-        new = int(np.argmax(score))
+        far = int(np.argmax(mind))
+        if mind[far] < threshold:
+            return float(mind[far])
+        if deep is None:
+            deep = np.where(_deep_mask(space, assign, margin), mind, -1.0)
+        new = int(np.argmax(deep))
+        if deep[new] < sep:
+            new = far
         net.append(new)
-        mind = np.minimum(mind, dist[new])
-    return net, float(mind.max())
+        np.minimum(mind, dist[new], out=mind)
+        np.minimum(deep, dist[new], out=deep)
 
 
 def _assign(space, net, prev_assign):
@@ -209,10 +220,17 @@ def _assign(space, net, prev_assign):
     own coarser cube (`prev_assign`, all zero at the coarsest level).
     Ties go to the center with the lowest point index.
 
-    The distance table is exactly symmetric, so the (center, point) table
-    is gathered from the centers' contiguous rows.  The first center that
-    attains each column's minimum is found as the first match of the
-    minimum: `argmin` over axis 0 would copy the whole float table."""
+    A complete net (every point a center) assigns each point to itself:
+    distinct points are at positive distance, so a point is its own unique
+    nearest center, and the result is the net's inverse permutation.
+    Otherwise the distance table is exactly symmetric, so the (center,
+    point) table is gathered from the centers' contiguous rows.  The first
+    center that attains each column's minimum is found as the first match
+    of the minimum: `argmin` over axis 0 would copy the whole float table."""
+    if len(net) == space.n:
+        pos = np.empty(space.n, dtype=int)
+        pos[net] = np.arange(space.n)
+        return pos
     order = np.argsort(net, kind="stable")
     cand = net[order]
     d = space.dist[cand]
@@ -228,15 +246,18 @@ def _deep_mask(space, assign, margin):
 
 
 def _build(space, delta, k_min, k_max, sigma, deep_margin):
-    """Nets, per-level assignments and covering radii, coarse to fine."""
+    """Nets, per-level assignments and covering radii, coarse to fine.  One
+    vector d(., net) carries over from level to level: the nets are nested
+    prefixes and a minimum is exact, so each level starts from the numbers a
+    gather over its inherited net would give."""
     nets, assigns, cover = {}, {}, {}
-    net = []
+    net = [0]
+    mind = space.dist[0].copy()
     assign = np.zeros(space.n, dtype=int)  # one cube above the coarsest level
     for k in range(k_min, k_max + 1):
         scale = delta ** k
-        deep = _deep_mask(space, assign, deep_margin * scale)
-        net, cover[k] = _grow_level(space, list(net), scale, sigma * scale,
-                                    deep)
+        cover[k] = _grow_level(space, net, mind, scale, sigma * scale, assign,
+                               deep_margin * scale)
         nets[k] = _read_only(np.array(net, dtype=int))
         assign = assigns[k] = _read_only(_assign(space, nets[k], assign))
     return nets, assigns, cover
@@ -255,7 +276,8 @@ def _separations(space, nets, delta):
             prev, least = (), np.inf
         new = net[len(prev):]
         if len(new):
-            sub = space.dist[np.ix_(new, net)]
+            # the new rows, then the net's columns: half the time of np.ix_
+            sub = space.dist[new].take(net, axis=1)
             sub[np.arange(len(new)), np.arange(len(prev), len(net))] = np.inf
             least = min(least, float(sub.min()))
         out[k] = least / delta ** k
@@ -530,6 +552,10 @@ def verify_cubes(cubes):
 
 # -- dump round trip ---------------------------------------------------------
 
+DUMP_KEYS = ("delta", "k_min", "k_max", "levels")
+LEVEL_KEYS = ("centers", "parent", "members")
+
+
 def cube_dump(cubes):
     """JSON-shaped dump: per level centers, parents and member lists."""
     out = {"delta": cubes.delta, "k_min": cubes.k_min, "k_max": cubes.k_max,
@@ -548,8 +574,10 @@ def cubes_from_dump(doc, space):
 
     Membership comes from the dump as-is, so planted defects are visible to
     verify_cubes rather than silently repaired.  The dump is outside input:
-    its levels must be integers, delta in (0, 1), and each cube must have
-    one center and (below the coarsest level) one parent, or FormatError.
+    it holds only the keys `cube_dump` writes (`DUMP_KEYS`, and `LEVEL_KEYS`
+    per level) and exactly the levels k_min..k_max, its levels must be
+    integers, delta in (0, 1), and each cube must have one center and
+    (below the coarsest level) one parent, or FormatError.
     """
     try:
         return _cubes_from_dump(doc, space)
@@ -572,15 +600,35 @@ def _dumped_indices(values, n, what, k, count=None):
     return _read_only(np.array(values, dtype=int))
 
 
+def _known_keys(rec, keys, where):
+    """FormatError when the mapping `rec` has a key outside `keys`: a key
+    that no reader reads is refused, not ignored."""
+    extra = sorted(map(repr, set(rec) - set(keys)))
+    if extra:
+        raise FormatError(f"malformed cube dump: unknown key(s) "
+                          f"{', '.join(extra)} in {where}; it may hold "
+                          f"only {', '.join(keys)}")
+
+
 def _cubes_from_dump(doc, space):
+    _known_keys(doc, DUMP_KEYS, "the dump")
     k_min = integer_arg("k_min", doc["k_min"])
     k_max = integer_arg("k_max", doc["k_max"])
     delta = float(real_arg("delta", doc["delta"], lambda v: 0 < v < 1,
                            "in (0, 1)"))
+    if k_max < k_min:
+        raise FormatError(f"malformed cube dump: empty level range "
+                          f"k_min={k_min} > k_max={k_max}")
+    want = [str(k) for k in range(k_min, k_max + 1)]
+    if set(doc["levels"]) != set(want):
+        raise FormatError(f"malformed cube dump: levels "
+                          f"{sorted(doc['levels'])} are not the levels "
+                          f"{want} of k_min={k_min} to k_max={k_max}")
     nets = {}
     levels = {}
     for k in range(k_min, k_max + 1):
         rec = doc["levels"][str(k)]
+        _known_keys(rec, LEVEL_KEYS, f"level {k}")
         members = tuple(_dumped_indices(m, space.n, "member", k)
                         for m in rec["members"])
         centers = nets[k] = _dumped_indices(rec["centers"], space.n,

@@ -241,7 +241,9 @@ def build_exp_iati(cubes, k_range, a=1.0, sigma=1.0, n_low=1):
     """Inhomogeneous stack on the refined `cubes` at the integer levels
     k_range = (0, k_max): Q_0 = P_sigma with unit integrals, then
     differences; the levels k <= n_low are read through cell averages
-    downstream (`KernelStack.cell_levels`), checked as a `KernelSpec`."""
+    downstream (`KernelStack.cell_levels`), checked as a `KernelSpec`.
+    At sigma = delta^0 = 1 (the default), Q_0 copies the table P_1 that the
+    first difference needs anyway."""
     spec = KernelSpec(flavor="inhomogeneous", a=a, sigma=sigma, n_low=n_low)
     k_min = integer_arg("k_range", k_range[0])
     k_max = integer_arg("k_range", k_range[-1])
@@ -249,7 +251,8 @@ def build_exp_iati(cubes, k_range, a=1.0, sigma=1.0, n_low=1):
     space, delta = cubes.space, cubes.delta
     _check_cubes(cubes, space, delta, 0, k_max)
     q = _difference_stack(space, delta, 0, k_max, a,
-                          lambda p: build_semigroup(space, sigma, a=a))
+                          lambda p: p.copy() if sigma == 1
+                          else build_semigroup(space, sigma, a=a))
     return KernelStack(flavor="inhomogeneous", space=space, delta=delta,
                        k_min=0, k_max=k_max, a=a, q=q, cubes=cubes,
                        n_low=spec.n_low)

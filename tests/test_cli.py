@@ -237,6 +237,23 @@ def test_dump_with_bad_centers_exit_1(tmp_path, capsys, edit):
     assert err.startswith("error: level 2: ") and "Traceback" not in err
 
 
+def test_dump_with_levels_past_k_max_exit_1(tmp_path, capsys):
+    # a dump whose k_max stops short of its levels used to load the levels
+    # up to k_max and verify PASS
+    cfg = write_config(tmp_path)
+    assert run(["--config", cfg, "cubes", "build"]) == 0
+    capsys.readouterr()
+    dump = tmp_path / "out" / "cubes.json"
+    doc = json.loads(dump.read_text())
+    doc["k_max"] -= 1
+    dump.write_text(json.dumps(doc))
+    assert run(["--config", cfg, "cubes", "verify", "--dump",
+                str(dump)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed cube dump: levels ")
+    assert "Traceback" not in err
+
+
 def test_field_file_kind(tmp_path, capsys):
     vals = tmp_path / "field.json"
     vals.write_text(json.dumps([float(i) for i in range(33)]))
@@ -504,6 +521,12 @@ REJECTED_BEFORE_WORK = (
                  id="sets26-space build"),
     pytest.param(("space.size=3", "space.weights=[NaN, 1, 1]"),
                  "space build", id="sets27-space build"),
+    pytest.param(("norm.field.theta=-1",), "lab lemmas",
+                 id="sets28-lab lemmas"),
+    pytest.param(("norm.field.theta=-1",), "norm compute",
+                 id="sets29-norm compute"),
+    pytest.param(("norm.field.radius=-1",), "norm compute",
+                 id="sets30-norm compute"),
 )
 
 

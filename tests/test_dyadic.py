@@ -306,6 +306,56 @@ def test_build_matches_frozen_oracle(name):
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_SPACES))
+def test_build_matches_frozen_oracle_past_saturation(name):
+    """Six levels past the default range the nets are complete; d(., net)
+    carried from level to level and the complete-net assignment still give
+    the oracle's nets, assignments and covers."""
+    sp = generate_space(**ORACLE_SPACES[name])
+    lo, hi = default_level_range(sp)
+    hi += 6
+    args = (sp, 0.5, lo, hi, dyadic.DEFAULT_SIGMA, dyadic.DEFAULT_DEEP_MARGIN)
+    nets, assigns, cover = dyadic._build(*args)
+    o_nets, o_assigns, o_cover = dyadic_oracle.build(*args)
+    assert cover == o_cover
+    assert sum(len(nets[k]) == sp.n for k in nets) >= 3
+    for k in range(lo, hi + 1):
+        assert np.array_equal(nets[k], o_nets[k]), k
+        assert np.array_equal(assigns[k], o_assigns[k]), k
+
+
+@pytest.mark.parametrize("name", ["grid1d-257", "sierpinski-4", "graph-63"])
+def test_deep_mask_only_on_levels_that_grow(name, monkeypatch):
+    """The deep-point mask is formed once on each level whose greedy loop
+    adds a center, and never past saturation."""
+    sp = generate_space(**ORACLE_SPACES[name])
+    lo, hi = default_level_range(sp)
+    margins = []
+    real = dyadic._deep_mask
+    monkeypatch.setattr(dyadic, "_deep_mask", lambda space, assign, margin: (
+        margins.append(margin) or real(space, assign, margin)))
+    nets = build_nets(sp, 0.5, (lo, hi + 4)).nets
+    grown = [k for k in nets
+             if len(nets[k]) > (len(nets[k - 1]) if k > lo else 1)]
+    assert len(grown) < len(nets) - 3
+    assert margins == [dyadic.DEFAULT_DEEP_MARGIN * 0.5 ** k for k in grown]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SPACES))
+def test_complete_net_assignment_matches_the_gather(name):
+    """A complete net in any order assigns each point to its own position,
+    as the oracle's nearest-center gathers do, whatever the coarser cubes."""
+    sp = generate_space(**ORACLE_SPACES[name])
+    rng = np.random.default_rng(5)
+    net = rng.permutation(sp.n)
+    coarse = rng.integers(0, 4, sp.n)
+    got = dyadic._assign(sp, net, coarse)
+    assert np.array_equal(got, dyadic_oracle._assign_refined(sp, net, coarse))
+    assert np.array_equal(dyadic._assign(sp, net, np.zeros(sp.n, dtype=int)),
+                          dyadic_oracle._assign_coarsest(sp, net))
+    assert np.array_equal(net[got], np.arange(sp.n))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SPACES))
 def test_refpoint_distance_matches_column_min(name):
     """d(x, Y^k) read from the rows of Y^k equals the column minimum at
     every level, the finest (where Y^k is empty) included."""
@@ -473,6 +523,21 @@ DUMP_DEFECTS = {
                                                      lambda p: [0]),
     "no parent list below the coarsest level": _edit_level(
         1, "parent", lambda p: None),
+    "unknown top-level key": _set("extra", 1),
+    "unknown level key": lambda doc: doc["levels"]["1"].update(typo=[]),
+    "k_max below the dumped levels": _set("k_max", 1),
+    "a level missing": lambda doc: doc["levels"].pop("2"),
+    "a level off the range": lambda doc: doc["levels"].update(
+        {"4": doc["levels"].pop("3")}),
+    "k_max below k_min": _set("k_max", -1),
+}
+# the defects whose message is pinned as well
+DUMP_MESSAGES = {
+    "unknown top-level key": "unknown key.*'extra' in the dump",
+    "unknown level key": "unknown key.*'typo' in level 1",
+    "k_max below the dumped levels": r"levels \['0', '1', '2', '3'\] are "
+                                     r"not the levels \['0', '1'\]",
+    "k_max below k_min": "empty level range k_min=0 > k_max=-1",
 }
 
 
@@ -482,7 +547,7 @@ def test_dump_is_checked_as_outside_input(defect):
     doc = cube_dump(build_cubes(build_nets(sp, 0.5, (0, 3)), sp))
     assert verify_cubes(cubes_from_dump(doc, sp)).passed
     DUMP_DEFECTS[defect](doc)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=DUMP_MESSAGES.get(defect)):
         cubes_from_dump(doc, sp)
 
 

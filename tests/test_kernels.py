@@ -322,6 +322,26 @@ def test_stack_tables_match_frozen_builder(stack_spaces, label, flavor):
                               stack_oracle.build_semigroup(st.space, t, a=a))
 
 
+@pytest.mark.parametrize("sigma", [1.0, 2.0])
+def test_inhomogeneous_stack_builds_p_sigma_once(pipe65_inhom, monkeypatch,
+                                                 sigma):
+    """At the default sigma = delta^0 = 1, Q_0 copies the table P_1 that the
+    first difference reads, so the stack builds one semigroup per level;
+    another sigma builds one more.  Either way the tables are the frozen
+    builder's."""
+    cubes, k_max = pipe65_inhom.cubes, pipe65_inhom.levels[-1]
+    scales = []
+    real = kernels.build_semigroup
+    monkeypatch.setattr(kernels, "build_semigroup", lambda space, t, a=1.0: (
+        scales.append(t) or real(space, t, a=a)))
+    st = build_exp_iati(cubes, (0, k_max), sigma=sigma)
+    assert len(scales) == k_max + 1 + (sigma != 1)
+    want = stack_oracle.kernel_tables(st.space, st.delta, 0, k_max,
+                                      flavor="inhomogeneous", sigma=sigma)
+    assert st.q.keys() == want.keys()
+    assert all(np.array_equal(st.q[k], want[k]) for k in want)
+
+
 @pytest.mark.parametrize("build", [build_exp_ati, build_exp_iati])
 def test_stack_build_peak_memory(oracle_pipes, build):
     """Besides its finished tables a stack build holds one transient n x n
