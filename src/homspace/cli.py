@@ -67,8 +67,12 @@ class FieldSpec:
 
     def __post_init__(self):
         choice_arg("field kind", self.kind, FIELD_KINDS)
-        integer_arg("norm.field.center", self.center, low=0)
-        integer_arg("norm.field.seed", self.seed, low=0)
+        for name in ("center", "seed"):
+            object.__setattr__(self, name, integer_arg(
+                f"norm.field.{name}", getattr(self, name), low=0))
+        if self.level is not None:
+            object.__setattr__(self, "level", integer_arg(
+                "norm.field.level", self.level))
         real_arg("norm.field.theta", self.theta, lambda v: 0 <= v < math.inf,
                  "finite and >= 0")
         real_arg("norm.field.radius", self.radius,

@@ -77,7 +77,8 @@ class DyadicSpec:
         object.__setattr__(self, "j0",
                            integer_arg("dyadic.j0", self.j0, low=0))
         choice_arg("sampler", self.sampler, SAMPLERS)
-        integer_arg("dyadic.seed", self.seed, low=0)
+        object.__setattr__(self, "seed",
+                           integer_arg("dyadic.seed", self.seed, low=0))
 
 
 def finest_level(delta, x, c=1.0, ties=False):
@@ -338,10 +339,11 @@ def refine_subcubes(cubes, j0, sampler="center", seed=0):
     j0 = 0 makes every cube its own single subcube with y = its center.
     The arguments are checked as a `DyadicSpec` first.
     """
-    j0 = DyadicSpec(j0=j0, sampler=sampler, seed=seed).j0
+    spec = DyadicSpec(j0=j0, sampler=sampler, seed=seed)
+    j0 = spec.j0
     if j0 > cubes.k_max - cubes.k_min:
         raise RangeError(f"j0={j0} outside available levels")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(spec.seed)
     w = cubes.space.weight
     tables = {}
     for k in range(cubes.k_min, cubes.k_max - j0 + 1):

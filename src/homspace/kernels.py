@@ -44,6 +44,8 @@ FIT_POINTS = 2_000_000
 # the semigroup's scaling and validate_ati's n x n passes run over blocks of
 # rows of about this many bytes
 BLOCK_BYTES = 2 ** 18
+# the exponents Gamma of validate_ati's R_Gamma envelope constants
+RGAMMA_GAMMAS = (1.0, 2.0)
 
 
 # the leaves each flavor reads besides a, with defaults
@@ -260,25 +262,25 @@ def build_exp_iati(cubes, k_range, a=1.0, sigma=1.0, n_low=1):
 
 # -- validation ---------------------------------------------------------------
 
-def validate_ati(stack, gamma_list=(1.0, 2.0), seed=0):
+def validate_ati(stack, seed=0):
     """Fit (nu, eta) and measure every condition constant of the stack.
 
     The levels are streamed, and every n x n pass runs over row blocks of
     about `BLOCK_BYTES` (`_row_blocks`).  A counting loop takes each level's
-    noise floor and each block's count of entries above it, which fixes the
-    stride that thins the pooled nu fit to at most `FIT_POINTS` points.
+    noise floor and the total count of entries above the floors, which fixes
+    the stride that thins the pooled nu fit to at most `FIT_POINTS` points.
     Every block is read whole, its entries at or below the floor set to 0.
     Pass 1 takes what does not depend on nu: the fit's strided samples of
     the masked log-kernel, and of the decay and refpoint terms, which it
     writes into column 0 of the fit's design matrix [t, 1]; the R_Gamma
-    peaks; and the cancellation/unit residuals.  The fit (`_slope`) solves
-    on that matrix in place, np.polyfit's steps without its copies.  After
-    the fit, pass 2 finds each level's admissible pairs and forms its pair
-    envelope once per block, with the same floating-point operations that
-    both size constants read off it (the log of |Q_k|, with -inf written
-    at or below the floor afterwards); the regularity chunks (one block's
-    worth of pair rows each, in reused buffers) and the second-difference
-    quadruples then read it.
+    peaks for each Gamma of `RGAMMA_GAMMAS`; and the cancellation/unit
+    residuals.  The fit (`_slope`) solves on that matrix in place,
+    np.polyfit's steps without its copies.  After the fit, pass 2 finds
+    each level's admissible pairs and forms its pair envelope once per
+    block, with the same floating-point operations that both size constants
+    read off it (the log of |Q_k|, with -inf written at or below the floor
+    afterwards); the regularity chunks (one block's worth of pair rows each,
+    in reused buffers) and the second-difference quadruples then read it.
     Maximizations are exhaustive up to `PAIR_BUDGET` admissible pairs and
     `QUAD_BUDGET` zipped quadruples per level and uniformly sampled (flagged)
     beyond; `PROBE_COUNT` random fields probe the identity.  Returns the
@@ -294,16 +296,14 @@ def validate_ati(stack, gamma_list=(1.0, 2.0), seed=0):
     vtab = space.v_table()
     blocks = _row_blocks(n)
 
-    # count: each level's floor and each block's above-floor count; the
-    # fit's stride is then known before any log-kernel is formed
-    census = {}
+    # count: each level's floor and the above-floor total; the fit's stride
+    # is then known before any log-kernel is formed
+    floors, total = {}, 0
     for k in stack.levels():
         qk = stack.q[k]
-        floor = NOISE_FLOOR * max(qk.max(), -qk.min())  # the largest |Q_k|
-        census[k] = floor, [
-            (blk, int(np.count_nonzero(np.abs(qk[blk]) > floor)))
-            for blk in blocks]
-    total = sum(count for _, parts in census.values() for _, count in parts)
+        floors[k] = NOISE_FLOOR * max(qk.max(), -qk.min())  # the largest |Q_k|
+        for blk in blocks:
+            total += int(np.count_nonzero(np.abs(qk[blk]) > floors[k]))
     stride = total // FIT_POINTS + 1 if total > FIT_POINTS else 1
     zf = np.empty(-(-total // stride))
     # the fit's design matrix [t, 1]: pass 1 writes t into column 0
@@ -312,7 +312,7 @@ def validate_ati(stack, gamma_list=(1.0, 2.0), seed=0):
     # pass 1: per-level pieces that do not depend on nu.  A block at global
     # offset o starts its fit samples at local index (-o) % stride, so the
     # fit sees every stride-th masked entry of the stacked levels
-    rgamma = {float(g): 0.0 for g in gamma_list}
+    rgamma = dict.fromkeys(RGAMMA_GAMMAS, 0.0)
     cancel, unit = 0.0, None
     per_level = []
     offset = filled = 0
@@ -326,23 +326,20 @@ def validate_ati(stack, gamma_list=(1.0, 2.0), seed=0):
                 h = np.zeros(space.n)
             else:
                 h = (dY / scale) ** stack.a  # pair (x, y) takes max(h_x, h_y)
-            floor, parts = census[k]
-            for blk, count in parts:
-                if not count:
-                    continue
+            for blk in blocks:
                 q = np.abs(stack.q[k][blk])
-                mask = q > floor
+                mask = q > floors[k]
                 q *= mask
                 # a 0 entry gives a ratio of 0 (or nan, which fmax skips),
                 # below every above-floor ratio
                 ratios = _r_gamma(d[blk], scale, vk[blk, None] + vtab[blk],
-                                  gamma_list)
-                for gamma, r in zip(gamma_list, ratios):
+                                  RGAMMA_GAMMAS)
+                for gamma, r in zip(RGAMMA_GAMMAS, ratios):
                     peak = np.fmax.reduce(np.divide(q, r, out=r), axis=None)
-                    rgamma[float(gamma)] = max(rgamma[float(gamma)],
-                                               float(peak))
-                fit = np.flatnonzero(mask)[(-offset) % stride::stride]
-                offset += count
+                    rgamma[gamma] = max(rgamma[gamma], float(peak))
+                above = np.flatnonzero(mask)
+                fit = above[(-offset) % stride::stride]
+                offset += above.size
                 rows, cols = _rows_cols(fit, n)
                 rows += blk.start
                 end = filled + fit.size
@@ -381,7 +378,7 @@ def validate_ati(stack, gamma_list=(1.0, 2.0), seed=0):
         for k, logv, h in per_level:
             scale = delta ** k
             q_signed = stack.q[k]
-            floor, parts = census[k]
+            floor = floors[k]
             # the admissible pairs as flat positions, in row-major order
             pairs = np.concatenate([
                 np.flatnonzero((d[blk] <= scale) & (d[blk] > 0))
@@ -391,19 +388,14 @@ def validate_ati(stack, gamma_list=(1.0, 2.0), seed=0):
             # minus the log of each pair's decay bound (negation is exact
             # under round-to-nearest).  The size constants are the largest
             # z + U and z + nu (d/delta^k)^a over the above-floor entries,
-            # z = log|Q_k| + c.  A block is skipped only when it has no
-            # above-floor entry and the level no pairs
-            for blk, count in parts:
-                if not (count or len(pairs)):
-                    continue
+            # z = log|Q_k| + c
+            for blk in blocks:
                 u = (d[blk] / scale) ** stack.a
                 big_u = u + np.maximum(h[blk, None], h[None, :])
                 big_u *= nu
                 c = 0.5 * (logv[blk, None] + logv[None, :])
                 if len(pairs):
                     np.add(c, big_u, out=logenv[blk])
-                if not count:
-                    continue
                 u *= nu
                 q = np.abs(q_signed[blk])
                 below = q <= floor

@@ -141,15 +141,15 @@ def besov_norm(f, spec, stack):
 
 def _carleson_sup(terms, levels, spec, cubes):
     """sup over the cubes of levels l of the in-cube q-average of the
-    pointwise l^q sum of the terms at the levels k >= l."""
-    rows = [i for i, l in enumerate(levels) if l in cubes.levels]
+    pointwise l^q sum of the terms at the levels k >= l; every stack level
+    is a level of the cubes (`KernelStack` checks it)."""
     if spec.q == INF:
         # the cubes of a level partition the space
-        return float(terms[rows[0]:].max()) if rows else 0.0
+        return float(terms.max()) if len(levels) else 0.0
     powers = terms ** spec.q
     best = 0.0
-    for i in rows:
-        lv = cubes.levels[levels[i]]
+    for i, k in enumerate(levels):
+        lv = cubes.levels[k]
         avg = _cell_average(cubes.space, lv.assign, len(lv.centers),
                             powers[i:].sum(axis=0))
         best = max(best, float(avg.max()) ** (1.0 / spec.q))

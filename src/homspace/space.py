@@ -592,7 +592,8 @@ class SpaceSpec:
     file: str | None = None
 
     def __post_init__(self):
-        integer_arg("space.seed", self.seed, low=0)
+        object.__setattr__(self, "seed",
+                           integer_arg("space.seed", self.seed, low=0))
         if self.file is not None:
             resolve(self, "space", "space.file is set", {}, "kind", "size",
                     "level", "exponent", "weights", "label")
@@ -664,7 +665,7 @@ def generate_space(kind, size=None, level=None, exponent=None, weights=None,
     n = dist.shape[0]
     w = np.full(n, 1.0 / n) if weights is None else weights
     return MetricMeasureSpace(dist, w, label=label or kind, points=points,
-                              seed=seed)
+                              seed=spec.seed)
 
 
 # -- document I/O -----------------------------------------------------------

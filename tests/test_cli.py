@@ -8,6 +8,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import click
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -651,6 +652,21 @@ def test_seeds_and_field_leaves_are_never_unread():
     specs = config_specs(cfg)
     assert (specs["space"].size, specs["space"].level) == (None, 2)
     assert specs["kernel"].sigma is None
+
+
+def test_field_spec_keeps_the_integers_its_checks_return():
+    """An integral float center, seed or level makes the int's field; a
+    bool level is refused as bools are everywhere else."""
+    pipe = Pipeline(generate_space("grid1d", size=33))
+    for kind, name, value in (("bandlimited", "seed", 2),
+                              ("bandlimited", "level", 2),
+                              ("holder", "center", 3)):
+        a, b = (cli.FieldSpec(kind=kind, **{name: v}) for v in
+                (value, float(value)))
+        assert a == b and type(getattr(b, name)) is int
+        assert np.array_equal(a.make(pipe).values, b.make(pipe).values)
+    with pytest.raises(ParameterError, match="norm.field.level"):
+        cli.FieldSpec(kind="bandlimited", level=True)
 
 
 def _bench_module(monkeypatch, name):

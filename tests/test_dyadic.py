@@ -14,6 +14,7 @@ from homspace import dyadic
 from homspace.difference import natural_k_window
 from homspace.dyadic import cube_dump, cubes_from_dump
 from homspace.pipeline import default_level_range
+from homspace.space import SpaceSpec
 
 
 def test_one_point_nets():
@@ -155,6 +156,25 @@ def test_sampler_changes_samples_only(grid65):
             mem = np.nonzero(tb.sub_assign == i)[0]
             assert ta.weight[i] == tb.weight[i]
             assert ta.y[i] in mem and tb.y[i] in mem
+
+
+def test_integral_float_seeds_give_the_int_results():
+    """A seed given as an integral float is kept as the int its check
+    returns, so it draws what the int draws."""
+    sp = generate_space("grid1d", size=33)
+    cubes = build_cubes(build_nets(sp, 0.5, (0, 5)), sp)
+    a = refine_subcubes(cubes, 2, sampler="seeded_random", seed=3)
+    b = refine_subcubes(cubes, 2, sampler="seeded_random", seed=3.0)
+    pa, pb = (Pipeline(sp, dyadic.DyadicSpec(sampler="seeded_random",
+                                             seed=seed)).cubes
+              for seed in (3, 3.0))
+    for x, y in ((a, b), (pa, pb)):
+        assert x.subcubes.keys() == y.subcubes.keys()
+        assert all(np.array_equal(x.subcubes[k].y, y.subcubes[k].y)
+                   for k in x.subcubes)
+    assert type(dyadic.DyadicSpec(seed=3.0).seed) is int
+    spec = SpaceSpec(seed=3.0)
+    assert spec.seed == 3 and type(spec.seed) is int
 
 
 def test_determinism_bitwise(grid65):

@@ -205,7 +205,27 @@ def test_validation_thinned_fit_matches_frozen_oracle(
                                          fit_points=points)
 
 
-def test_validation_skips_entries_below_the_floor(pipe65):
+@pytest.mark.parametrize("flavor", ["homogeneous", "inhomogeneous"])
+def test_validation_of_empty_row_blocks_matches_frozen_oracle(
+        pipe65, pipe65_inhom, monkeypatch, flavor):
+    """A block of 7 rows with no entry above the floor, at two levels, adds
+    no fit sample, R_Gamma peak or size term: the oracle's report."""
+    st = (pipe65 if flavor == "homogeneous" else pipe65_inhom).stack
+    levels = st.levels()
+    zeroed = dict(st.q)
+    for k, blk in ((levels[1], slice(7, 14)), (levels[-2], slice(35, 42))):
+        q = st.q[k].copy()
+        q[blk] = 0.0
+        q[:, blk] = 0.0
+        q.setflags(write=False)
+        zeroed[k] = q
+    st = replace(st, q=zeroed)
+    monkeypatch.setattr(kernels, "BLOCK_BYTES", 8 * 65 * 7)
+    got = asdict(validate_ati(st, seed=5))
+    assert got == reference_validate_ati(st, st.cubes, seed=5)
+
+
+def test_validation_skips_entries_below_the_floor(pipe65, monkeypatch):
     """Entries at or below a level's noise floor that do not decay (here
     replaced by noise of up to half the floor) would set the size constants
     and, far from the diagonal at Gamma = 8, the R_Gamma peaks if a pass
@@ -219,7 +239,8 @@ def test_validation_skips_entries_below_the_floor(pipe65):
         noisy[k] = np.where(np.abs(q) > floor, q, noise + noise.T)
         noisy[k].setflags(write=False)
     st = replace(st, q=noisy)
-    got = asdict(validate_ati(st, gamma_list=(2.0, 8.0), seed=5))
+    monkeypatch.setattr(kernels, "RGAMMA_GAMMAS", (2.0, 8.0))
+    got = asdict(validate_ati(st, seed=5))
     assert got == reference_validate_ati(st, pipe65.cubes,
                                          gamma_list=(2.0, 8.0), seed=5)
 
@@ -366,10 +387,9 @@ def test_validation_inhom_unit_resid(pipe65_inhom):
     assert rep.cancel_resid <= CANCEL_TOL
 
 
-def test_rgamma_const_for_two_omega(pipe65, validated65):
+def test_rgamma_const_for_two_omega(validated65):
     # exponential decay dominates any polynomial envelope; Gamma = 2*omega
-    rep = validate_ati(pipe65.stack, gamma_list=(2.0,))
-    assert np.isfinite(rep.rgamma_const[2.0])
+    assert np.isfinite(validated65.rgamma_const[2.0])
 
 
 def test_scale_covariance_of_size_const():
