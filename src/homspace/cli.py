@@ -75,6 +75,8 @@ class FieldSpec:
                 "norm.field.level", self.level))
         real_arg("norm.field.theta", self.theta, lambda v: 0 <= v < math.inf,
                  "finite and >= 0")
+        real_arg("norm.field.value", self.value, math.isfinite,
+                 "a finite number")
         real_arg("norm.field.radius", self.radius,
                  lambda v: 0 < v < math.inf, "finite and > 0")
         if self.kind == "file" and self.file is None:

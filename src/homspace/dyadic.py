@@ -33,11 +33,16 @@ holds the subcube and then by subcube id, ``m`` is the rank of the row
 within its ``alpha``, ``y`` the sample point, ``weight`` the subcube mass,
 and ``sub_assign`` maps every point to the row of its subcube.  Nets, cube
 levels and cube systems are frozen, and every array they hold is read-only.
+A cube level lists its points cube by cube in one array ``by_cube``; cube c
+holds ``by_cube[starts[c]:starts[c+1]]``, in increasing order on a built
+level and as dumped on a level read from a dump.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -128,7 +133,14 @@ class CubeLevel:
     centers: np.ndarray          # point index per cube, insertion order
     assign: np.ndarray           # point -> cube id
     parent: np.ndarray | None    # cube id -> parent cube id (None at k_min)
-    members: tuple[np.ndarray, ...]  # cube id -> its points
+    by_cube: np.ndarray          # the points, listed cube by cube
+    starts: np.ndarray           # cube c lists by_cube[starts[c]:starts[c+1]]
+
+    @property
+    def members(self):
+        """cube id -> its points, as read-only views of `by_cube`."""
+        return tuple(self.by_cube[a:b]
+                     for a, b in itertools.pairwise(self.starts.tolist()))
 
 
 class SubcubeTable(NamedTuple):
@@ -172,16 +184,11 @@ class CubeSystem:
         """Centers newly appearing at level k+1 (the set Y^k); may be empty."""
         if k < self.k_min or k >= self.k_max:
             return np.array([], dtype=int)
-        prev = self.nets.nets[k]
-        cur = self.nets.nets[k + 1]
-        return cur[len(prev):]
+        return self.nets.nets[k + 1][len(self.nets.nets[k]):]
 
     def refpoint_distance(self, k):
         """d(x, Y^k) for all x; +inf where Y^k is empty."""
-        ref = self.refpoints(k)
-        if len(ref) == 0:
-            return np.full(self.space.n, np.inf)
-        return self.space.dist[ref].min(axis=0)
+        return self.space.dist[self.refpoints(k)].min(axis=0, initial=np.inf)
 
 
 def _grow_level(space, net, mind, threshold, sep, assign, margin):
@@ -322,12 +329,12 @@ def build_cubes(nets, space):
         if not counts.all():
             raise RangeError(
                 f"empty cube at level {k}, center {net[np.argmin(counts)]}")
-        by_cube = _read_only(np.argsort(assign, kind="stable"))
         parent = (None if k == nets.k_min
                   else _read_only(nets.assigns[k - 1][net]))
         levels[k] = CubeLevel(
             centers=net, assign=assign, parent=parent,
-            members=tuple(np.split(by_cube, np.cumsum(counts)[:-1])))
+            by_cube=_read_only(np.argsort(assign, kind="stable")),
+            starts=_read_only(np.concatenate(([0], np.cumsum(counts)))))
     return CubeSystem(space=space, nets=nets, levels=levels)
 
 
@@ -352,19 +359,21 @@ def refine_subcubes(cubes, j0, sampler="center", seed=0):
         ancestor = cubes.levels[k].assign[fine.centers]
         order = np.argsort(ancestor, kind="stable")
         alpha = ancestor[order]
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        members = [fine.members[i] for i in order]
+        rank = np.argsort(order)  # the inverse permutation
+        first, end = fine.starts[order], fine.starts[order + 1]
         if sampler == "center":
             y = fine.centers[order]
         elif sampler == "lowest_index":
             y = np.unique(fine.assign, return_index=True)[1][order]
         else:
-            y = np.array([mem[rng.integers(len(mem))] for mem in members],
-                         dtype=int)
+            # draws over an array of bounds are the scalar draws row by row
+            y = fine.by_cube[first + rng.integers(end - first)]
+        # one sum per subcube: np.add.reduceat would not give the same bits
+        w_by = w[fine.by_cube]
+        mass = [w_by[a:b].sum() for a, b in zip(first.tolist(), end.tolist())]
         tables[k] = SubcubeTable(*map(_read_only, (
             alpha, np.arange(len(order)) - np.searchsorted(alpha, alpha), y,
-            np.array([w[mem].sum() for mem in members]), rank[fine.assign])))
+            np.array(mass), rank[fine.assign])))
     return replace(cubes, j0=j0, subcubes=tables)
 
 
@@ -403,18 +412,9 @@ class CubeVerification:
         return lo, hi
 
 
-def _flat_members(members):
-    """Member lists concatenated in cube order, with the cube of each entry."""
-    cube_of = np.repeat(np.arange(len(members)), [len(m) for m in members])
-    return np.concatenate(members), cube_of
-
-
-def _membership(members, n):
-    """(cube, point) bool matrix read from the member lists."""
-    inside = np.zeros((len(members), n), dtype=bool)
-    flat, cube_of = _flat_members(members)
-    inside[cube_of, flat] = True
-    return inside
+def _cube_of(starts):
+    """The cube of each entry of a level's `by_cube`, from its `starts`."""
+    return np.repeat(np.arange(len(starts) - 1), np.diff(starts))
 
 
 def _first_per_cube(bad, flat, cube_of):
@@ -428,7 +428,7 @@ def _structure_failures(k, lv, coarse, n):
     """Partition, center and nesting failures of one level, in the order:
     points listed by an earlier cube, first uncovered point, member count,
     centers outside their cube, points escaping their parent cube."""
-    flat, cube_of = _flat_members(lv.members)
+    flat, cube_of = lv.by_cube, _cube_of(lv.starts)
     part, center, nest = [], [], []
     # the first entry of a point belongs to the first cube that lists it
     points, first = np.unique(flat, return_index=True)
@@ -459,11 +459,9 @@ def _sandwich_radii(space, lv, inside, parent_inside):
     d = space.dist[lv.centers]
     r_out = d.max(axis=1, where=inside, initial=0.0)
     r_in = d.min(axis=1, where=~inside, initial=np.inf)
-    if parent_inside is None:
-        margin = np.full(len(lv.centers), np.inf)
-    else:
-        margin = d.min(axis=1, where=~parent_inside[lv.parent],
-                       initial=np.inf)
+    margin = (np.full(len(lv.centers), np.inf) if parent_inside is None
+              else d.min(axis=1, where=~parent_inside[lv.parent],
+                         initial=np.inf))
     return r_in, r_out, margin
 
 
@@ -503,53 +501,41 @@ def verify_cubes(cubes):
     With subcubes, the reported constant of the subcube-count bound
     N(k, alpha) <= C delta^-j0 is C = (largest subcube count) * delta^j0.
     """
-    space = cubes.space
-    nets = cubes.nets
-    delta = nets.delta
-    failures = []
-    partition = nesting = center = True
-
+    space, nets, delta = cubes.space, cubes.nets, cubes.delta
+    nominal_in = nets.c0 / (3 * space.a0 ** 2)
+    nominal_out = 2 * space.a0 * nets.big_c0
+    failures, sub_failures, nsubs = [], [], []
+    failed = [False] * 3  # partition, center, nesting
+    sandwich, parent_inside = {}, None
     for k, lv in sorted(cubes.levels.items()):
         coarse = None if lv.parent is None else cubes.levels[k - 1]
-        part, cent, nest = _structure_failures(k, lv, coarse, space.n)
-        partition = partition and not part
-        center = center and not cent
-        nesting = nesting and not nest
-        failures += part + cent + nest
-
-    sandwich = {}
-    a0 = space.a0
-    nominal_in = nets.c0 / (3 * a0 ** 2)
-    nominal_out = 2 * a0 * nets.big_c0
-    subcube_pass = subcube_const = max_sub = None
-    if cubes.subcubes is not None:
-        subcube_pass, max_sub = True, 0
-    parent_inside = None
-    for k, lv in sorted(cubes.levels.items()):
-        scale = delta ** k
-        inside = _membership(lv.members, space.n)
-        r_in, r_out, margin = _sandwich_radii(space, lv, inside,
-                                              parent_inside)
-        r_in /= scale
-        r_out /= scale
-        margin /= scale
+        found = _structure_failures(k, lv, coarse, space.n)
+        failed = [was or bool(new) for was, new in zip(failed, found)]
+        failures += sum(found, [])
+        inside = np.zeros((len(lv.centers), space.n), dtype=bool)
+        inside[_cube_of(lv.starts), lv.by_cube] = True
+        r_in, r_out, margin = (r / delta ** k for r in _sandwich_radii(
+            space, lv, inside, parent_inside))
         sandwich[k] = LevelSandwich(*map(_read_only, (
             r_in, r_out, margin >= INTERIOR_MARGIN, r_in >= nominal_in,
             r_out < nominal_out)))
         if cubes.subcubes is not None and k in cubes.subcubes:
             fails, nsub = _subcube_failures(k, cubes.subcubes[k], inside,
                                             space.weight)
-            subcube_pass = subcube_pass and not fails
-            failures += fails
-            max_sub = max(max_sub, nsub)
+            sub_failures += fails
+            nsubs.append(nsub)
         parent_inside = inside
+    partition, center, nesting = (not f for f in failed)
+    subcube_pass = subcube_const = max_sub = None
     if cubes.subcubes is not None:
+        subcube_pass, max_sub = not sub_failures, max(nsubs, default=0)
         subcube_const = max_sub * delta ** cubes.j0
 
     return CubeVerification(
         partition_pass=partition, nesting_pass=nesting, center_pass=center,
-        failures=failures, sandwich=sandwich, subcube_pass=subcube_pass,
-        subcube_const=subcube_const, max_subcubes=max_sub)
+        failures=failures + sub_failures, sandwich=sandwich,
+        subcube_pass=subcube_pass, subcube_const=subcube_const,
+        max_subcubes=max_sub)
 
 
 # -- dump round trip ---------------------------------------------------------
@@ -590,16 +576,24 @@ def cubes_from_dump(doc, space):
 
 def _dumped_indices(values, n, what, k, count=None):
     """A dumped list of indices at level k as a read-only int array, `count`
-    long if given; each entry must be an integer (`is_integer`) in [0, n)."""
+    long if given; each entry must be an integer (`is_integer`) in [0, n).
+    Once no entry is a bool or a non-number by its type, the list is checked
+    as one float array, which holds every integer in [0, n) exactly."""
     if count is not None and len(values) != count:
         raise FormatError(f"level {k}: {len(values)} {what}s for {count} "
                           f"cubes")
-    for v in values:
-        if not (is_integer(v) and 0 <= v < n):
-            raise FormatError(f"level {k}: {what} index {v!r} is not an "
-                              f"integer in [0, {n}); bools, fractions and "
-                              f"negative {what} indices are refused")
-    return _read_only(np.array(values, dtype=int))
+    real = all(issubclass(t, numbers.Real) and not issubclass(t, bool)
+               for t in set(map(type, values)))
+    try:
+        a = np.array(values, dtype=float) if real else None
+    except OverflowError:  # an integer past the float range
+        a = None
+    if a is None or not ((0 <= a) & (a < n) & (a == np.floor(a))).all():
+        bad = next(v for v in values if not (is_integer(v) and 0 <= v < n))
+        raise FormatError(f"level {k}: {what} index {bad!r} is not an "
+                          f"integer in [0, {n}); bools, fractions and "
+                          f"negative {what} indices are refused")
+    return _read_only(a.astype(int))
 
 
 def _known_keys(rec, keys, where):
@@ -626,26 +620,28 @@ def _cubes_from_dump(doc, space):
         raise FormatError(f"malformed cube dump: levels "
                           f"{sorted(doc['levels'])} are not the levels "
                           f"{want} of k_min={k_min} to k_max={k_max}")
-    nets = {}
-    levels = {}
+    nets, levels = {}, {}
     for k in range(k_min, k_max + 1):
         rec = doc["levels"][str(k)]
         _known_keys(rec, LEVEL_KEYS, f"level {k}")
-        members = tuple(_dumped_indices(m, space.n, "member", k)
-                        for m in rec["members"])
+        members = rec["members"]
+        by_cube = _dumped_indices(list(itertools.chain.from_iterable(members)),
+                                  space.n, "member", k)
+        starts = _read_only(np.cumsum([0, *map(len, members)]))
         centers = nets[k] = _dumped_indices(rec["centers"], space.n,
                                             "center", k, len(members))
+        # a point listed by two cubes is assigned the later one in list
+        # order, the larger cube id; a point listed by none keeps -1
         assign = np.full(space.n, -1, dtype=int)
-        for cid, mem in enumerate(members):
-            assign[mem] = cid
+        np.maximum.at(assign, by_cube, _cube_of(starts))
         parent = rec["parent"]
         if k > k_min:
-            parent = _dumped_indices(parent, len(levels[k - 1].members),
+            parent = _dumped_indices(parent, len(levels[k - 1].centers),
                                      "parent", k, len(members))
         elif parent is not None:
             raise FormatError(f"level {k}: the coarsest level has parents")
         levels[k] = CubeLevel(centers=centers, assign=_read_only(assign),
-                              parent=parent, members=members)
+                              parent=parent, by_cube=by_cube, starts=starts)
     # measured constants recomputed from the dumped nets
     c0_lv = _separations(space, nets, delta)
     big_lv = {k: float(space.dist[nets[k]].min(axis=0).max()) / delta ** k

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import DyadicSpec
-from .errors import FlavorMismatchError, ParameterError, real_arg
+from .errors import (FlavorMismatchError, ParameterError, is_integer,
+                     real_arg)
 from .kernels import KernelSpec
 from .operators import LevelTable, _cell_average
 
@@ -194,12 +195,17 @@ def test_function_norm(f, x1, r, beta, gamma):
     Size: |f(x)| <= C [V_r(x1) + V(x1,x)]^-1 (r/(r+d(x1,x)))^gamma.
     Regularity, for d(x,y) <= (2 A0)^-1 [r + d(x1,x)]:
     |f(x)-f(y)| <= C (d(x,y)/(r+d(x1,x)))^beta * size-RHS(x).
+    x1 is a point of f's space, r > 0 and gamma finite, beta in (0, 1], or
+    ParameterError.
     """
-    if not r > 0:
-        raise ParameterError("r must be positive")
-    if not 0 < beta <= 1:
-        raise ParameterError("beta must lie in (0, 1]")
     space = f.space
+    if not (is_integer(x1) and 0 <= x1 < space.n):
+        raise ParameterError(f"x1 must be an integer in [0, {space.n}), "
+                             f"got {x1!r}")
+    x1 = int(x1)
+    real_arg("r", r, lambda v: 0 < v < INF, "finite and > 0")
+    real_arg("beta", beta, lambda v: 0 < v <= 1, "in (0, 1]")
+    real_arg("gamma", gamma, math.isfinite, "a finite number")
     d = space.dist
     v = f.values
     vr = float(space.ball_measure(r)[x1])

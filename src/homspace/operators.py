@@ -218,6 +218,8 @@ def reconstruct(stack, f, tol=1e-8, maxiter=1000):
     """
     maxiter = FrameSpec(tol=tol, maxiter=maxiter).maxiter
     space = stack.space
+    if f.space is not space:
+        raise ParameterError("field and stack live on different spaces")
     b = f.values.copy()
     if stack.flavor == "homogeneous":
         b = b - float(b @ space.weight) / space.total_mass

@@ -11,6 +11,7 @@ from homspace import (DifferenceTable, Field, LevelTable, MetricMeasureSpace,
                       NormSpec, admissible_range, analyze, difference_scales,
                       equivalence_experiment, reconstruct, verify_cubes)
 from homspace import kernels, lab, norms, operators
+from homspace.dyadic import cube_dump, cubes_from_dump
 
 
 def _public_functions():
@@ -49,7 +50,9 @@ def records(pipe65, pipe65_inhom, geom65, validated65, ensemble65):
     grid = analyze(st, ensemble65[0])
     # an inhomogeneous cell level also carries its cell averages
     cell = analyze(pipe65_inhom.stack, ensemble65[0]).levels[0]
-    ver = verify_cubes(pipe65.cubes)
+    cubes = pipe65.cubes
+    ver = verify_cubes(cubes)
+    reloaded = cubes_from_dump(cube_dump(cubes), cubes.space)
     return {
         "AtiValidationReport": validated65,
         "ReconstructionReport": reconstruct(st, f, tol=1e-6)[1],
@@ -64,6 +67,9 @@ def records(pipe65, pipe65_inhom, geom65, validated65, ensemble65):
         "LevelCoefficients": cell,
         "CoefficientGrid": grid,
         "KernelStack": st,
+        # a level below the coarsest, which has parents, built and reloaded
+        "CubeLevel": cubes.levels[cubes.k_min + 1],
+        "CubeLevel from a dump": reloaded.levels[cubes.k_min + 1],
     }
 
 
@@ -71,7 +77,7 @@ def test_records_are_frozen(records):
     """No field can be rebound, and every array field is read-only."""
     arrays = set()
     for name, obj in records.items():
-        assert type(obj).__name__ == name
+        assert type(obj).__name__ == name.split()[0]
         for attr in [f.name for f in fields(obj)] + ["extra"]:
             with pytest.raises(FrozenInstanceError):
                 setattr(obj, attr, getattr(obj, attr, None))
@@ -81,6 +87,10 @@ def test_records_are_frozen(records):
                 assert not value.flags.writeable, f"{name}.{attr}"
     assert {"LevelCoefficients.value", "LevelCoefficients.average",
             "LevelSandwich.r_in"} <= arrays
+    assert {f"{level}.{attr}"
+            for level in ("CubeLevel", "CubeLevel from a dump")
+            for attr in ("by_cube", "starts", "assign", "centers", "parent")
+            } <= arrays
 
 
 def test_space_attributes_cannot_be_rebound(grid65):

@@ -669,6 +669,17 @@ def test_field_spec_keeps_the_integers_its_checks_return():
         cli.FieldSpec(kind="bandlimited", level=True)
 
 
+def test_field_value_is_checked_in_the_constructor():
+    """A constant field's value is a finite real number: a string, a bool,
+    NaN and inf are refused by the spec, before any space is read."""
+    for value in ("abc", True, float("nan"), float("inf"), None):
+        with pytest.raises(ParameterError, match="norm.field.value"):
+            cli.FieldSpec(kind="constant", value=value)
+    pipe = Pipeline(generate_space("grid1d", size=33))
+    field = cli.FieldSpec(kind="constant", value=2).make(pipe)
+    assert np.all(field.values == 2.0)
+
+
 def _bench_module(monkeypatch, name):
     """The benchmark's module `name`, loaded without writing its bytecode."""
     path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"

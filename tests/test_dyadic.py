@@ -500,11 +500,49 @@ def test_verify_structure_matches_frozen_loop(name):
         assert bool(ver.failures) == bool(edits), defect
 
 
+@pytest.mark.parametrize("name", sorted(ORACLE_SPACES))
+def test_dump_assigns_a_point_listed_twice_to_the_later_cube(name):
+    """A reloaded level's `assign` is what writing each cube's points in
+    list order gives: a point listed by two cubes names the later one, and
+    a point listed by none keeps -1.  The structure oracle reads the same
+    `assign`, so this pins the rule on its own."""
+    sp = generate_space(**ORACLE_SPACES[name])
+    lo = default_level_range(sp)[0]
+    cubes = build_cubes(build_nets(sp, 0.5, (lo, lo + 5)), sp)
+    listed_twice = set()
+    for defect, edits in DEFECTS.items():
+        doc = cube_dump(cubes)
+        for k, edit in edits:
+            _plant(doc, lo + k, edit)
+        planted = cubes_from_dump(doc, sp)
+        for k, lv in planted.levels.items():
+            members = doc["levels"][str(k)]["members"]
+            want = np.full(sp.n, -1)
+            for cid, mem in enumerate(members):
+                want[mem] = cid
+            assert np.array_equal(lv.assign, want), (defect, k)
+            cube_sets = [set(m) for m in members]
+            if sum(map(len, cube_sets)) > len(set().union(*cube_sets)):
+                listed_twice.add(defect)
+    assert {"duplicate", "two-in-one-cube", "mixed"} <= listed_twice
+
+
 def test_dump_rejects_negative_member(grid65):
     doc = cube_dump(build_cubes(build_nets(grid65, 0.5, (0, 4)), grid65))
     doc["levels"]["2"]["members"][0].append(-1)
     with pytest.raises(FormatError, match="negative member"):
         cubes_from_dump(doc, grid65)
+
+
+def test_dump_refuses_a_bool_or_a_huge_int_among_members():
+    """A bool among integer members is refused though numpy would read the
+    list as ints, and an integer past the float range is a FormatError."""
+    sp = generate_space("grid1d", size=9)
+    for extra in (True, 10 ** 400):
+        doc = cube_dump(build_cubes(build_nets(sp, 0.5, (0, 3)), sp))
+        doc["levels"]["3"]["members"][0].append(extra)
+        with pytest.raises(FormatError, match=f"member index {extra!r}"):
+            cubes_from_dump(doc, sp)
 
 
 def _edit_level(k, key, edit):

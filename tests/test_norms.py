@@ -228,6 +228,23 @@ def test_test_function_norm_self_bound(grid65):
     assert tf_norm(f, x1, r, beta, gamma) >= 1.0 - 1e-12
 
 
+@pytest.mark.parametrize("bad", [
+    dict(x1=-1), dict(x1=33), dict(x1=1.5), dict(x1=True), dict(x1="0"),
+    dict(r="0.2"), dict(r=0.0), dict(r=math.inf), dict(beta="0.6"),
+    dict(beta=1.5), dict(gamma="1.2"), dict(gamma=math.nan),
+    dict(gamma=math.inf)])
+def test_test_function_norm_checks_its_arguments(bad):
+    """x1 is a point of the field's space, and r, beta and gamma are real
+    numbers in their ranges; anything else is a ParameterError, not a
+    reading of another point, an IndexError, a TypeError or a NaN."""
+    sp = generate_space("grid1d", size=33)
+    f = Field(sp, np.exp(-(sp.dist[16] / 0.2) ** 2))
+    args = dict(x1=16, r=0.2, beta=0.6, gamma=1.2) | bad
+    with pytest.raises(ParameterError, match=f"^{next(iter(bad))} must"):
+        tf_norm(f, **args)
+    assert tf_norm(f, 16.0, 0.2, 0.6, 1.2) == tf_norm(f, 16, 0.2, 0.6, 1.2)
+
+
 def test_test_function_norm_matches_bruteforce():
     sp = generate_space("grid1d", size=33)
     x1, r, beta, gamma = 16, 0.2, 0.6, 1.2

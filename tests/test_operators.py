@@ -296,6 +296,16 @@ def test_reconstruct_band_limited(pipe257, rng):
     assert rep.frame_lower is not None and rep.frame_lower > 0
 
 
+def test_reconstruct_refuses_a_field_of_another_space(pipe65):
+    """A field lives on the space of the stack it is reconstructed on; one
+    of another space of the same size is refused, not solved for."""
+    for other in (generate_space("circle", size=65),
+                  generate_space("grid1d", size=65)):
+        f = Field(other, np.cos(np.arange(other.n)))
+        with pytest.raises(ParameterError, match="different spaces"):
+            reconstruct(pipe65.stack, f)
+
+
 def test_reconstruct_constant_gives_zero(pipe65):
     sp = pipe65.space
     f = Field(sp, np.full(sp.n, 4.2))
