@@ -37,6 +37,7 @@ import numpy as np
 
 from .dyadic import finest_level
 from .errors import Frozen, ParameterError
+from .kernels import _row_blocks
 from .norms import (INF, _lp, _lq, check_scales, lebesgue_norm,
                     positive_exponent)
 
@@ -82,7 +83,7 @@ def difference_scales(space, c_tilde, delta, levels=None):
         levels = _natural_levels(space, c_tilde, delta)
     levels = tuple(int(k) for k in levels)
     idx = space.ball_index
-    ends = idx.ends([c_tilde * delta ** k for k in levels])
+    ends = idx.ends(space.dist, [c_tilde * delta ** k for k in levels])
     return DifferenceScales(space, c_tilde, delta, levels, ends,
                             idx.read(idx.weight_prefix, ends))
 
@@ -108,7 +109,8 @@ class DifferenceTable(Frozen):
             idx = space.ball_index
             values = self.field.values
             # one n x n buffer, updated in place: the differences, then
-            # their running max, or their weighted powers and running sum
+            # their running max, or their weighted powers and running sum;
+            # the weights are gathered one block of rows at a time
             run = values[idx.order]
             np.abs(np.subtract(values[:, None], run, out=run), out=run)
             if exponent == INF:
@@ -116,7 +118,8 @@ class DifferenceTable(Frozen):
                 rows = idx.read(run, ends)
             else:
                 run **= exponent
-                run *= space.weight[idx.order]
+                for blk in _row_blocks(space.n):
+                    run[blk] *= space.weight[idx.order[blk]]
                 np.cumsum(run, axis=1, out=run)
                 rows = ((idx.read(run, ends) / self.scales.mass)
                         ** (1.0 / exponent))

@@ -517,9 +517,17 @@ def _slope(lhs, z):
     """Slope of the least-squares line through the points (t, z), from the
     design matrix lhs = [t, 1]: the steps of np.polyfit(t, z, 1) on the
     caller's arrays, so the same bits without its copies of t and z and of
-    the matrix.  lhs is scaled in place."""
-    scale = np.sqrt((lhs * lhs).sum(axis=0))
-    lhs /= scale
+    the matrix.  lhs is scaled in place, column by column.  The column norms
+    are polyfit's sums of squares without its N x 2 table of squares: t's is
+    the last entry of a running sum, added in the same order, and the ones
+    column's is exactly N."""
+    t = lhs[:, 0]
+    squares = t * t
+    np.cumsum(squares, out=squares)
+    scale = np.sqrt([squares[-1], len(lhs)])
+    del squares
+    t /= scale[0]
+    lhs[:, 1] /= scale[1]
     c = np.linalg.lstsq(lhs, z, len(z) * np.finfo(float).eps)[0]
     return float(c[0] / scale[0])
 

@@ -191,15 +191,15 @@ def _flat_take(flat, rows, n, cols, index, out):
 class BallIndex(NamedTuple):
     """Every row of the distance table in stable ascending order.
 
-    ``order[x]`` lists the points by distance from x and ``dist[x]`` holds
-    those distances.  ``weight_prefix[x, j]`` is the measure of the first
-    j + 1 points of row x, and ``group_end[x, j]`` marks the last point of
-    each group of tied distances: an open ball is always a prefix that ends
-    on a group end, so every ball measure is one entry of ``weight_prefix``.
+    ``order[x]`` lists the points by distance from x; the distances stay in
+    the space's own table, read through ``order``.  ``weight_prefix[x, j]``
+    is the measure of the first j + 1 points of row x, and
+    ``group_end[x, j]`` marks the last point of each group of tied
+    distances: an open ball is always a prefix that ends on a group end, so
+    every ball measure is one entry of ``weight_prefix``.
     """
 
     order: np.ndarray
-    dist: np.ndarray
     weight_prefix: np.ndarray
     group_end: np.ndarray
 
@@ -207,25 +207,32 @@ class BallIndex(NamedTuple):
     def build(cls, dist, weight):
         order = np.argsort(dist, axis=1, kind="stable")
         sd = np.take_along_axis(dist, order, axis=1)
-        group_end = np.ones_like(sd, dtype=bool)
-        group_end[:, :-1] = sd[:, 1:] > sd[:, :-1]
-        idx = cls(order, sd, np.cumsum(weight[order], axis=1), group_end)
+        group_end = np.ones(dist.shape, dtype=bool)
+        np.greater(sd[:, 1:], sd[:, :-1], out=group_end[:, :-1])
+        del sd  # the sorted distances are not kept
+        prefix = weight[order]
+        np.cumsum(prefix, axis=1, out=prefix)
+        idx = cls(order, prefix, group_end)
         for a in idx:
             a.setflags(write=False)
         return idx
 
-    def ends(self, radii):
+    def ends(self, dist, radii):
         """``ends[i, x]``: sorted position of the last point of B(x, radii[i])
-        (-1 for an empty ball, r <= 0), one less than the count of row
-        entries below the radius; one bisection finds all of them at once."""
-        r = np.asarray(radii, dtype=float).reshape(-1, 1)
-        n = self.dist.shape[1]
-        rows = np.arange(self.dist.shape[0])
+        (-1 for an empty ball, r <= 0), one less than the count of entries
+        of row x of `dist`, the indexed table, below the radius; one
+        bisection through ``order`` finds all of them at once.  A radius
+        that is NaN or not a real number raises ParameterError."""
+        r = np.array([real_arg("radius", v) for v in radii],
+                     dtype=float).reshape(-1, 1)
+        n = dist.shape[1]
+        rows = np.arange(dist.shape[0])
         count = np.zeros((len(r), len(rows)), dtype=np.intp)
         step = 1 << (n.bit_length() - 1)
         while step:
             probe = np.minimum(count + step, n)
-            count = np.where(self.dist[rows, probe - 1] < r, probe, count)
+            count = np.where(dist[rows, self.order[rows, probe - 1]] < r,
+                             probe, count)
             step >>= 1
         return count - 1
 
@@ -357,7 +364,7 @@ class MetricMeasureSpace(Frozen):
     def ball_measure(self, r):
         """Vector of mu(B(x, r)) over all centers x."""
         idx = self.ball_index
-        return idx.read(idx.weight_prefix, idx.ends([r])[0])
+        return idx.read(idx.weight_prefix, idx.ends(self.dist, [r])[0])
 
     def v_table(self):
         """V(x, y) = mu(B(x, d(x, y))) as an (n, n) table; V(x, x) = 0."""
@@ -367,14 +374,15 @@ class MetricMeasureSpace(Frozen):
     def _v_table(self):
         idx = self.ball_index
         # B(x, d(x, y)) is the prefix that ends before y's tie group; the
-        # prefixes grow along a row, so a running max carries the last group
-        # end forward
+        # prefixes grow along a row, so a running max, taken in place over
+        # the measures at group ends, carries the last group end forward.
+        # The table is that one buffer scattered back through `order`.
         before = np.zeros_like(idx.weight_prefix)
-        before[:, 1:] = np.where(idx.group_end[:, :-1],
-                                 idx.weight_prefix[:, :-1], 0.0)
+        np.copyto(before[:, 1:], idx.weight_prefix[:, :-1],
+                  where=idx.group_end[:, :-1])
+        np.maximum.accumulate(before, axis=1, out=before)
         v = np.empty_like(self.dist)
-        np.put_along_axis(v, idx.order,
-                          np.maximum.accumulate(before, axis=1), axis=1)
+        np.put_along_axis(v, idx.order, before, axis=1)
         v.setflags(write=False)
         return v
 

@@ -84,7 +84,7 @@ def _averages_over_radii(space, values, radii, exponent):
                             axis=1)
     rows = []
     for r in radii:
-        end = np.count_nonzero(idx.dist < r, axis=1) - 1
+        end = np.count_nonzero(space.dist < r, axis=1) - 1
         row = idx.read(running, end)
         if exponent != INF:
             row = (row / idx.read(idx.weight_prefix, end)) ** (1.0 / exponent)

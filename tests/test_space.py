@@ -8,8 +8,9 @@ import a0_oracle
 import numpy as np
 import pytest
 
-from homspace import (CertificationError, FormatError, MetricMeasureSpace,
-                      ParameterError, generate_space, geometry_report,
+from homspace import (CertificationError, DifferenceTable, Field,
+                      FormatError, MetricMeasureSpace, ParameterError,
+                      difference_scales, generate_space, geometry_report,
                       load_space, save_space)
 from homspace import space as space_mod
 from homspace.space import (A0_EXHAUSTIVE_CAP, certify_a0,
@@ -163,8 +164,27 @@ def test_ends_match_per_radius_count():
         stored = float(sp.dist[0, 5])
         radii = [0.3, 0.0, stored, -1.0, 2 * sp.diam, sp.min_gap, 0.05]
         want = [np.count_nonzero(sp.dist < r, axis=1) - 1 for r in radii]
-        assert np.array_equal(idx.ends(radii), np.asarray(want)), sp.label
-        assert idx.ends([]).shape == (0, sp.n)
+        assert np.array_equal(idx.ends(sp.dist, radii), np.asarray(want)), \
+            sp.label
+        assert idx.ends(sp.dist, []).shape == (0, sp.n)
+
+
+@pytest.mark.parametrize("radius", [math.nan, None, "abc", "0.5", True,
+                                    np.float64(math.nan)],
+                         ids=["nan", "None", "abc", "numeric-str", "bool",
+                              "np-nan"])
+def test_ball_radius_must_be_a_real_number(radius):
+    """Every radius enters through `BallIndex.ends`: a NaN or non-real one
+    is refused, where it read as an all-zero measure or raised a bare
+    ValueError; r <= 0 stays the empty ball and inf the whole space."""
+    sp = generate_space("grid1d", size=9)
+    with pytest.raises(ParameterError, match="radius"):
+        sp.ball_measure(radius)
+    with pytest.raises(ParameterError, match="radius"):
+        sp.ball_index.ends(sp.dist, [0.5, radius])
+    assert np.all(sp.ball_measure(-math.inf) == 0.0)
+    assert np.array_equal(sp.ball_measure(math.inf),
+                          sp.ball_index.weight_prefix[:, -1])
 
 
 def test_ball_measure_edge_radii(grid65):
@@ -225,6 +245,52 @@ def test_min_gap_and_v_ratio_peak_memory(kw):
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+
+@pytest.mark.parametrize("kw", [dict(kind="grid1d", size=513),
+                                dict(kind="sierpinski_level", level=5)],
+                         ids=["grid1d-513", "sierpinski-5"])
+def test_ball_index_and_v_table_peak_memory(kw):
+    """In units of one distance table: the ball index holds its order, its
+    weight prefix sums and its group ends (2.125; with a sorted copy of the
+    distances it held 3.125), none of them a view of `dist`; its build
+    peaks below 2.5 (4.13 with that copy), `v_table` on top of it below 4.5
+    (6.16 with a where-table and a running-max table besides), and one
+    stack of difference rows below 1.5 (2.0 with an n x n weight gather)."""
+    sp = generate_space(**kw)
+    unit = sp.dist.nbytes
+    tracemalloc.start()
+    try:
+        idx = sp.ball_index
+        build = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        sp.v_table()
+        v_table = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(a.nbytes for a in idx) <= 2.2 * unit
+    assert not any(np.shares_memory(a, sp.dist) for a in idx)
+    assert build < 2.5 * unit
+    assert v_table < 4.5 * unit
+    f = Field(sp, np.random.default_rng(0).standard_normal(sp.n))
+    table = DifferenceTable(f, difference_scales(sp, 1.0, 0.5))
+    tracemalloc.start()
+    try:
+        table.rows(2.0)
+        rows = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows < 1.5 * unit
+
+
+def test_ball_tables_are_read_only():
+    """Every array of the ball index, of the group ends and the V table
+    refuses writes, on a space with tied distances."""
+    sp = generate_space("circle", size=64)
+    for a in (*sp.ball_index, *sp.group_ends, sp.v_table()):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = a.flat[-1]
 
 
 def test_geometry_single_point():
