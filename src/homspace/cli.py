@@ -81,6 +81,9 @@ class FieldSpec:
                  lambda v: 0 < v < math.inf, "finite and > 0")
         if self.kind == "file" and self.file is None:
             raise ParameterError("field kind 'file' needs norm.field.file")
+        if self.file is not None and not isinstance(self.file, str):
+            raise ParameterError(f"norm.field.file must be a string, got "
+                                 f"{self.file!r}")
 
     def make(self, pipe):
         """The field on the pipeline's space; a bandlimited one reads its

@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dyadic import finest_level
-from .errors import Frozen, ParameterError
+from .errors import Frozen, ParameterError, integer_arg
 from .kernels import _row_blocks
 from .norms import (INF, _lp, _lq, check_scales, lebesgue_norm,
                     positive_exponent)
@@ -76,12 +76,13 @@ def _natural_levels(space, c_tilde, delta):
 
 
 def difference_scales(space, c_tilde, delta, levels=None):
-    """Scales over the given levels, by default the natural window that
-    every norm reads (empty for a single point)."""
+    """Scales over the given levels, each an integer (`integer_arg`), by
+    default the natural window that every norm reads (empty for a single
+    point)."""
     check_scales(c_tilde, delta)
     if levels is None:
         levels = _natural_levels(space, c_tilde, delta)
-    levels = tuple(int(k) for k in levels)
+    levels = tuple(integer_arg("difference level", k) for k in levels)
     idx = space.ball_index
     ends = idx.ends(space.dist, [c_tilde * delta ** k for k in levels])
     return DifferenceScales(space, c_tilde, delta, levels, ends,

@@ -35,7 +35,8 @@ and ``sub_assign`` maps every point to the row of its subcube.  Nets, cube
 levels and cube systems are frozen, and every array they hold is read-only.
 A cube level lists its points cube by cube in one array ``by_cube``; cube c
 holds ``by_cube[starts[c]:starts[c+1]]``, in increasing order on a built
-level and as dumped on a level read from a dump.
+level and as dumped on a level read from a dump; `cube_dump` writes these
+slices as the member lists.
 """
 
 from __future__ import annotations
@@ -135,12 +136,6 @@ class CubeLevel:
     parent: np.ndarray | None    # cube id -> parent cube id (None at k_min)
     by_cube: np.ndarray          # the points, listed cube by cube
     starts: np.ndarray           # cube c lists by_cube[starts[c]:starts[c+1]]
-
-    @property
-    def members(self):
-        """cube id -> its points, as read-only views of `by_cube`."""
-        return tuple(self.by_cube[a:b]
-                     for a, b in itertools.pairwise(self.starts.tolist()))
 
 
 class SubcubeTable(NamedTuple):
@@ -402,15 +397,6 @@ class CubeVerification:
         return (self.partition_pass and self.nesting_pass and self.center_pass
                 and self.subcube_pass is not False)
 
-    def interior_bounds(self):
-        """(min r_in, max r_out) over the interior cubes of every level."""
-        lo, hi = np.inf, 0.0
-        for s in self.sandwich.values():
-            if s.interior.any():
-                lo = min(lo, float(s.r_in[s.interior].min()))
-                hi = max(hi, float(s.r_out[s.interior].max()))
-        return lo, hi
-
 
 def _cube_of(starts):
     """The cube of each entry of a level's `by_cube`, from its `starts`."""
@@ -549,10 +535,12 @@ def cube_dump(cubes):
     out = {"delta": cubes.delta, "k_min": cubes.k_min, "k_max": cubes.k_max,
            "levels": {}}
     for k, lv in sorted(cubes.levels.items()):
+        by_cube = lv.by_cube.tolist()
         out["levels"][str(k)] = {
             "centers": lv.centers.tolist(),
             "parent": None if lv.parent is None else lv.parent.tolist(),
-            "members": [m.tolist() for m in lv.members],
+            "members": [by_cube[a:b] for a, b in
+                        itertools.pairwise(lv.starts.tolist())],
         }
     return out
 

@@ -102,10 +102,12 @@ def build_semigroup(space, t, a=1.0):
     `SCALING_CAP` sweeps to row residual `SCALING_TOL`; the fixed point
     satisfies sum_y P(x,y) mu_y = 1 for every x and P is exactly symmetric.
     The seed is formed and scaled in place, so the call holds one n x n
-    table and one block of rows besides.
+    table and one block of rows besides.  t is a real number > 0 and a a
+    finite one > 0, or ParameterError.
     """
-    if not t > 0:
-        raise ParameterError("semigroup scale t must be positive")
+    real_arg("semigroup scale t", t, lambda v: v > 0, "> 0")
+    real_arg("semigroup exponent a", a, lambda v: 0 < v < math.inf,
+             "finite and > 0")
     w = space.weight
     seed = space.dist / t
     seed **= a
@@ -283,8 +285,8 @@ def validate_ati(stack, seed=0):
     in reused buffers) and the second-difference quadruples then read it.
     Maximizations are exhaustive up to `PAIR_BUDGET` admissible pairs and
     `QUAD_BUDGET` zipped quadruples per level and uniformly sampled (flagged)
-    beyond; `PROBE_COUNT` random fields probe the identity.  Returns the
-    report; the stack is not modified.
+    beyond; `PROBE_COUNT` random fields probe the identity, drawn from
+    `seed`, an integer >= 0.  Returns the report; the stack is not modified.
     """
     space = stack.space
     n = space.n
@@ -292,7 +294,7 @@ def validate_ati(stack, seed=0):
     d = space.dist
     delta = stack.delta
     inhom = stack.flavor == "inhomogeneous"
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer_arg("seed", seed, low=0))
     vtab = space.v_table()
     blocks = _row_blocks(n)
 

@@ -21,7 +21,7 @@ from .errors import (ExperimentError, FlavorMismatchError, ParameterError,
 from .kernels import _r_gamma, build_semigroup, r_gamma_integral_band
 from .norms import (INF, _check_stack, _lp, _lq, admissible_range,
                     besov_norm, lebesgue_norm, triebel_lizorkin_norm)
-from .operators import Field, LevelTable, analyze, hl_maximal
+from .operators import Field, LevelTable, hl_maximal
 from .report import SuiteReport
 from .space import default_radius_grid, radius_grid_arg
 
@@ -146,7 +146,8 @@ class LabSpec:
         choice_arg("pairing", self.pairing, PAIRING_VARIANTS)
         object.__setattr__(self, "caps", merge_caps(self.caps))
         if self.radius_grid is not None:
-            radius_grid_arg(self.radius_grid)
+            object.__setattr__(self, "radius_grid",
+                               radius_grid_arg(self.radius_grid))
 
     def check_flavor(self, flavor):
         """The `inhomog_` pairings read an inhomogeneous kernel stack, the
@@ -273,12 +274,6 @@ def equivalence_experiment(stack, spec, pairing, ensemble, omega, eta,
     return EquivalenceReport(pairing=pairing, left=left,
                              right=right, ratios=ratios, excluded=excluded,
                              caps=lab.caps, geometric_mean=gm)
-
-
-def band_drift(report_a, report_b):
-    """Multiplicative drift of the geometric-mean ratio between two runs."""
-    a, b = report_a.geometric_mean, report_b.geometric_mean
-    return max(a / b, b / a)
 
 
 # -- embedding suite -----------------------------------------------------------
@@ -493,7 +488,9 @@ def fefferman_stein_constants(space, pairs, seed=0):
 def lemma_suite(cubes, levels, omega=1.0, caps=None, seed=0):
     """Numerical instantiation of the auxiliary inequalities on the space of
     the refined `cubes`; the discrete rows read the stack's level range (a
-    stack's ``levels()``, or a `Pipeline`'s ``levels``)."""
+    stack's ``levels()``, or a `Pipeline`'s ``levels``).  Every random draw
+    comes from `seed`, an integer >= 0."""
+    seed = integer_arg("seed", seed, low=0)
     space = cubes.space
     caps = merge_caps(caps)
     rep = SuiteReport("lemma suite")
@@ -509,18 +506,3 @@ def lemma_suite(cubes, levels, omega=1.0, caps=None, seed=0):
                 passed=math.isfinite(c), value=c)
     return rep
 
-
-# -- sampled-coefficient norm (sampler-independence probe) ----------------------
-
-def sampled_besov_norm(f, spec, stack):
-    """[sum_k d^(-ksq) (sum_{alpha,m} mu(Q^{k,m}) |Q_k f(y^{k,m})|^p)^(q/p)]^(1/q).
-
-    The sampled counterpart of the Besov norm, read off the coefficients of
-    `analyze`; the theory says its value band does not depend on the choice
-    of the sample points.
-    """
-    _check_stack(spec, stack)
-    terms = np.array([stack.delta ** (-k * spec.s)
-                      * _lp(np.abs(lc.value), spec.p, lc.weight)
-                      for k, lc in analyze(stack, f).levels.items()])
-    return float(_lq(terms, spec.q))

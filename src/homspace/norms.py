@@ -92,13 +92,6 @@ def lebesgue_norm(f, p):
     return _lp(np.abs(f.values), p, f.space.weight)
 
 
-def _besov_terms(mags, levels, spec, stack):
-    """delta^(-ks) ||Q_k f||_p for each level k and its row |Q_k f|."""
-    return np.array([stack.delta ** (-k * spec.s)
-                     * _lp(row, spec.p, stack.space.weight)
-                     for k, row in zip(levels, mags)])
-
-
 def _check_stack(spec, stack):
     """The spec must have the stack's flavor and delta."""
     if spec.flavor != stack.flavor:
@@ -136,7 +129,10 @@ def besov_norm(f, spec, stack):
     the weighted sum at N+1.
     """
     block, levels, mags = _block_and_rows(f, spec, stack)
-    value = float(_lq(_besov_terms(mags, levels, spec, stack), spec.q))
+    terms = np.array([stack.delta ** (-k * spec.s)
+                      * _lp(row, spec.p, stack.space.weight)
+                      for k, row in zip(levels, mags)])
+    value = float(_lq(terms, spec.q))
     return value if block is None else block + value
 
 
@@ -168,24 +164,6 @@ def triebel_lizorkin_norm(f, spec, stack):
         return value if block is None else block + value
     value = _carleson_sup(terms, levels, spec, stack.cubes)
     return value if block is None else max(block, value)
-
-
-def truncation_risk(f, spec, stack):
-    """Fraction of the homogeneous scale sum's q-mass on the two extreme
-    levels.
-
-    With the default level policy (coarse cap = mean projection, fine cap
-    past net saturation) the built range is effectively all of Z and this is
-    tiny; a user-restricted range that cuts live scales shows up here.
-    """
-    mags = np.abs(LevelTable.of(f, stack).rows)
-    _check_stack(spec, stack)
-    terms = _besov_terms(mags, stack.levels(), spec, stack)
-    q = spec.q if spec.q != INF else 1.0
-    total = float(np.sum(terms ** q))
-    if total == 0 or len(terms) < 3:
-        return 0.0
-    return float((terms[0] ** q + terms[-1] ** q) / total)
 
 
 def test_function_norm(f, x1, r, beta, gamma):
@@ -227,13 +205,6 @@ def test_function_norm(f, x1, r, beta, gamma):
 class AdmissibilityReport:
     p_threshold: float
     violations: dict[str, list[str]]
-
-    def ok(self, family):
-        return not self.violations.get(family)
-
-    @property
-    def admissible(self):
-        return all(not v for v in self.violations.values())
 
 
 def p_threshold(s, bg, omega):

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -438,16 +439,17 @@ def default_radius_grid(space):
 
 
 def radius_grid_arg(radius_grid):
-    """`radius_grid` as floats: nonempty, finite, positive and sorted."""
-    try:
-        radii = [float(r) for r in radius_grid]
-    except (TypeError, ValueError):
+    """`radius_grid` as a list of floats: a nonempty, sorted sequence (not a
+    string or a mapping) of real numbers, each finite and > 0 (`real_arg`)."""
+    if isinstance(radius_grid, (str, Mapping)) or not isinstance(
+            radius_grid, Iterable):
         raise ParameterError(f"radius_grid must be a list of numbers, "
-                             f"got {radius_grid!r}") from None
-    if (not radii or any(not 0 < r < math.inf for r in radii)
-            or radii != sorted(radii)):
-        raise ParameterError("radius_grid must be nonempty, finite, positive, "
-                             "sorted")
+                             f"got {radius_grid!r}")
+    radii = [float(real_arg("radius_grid entry", r, lambda v: 0 < v < math.inf,
+                            "finite and > 0")) for r in radius_grid]
+    if not radii or radii != sorted(radii):
+        raise ParameterError(f"radius_grid must be nonempty and sorted, got "
+                             f"{radius_grid!r}")
     return radii
 
 
@@ -603,6 +605,9 @@ class SpaceSpec:
         object.__setattr__(self, "seed",
                            integer_arg("space.seed", self.seed, low=0))
         if self.file is not None:
+            if not isinstance(self.file, str):
+                raise ParameterError(f"space.file must be a string, got "
+                                     f"{self.file!r}")
             resolve(self, "space", "space.file is set", {}, "kind", "size",
                     "level", "exponent", "weights", "label")
             return

@@ -8,8 +8,11 @@ array-based build reproduces every net, assignment, cover, member list and
 flat subcube table exactly.  ``structure_checks`` is the earlier per-cube
 partition, center and nesting loop of ``verify_cubes``, and
 ``default_level_range`` the earlier level-range rule of ``homspace.pipeline``.
+``members`` and ``interior_bounds`` read a built cube level and a
+verification report for the tests.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -182,7 +185,7 @@ def structure_checks(cubes):
     for k, lv in sorted(cubes.levels.items()):
         counts = np.zeros(len(lv.centers), dtype=int)
         seen = np.zeros(n, dtype=bool)
-        for cid, mem in enumerate(lv.members):
+        for cid, mem in enumerate(members(lv)):
             counts[cid] = len(mem)
             if np.any(seen[mem]):
                 dup = int(mem[seen[mem]][0])
@@ -203,7 +206,7 @@ def structure_checks(cubes):
                     f"level {k}: center {int(z)} outside its own cube")
         if lv.parent is not None:
             coarse = cubes.levels[k - 1]
-            for cid, mem in enumerate(lv.members):
+            for cid, mem in enumerate(members(lv)):
                 pid = lv.parent[cid]
                 if not np.all(coarse.assign[mem] == pid):
                     bad = int(mem[coarse.assign[mem] != pid][0])
@@ -234,3 +237,19 @@ def default_level_range(space, delta, flavor, fine_factor):
     while delta ** (k_max - 1) <= target:
         k_max -= 1
     return min(k_min, k_max), max(k_min + 1, k_max)
+
+
+def members(lv):
+    """cube id -> its points: the level's `by_cube` sliced at `starts`."""
+    return [lv.by_cube[a:b] for a, b in itertools.pairwise(lv.starts.tolist())]
+
+
+def interior_bounds(ver):
+    """(min r_in, max r_out) over the interior cubes of every level of a
+    `verify_cubes` report."""
+    lo, hi = np.inf, 0.0
+    for s in ver.sandwich.values():
+        if s.interior.any():
+            lo = min(lo, float(s.r_in[s.interior].min()))
+            hi = max(hi, float(s.r_out[s.interior].max()))
+    return lo, hi

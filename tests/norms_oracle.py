@@ -13,6 +13,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+from dyadic_oracle import members
 
 from homspace import norms
 from homspace.difference import (DifferenceTable, difference_scales,
@@ -112,7 +113,7 @@ def _carleson_sup(f, spec, stack, cubes, level_floor):
     for l in levels:
         agg = _scale_aggregate(spec, stack, contrib.__getitem__,
                                [k for k in stack.levels() if k >= l])
-        for mem in cubes.levels[l].members:
+        for mem in members(cubes.levels[l]):
             if spec.q == INF:
                 best = max(best, float(agg[mem].max()))
             else:

@@ -1,17 +1,27 @@
-"""The public surface: reports and kernel stacks are frozen records, and no
-function takes an object that another of its arguments already carries."""
+"""The public surface: reports and kernel stacks are frozen records, no
+function takes an object that another of its arguments already carries,
+and every public name has a reader."""
 
+import ast
+import importlib
 import inspect
+import re
 from dataclasses import FrozenInstanceError, fields
+from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 
+import homspace
 from homspace import (DifferenceTable, Field, LevelTable, MetricMeasureSpace,
                       NormSpec, admissible_range, analyze, difference_scales,
                       equivalence_experiment, reconstruct, verify_cubes)
 from homspace import kernels, lab, norms, operators
 from homspace.dyadic import cube_dump, cubes_from_dump
+
+SOURCE = Path(homspace.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _public_functions():
@@ -39,6 +49,62 @@ def test_no_function_takes_what_its_stack_cubes_or_field_carries():
     assert {"kernels.validate_ati", "operators.reconstruct",
             "norms.besov_norm", "lab.embedding_suite",
             "lab.lemma_suite"} <= seen.keys()
+
+
+def _public_definitions(tree):
+    """(qualified name, name, node, is_method) of each public module-level
+    function and each public method or property of a public class."""
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef) and not top.name.startswith("_"):
+            yield top.name, top.name, top, False
+        elif isinstance(top, ast.ClassDef) and not top.name.startswith("_"):
+            for node in top.body:
+                if (isinstance(node, ast.FunctionDef)
+                        and not node.name.startswith("_")):
+                    yield f"{top.name}.{node.name}", node.name, node, True
+
+
+def _reads(tree):
+    """(name, node, is_attribute) of every name and attribute the module
+    reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node, False
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                            ast.Load):
+            yield node.attr, node, True
+
+
+def test_every_public_name_is_read():
+    """Each public module-level function and each public method or property
+    of the package has a reader outside its own definition in the package
+    source (a method or property as an attribute), is a CLI command, or is
+    named in a code span of README.md: none is kept for tests alone."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(SOURCE.glob("*.py"))}
+    reads = [r for tree in trees.values() for r in _reads(tree)]
+    # the words of README's fenced blocks and inline code spans
+    named = set(re.findall(r"\w+", " ".join(re.findall(
+        r"```.*?```|`[^`]+`", README.read_text(), flags=re.S))))
+    seen, unread = set(), []
+    for module, tree in trees.items():
+        mod = importlib.import_module(f"homspace.{module}")
+        for qual, name, node, method in _public_definitions(tree):
+            if isinstance(getattr(mod, qual, None), click.Command):
+                continue
+            seen.add(f"{module}.{qual}")
+            own = set(ast.walk(node))
+            if name in named or any(
+                    got == name and read not in own
+                    and (attribute or not method)
+                    for got, read, attribute in reads):
+                continue
+            unread.append(f"{module}.{qual}")
+    assert unread == []
+    # the walk reaches module functions, methods and properties
+    assert {"space.save_space", "norms.test_function_norm",
+            "cli.pipeline_from_config", "operators.LevelTable.many",
+            "dyadic.CubeVerification.passed"} <= seen
 
 
 @pytest.fixture(scope="module")

@@ -669,6 +669,20 @@ def test_field_spec_keeps_the_integers_its_checks_return():
         cli.FieldSpec(kind="bandlimited", level=True)
 
 
+@pytest.mark.parametrize("file", [True, 3.0, 1, ["a.json"]])
+def test_file_leaves_must_be_strings(file):
+    """A set `file` of a field or a space is a path string: a bool or a
+    number would reach `open` as a file descriptor."""
+    with pytest.raises(ParameterError, match="norm.field.file"):
+        cli.FieldSpec(kind="file", file=file)
+    with pytest.raises(ParameterError, match="norm.field.file"):
+        cli.FieldSpec(kind="holder", file=file)
+    with pytest.raises(ParameterError, match="space.file"):
+        space.SpaceSpec(file=file)
+    assert cli.FieldSpec(kind="file", file="f.json").file == "f.json"
+    assert space.SpaceSpec(file="s.json").file == "s.json"
+
+
 def test_field_value_is_checked_in_the_constructor():
     """A constant field's value is a finite real number: a string, a bool,
     NaN and inf are refused by the spec, before any space is read."""

@@ -150,6 +150,17 @@ def test_table_rejects_foreign_scales(grid65):
             lipschitz_norm(DifferenceTable(f, scales), spec, "Ldot")
 
 
+def test_scales_refuse_fractional_levels(grid65):
+    """A level is an integer: a fractional one is refused, not truncated,
+    and an integral float is read as its int."""
+    for levels in ([0.5, 1.7], [1, 2.5], [True, 2], ["1"]):
+        with pytest.raises(ParameterError, match="difference level"):
+            difference_scales(grid65, 1.0, 0.5, levels=levels)
+    scales = difference_scales(grid65, 1.0, 0.5, levels=[1.0, 2])
+    assert scales.levels == (1, 2)
+    assert all(type(k) is int for k in scales.levels)
+
+
 def test_window_and_weights(grid65):
     k0, k1 = natural_k_window(grid65, 1.0, 0.5)
     assert 1.0 * 0.5 ** k0 > grid65.diam >= 1.0 * 0.5 ** (k0 + 1)

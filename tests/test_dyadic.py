@@ -87,7 +87,7 @@ def test_interior_inradius_floor(grid257):
     nets = build_nets(grid257, 0.5, (0, 9))
     cubes = build_cubes(nets, grid257)
     ver = verify_cubes(cubes)
-    lo, hi = ver.interior_bounds()
+    lo, hi = dyadic_oracle.interior_bounds(ver)
     assert lo >= 0.2
     assert hi <= 4.0
 
@@ -103,7 +103,7 @@ def test_refine_subcubes_identity_at_j0_zero(grid65, pipe65):
             assert table.m[i] == 0
             assert table.y[i] == lv.centers[alpha]
             assert np.array_equal(np.nonzero(table.sub_assign == i)[0],
-                                  lv.members[alpha])
+                                  dyadic_oracle.members(lv)[alpha])
 
 
 def test_refine_subcube_counts(grid257):
@@ -203,7 +203,7 @@ def test_mass_bracketing(grid65):
     cubes = refine_subcubes(build_cubes(nets, grid65), 2)
     w = grid65.weight
     for k, table in cubes.subcubes.items():
-        for alpha, mem in enumerate(cubes.levels[k].members):
+        for alpha, mem in enumerate(dyadic_oracle.members(cubes.levels[k])):
             total = w[mem].sum()
             rows = np.nonzero(table.alpha == alpha)[0]
             masses = [w[np.nonzero(table.sub_assign == i)[0]].sum()
@@ -308,8 +308,9 @@ def test_build_matches_frozen_oracle(name):
             assert lv.parent is None and o_lv["parent"] is None
         else:
             assert np.array_equal(lv.parent, o_lv["parent"])
-        assert len(lv.members) == len(o_lv["members"])
-        for got, want in zip(lv.members, o_lv["members"]):
+        got_members = dyadic_oracle.members(lv)
+        assert len(got_members) == len(o_lv["members"])
+        for got, want in zip(got_members, o_lv["members"]):
             assert np.array_equal(got, want)
     for j0 in range(4):
         for sampler in ("center", "lowest_index", "seeded_random"):
@@ -409,7 +410,7 @@ def test_cube_system_is_frozen_and_read_only(grid65):
     cubes = refine_subcubes(build_cubes(nets, grid65), 2)
     lv = cubes.levels[3]
     arrays = [nets.nets[3], nets.assigns[3], lv.centers, lv.assign, lv.parent,
-              lv.members[0], *cubes.sample_arrays(3)]
+              lv.by_cube, lv.starts, *cubes.sample_arrays(3)]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 0

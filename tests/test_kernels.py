@@ -49,6 +49,23 @@ def test_semigroup_rejects_bad_scale(grid65):
         build_semigroup(grid65, t=0.0)
 
 
+@pytest.mark.parametrize("t, a", [("0.5", 1.0), (True, 1.0), (0.5, -1.0),
+                                  (0.5, 0.0), (0.5, float("inf")),
+                                  (0.5, "1"), (0.5, True)])
+def test_semigroup_checks_scale_and_exponent(grid65, t, a):
+    """t is a real number > 0 and a a finite one > 0: a string or a bool
+    scale, and an exponent that is not finite and > 0, is refused before
+    any table is formed."""
+    with pytest.raises(ParameterError, match="semigroup"):
+        build_semigroup(grid65, t, a=a)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "a", True])
+def test_validation_seed_must_be_an_integer(pipe65, seed):
+    with pytest.raises(ParameterError, match="seed"):
+        validate_ati(pipe65.stack, seed=seed)
+
+
 def test_homogeneous_cancellation_and_constants(pipe65):
     st = pipe65.stack
     w = st.space.weight

@@ -7,9 +7,8 @@ from homspace import (ExperimentError, Field, FlavorMismatchError, KernelSpec,
                       equivalence_experiment, generate_ensemble,
                       generate_space, lemma_suite, validate_ati)
 from homspace import lab as labmod
-from homspace.lab import (EnsembleSpec, band_drift, check_hypotheses,
-                          embedding_suite, fefferman_stein_constants,
-                          theta_power_check)
+from homspace.lab import (EnsembleSpec, check_hypotheses, embedding_suite,
+                          fefferman_stein_constants, theta_power_check)
 from homspace.space import default_radius_grid, geometry_report
 
 
@@ -187,14 +186,6 @@ def test_degenerate_fields_excluded(grid65, pipe65, geom65, validated65):
                                eta=validated65.eta_fit, geometry=geom65)
 
 
-def test_band_drift_helper(pipe65, geom65, validated65, ensemble65):
-    spec = NormSpec(s=0.5, p=2.0, q=2.0)
-    rep = equivalence_experiment(pipe65.stack, spec,
-                                 "B_vs_L", ensemble65, omega=geom65.omega,
-                                 eta=validated65.eta_fit, geometry=geom65)
-    assert band_drift(rep, rep) == 1.0
-
-
 def test_embedding_suite_rows(pipe65, geom65, ensemble65):
     spec = NormSpec(s=0.5, p=2.0, q=2.0)
     suite = embedding_suite(pipe65.stack, ensemble65[:8], spec, geom65.omega,
@@ -207,6 +198,12 @@ def test_embedding_suite_rows(pipe65, geom65, ensemble65):
 
 def test_theta_power_zero_violations():
     assert theta_power_check(seed=0) == 0
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "a", True])
+def test_lemma_suite_seed_must_be_an_integer(pipe65, seed):
+    with pytest.raises(ParameterError, match="seed"):
+        lemma_suite(pipe65.cubes, pipe65.stack.levels(), seed=seed)
 
 
 def test_lemma_suite_passes(pipe65, geom65):

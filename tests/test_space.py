@@ -13,9 +13,10 @@ from homspace import (CertificationError, DifferenceTable, Field,
                       difference_scales, generate_space, geometry_report,
                       load_space, save_space)
 from homspace import space as space_mod
+from homspace.lab import LabSpec
 from homspace.space import (A0_EXHAUSTIVE_CAP, certify_a0,
                             default_radius_grid, load_space_document,
-                            point_count, space_to_document)
+                            point_count, radius_grid_arg, space_to_document)
 
 
 def test_grid1d_metric_a0_is_one():
@@ -335,6 +336,26 @@ def test_radius_grid_rejects_bad(grid65):
         geometry_report(grid65, [])
     with pytest.raises(ParameterError):
         geometry_report(grid65, [0.2, 0.1])
+
+
+@pytest.mark.parametrize("grid", ["123", {0.1: 1, 0.2: 2}, [True, 2],
+                                  [0.1, "0.2"]])
+def test_radius_grid_entries_are_real_numbers(grid65, grid):
+    """A radius grid is a sequence of real numbers: a string, a mapping or
+    an entry that is a bool or a string is refused, by the geometry report
+    and by the lab spec alike."""
+    with pytest.raises(ParameterError, match="radius_grid"):
+        radius_grid_arg(grid)
+    with pytest.raises(ParameterError, match="radius_grid"):
+        geometry_report(grid65, grid)
+    with pytest.raises(ParameterError, match="radius_grid"):
+        LabSpec(radius_grid=grid)
+
+
+def test_lab_spec_keeps_the_checked_radius_grid():
+    spec = LabSpec(radius_grid=(1, 2.5))
+    assert spec.radius_grid == [1.0, 2.5]
+    assert all(type(r) is float for r in spec.radius_grid)
 
 
 # -- document I/O ------------------------------------------------------------
