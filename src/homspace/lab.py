@@ -365,8 +365,9 @@ def embedding_suite(stack, ensemble, spec, omega, geometry=None,
 
 def theta_power_check(seed=0):
     """(sum a)^theta <= sum a^theta for theta in (0,1] on `THETA_SEQUENCES`
-    random sequences of length 40; returns the violations."""
-    rng = np.random.default_rng(seed)
+    random sequences of length 40, drawn from `seed`, an integer >= 0;
+    returns the violations."""
+    rng = np.random.default_rng(integer_arg("seed", seed, low=0))
     a = rng.exponential(size=(THETA_SEQUENCES, 40))
     theta = rng.uniform(0.0, 1.0, size=THETA_SEQUENCES) + 1e-12
     theta = np.minimum(theta, 1.0)
@@ -471,8 +472,9 @@ def _lemma_discrete_rows(rep, space, cubes, levels, omega, caps, seed):
 
 def fefferman_stein_constants(space, pairs, seed=0):
     """Empirical constants of the vector-valued maximal inequality, one per
-    (p, q) in `pairs`, read off the same 12 random families of 6 fields."""
-    rng = np.random.default_rng(seed)
+    (p, q) in `pairs`, read off the same 12 random families of 6 fields
+    drawn from `seed`, an integer >= 0."""
+    rng = np.random.default_rng(integer_arg("seed", seed, low=0))
     best = dict.fromkeys(pairs, 0.0)
     for _ in range(12):
         fam = rng.standard_normal((6, space.n))

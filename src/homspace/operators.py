@@ -27,6 +27,7 @@ import numpy as np
 from .dyadic import _read_only
 from .errors import (Frozen, IllConditionedFrameError, ParameterError,
                      integer_arg, real_arg)
+from .space import _as_float_array
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,8 @@ class Field:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float)
+        v = np.array(_as_float_array(self.values, "field values",
+                                     ParameterError))
         if v.shape != (self.space.n,):
             raise ParameterError("field length does not match point count")
         if not np.all(np.isfinite(v)):
@@ -94,15 +96,20 @@ def hl_maximal(f):
 
     The sup runs over the open balls, the prefixes of the distance-sorted
     row that end on a tie-group end of the space's ball index; only those
-    entries of the running sums are divided and compared.
+    entries of the running sums are divided and compared.  The sums run
+    rank by rank over the rank-major table of `space.group_ends`, one add
+    across all centres per rank; each is formed in the order of a row's
+    cumulative sum, P[x, j] = P[x, j - 1] + |f| mu at the j-th nearest
+    point to x.
     """
     space = f.space
-    flat, measure, starts = space.group_ends
-    g = np.abs(f.values) * space.weight
-    gpre = g[space.ball_index.order]
-    np.cumsum(gpre, axis=1, out=gpre)
-    return Field(space, np.maximum.reduceat(gpre.ravel()[flat] / measure,
-                                            starts))
+    flat, measure, starts, by_rank = space.group_ends
+    run = (np.abs(f.values) * space.weight)[by_rank]
+    for prev, row in zip(run, run[1:]):
+        np.add(row, prev, out=row)
+    ratio = run.ravel()[flat]
+    ratio /= measure
+    return Field(space, np.maximum.reduceat(ratio, starts))
 
 
 # -- sampled coefficients ------------------------------------------------------

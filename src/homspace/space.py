@@ -46,11 +46,17 @@ A0_SAMPLE_BLOCK = 1 << 16
 A0_BLOCK_ROWS = 64
 
 
-def _as_float_array(values, what):
+def _as_float_array(values, what, error=FormatError):
+    """`values` as a float array, or `error` unless every entry is an
+    integer or a real number: strings, booleans, nulls and complex numbers
+    are refused, not parsed or cast."""
     try:
-        return np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        raise FormatError(f"{what} must be numbers") from None
+        a = np.asarray(values)
+    except ValueError:  # a ragged nesting
+        a = None
+    if a is None or a.dtype.kind not in "iuf":
+        raise error(f"{what} must be numbers")
+    return a.astype(float, copy=False)
 
 
 def _as_float_matrix(dist):
@@ -300,7 +306,7 @@ class MetricMeasureSpace(Frozen):
             a0_fields = dict(a0=float(max(a0, 1.0)), a0_method=method)
 
         if points is not None:
-            points = np.array(points, float)
+            points = np.array(_as_float_array(points, "points"))
             points.setflags(write=False)
         d.setflags(write=False)
         w.setflags(write=False)
@@ -347,17 +353,22 @@ class MetricMeasureSpace(Frozen):
 
     @cached_property
     def group_ends(self):
-        """(flat, measure, starts): the ball index's group ends row by row,
-        as flat positions in its n x n tables, the measure of the ball each
-        one closes, and where each row's run starts in them; built on first
-        use, by the maximal operator."""
+        """(flat, measure, starts, by_rank): the maximal operator's index,
+        built on its first call.  ``by_rank`` is the ball index's order
+        rank-major, ``by_rank[j, x]`` the j-th nearest point to x; ``flat``
+        holds the group ends row by row as positions ``j * n + x`` in an
+        n x n table of that layout, ``measure`` the measure of the ball each
+        one closes, and ``starts`` where each row's run starts in them."""
         idx = self.ball_index
+        n = self.n
+        row_major = np.flatnonzero(idx.group_end)
+        x, rank = np.divmod(row_major, n)
         small = idx.group_end.size <= np.iinfo(np.int32).max
-        flat = np.flatnonzero(idx.group_end).astype(
-            np.int32 if small else np.intp)
-        starts = np.zeros(self.n, dtype=np.intp)
+        flat = (rank * n + x).astype(np.int32 if small else np.intp)
+        starts = np.zeros(n, dtype=np.intp)
         np.cumsum(idx.group_end.sum(axis=1)[:-1], out=starts[1:])
-        ends = (flat, idx.weight_prefix.ravel()[flat], starts)
+        ends = (flat, idx.weight_prefix.ravel()[row_major], starts,
+                np.ascontiguousarray(idx.order.T))
         for a in ends:
             a.setflags(write=False)
         return ends
@@ -717,8 +728,8 @@ def save_space(space, path):
 def load_space_document(doc, seed=0):
     try:
         n = integer_arg("n", doc["n"], low=1)
-        weights = np.asarray(doc["weights"], dtype=float)
-    except (KeyError, TypeError, ValueError, ParameterError) as exc:
+        weights = _as_float_array(doc["weights"], "weights")
+    except (KeyError, TypeError, ParameterError) as exc:
         raise FormatError(f"bad space document: {exc}") from None
 
     points = None

@@ -272,6 +272,22 @@ def test_field_file_kind(tmp_path, capsys):
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("values", [["1"] * 33, [True] * 33, [None] * 33],
+                         ids=["strings", "booleans", "nulls"])
+def test_field_file_refuses_values_that_are_not_numbers(tmp_path, capsys,
+                                                         values):
+    # strings and booleans were parsed as numbers, and nulls read as NaN
+    vals = tmp_path / "field.json"
+    vals.write_text(json.dumps(values))
+    cfg = write_config(tmp_path, {"norm": {
+        "field": {"kind": "file", "file": str(vals)}, "variant": "lebesgue"}})
+    assert run(["--config", cfg, "norm", "compute"]) == 1
+    assert "error: norm.field.file values must be numbers" in \
+        capsys.readouterr().err
+    vals.write_text(json.dumps(list(range(33))))
+    assert run(["--config", cfg, "norm", "compute"]) == 0
+
+
 def test_set_mapping_merges_into_section(tmp_path, capsys):
     out = str(tmp_path / "out")
     assert run(["--out", out, "--set", 'space={"kind": "grid1d"}',

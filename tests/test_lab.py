@@ -206,6 +206,19 @@ def test_lemma_suite_seed_must_be_an_integer(pipe65, seed):
         lemma_suite(pipe65.cubes, pipe65.stack.levels(), seed=seed)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "a", True])
+def test_theta_power_check_seed_must_be_an_integer(seed):
+    with pytest.raises(ParameterError, match="seed"):
+        theta_power_check(seed=seed)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "a", True])
+def test_fefferman_stein_seed_must_be_an_integer(seed):
+    sp = generate_space("grid1d", size=9)
+    with pytest.raises(ParameterError, match="seed"):
+        fefferman_stein_constants(sp, ((2.0, 2.0),), seed=seed)
+
+
 def test_lemma_suite_passes(pipe65, geom65):
     suite = lemma_suite(pipe65.cubes, pipe65.stack.levels(),
                         omega=geom65.omega, seed=0)

@@ -441,6 +441,51 @@ def test_non_numeric_weights_and_radii_raise_library_errors(grid65):
         geometry_report(grid65, ["x"])
 
 
+@pytest.mark.parametrize("doc,what", [
+    ({"n": 2, "weights": ["0.5", "0.5"], "dist": [1.0]}, "weights"),
+    ({"n": 2, "weights": [0.5, 0.5], "dist": ["1"]}, "distances"),
+    ({"n": 2, "weights": [True, True], "dist": [1.0]}, "weights"),
+    ({"n": 2, "weights": [0.5, 0.5], "dist": [True]}, "distances"),
+    ({"n": 2, "weights": [0.5, 0.5], "points": [None, 1.0]}, "points"),
+    ({"n": 2, "weights": [0.5, 0.5], "dist": [1.0], "points": [0.0, None]},
+     "points"),
+], ids=["string-weights", "string-dist", "bool-weights", "bool-dist",
+        "null-point", "null-point-with-dist"])
+def test_documents_refuse_entries_that_are_not_numbers(doc, what):
+    # strings and booleans were parsed as numbers, and a null point loaded
+    # as NaN
+    with pytest.raises(FormatError, match=f"{what} must be numbers"):
+        load_space_document(doc)
+
+
+def test_documents_and_spaces_take_integers():
+    sp = load_space_document({"n": 2, "weights": [1, 3], "dist": [2],
+                              "points": [0, 2]})
+    assert sp.weight.tolist() == [1.0, 3.0] and sp.dist[0, 1] == 2.0
+    assert sp.points.dtype == float and sp.points.tolist() == [0.0, 2.0]
+    assert generate_space("grid1d", size=3, weights=[1, 2, 3]).weight.tolist() \
+        == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("bad", [dict(weight=["1", "1"]),
+                                 dict(weight=[True, True]),
+                                 dict(dist=[[0, "1"], ["1", 0]]),
+                                 dict(points=[None, 1.0])],
+                         ids=["string-weights", "bool-weights", "string-dist",
+                              "null-point"])
+def test_space_refuses_entries_that_are_not_numbers(bad):
+    args = {"dist": [[0.0, 1.0], [1.0, 0.0]], "weight": [1.0, 1.0], **bad}
+    with pytest.raises(FormatError, match="must be numbers"):
+        MetricMeasureSpace(**args)
+
+
+@pytest.mark.parametrize("weights", [["1", "1", "1"], [True] * 3],
+                         ids=["strings", "booleans"])
+def test_space_weights_refuse_entries_that_are_not_numbers(weights):
+    with pytest.raises(FormatError, match="space.weights must be numbers"):
+        generate_space("grid1d", size=3, weights=weights)
+
+
 def test_sampled_certification_flag(monkeypatch):
     monkeypatch.setattr(space_mod, "A0_EXHAUSTIVE_CAP", 128)
     sp = generate_space("grid1d", size=600)
