@@ -494,11 +494,7 @@ def frame_cmd(cfg, specs, pipe, action):
               value=rep.relative_residual, iterations=rep.iterations,
               frame_lower=rep.frame_lower, frame_upper=rep.frame_upper)
     if cfg["frame"]["dump_coefficients"]:
-        grid = analyze(pipe.stack, f)
-        lines = ["k,alpha,m,y_index,value,weight"]
-        for row in grid.rows():
-            lines.append(",".join(fmt(v) for v in row))
-        emit(cfg, "coefficients.csv", "\n".join(lines) + "\n")
+        emit(cfg, "coefficients.csv", analyze(pipe.stack, f).csv())
     return _finish(cfg, "frame", suite)
 
 

@@ -7,9 +7,9 @@ integrates to one against mu.  Level kernels are consecutive differences
 capped with the exact mean projection (the t -> infinity limit of ``P_t``,
 the constant 1/mu(X)), so two-sided cancellation is exact and the stack
 telescopes to ``P_{delta^kmax} - mean``; every ``Q_k`` table is read-only.
-A stack is built in place: each ``P_t`` is formed and scaled in its own
-table and each difference is written into the coarser one, so besides the
-finished levels a build holds one more ``P_t`` and the one being built.
+A stack is built in place, finest level first: each ``P_t`` is formed and
+scaled in its own table and each difference is written into the finer one,
+so a build holds no n x n table besides its levels, only a block of rows.
 Validation fits the decay rate and smoothness exponent and measures every
 condition constant in a counting loop and two passes that stream the
 levels (no whole-stack array outlives its level) in blocks of rows of about
@@ -209,20 +209,30 @@ def _check_cubes(cubes, space, delta, k_min, k_max):
         raise RangeError("stack starts coarser than the cube system")
 
 
-def _difference_stack(space, delta, k_min, k_max, a, coarsest):
+def _difference_stack(space, delta, k_min, k_max, a, t_min, mean=0.0):
     """Q_k = P_{delta^k} - P_{delta^(k-1)} for k_min < k <= k_max and
-    Q_{k_min} = coarsest(P_{delta^k_min}).  Each difference is written
-    into the coarser table, so besides the finished levels one P_t table
-    and one being built are live.  The tables are returned read-only."""
-    prev = build_semigroup(space, delta ** k_min, a=a)
-    q = {k_min: coarsest(prev)}
-    for k in range(k_min + 1, k_max + 1):
-        cur = build_semigroup(space, delta ** k, a=a)
-        q[k] = np.subtract(cur, prev, out=prev)
-        prev = cur
+    Q_{k_min} = P_{t_min} - mean, built finest-first: each P_{delta^(k-1)}
+    is scaled while Q_k's level holds P_{delta^k}, and the difference is
+    written into that table.  The coarsest P is read for the last time by
+    Q_{k_min}: the mean is subtracted in place, and a t_min other than
+    delta^k_min drops it before P_{t_min} is scaled.  So besides its levels
+    a build holds no n x n table, only a block of rows.  The tables are
+    returned read-only, in ascending level order."""
+    q = {}
+    p = build_semigroup(space, delta ** k_max, a=a)
+    for k in range(k_max, k_min, -1):
+        q[k] = p
+        p = build_semigroup(space, delta ** (k - 1), a=a)
+        np.subtract(q[k], p, out=q[k])
+    if t_min != delta ** k_min:
+        p = None  # freed before P_{t_min} is scaled
+        p = build_semigroup(space, t_min, a=a)
+    if mean:
+        np.subtract(p, mean, out=p)
+    q[k_min] = p
     for table in q.values():
         table.setflags(write=False)
-    return q
+    return dict(sorted(q.items()))
 
 
 def build_exp_ati(cubes, k_range, a=1.0):
@@ -235,8 +245,8 @@ def build_exp_ati(cubes, k_range, a=1.0):
     k_max = integer_arg("k_range", k_range[-1])
     KernelSpec(a=a).check_levels(k_min, k_max)
     _check_cubes(cubes, space, delta, k_min, k_max)
-    q = _difference_stack(space, delta, k_min, k_max, a,
-                          lambda p: p - 1.0 / space.total_mass)
+    q = _difference_stack(space, delta, k_min, k_max, a, delta ** k_min,
+                          mean=1.0 / space.total_mass)
     return KernelStack(flavor="homogeneous", space=space, delta=delta,
                        k_min=k_min, k_max=k_max, a=a, q=q, cubes=cubes)
 
@@ -246,17 +256,15 @@ def build_exp_iati(cubes, k_range, a=1.0, sigma=1.0, n_low=1):
     k_range = (0, k_max): Q_0 = P_sigma with unit integrals, then
     differences; the levels k <= n_low are read through cell averages
     downstream (`KernelStack.cell_levels`), checked as a `KernelSpec`.
-    At sigma = delta^0 = 1 (the default), Q_0 copies the table P_1 that the
-    first difference needs anyway."""
+    At sigma = delta^0 = 1 (the default), Q_0 is the table P_1 that the
+    first difference reads, with no copy."""
     spec = KernelSpec(flavor="inhomogeneous", a=a, sigma=sigma, n_low=n_low)
     k_min = integer_arg("k_range", k_range[0])
     k_max = integer_arg("k_range", k_range[-1])
     spec.check_levels(k_min, k_max)
     space, delta = cubes.space, cubes.delta
     _check_cubes(cubes, space, delta, 0, k_max)
-    q = _difference_stack(space, delta, 0, k_max, a,
-                          lambda p: p.copy() if sigma == 1
-                          else build_semigroup(space, sigma, a=a))
+    q = _difference_stack(space, delta, 0, k_max, a, sigma)
     return KernelStack(flavor="inhomogeneous", space=space, delta=delta,
                        k_min=0, k_max=k_max, a=a, q=q, cubes=cubes,
                        n_low=spec.n_low)

@@ -9,6 +9,7 @@ constants compared against configured caps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -87,12 +88,19 @@ class EnsembleSpec:
 
 
 def generate_ensemble(stack, spec):
-    """Deterministic probe fields; mean removed when the flag is set."""
+    """Deterministic probe fields; mean removed when the flag is set.  The
+    smoothed indicators and Gaussian fields read a mollifier, the semigroup
+    at the middle interior scale, built on first use; it draws nothing from
+    the seed's stream."""
     space = stack.space
     rng = np.random.default_rng(spec.seed)
     interior = stack.interior_levels()
     mid_scale = stack.delta ** interior[len(interior) // 2]
-    mollifier = build_semigroup(space, mid_scale, a=stack.a)
+
+    @functools.cache
+    def mollifier():
+        return build_semigroup(space, mid_scale, a=stack.a)
+
     fields = []
     for kind, count in spec.counts.items():
         for i in range(count):
@@ -108,9 +116,9 @@ def generate_ensemble(stack, spec):
                 qt = float(rng.uniform(0.15, 0.5))
                 r = float(np.quantile(space.dist[x0], qt))
                 ind = (space.dist[x0] < max(r, space.min_gap * 1.5)).astype(float)
-                v = mollifier @ (space.weight * ind)
+                v = mollifier() @ (space.weight * ind)
             else:  # gaussian_field
-                v = mollifier @ (space.weight * rng.standard_normal(space.n))
+                v = mollifier() @ (space.weight * rng.standard_normal(space.n))
             if spec.mean_zero:
                 v = v - float(v @ space.weight) / space.total_mass
             if float(np.max(np.abs(v))) <= DEGENERATE_TOL:

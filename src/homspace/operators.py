@@ -125,21 +125,28 @@ class LevelCoefficients:
     average: np.ndarray | None = None
 
 
+# one sample of `CoefficientGrid.csv`: k, alpha, m, y_index, value, weight
+CSV_LINE = "%d,%d,%d,%d,%.17g,%.17g\n"
+
+
 @dataclass(frozen=True)
 class CoefficientGrid:
     flavor: str
     levels: dict[int, LevelCoefficients] = field(default_factory=dict)
 
-    def rows(self):
-        """Flat (k, alpha, m, y_index, value, weight) tuples."""
-        out = []
+    def csv(self):
+        """CSV text: the header k,alpha,m,y_index,value,weight, then one line
+        per sample, the levels in ascending order; each level's lines are
+        formatted from its arrays and joined before the next is formed.
+        "%.17g" renders each value as `report.fmt` does, nan and inf
+        included."""
+        parts = ["k,alpha,m,y_index,value,weight\n"]
         for k in sorted(self.levels):
             lc = self.levels[k]
-            for i in range(len(lc.alpha)):
-                out.append((k, int(lc.alpha[i]), int(lc.m[i]),
-                            int(lc.y_index[i]), float(lc.value[i]),
-                            float(lc.weight[i])))
-        return out
+            parts.append("".join([CSV_LINE % (k, *row) for row in zip(
+                lc.alpha.tolist(), lc.m.tolist(), lc.y_index.tolist(),
+                lc.value.tolist(), lc.weight.tolist())]))
+        return "".join(parts)
 
 
 def _cell_average(space, sub_assign, nsub, g):

@@ -249,6 +249,15 @@ class BallIndex(NamedTuple):
         return np.where(end >= 0, table[np.arange(len(table)), end], 0.0)
 
 
+def _declared_a0(a0):
+    """None for an undeclared a0, a declared one as a float: a finite number
+    >= 1, else ParameterError."""
+    if a0 is None:
+        return None
+    return float(real_arg("a0", a0, lambda v: 1 <= v < math.inf,
+                          "a finite number >= 1"))
+
+
 class MetricMeasureSpace(Frozen):
     """Immutable finite quasi-metric measure space: no attribute can be
     rebound or deleted, and its arrays are read-only.
@@ -284,9 +293,7 @@ class MetricMeasureSpace(Frozen):
             bad = int(np.argmax(w <= 0))
             raise FormatError(f"weight of point {bad} is not positive")
 
-        if a0 is not None:
-            a0 = float(real_arg("a0", a0, lambda v: 1 <= v < math.inf,
-                                "a finite number >= 1"))
+        a0 = _declared_a0(a0)
         if a0 is None and n > max(A0_EXHAUSTIVE_CAP, 2):
             # the sample is drawn on the first read of `a0`
             _check_distance_table(d)
@@ -731,6 +738,13 @@ def load_space_document(doc, seed=0):
         weights = _as_float_array(doc["weights"], "weights")
     except (KeyError, TypeError, ParameterError) as exc:
         raise FormatError(f"bad space document: {exc}") from None
+    try:
+        a0 = _declared_a0(doc.get("a0"))
+    except ParameterError as exc:
+        raise FormatError(str(exc)) from None
+    label = doc.get("label", "")
+    if not isinstance(label, str):
+        raise FormatError(f"label must be a string, got {label!r}")
 
     points = None
     if "points" in doc:
@@ -754,7 +768,7 @@ def load_space_document(doc, seed=0):
         raise FormatError("space document needs points or dist")
 
     return MetricMeasureSpace(
-        dist, weights, a0=doc.get("a0"), label=doc.get("label", ""),
+        dist, weights, a0=a0, label=label,
         points=points, seed=seed)
 
 

@@ -363,7 +363,7 @@ def test_stack_tables_match_frozen_builder(stack_spaces, label, flavor):
 @pytest.mark.parametrize("sigma", [1.0, 2.0])
 def test_inhomogeneous_stack_builds_p_sigma_once(pipe65_inhom, monkeypatch,
                                                  sigma):
-    """At the default sigma = delta^0 = 1, Q_0 copies the table P_1 that the
+    """At the default sigma = delta^0 = 1, Q_0 is the table P_1 that the
     first difference reads, so the stack builds one semigroup per level;
     another sigma builds one more.  Either way the tables are the frozen
     builder's."""
@@ -396,6 +396,29 @@ def test_stack_build_peak_memory(oracle_pipes, build):
         tracemalloc.stop()
     final = sum(q.nbytes for q in st.q.values())
     assert peak - final <= 2 * 8 * st.space.n ** 2
+
+
+@pytest.mark.parametrize("build,kw", [
+    (build_exp_ati, {}), (build_exp_iati, {"sigma": 1.0}),
+    (build_exp_iati, {"sigma": 2.0})],
+    ids=["homogeneous", "inhomogeneous-sigma-1", "inhomogeneous-sigma-2"])
+def test_stack_build_holds_only_its_levels(oracle_pipes, build, kw):
+    """Built finest-first, a stack holds no n x n table besides its levels,
+    only a block of rows: each P_t is scaled while the finer level still
+    holds its P, the difference is written into that table, and the
+    coarsest P is dropped before another P_sigma is scaled.  Built
+    coarsest-first, the build held one more table at its last step."""
+    pipe = oracle_pipes["grid1d-513"]
+    cubes, levels = pipe.cubes, pipe.levels
+    tracemalloc.start()
+    try:
+        st = build(cubes, (levels[0], levels[-1]), **kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    final = sum(q.nbytes for q in st.q.values())
+    assert peak - final <= 0.5 * 8 * st.space.n ** 2
+    assert list(st.q) == list(st.levels())
 
 
 def test_validation_inhom_unit_resid(pipe65_inhom):

@@ -58,6 +58,22 @@ def test_holder_count_alone_draws_the_holder_fields(grid65, pipe65):
         assert np.array_equal(f.values, grid65.dist[x0] ** theta)
 
 
+@pytest.mark.parametrize("counts,builds", [
+    ({"bandlimited": 4, "holder": 2}, 0),
+    ({"holder": 1, "smoothed_indicator": 2, "gaussian_field": 2}, 1)])
+def test_ensemble_builds_its_mollifier_on_first_use(pipe65, monkeypatch,
+                                                    counts, builds):
+    """Band-limited and Holder fields read no mollifier, so an ensemble of
+    them builds no semigroup; the smoothed kinds share one."""
+    scales = []
+    real = labmod.build_semigroup
+    monkeypatch.setattr(labmod, "build_semigroup", lambda space, t, a=1.0: (
+        scales.append(t) or real(space, t, a=a)))
+    spec = EnsembleSpec(counts=counts, seed=3)
+    assert len(generate_ensemble(pipe65.stack, spec)) == spec.total()
+    assert len(scales) == builds
+
+
 def test_ensemble_rejects_unknown_count_key():
     with pytest.raises(ParameterError, match="'bogus'"):
         EnsembleSpec(counts={"holder": 1, "bogus": 2})

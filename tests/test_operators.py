@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import frame_oracle
 import numpy as np
@@ -10,6 +11,7 @@ from homspace import (Field, IllConditionedFrameError, KernelSpec,
                       analyze, frame_operator, generate_space, hl_maximal,
                       operators, reconstruct)
 from homspace.operators import mu_dot
+from homspace.report import fmt
 from homspace.space import point_count
 
 
@@ -262,12 +264,45 @@ def test_analyze_inhom_averages(pipe65_inhom, rng):
         assert lc.average[i] == pytest.approx(direct, rel=1e-12)
 
 
-def test_grid_rows_export(pipe65, rng):
+def test_grid_csv_export(pipe65, rng):
     f = Field(pipe65.space, rng.standard_normal(pipe65.space.n))
-    rows = analyze(pipe65.stack, f).rows()
-    assert len(rows) > 0
-    k, alpha, m, y, val, wgt = rows[0]
-    assert isinstance(alpha, int) and wgt > 0
+    grid = analyze(pipe65.stack, f)
+    header, first, *rest = grid.csv().splitlines()
+    assert header == "k,alpha,m,y_index,value,weight"
+    assert len(rest) + 1 == sum(len(lc.alpha) for lc in grid.levels.values())
+    k, alpha, m, y, val, wgt = first.split(",")
+    assert int(k) == min(grid.levels) and int(alpha) >= 0 and float(wgt) > 0
+
+
+def _fmt_join_csv(grid):
+    """Frozen copy of the per-cell export the CSV replaced: a row tuple per
+    sample and one `fmt` call per cell."""
+    lines = ["k,alpha,m,y_index,value,weight"]
+    for k in sorted(grid.levels):
+        lc = grid.levels[k]
+        for i in range(len(lc.alpha)):
+            row = (k, int(lc.alpha[i]), int(lc.m[i]), int(lc.y_index[i]),
+                   float(lc.value[i]), float(lc.weight[i]))
+            lines.append(",".join(fmt(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("pipe", ["pipe65", "pipe65_inhom"])
+def test_grid_csv_matches_fmt_join(request, pipe):
+    """The level-by-level CSV is byte-equal to the per-cell `fmt` join, on
+    a bandlimited field and on values fmt spells out (nan, infinities,
+    signed zero, extremes)."""
+    st = request.getfixturevalue(pipe).stack
+    noise = np.random.default_rng(1).standard_normal(st.space.n)
+    grid = analyze(st, Field(st.space, st.apply(st.interior_levels()[0],
+                                                noise)))
+    assert grid.csv() == _fmt_join_csv(grid)
+    lc = grid.levels[st.k_min]
+    special = np.resize([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16,
+                         -1.7976931348623157e308, 0.1, 1 / 3], len(lc.value))
+    odd = replace(grid, levels={st.k_min: replace(
+        lc, value=special, weight=special[::-1].copy())})
+    assert odd.csv() == _fmt_join_csv(odd)
 
 
 def test_frame_operator_symmetric(pipe65, rng):

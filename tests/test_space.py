@@ -458,6 +458,27 @@ def test_documents_refuse_entries_that_are_not_numbers(doc, what):
         load_space_document(doc)
 
 
+@pytest.mark.parametrize("label", [[1, 2], 3, None, {"name": "x"}],
+                         ids=["list", "integer", "null", "object"])
+def test_documents_refuse_a_label_that_is_not_a_string(label):
+    # a list loaded and was kept as the space's label
+    doc = {"n": 2, "weights": [1, 1], "dist": [1], "label": label}
+    with pytest.raises(FormatError, match="label must be a string"):
+        load_space_document(doc)
+    doc["label"] = "pair"
+    assert load_space_document(doc).label == "pair"
+
+
+@pytest.mark.parametrize("a0", ["2", True, 0.5, float("inf")],
+                         ids=["string", "boolean", "below-1", "infinite"])
+def test_document_a0_faults_are_format_errors(a0):
+    # the constructor's ParameterError escaped, where every other fault of
+    # a document raises FormatError
+    doc = {"n": 2, "weights": [1, 1], "dist": [1], "a0": a0}
+    with pytest.raises(FormatError, match="a0 must be a finite number"):
+        load_space_document(doc)
+
+
 def test_documents_and_spaces_take_integers():
     sp = load_space_document({"n": 2, "weights": [1, 3], "dist": [2],
                               "points": [0, 2]})
