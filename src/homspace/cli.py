@@ -240,8 +240,9 @@ def emit(cfg, name, suite_or_text):
         write_atomic(os.path.join(outdir, name), suite_or_text)
     write_atomic(os.path.join(outdir, "effective_config.json"),
                  json.dumps(cfg, indent=1, sort_keys=True) + "\n")
+    # the clock at a fixed width, so that the sidecar's size does not vary
     write_atomic(os.path.join(outdir, "run_meta.json"),
-                 json.dumps({"wall_clock": time.time()}) + "\n")
+                 '{"wall_clock": %.6f}\n' % time.time())
 
 
 def _finish(cfg, name, suite):

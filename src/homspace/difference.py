@@ -24,7 +24,9 @@ tail (convergent because s > 0) is summed in closed form.
 Every norm reads two objects: `difference_scales`, the natural window's
 levels with the ball ends and measures of their radii (they depend only on
 the space, c_tilde and delta), and one field's `DifferenceTable` of rows
-A_e(., k), one stack per inner exponent e, made on first use.
+A_e(., k), one stack per inner exponent e, made on first use.  A table's
+running sums run rank by rank over the ball index's rank-major order, as
+the maximal operator's do, and equal each row's cumulative sum bit for bit.
 `lipschitz_norm` and `truncated_norm` take a Field, or a table to read from.
 """
 
@@ -40,6 +42,7 @@ from .errors import Frozen, ParameterError, integer_arg
 from .kernels import _row_blocks
 from .norms import (INF, _lp, _lq, check_scales, lebesgue_norm,
                     positive_exponent)
+from .space import _accumulate_ranks
 
 VARIANTS = ("Ldot", "L", "Lb_dot", "Lb", "Lt_dot", "Lt")
 TRUNCATED_VARIANTS = ("L_tilde", "Lb_tilde")
@@ -92,10 +95,12 @@ def difference_scales(space, c_tilde, delta, levels=None):
 class DifferenceTable(Frozen):
     """Ball averages A_e(x, k) of one field over the levels of `scales`.
 
-    ``rows(e)`` is a read-only (levels, n) stack, made on first use: row x
-    of |f(x) - f(y)| in ball-index order gives a running sum of mu-weighted
-    e-powers (a running max at e = inf), read at every ball end at once.
-    No attribute can be rebound; the stacks made so far sit in ``_rows``.
+    ``rows(e)`` is a read-only (levels, n) stack, made on first use: the
+    differences |f(y) - f(x)| gathered rank-major through the ball index
+    (row j holds, for every centre x, its j-th nearest point y) give a
+    running sum of mu-weighted e-powers (a running max at e = inf), summed
+    rank by rank and read at every ball end at once.  No attribute can be
+    rebound; the stacks made so far sit in ``_rows``.
     """
 
     def __init__(self, f, scales):
@@ -104,26 +109,29 @@ class DifferenceTable(Frozen):
         vars(self).update(field=f, scales=scales, _rows={})
 
     def rows(self, exponent):
+        positive_exponent("inner exponent", exponent)
         if exponent not in self._rows:
-            positive_exponent("inner exponent", exponent)
             space, ends = self.scales.space, self.scales.ends
-            idx = space.ball_index
+            by_rank = space.ball_index.by_rank
             values = self.field.values
             # one n x n buffer, updated in place: the differences, then
             # their running max, or their weighted powers and running sum;
-            # the weights are gathered one block of rows at a time
-            run = values[idx.order]
-            np.abs(np.subtract(values[:, None], run, out=run), out=run)
+            # the weights are gathered one block of ranks at a time
+            run = values[by_rank]
+            np.abs(np.subtract(run, values, out=run), out=run)
             if exponent == INF:
-                np.maximum.accumulate(run, axis=1, out=run)
-                rows = idx.read(run, ends)
+                _accumulate_ranks(run, np.maximum)
             else:
                 run **= exponent
                 for blk in _row_blocks(space.n):
-                    run[blk] *= space.weight[idx.order[blk]]
-                np.cumsum(run, axis=1, out=run)
-                rows = ((idx.read(run, ends) / self.scales.mass)
-                        ** (1.0 / exponent))
+                    run[blk] *= space.weight[by_rank[blk]]
+                _accumulate_ranks(run)
+            # the ball ends at flat positions end * n + x of the rank-major
+            # sums; an empty ball (end -1) reads 0
+            flat = ends * space.n + np.arange(space.n)
+            rows = np.where(ends >= 0, run.ravel()[flat], 0.0)
+            if exponent != INF:
+                rows = (rows / self.scales.mass) ** (1.0 / exponent)
             rows.setflags(write=False)
             self._rows[exponent] = rows
         return self._rows[exponent]

@@ -27,7 +27,7 @@ import numpy as np
 from .dyadic import _read_only
 from .errors import (Frozen, IllConditionedFrameError, ParameterError,
                      integer_arg, real_arg)
-from .space import _as_float_array
+from .space import _accumulate_ranks, _as_float_array
 
 
 @dataclass(frozen=True)
@@ -97,16 +97,14 @@ def hl_maximal(f):
     The sup runs over the open balls, the prefixes of the distance-sorted
     row that end on a tie-group end of the space's ball index; only those
     entries of the running sums are divided and compared.  The sums run
-    rank by rank over the rank-major table of `space.group_ends`, one add
-    across all centres per rank; each is formed in the order of a row's
-    cumulative sum, P[x, j] = P[x, j - 1] + |f| mu at the j-th nearest
+    rank by rank over the ball index's rank-major order (`_accumulate_ranks`),
+    one add across all centres per rank; each is formed in the order of a
+    row's cumulative sum, P[x, j] = P[x, j - 1] + |f| mu at the j-th nearest
     point to x.
     """
     space = f.space
     flat, measure, starts, by_rank = space.group_ends
-    run = (np.abs(f.values) * space.weight)[by_rank]
-    for prev, row in zip(run, run[1:]):
-        np.add(row, prev, out=row)
+    run = _accumulate_ranks((np.abs(f.values) * space.weight)[by_rank])
     ratio = run.ravel()[flat]
     ratio /= measure
     return Field(space, np.maximum.reduceat(ratio, starts))

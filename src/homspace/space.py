@@ -198,15 +198,19 @@ def _flat_take(flat, rows, n, cols, index, out):
 class BallIndex(NamedTuple):
     """Every row of the distance table in stable ascending order.
 
-    ``order[x]`` lists the points by distance from x; the distances stay in
-    the space's own table, read through ``order``.  ``weight_prefix[x, j]``
-    is the measure of the first j + 1 points of row x, and
-    ``group_end[x, j]`` marks the last point of each group of tied
+    ``by_rank[j, x]`` is the j-th nearest point to x: the order is kept
+    rank-major, so a running sum over every ball runs rank by rank, one
+    vector operation across all centres per rank (`_accumulate_ranks`).
+    ``order`` is its point-major view, ``order[x]`` the points by distance
+    from x; the distances stay in the space's own table, read through it.
+    ``weight_prefix[x, j]`` is the measure of the first j + 1 points of row
+    x, and ``group_end[x, j]`` marks the last point of each group of tied
     distances: an open ball is always a prefix that ends on a group end, so
-    every ball measure is one entry of ``weight_prefix``.
+    every ball measure is one entry of ``weight_prefix``.  Both are
+    point-major and C-contiguous.
     """
 
-    order: np.ndarray
+    by_rank: np.ndarray
     weight_prefix: np.ndarray
     group_end: np.ndarray
 
@@ -217,18 +221,27 @@ class BallIndex(NamedTuple):
         group_end = np.ones(dist.shape, dtype=bool)
         np.greater(sd[:, 1:], sd[:, :-1], out=group_end[:, :-1])
         del sd  # the sorted distances are not kept
+        # gathered through the point-major order, so that the prefix is
+        # C-ordered (through a transposed view it would come out F-ordered)
         prefix = weight[order]
         np.cumsum(prefix, axis=1, out=prefix)
+        _transpose_in_place(order)
         idx = cls(order, prefix, group_end)
         for a in idx:
             a.setflags(write=False)
         return idx
 
+    @property
+    def order(self):
+        """The point-major view of ``by_rank``: ``order[x, j]`` is the j-th
+        nearest point to x."""
+        return self.by_rank.T
+
     def ends(self, dist, radii):
         """``ends[i, x]``: sorted position of the last point of B(x, radii[i])
         (-1 for an empty ball, r <= 0), one less than the count of entries
         of row x of `dist`, the indexed table, below the radius; one
-        bisection through ``order`` finds all of them at once.  A radius
+        bisection through the order finds all of them at once.  A radius
         that is NaN or not a real number raises ParameterError."""
         r = np.array([real_arg("radius", v) for v in radii],
                      dtype=float).reshape(-1, 1)
@@ -238,7 +251,7 @@ class BallIndex(NamedTuple):
         step = 1 << (n.bit_length() - 1)
         while step:
             probe = np.minimum(count + step, n)
-            count = np.where(dist[rows, self.order[rows, probe - 1]] < r,
+            count = np.where(dist[rows, self.by_rank[probe - 1, rows]] < r,
                              probe, count)
             step >>= 1
         return count - 1
@@ -247,6 +260,28 @@ class BallIndex(NamedTuple):
         """Row-wise ``table[x, end[..., x]]`` of a row-sorted table, for one
         end vector or a stack of them; 0 where the ball is empty."""
         return np.where(end >= 0, table[np.arange(len(table)), end], 0.0)
+
+
+def _transpose_in_place(a, size=128):
+    """Transpose a square table in place, one pair of size x size tiles at
+    a time, so that it needs no second table."""
+    for lo in range(0, len(a), size):
+        for hi in range(lo, len(a), size):
+            upper = a[lo:lo + size, hi:hi + size]
+            lower = a[hi:hi + size, lo:lo + size]
+            saved = upper.T.copy()
+            upper[...] = lower.T
+            lower[...] = saved
+
+
+def _accumulate_ranks(run, op=np.add):
+    """Running `op` (a sum, or ``np.maximum``) down the rows of a rank-major
+    table, in place: row j becomes op(row j, running row j - 1), across all
+    centres at once.  Each entry is formed as a point-major row's cumulative
+    sum forms it, P[j - 1] + v[j], so the two agree bit for bit."""
+    for prev, row in zip(run, run[1:]):
+        op(row, prev, out=row)
+    return run
 
 
 def _declared_a0(a0):
@@ -361,11 +396,12 @@ class MetricMeasureSpace(Frozen):
     @cached_property
     def group_ends(self):
         """(flat, measure, starts, by_rank): the maximal operator's index,
-        built on its first call.  ``by_rank`` is the ball index's order
-        rank-major, ``by_rank[j, x]`` the j-th nearest point to x; ``flat``
-        holds the group ends row by row as positions ``j * n + x`` in an
-        n x n table of that layout, ``measure`` the measure of the ball each
-        one closes, and ``starts`` where each row's run starts in them."""
+        built on its first call.  ``by_rank`` is the ball index's own
+        rank-major order, not a copy, ``by_rank[j, x]`` the j-th nearest
+        point to x; ``flat`` holds the group ends row by row as positions
+        ``j * n + x`` in an n x n table of that layout, ``measure`` the
+        measure of the ball each one closes, and ``starts`` where each row's
+        run starts in them."""
         idx = self.ball_index
         n = self.n
         row_major = np.flatnonzero(idx.group_end)
@@ -374,11 +410,10 @@ class MetricMeasureSpace(Frozen):
         flat = (rank * n + x).astype(np.int32 if small else np.intp)
         starts = np.zeros(n, dtype=np.intp)
         np.cumsum(idx.group_end.sum(axis=1)[:-1], out=starts[1:])
-        ends = (flat, idx.weight_prefix.ravel()[row_major], starts,
-                np.ascontiguousarray(idx.order.T))
+        ends = (flat, idx.weight_prefix.ravel()[row_major], starts)
         for a in ends:
             a.setflags(write=False)
-        return ends
+        return (*ends, idx.by_rank)
 
     def ball_measure(self, r):
         """Vector of mu(B(x, r)) over all centers x."""

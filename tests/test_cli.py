@@ -4,6 +4,7 @@ import json
 import os
 import re
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -196,6 +197,22 @@ def test_effective_config_roundtrip_byte_identical(tmp_path, capsys):
     capsys.readouterr()
     assert (out / "lemmas.txt").read_bytes() == first
     assert (out / "lemmas.csv").read_bytes() == first_csv
+
+
+def test_run_meta_has_a_fixed_width(tmp_path, monkeypatch):
+    """The wall clock is written at a fixed width, so the sidecar's size
+    does not vary from run to run, and it still reads as a JSON float."""
+    cfg = {"output": {"dir": str(tmp_path)}}
+    meta = tmp_path / "run_meta.json"
+    sizes = set()
+    for now in (1.7e9, 1.7e9 + 0.5, 1.7e9 + 1 / 3):
+        monkeypatch.setattr(time, "time", lambda: now)
+        cli.emit(cfg, "report.txt", "text\n")
+        clock = json.loads(meta.read_text())["wall_clock"]
+        assert isinstance(clock, float)
+        assert clock == pytest.approx(now, rel=0.0, abs=1e-6)
+        sizes.add(meta.stat().st_size)
+    assert len(sizes) == 1
 
 
 def test_usage_error_exit_1(capsys):

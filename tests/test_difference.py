@@ -150,6 +150,16 @@ def test_table_rejects_foreign_scales(grid65):
             lipschitz_norm(DifferenceTable(f, scales), spec, "Ldot")
 
 
+def test_rows_check_the_exponent_before_the_cache(grid65):
+    """A cached exponent lets no equal non-real one through: `True == 1`
+    would otherwise read the rows made for 1.0."""
+    table = DifferenceTable(holder_field(grid65),
+                            difference_scales(grid65, 1.0, 0.5))
+    table.rows(1.0)
+    with pytest.raises(ParameterError, match="inner exponent"):
+        table.rows(True)
+
+
 def test_scales_refuse_fractional_levels(grid65):
     """A level is an integer: a fractional one is refused, not truncated,
     and an integral float is read as its int."""

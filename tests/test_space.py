@@ -284,6 +284,28 @@ def test_ball_index_and_v_table_peak_memory(kw):
     assert rows < 1.5 * unit
 
 
+@pytest.mark.parametrize("kw", [dict(kind="grid2d", size=9),
+                                dict(kind="circle", size=64),
+                                dict(kind="sierpinski_level", level=3),
+                                dict(kind="grid1d", size=513)],
+                         ids=["grid2d-9", "circle-64", "sierpinski-3",
+                              "grid1d-513"])
+def test_ball_index_keeps_one_rank_major_order(kw):
+    """The ball index stores its order once, rank-major: ``order`` is a
+    view of ``by_rank`` and the stable argsort of each row (at n = 513 the
+    in-place transpose runs over several tiles, the last one short), the
+    maximal operator's index hands out that very table, and every stored
+    table is C-contiguous and read-only."""
+    sp = generate_space(**kw)
+    idx = sp.ball_index
+    assert sp.group_ends[3] is idx.by_rank
+    assert np.shares_memory(idx.order, idx.by_rank)
+    assert np.array_equal(idx.order,
+                          np.argsort(sp.dist, axis=1, kind="stable"))
+    for a in (idx.by_rank, idx.weight_prefix, idx.group_end):
+        assert a.flags.c_contiguous and not a.flags.writeable
+
+
 def test_ball_tables_are_read_only():
     """Every array of the ball index, of the group ends and the V table
     refuses writes, on a space with tied distances."""
